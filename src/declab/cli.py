@@ -17,12 +17,12 @@ from .dualmesh import build_dual
 from .generators import FamilySpec
 from .problems import get_problem
 from .solve import SolverConfig, dump_solution, error_report, make_problem, solve
-from .study import StudyAborted, emit, run_consistency_study, run_convergence_study
+from .study import StudyAborted, emit, render, run_consistency_study, run_convergence_study
 
 
 def _add_family_args(p: argparse.ArgumentParser, with_level: bool = True):
     p.add_argument("--family", required=False,
-                   choices=["pentagon_wheel", "square", "corner", "cube_kuhn", "from_file"],
+                   choices=["pentagon_wheel", "square", "corner", "cube_kuhn"],
                    help="mesh family")
     if with_level:
         p.add_argument("--level", type=int, default=0, help="refinement level")
@@ -30,22 +30,17 @@ def _add_family_args(p: argparse.ArgumentParser, with_level: bool = True):
     p.add_argument("--pattern", type=int, default=1, help="square pattern id (1..3)")
     p.add_argument("--alpha", type=float, default=generators.DEFAULT_ALPHA,
                    help="re-entrant corner angle in radians")
-    p.add_argument("--path", help="mesh file for from_file")
-    p.add_argument("--mesh", help="load this decmesh file instead of generating")
+    p.add_argument("--mesh", help="start from this decmesh file instead of a family")
 
 
 def _family_spec(args, level: int | None = None) -> FamilySpec:
+    level = args.level if level is None else level
+    if args.mesh:
+        return FamilySpec("from_file", level, path=args.mesh)
     if args.family is None:
         raise SystemExit("--family is required unless --mesh is given")
-    return FamilySpec(args.family, level if level is not None else args.level,
-                      n_gon=args.ngon, pattern=args.pattern, alpha=args.alpha,
-                      path=args.path)
-
-
-def _get_mesh(args):
-    if args.mesh:
-        return meshio.load(args.mesh)
-    return generators.generate(_family_spec(args))
+    return FamilySpec(args.family, level, n_gon=args.ngon, pattern=args.pattern,
+                      alpha=args.alpha)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,15 +108,14 @@ def _emit_or_print(report, args) -> None:
         emit(report, args.format, args.out)
         print(f"wrote {args.format} report to {args.out}")
     else:
-        sys.stdout.write(study.to_text_table(report)
-                         if args.format == "text_table" else study.to_csv(report))
+        sys.stdout.write(render(report, args.format))
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "mesh":
-            cx = _get_mesh(args)
+            cx = generators.generate(_family_spec(args))
             if args.action == "refine":
                 cx = generators.refine(cx)
             if args.action == "report":
@@ -137,7 +131,8 @@ def main(argv=None) -> int:
                 print(f"wrote {args.out}")
             return 0
         if args.command == "solve":
-            cx = _get_mesh(args)
+            spec = _family_spec(args)
+            cx = generators.generate(spec)
             dual = build_dual(cx, keep_fragments=False)
             bundle = get_problem(args.problem, args.mu)
             prob = make_problem(cx, dual, bundle)
@@ -150,9 +145,8 @@ def main(argv=None) -> int:
             print(f"energy = {rep.energy:.9e}  stability = {rep.stability_constant:.6f}")
             print(f"err_max = {err.max:.6e}  err_h1 = {err.h1:.6e}  err_l2 = {err.l2:.6e}")
             if args.out:
-                name = args.mesh or f"{args.family}"
-                dump_solution(args.out, rep.solution, name, bundle.name,
-                              args.level if args.family else 0)
+                dump_solution(args.out, rep.solution, args.mesh or args.family,
+                              bundle.name, spec.level)
                 print(f"wrote {args.out}")
             return 0
         # studies

@@ -10,6 +10,7 @@ integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,17 +41,6 @@ class ShapeReport:
     c_reg: float
     star_bound: int
     well_centered: str  # "strict" | "weak" | "violated"
-    worst_simplex: tuple | None = None  # (dim, index) attaining the classification
-
-
-@dataclass
-class SubComplex:
-    """Index view of a subcomplex: for each dimension, indices into the parent."""
-    parent: "SimplicialComplex"
-    indices: dict[int, np.ndarray]
-
-    def counts(self) -> dict[int, int]:
-        return {k: len(v) for k, v in self.indices.items()}
 
 
 class SimplicialComplex:
@@ -115,42 +105,6 @@ class SimplicialComplex:
             self._boundary[k] = mat.tocsr()
         return self._boundary[k]
 
-    def boundary_chain(self, k: int, index: int) -> list[tuple[int, int]]:
-        """Signed (k-1)-faces of one stored oriented k-simplex."""
-        if not 0 <= index < self.num(k):
-            raise MeshError(f"unknown {k}-simplex index {index}")
-        if k == 0:
-            return []
-        s = int(self.orientation[k][index])
-        out = []
-        for i in range(k + 1):
-            f = int(self.faces[k][index, i])
-            out.append((f, s * (-1) ** i * int(self.orientation[k - 1][f])))
-        return out
-
-    # -- stars ---------------------------------------------------------------
-
-    def closed_star(self, k: int, index: int) -> SubComplex:
-        """Smallest subcomplex containing all cofaces of the given simplex."""
-        if not 0 <= index < self.num(k):
-            raise MeshError(f"unknown {k}-simplex index {index}")
-        up: dict[int, set[int]] = {k: {index}}
-        for j in range(k, self.dim):
-            indptr, cof = self.cofaces(j)
-            nxt: set[int] = set()
-            for s in up[j]:
-                nxt.update(cof[indptr[s]:indptr[s + 1]].tolist())
-            up[j + 1] = nxt
-        closure: dict[int, set[int]] = {j: set(v) for j, v in up.items()}
-        for j in range(self.dim, 0, -1):
-            cur = closure.get(j, set())
-            if not cur:
-                continue
-            closure.setdefault(j - 1, set())
-            closure[j - 1].update(self.faces[j][sorted(cur)].ravel().tolist())
-        return SubComplex(self, {j: np.array(sorted(v), dtype=np.int64)
-                                 for j, v in closure.items() if v})
-
     # -- boundary of the underlying polytope ----------------------------------
 
     def boundary_face_indices(self) -> np.ndarray:
@@ -177,7 +131,6 @@ class SimplicialComplex:
         gamma_min = np.inf
         c_reg = 0.0
         status = 0  # 0 strict, 1 weak, 2 violated
-        worst = None
         for k in range(1, n + 1):
             coords = self.coords_of(k)
             diam = geometry.diameter(coords)
@@ -191,10 +144,7 @@ class SimplicialComplex:
                 lmin = lam.min(axis=1)
                 if (lmin < -WELL_CENTERED_TOL).any():
                     status = 2
-                    worst = (k, int(np.argmin(lmin)))
-                elif (lmin <= WELL_CENTERED_TOL).any() and status < 2:
-                    if status < 1:
-                        worst = (k, int(np.argmin(lmin)))
+                elif (lmin <= WELL_CENTERED_TOL).any():
                     status = max(status, 1)
         # max top-cell count over closed stars; vertices attain the maximum
         # over base simplices of every dimension
@@ -203,7 +153,6 @@ class SimplicialComplex:
         return ShapeReport(
             h=h, gamma_min=gamma_min, c_reg=c_reg, star_bound=star_bound,
             well_centered=("strict", "weak", "violated")[status],
-            worst_simplex=worst,
         )
 
 
@@ -290,14 +239,12 @@ def _audit_conformity(cx: SimplicialComplex) -> None:
     centroid = coords.mean(axis=1)
     radius = np.sqrt(((coords - centroid[:, None, :]) ** 2).sum(-1)).max(axis=1)
     cand = tree.query_ball_point(centroid, radius + tol)
-    cell_ids = []
-    vert_ids = []
-    for c, lst in enumerate(cand):
-        for v in lst:
-            if v not in cells[c]:
-                cell_ids.append(c)
-                vert_ids.append(v)
-    if cell_ids:
+    lens = np.fromiter(map(len, cand), dtype=np.int64, count=len(cand))
+    cell_ids = np.repeat(np.arange(len(cells)), lens)
+    vert_ids = np.fromiter(chain.from_iterable(cand), dtype=np.int64, count=lens.sum())
+    foreign = ~(cells[cell_ids] == vert_ids[:, None]).any(axis=1)
+    cell_ids, vert_ids = cell_ids[foreign], vert_ids[foreign]
+    if len(cell_ids):
         lam = geometry.barycentric_coordinates(verts[vert_ids], coords[cell_ids])
         inside = lam.min(axis=1) > -1e-9
         if inside.any():

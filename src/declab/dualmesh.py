@@ -62,10 +62,6 @@ class DualComplex:
         for arr in (*circumcenters, *volumes):
             arr.setflags(write=False)
 
-    @property
-    def has_fragments(self) -> bool:
-        return self._flags[0] is not None
-
     def boundary_mask(self, k: int) -> np.ndarray:
         """True where the base k-simplex lies in the domain boundary."""
         if self._boundary_masks is None:
@@ -123,17 +119,6 @@ class DualComplex:
             prim.setflags(write=False)
             self._primal_volumes[k] = prim
         return self.volumes[k], self._primal_volumes[k]
-
-    def diagnostics(self) -> str:
-        """Per-simplex dual volume and fragment count, for golden-file tests."""
-        lines = [f"dual diagnostics dim={self.complex.dim}"]
-        for k in range(self.complex.dim + 1):
-            chain, _, _ = self.flags(k)
-            counts = np.bincount(chain[:, 0], minlength=self.complex.num(k))
-            lines.append(f"k={k} cells={self.complex.num(k)}")
-            for i, (v, c) in enumerate(zip(self.volumes[k], counts)):
-                lines.append(f"{k} {i} {v:.12e} {int(c)}")
-        return "\n".join(lines) + "\n"
 
 
 def build_dual(cx: SimplicialComplex, keep_fragments: bool = True) -> DualComplex:

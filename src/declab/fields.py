@@ -88,21 +88,25 @@ def hodge_field(field: FormField) -> FormField:
     return FormField(n - k, n, ev)
 
 
-def evaluate_on_frames(field: FormField, points: np.ndarray, frames: np.ndarray) -> np.ndarray:
-    """Apply the k-covector at each point to a k-frame: (m, n), (m, k, n) -> (m,)."""
-    k = field.degree
-    vals = field(points)
-    if k == 0:
-        return vals[:, 0]
-    combos = index_tuples(field.dim, k)
-    out = np.zeros(len(points))
-    for c, rho in enumerate(combos):
-        minors = np.linalg.det(frames[:, :, rho])
-        out += vals[:, c] * minors
-    return out
-
-
 # -- deRham maps -----------------------------------------------------------------
+
+
+def _integrate(field: FormField, corners: np.ndarray, degree: int) -> np.ndarray:
+    """Integrate a k-form over each simplex given by ordered corners (m, k+1, n).
+
+    The orientation is the corner order; a 0-simplex is a point evaluation
+    (one node of weight 1, and the 0x0 minor is 1).
+    """
+    k = field.degree
+    rule = simplex_rule(k, degree)
+    pts = rule.physical_points(corners)          # (m, Q, n)
+    m, q, n = pts.shape
+    vals = field(pts.reshape(-1, n)).reshape(m, q, -1)
+    frame = corners[:, 1:, :] - corners[:, :1, :]
+    integ = np.zeros(m)
+    for c, rho in enumerate(index_tuples(n, k)):
+        integ += (vals[:, :, c] @ rule.weights) * np.linalg.det(frame[:, :, rho])
+    return integ / math.factorial(k)
 
 
 def derham_primal(field: FormField, cx: SimplicialComplex, degree: int = 4) -> Cochain:
@@ -112,20 +116,7 @@ def derham_primal(field: FormField, cx: SimplicialComplex, degree: int = 4) -> C
         raise ValueError(f"field lives in R^{field.dim}, complex in R^{cx.dim}")
     if k > cx.dim:
         raise ValueError("field degree exceeds complex dimension")
-    if k == 0:
-        return Cochain(0, "primal", field(cx.vertices)[:, 0])
-    rule = simplex_rule(k, degree)
-    coords = cx.coords_of(k)
-    edges = coords[:, 1:, :] - coords[:, :1, :]
-    pts = rule.physical_points(coords)           # (m, Q, n)
-    m, q, n = pts.shape
-    vals = field(pts.reshape(-1, n)).reshape(m, q, -1)
-    combos = index_tuples(cx.dim, k)
-    integ = np.zeros(m)
-    for c, rho in enumerate(combos):
-        minors = np.linalg.det(edges[:, :, rho])
-        integ += (vals[:, :, c] @ rule.weights) * minors
-    integ /= math.factorial(k)
+    integ = _integrate(field, cx.coords_of(k), degree)
     return Cochain(k, "primal", integ * cx.orientation[k])
 
 
@@ -139,30 +130,14 @@ def derham_dual(field: FormField, dual: DualComplex, degree: int = 4) -> Cochain
     n = cx.dim
     if field.dim != n:
         raise ValueError(f"field lives in R^{field.dim}, complex in R^{n}")
-    m_deg = field.degree
-    k = n - m_deg
+    k = n - field.degree
     if not 0 <= k <= n:
         raise ValueError("field degree exceeds complex dimension")
     chain, sign, _ = dual.flags(k)
-    if m_deg == 0:
-        vals = field(dual.circumcenters[n][chain[:, -1]])[:, 0] * sign
-        return Cochain(m_deg, "dual",
-                       np.bincount(chain[:, 0], weights=vals, minlength=cx.num(k)))
-    pts0 = dual.circumcenters[k][chain[:, 0]]
-    frame = np.stack([dual.circumcenters[k + j][chain[:, j]] - pts0
-                      for j in range(1, m_deg + 1)], axis=1)  # edges from c(t_k)
-    corners = np.concatenate([pts0[:, None, :], pts0[:, None, :] + frame], axis=1)
-    rule = simplex_rule(m_deg, degree)
-    pts = rule.physical_points(corners)
-    mm, qq, nn = pts.shape
-    vals = field(pts.reshape(-1, nn)).reshape(mm, qq, -1)
-    combos = index_tuples(n, m_deg)
-    integ = np.zeros(mm)
-    for c, rho in enumerate(combos):
-        minors = np.linalg.det(frame[:, :, rho])
-        integ += (vals[:, :, c] @ rule.weights) * minors
-    integ *= sign / math.factorial(m_deg)
-    return Cochain(m_deg, "dual",
+    corners = np.stack([dual.circumcenters[k + j][chain[:, j]]
+                        for j in range(field.degree + 1)], axis=1)
+    integ = _integrate(field, corners, degree) * sign
+    return Cochain(field.degree, "dual",
                    np.bincount(chain[:, 0], weights=integ, minlength=cx.num(k)))
 
 
@@ -209,30 +184,11 @@ class WhitneyField:
 
         cells: (m,) cell indices; bary: (Q, n+1); returns (m, Q, C(n, k)).
         """
-        cx, k, n = self.cx, self.degree, self.cx.dim
         cells = np.asarray(cells, dtype=np.int64)
-        m, q = len(cells), len(bary)
-        ncomp = len(index_tuples(n, k))
-        out = np.zeros((m, q, ncomp))
-        vals = self.cochain.values
-        if k == 0:
-            w = vals[cx.simplices[n][cells]]           # (m, n+1)
-            return np.einsum("mj,qj->mq", w, bary)[:, :, None]
-        grads = self._grads[cells]                     # (m, n+1, n)
-        combos = index_tuples(n, k)
-        fact = math.factorial(k)
-        for s, pos in enumerate(self._subsets):
-            fidx = self._face_idx[cells, s]
-            coef = vals[fidx] * cx.orientation[k][fidx]    # (m,)
-            for drop in range(k + 1):
-                keep = [pos[j] for j in range(k + 1) if j != drop]
-                gsel = grads[:, keep, :]                   # (m, k, n)
-                lam = bary[:, pos[drop]]                   # (q,)
-                sgn = (-1) ** drop * fact
-                for c, rho in enumerate(combos):
-                    minors = np.linalg.det(gsel[:, :, rho])    # (m,)
-                    out[:, :, c] += (coef * minors * sgn)[:, None] * lam[None, :]
-        return out
+        coef = self.cochain.values * self.cx.orientation[self.degree]
+        return sum(coef[self._face_idx[cells, s]][:, None, None]
+                   * _single_basis_values(self, cells, s, bary)
+                   for s in range(len(self._subsets)))
 
     def derivative_on_cells(self, cells: np.ndarray) -> np.ndarray:
         """Constant (k+1)-form d(W omega) per top cell: (m, C(n, k+1))."""
@@ -253,30 +209,10 @@ class WhitneyField:
                 out[:, c] += coef * minors * fact
         return out
 
-    def eval_at(self, points: np.ndarray) -> np.ndarray:
-        """Brute-force point location then evaluation; intended for small meshes."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        n = self.cx.dim
-        coords = self.cx.coords_of(n)
-        out = np.empty((len(pts), len(index_tuples(n, self.degree))))
-        for i, p in enumerate(pts):
-            lam = geometry.barycentric_coordinates(
-                np.repeat(p[None, :], len(coords), axis=0), coords)
-            inside = np.flatnonzero(lam.min(axis=1) >= -1e-12)
-            if not len(inside):
-                raise ValueError(f"point {p} lies outside the mesh")
-            c = int(inside[0])
-            out[i] = self.eval_on_cells(np.array([c]), lam[c][None, :])[0, 0]
-        return out
-
-
-def whitney_map(cochain: Cochain, cx: SimplicialComplex) -> WhitneyField:
-    return WhitneyField(cochain, cx)
-
 
 def whitney_l2_norm(cochain: Cochain, cx: SimplicialComplex, degree: int = 4) -> float:
     """L2 norm of the Whitney interpolant (quadrature exact for its degree)."""
-    w = whitney_map(cochain, cx)
+    w = WhitneyField(cochain, cx)
     n = cx.dim
     rule = simplex_rule(n, degree)
     cells = np.arange(cx.num(n), dtype=np.int64)
@@ -324,14 +260,11 @@ def _single_basis_values(w: WhitneyField, cells: np.ndarray, subset: int,
                          bary: np.ndarray) -> np.ndarray:
     """Values of one local Whitney basis form (with the face's stored
     orientation) on every cell: (m, Q, C)."""
-    cx, k, n = w.cx, w.degree, w.cx.dim
+    k, n = w.degree, w.cx.dim
     m, q = len(cells), len(bary)
     combos = index_tuples(n, k)
     out = np.zeros((m, q, len(combos)))
     pos = w._subsets[subset]
-    if k == 0:
-        out[:, :, 0] = bary[None, :, pos[0]]
-        return out
     grads = w._grads[cells]
     fact = math.factorial(k)
     for drop in range(k + 1):

@@ -72,7 +72,6 @@ def generate(spec: FamilySpec) -> SimplicialComplex:
         return cx
     else:
         cx = meshio.load(spec.path)
-        cx.family = {"family": "from_file", "level": 0, "path": spec.path}
     for _ in range(spec.level):
         cx = medial_refine(cx)
     cx.family = {"family": spec.family, "level": spec.level,
@@ -83,9 +82,9 @@ def generate(spec: FamilySpec) -> SimplicialComplex:
     return cx
 
 
-def refine(cx: SimplicialComplex, family: dict | None = None) -> SimplicialComplex:
+def refine(cx: SimplicialComplex) -> SimplicialComplex:
     """One refinement step, dispatching on the family tag."""
-    family = family or cx.family
+    family = cx.family
     if family is None:
         if cx.dim == 2:
             out = medial_refine(cx)

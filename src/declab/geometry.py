@@ -1,4 +1,4 @@
-"""Low-level simplex geometry: volumes, circumcenters, barycentric coordinates, frames.
+"""Low-level simplex geometry: volumes, circumcenters, barycentric coordinates.
 
 All functions accept batched input: ``coords`` has shape (m, k+1, n) for m
 simplices with k+1 vertices each, embedded in R^n.  Scalars fall out of the
@@ -117,29 +117,3 @@ def inradius(coords: np.ndarray) -> np.ndarray:
         surf += unsigned_volume(coords[:, keep, :])
     return k * vol / surf
 
-
-def orthonormal_frame(coords: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of each simplex plane, shape (m, k, n).
-
-    Modified Gram-Schmidt on the edge vectors from vertex 0; the last vector
-    is flipped if needed so the frame orientation matches the vertex order.
-    """
-    coords = np.asarray(coords, dtype=float)
-    e = edge_matrix(coords).copy()
-    m, k, n = e.shape
-    q = np.zeros_like(e)
-    for i in range(k):
-        v = e[:, i, :]
-        for j in range(i):
-            v = v - np.einsum("md,md->m", q[:, j, :], v)[:, None] * q[:, j, :]
-        nrm = np.linalg.norm(v, axis=1, keepdims=True)
-        if np.any(nrm < 1e-300):
-            raise DegenerateSimplexError("degenerate simplex in orthonormal_frame")
-        q[:, i, :] = v / nrm
-    if k == n:
-        # Align frame orientation with the vertex-order orientation.
-        sign = np.sign(np.linalg.det(e))
-        qdet = np.sign(np.linalg.det(q))
-        flip = sign * qdet < 0
-        q[flip, -1, :] *= -1.0
-    return q

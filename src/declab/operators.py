@@ -260,14 +260,3 @@ def h1_seminorm(dual: DualComplex, c: Cochain) -> float:
     d = exterior_derivative(dual, c.degree, side="primal")
     return discrete_l2(dual, d.apply(c))
 
-
-def export_operator(op: LinearOperator, name: str, path) -> None:
-    """Triplet text dump: 'op <name> k=<k> side=<side> <rows> <cols>' then 'row col value'."""
-    k, side = op.domain
-    mat = op.as_matrix().tocoo()
-    lines = [f"op {name} k={k} side={side} {mat.shape[0]} {mat.shape[1]}"]
-    order = np.lexsort((mat.col, mat.row))
-    for r, c, v in zip(mat.row[order], mat.col[order], mat.data[order]):
-        lines.append(f"{int(r)} {int(c)} {float(v)!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -28,7 +28,6 @@ class DirichletProblem:
     dual: DualComplex
     rhs: Cochain                 # R_h f (pointwise vertex values of f)
     boundary_values: np.ndarray  # g per vertex; read at boundary vertices only
-    sign_convention: str = "delta-d"  # Delta_h = delta d, positive semidefinite
 
 
 def make_problem(cx: SimplicialComplex, dual: DualComplex,

@@ -220,15 +220,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def emit(report: StudyReport, fmt: str, path) -> None:
+def render(report: StudyReport, fmt: str) -> str:
     if fmt == "csv":
-        text = to_csv(report)
-    elif fmt == "text_table":
-        text = to_text_table(report)
-    elif fmt == "svg_loglog":
-        text = to_svg_loglog(report)
-    else:
-        raise ValueError(f"unknown format '{fmt}' (csv, text_table, svg_loglog)")
+        return to_csv(report)
+    if fmt == "text_table":
+        return to_text_table(report)
+    if fmt == "svg_loglog":
+        return to_svg_loglog(report)
+    raise ValueError(f"unknown format '{fmt}' (csv, text_table, svg_loglog)")
+
+
+def emit(report: StudyReport, fmt: str, path) -> None:
+    text = render(report, fmt)
     with open(path, "w") as fh:
         fh.write(text)
 

@@ -47,23 +47,20 @@ def test_negative_cells_reoriented():
     assert cx2.orientation[2][0] == -1  # sorted order is negatively oriented
 
 
-def test_boundary_chain_alternating_signs(right_triangle):
+def test_boundary_matrix_alternating_signs(right_triangle):
     cx = right_triangle
-    chain = cx.boundary_chain(2, 0)
-    # faces stored in drop-vertex order: drop v0 -> (1,2), drop v1 -> (0,2), drop v2 -> (0,1)
-    by_face = {tuple(cx.simplices[1][f]): s for f, s in chain}
+    col = cx.boundary_matrix(2)[:, 0].toarray().ravel()
+    # drop v0 -> (1,2), drop v1 -> (0,2), drop v2 -> (0,1)
+    by_face = {tuple(cx.simplices[1][f]): int(col[f]) for f in range(cx.num(1))}
     assert by_face == {(1, 2): 1, (0, 2): -1, (0, 1): 1}
-    edge_chain = cx.boundary_chain(1, int(cx.index_of(1, [(0, 1)])[0]))
-    assert dict(edge_chain) == {1: 1, 0: -1}  # v1 - v0
+    e01 = int(cx.index_of(1, [(0, 1)])[0])
+    assert cx.boundary_matrix(1)[:, e01].toarray().ravel().tolist() == [-1, 1, 0]  # v1 - v0
 
 
-def test_boundary_of_boundary_is_zero_chain(right_triangle):
+def test_boundary_of_boundary_of_triangle_is_zero(right_triangle):
     cx = right_triangle
-    acc = {}
-    for f, s in cx.boundary_chain(2, 0):
-        for v, s2 in cx.boundary_chain(1, f):
-            acc[v] = acc.get(v, 0) + s * s2
-    assert all(v == 0 for v in acc.values())
+    col = cx.boundary_matrix(1) @ cx.boundary_matrix(2)[:, 0]
+    assert not col.toarray().any()
 
 
 def test_boundary_matrix_single_triangle(right_triangle):
@@ -95,32 +92,6 @@ def test_incidence_closure_consistency():
         faces = cx.faces[k]
         assert faces.min() >= 0
         assert faces.max() < cx.num(k - 1)
-
-
-def test_closed_star_of_hub_contains_all_triangles():
-    cx = generate(FamilySpec("pentagon_wheel", level=0))
-    star = cx.closed_star(0, 0)  # hub is vertex 0 (generator convention)
-    assert len(star.indices[2]) == 5
-    assert len(star.indices[1]) == 10
-    assert len(star.indices[0]) == 6
-
-
-def test_closed_star_of_top_simplex_is_its_closure(right_triangle):
-    star = right_triangle.closed_star(2, 0)
-    assert star.counts() == {0: 3, 1: 3, 2: 1}
-
-
-def test_closed_star_of_strip_boundary_edge():
-    cx = build_complex(2, [(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 1, 2), (0, 2, 3)])
-    e = int(cx.index_of(1, [(0, 1)])[0])  # boundary edge of the first triangle
-    star = cx.closed_star(1, e)
-    assert len(star.indices[2]) == 1
-    assert len(star.indices[0]) == 3
-
-
-def test_closed_star_unknown_simplex_raises(right_triangle):
-    with pytest.raises(MeshError):
-        right_triangle.closed_star(1, 99)
 
 
 def test_shape_report_equilateral():

@@ -168,26 +168,6 @@ def test_boundary_flags():
     assert not dual.cell(0, 0).is_boundary  # hub
 
 
-def test_diagnostics_golden():
-    cx = build_complex(2, [(0, 0), (1, 0), (0.5, 1.0), (1.5, 1.0)],
-                       [(0, 1, 2), (1, 3, 2)])
-    dual = build_dual(cx)
-    text = dual.diagnostics()
-    lines = text.strip().split("\n")
-    assert lines[0] == "dual diagnostics dim=2"
-    # frozen golden values: vertex dual areas verified against a shoelace
-    # partition of the two-triangle domain (total area 1)
-    vols = {}
-    for ln in lines:
-        parts = ln.split()
-        if len(parts) == 4 and parts[0] in {"0", "1", "2"}:
-            vols[(int(parts[0]), int(parts[1]))] = float(parts[2])
-    total = sum(v for (k, _), v in vols.items() if k == 0)
-    assert total == pytest.approx(1.0, rel=1e-12)
-    counts = [ln for ln in lines if ln.startswith("k=")]
-    assert counts == ["k=0 cells=4", "k=1 cells=5", "k=2 cells=2"]
-
-
 def test_flags_unavailable_without_fragments():
     cx = generate(FamilySpec("pentagon_wheel", level=1))
     dual = build_dual(cx, keep_fragments=False)

@@ -6,10 +6,10 @@ import pytest
 from declab import geometry
 from declab.complex import build_complex
 from declab.dualmesh import build_dual
-from declab.fields import (FormField, consistency_probe,
-                           derham_dual, derham_primal, evaluate_on_frames,
-                           hodge_field, laplace_consistency_probe, scalar_field,
-                           volume_field, whitney_l2_norm, whitney_map)
+from declab.fields import (FormField, WhitneyField, consistency_probe,
+                           derham_dual, derham_primal, hodge_field,
+                           laplace_consistency_probe, scalar_field,
+                           volume_field, whitney_l2_norm)
 from declab.generators import FamilySpec, generate
 from declab.operators import Cochain, exterior_derivative
 from declab.problems import get_problem
@@ -104,19 +104,19 @@ def test_dual_derham_line_mesh_antiderivative(line_mesh):
     assert r.values[1] == pytest.approx((1.5 ** 3 - 0.5 ** 3) / 3.0, rel=1e-13)
 
 
-def test_evaluate_on_frames_matches_minor_expansion(rng):
-    f = FormField(2, 3, lambda p: np.stack(
-        [p[:, 0], 1 + 0 * p[:, 0], p[:, 2] ** 2], axis=1))
-    pts = rng.standard_normal((5, 3))
-    frames = rng.standard_normal((5, 2, 3))
-    out = evaluate_on_frames(f, pts, frames)
-    vals = f(pts)
-    combos = [(0, 1), (0, 2), (1, 2)]
-    expect = np.zeros(5)
-    for c, (i, j) in enumerate(combos):
-        expect += vals[:, c] * (frames[:, 0, i] * frames[:, 1, j]
-                                - frames[:, 0, j] * frames[:, 1, i])
-    assert np.allclose(out, expect)
+def test_derham_constant_2form_on_cube_triangles_matches_minor_expansion():
+    # oracle: a constant 2-form integrates to half its pairing with the edge frame
+    cx = generate(FamilySpec("cube_kuhn", level=0))
+    coef = np.array([0.7, -1.3, 2.1])  # dx^dy, dx^dz, dy^dz
+    f = FormField(2, 3, lambda p: np.repeat(coef[None, :], len(p), 0))
+    r = derham_primal(f, cx, degree=1)
+    coords = cx.coords_of(2)
+    e1, e2 = coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0]
+    expect = np.zeros(cx.num(2))
+    for c, (i, j) in enumerate([(0, 1), (0, 2), (1, 2)]):
+        expect += coef[c] * (e1[:, i] * e2[:, j] - e1[:, j] * e2[:, i])
+    assert np.any(expect != 0)
+    assert np.allclose(r.values, 0.5 * expect * cx.orientation[2], rtol=1e-13, atol=1e-15)
 
 
 # -- Whitney forms ------------------------------------------------------------
@@ -126,19 +126,14 @@ def test_whitney_hat_function(pentagon2d):
     cx, _ = pentagon2d
     vals = np.zeros(cx.num(0))
     vals[0] = 1.0
-    w = whitney_map(Cochain(0, "primal", vals), cx)
-    assert w.eval_at(cx.vertices[0][None, :])[0, 0] == pytest.approx(1.0)
+    w = WhitneyField(Cochain(0, "primal", vals), cx)
+    cell = int(np.flatnonzero(np.any(cx.simplices[2] == 0, axis=1))[0])
+    p = int(np.flatnonzero(cx.simplices[2][cell] == 0)[0])
+    at_vertex = np.eye(3)[p][None, :]
+    assert w.eval_on_cells(np.array([cell]), at_vertex)[0, 0, 0] == pytest.approx(1.0)
     # affine on incident cells: value at the midpoint to a neighbor is 1/2
-    incident = cx.simplices[1][np.any(cx.simplices[1] == 0, axis=1)][0]
-    mid = cx.vertices[incident].mean(axis=0)
-    assert w.eval_at(mid[None, :])[0, 0] == pytest.approx(0.5)
-
-
-def test_whitney_outside_mesh_raises(pentagon2d):
-    cx, _ = pentagon2d
-    w = whitney_map(Cochain(0, "primal", np.zeros(cx.num(0))), cx)
-    with pytest.raises(ValueError, match="outside"):
-        w.eval_at(np.array([[50.0, 50.0]]))
+    mid = 0.5 * (np.eye(3)[p] + np.eye(3)[(p + 1) % 3])[None, :]
+    assert w.eval_on_cells(np.array([cell]), mid)[0, 0, 0] == pytest.approx(0.5)
 
 
 def test_whitney_constant_cochain_reproduces_constants(pentagon2d):
@@ -166,7 +161,7 @@ def test_edge_whitney_form_integrates_to_one():
     e01 = int(cx.index_of(1, [(0, 1)])[0])
     vals = np.zeros(cx.num(1))
     vals[e01] = 1.0
-    w = whitney_map(Cochain(1, "primal", vals), cx)
+    w = WhitneyField(Cochain(1, "primal", vals), cx)
     rule = simplex_rule(1, 6)
     t = rule.points[:, 1]
     total = 0.0
@@ -181,9 +176,9 @@ def test_whitney_commutes_with_derivative(pentagon2d, rng):
     cx, dual = pentagon2d
     for k in (0, 1):
         c = Cochain(k, "primal", rng.standard_normal(cx.num(k)))
-        w = whitney_map(c, cx)
+        w = WhitneyField(c, cx)
         dc = exterior_derivative(dual, k, "primal").apply(c)
-        wd = whitney_map(dc, cx)
+        wd = WhitneyField(dc, cx)
         rule = simplex_rule(2, 4)
         cells = np.arange(cx.num(2))
         const = w.derivative_on_cells(cells)

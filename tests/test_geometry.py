@@ -104,10 +104,3 @@ def test_barycentric_coordinates_roundtrip(rng):
     pts = np.einsum("mj,mjd->md", lam, tet)
     out = geometry.barycentric_coordinates(pts, tet)
     assert np.allclose(out, lam, atol=1e-10)
-
-
-def test_orthonormal_frame_spans_and_orients():
-    tri = np.array([[(0, 0), (2, 0), (0, 3)]], dtype=float)
-    q = geometry.orthonormal_frame(tri)
-    assert np.allclose(q[0] @ q[0].T, np.eye(2), atol=1e-13)
-    assert np.linalg.det(q[0]) > 0

@@ -8,7 +8,7 @@ from declab.errors import SingularStarError, TagMismatchError
 from declab.generators import FamilySpec, generate
 from declab.operators import (Cochain, codifferential, discrete_l2,
                               discrete_l2_dual, exterior_derivative,
-                              export_operator, h1_seminorm, hodge_star,
+                              h1_seminorm, hodge_star,
                               inner_product, laplace, max_norm)
 
 
@@ -240,18 +240,6 @@ def test_laplace_all_degrees_compose(pentagon2, rng):
     assert np.allclose(lap1.apply(x), direct.apply(x), rtol=1e-12)
     lap2 = laplace(dual, 2)  # top degree: only d delta survives
     assert lap2.shape == (cx.num(2), cx.num(2))
-
-
-def test_export_operator_format(tmp_path, worked_triangle):
-    cx, dual = worked_triangle
-    d0 = exterior_derivative(dual, 0, "primal")
-    path = tmp_path / "d0.txt"
-    export_operator(d0, "d0", path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "op d0 k=0 side=primal 3 3"
-    assert len(lines) == 1 + d0.as_matrix().nnz
-    r, c, v = lines[1].split()
-    assert float(v) in (-1.0, 1.0)
 
 
 def test_operator_application_checks_tags(pentagon2):

@@ -1,4 +1,5 @@
 import math
+import os
 
 import pytest
 
@@ -9,6 +10,8 @@ from declab.solve import SolverConfig
 from declab.study import (CONVERGENCE_COLUMNS, StudyAborted, emit, fit_rate,
                           run_consistency_study, run_convergence_study, to_csv,
                           to_svg_loglog, to_text_table)
+
+FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "pentagon_level2.decmesh")
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +168,35 @@ def test_cli_solve_from_mesh_file(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "unknowns = 31" in out
+
+
+def test_cli_convergence_study_from_mesh_file(small_report, capsys):
+    # the fixture is pentagon level 2, so its levels 0-1 are pentagon levels 2-3
+    rc = main(["study", "convergence", "--mesh", FIXTURE, "--problem", "trig2d",
+               "--levels", "2", "--deterministic"])
+    assert rc == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines()
+             if not ln.startswith("#")]
+    header = lines[0].split(",")
+    rows = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+    assert len(rows) == 2
+    for row, want in zip(rows, small_report.rows[2:4]):
+        for col in ("h", "err_max", "err_h1", "err_l2"):
+            assert row[col] == f"{want[col]:.9e}", col
+
+
+def test_cli_solve_from_mesh_file_honours_level(capsys):
+    rc = main(["solve", "--mesh", FIXTURE, "--level", "1", "--problem", "trig2d"])
+    assert rc == 0
+    assert "unknowns = 141" in capsys.readouterr().out  # pentagon level 3
+
+
+def test_cli_svg_without_out_prints_svg(capsys):
+    rc = main(["study", "convergence", "--family", "pentagon_wheel",
+               "--problem", "trig2d", "--levels", "2", "--deterministic",
+               "--format", "svg_loglog"])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("<svg")
 
 
 def test_cli_errors_exit_nonzero(tmp_path, capsys):
