@@ -22,16 +22,65 @@ WELL_CENTERED_TOL = 1e-12
 DEGENERATE_REL_TOL = 1e-12
 
 
+def _packing(*arrays: np.ndarray) -> tuple[int, int] | None:
+    """(lo, base) under which every row of ``arrays`` packs into one int64 key.
+
+    The key of a row r is sum_j (r[j] - lo) * base**(w-1-j), so keys sort in
+    the lexicographic order of the rows.  None when base**w would pass 2**62.
+    """
+    lo = min(int(a.min()) for a in arrays)
+    base = max(int(a.max()) for a in arrays) - lo + 1
+    return (lo, base) if base ** arrays[0].shape[1] < 2 ** 62 else None
+
+
+def _pack(rows: np.ndarray, lo: int, base: int) -> np.ndarray:
+    keys = rows[:, 0] - lo
+    for j in range(1, rows.shape[1]):
+        keys = keys * base + (rows[:, j] - lo)
+    return keys
+
+
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Same result as ``np.unique(rows, axis=0, return_inverse=True)`` for int64 rows.
+
+    Sorts packed integer keys, or lexsorts the columns when keys would overflow.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    m = len(rows)
+    if m == 0:
+        return rows.copy(), np.empty(0, dtype=np.int64)
+    new = np.empty(m, dtype=bool)
+    new[0] = True
+    packing = _packing(rows)
+    if packing is not None:
+        keys = _pack(rows, *packing)
+        perm = np.argsort(keys)
+        keys = keys[perm]
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    else:
+        perm = np.lexsort(rows.T[::-1])
+        srt = rows[perm]
+        np.any(srt[1:] != srt[:-1], axis=1, out=new[1:])
+    inv = np.empty(m, dtype=np.int64)
+    inv[perm] = np.cumsum(new) - 1
+    return rows[perm[new]], inv
+
+
 def _row_lookup(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Indices of query rows inside a lexsorted unique row table; -1 if absent."""
-    if table.size == 0:
+    if table.size == 0 or queries.size == 0:
         return -np.ones(len(queries), dtype=np.int64)
-    tv = np.ascontiguousarray(table).view([("", table.dtype)] * table.shape[1]).ravel()
-    qv = np.ascontiguousarray(queries).view([("", queries.dtype)] * queries.shape[1]).ravel()
-    pos = np.searchsorted(tv, qv)
-    pos = np.clip(pos, 0, len(tv) - 1)
-    hit = tv[pos] == qv
-    return np.where(hit, pos, -1).astype(np.int64)
+    packing = _packing(table, queries)
+    if packing is None:
+        # ids of the rows of table and queries together; table rows are unique
+        _, inv = _unique_rows(np.concatenate([table, queries]))
+        pos = -np.ones(len(table) + len(queries), dtype=np.int64)
+        pos[inv[:len(table)]] = np.arange(len(table))
+        return pos[inv[len(table):]]
+    tk = _pack(table, *packing)
+    qk = _pack(queries, *packing)
+    pos = np.minimum(np.searchsorted(tk, qk), len(tk) - 1)
+    return np.where(tk[pos] == qk, pos, -1).astype(np.int64)
 
 
 @dataclass
@@ -56,7 +105,8 @@ class SimplicialComplex:
         self._cofaces: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.boundary_labels: dict[tuple, str] = {}
         self.family: dict | None = None  # set by generators for refinement dispatch
-        for arr in self.simplices:
+        # read-only, so a complex on moved vertices can share the lattice
+        for arr in chain(self.simplices, self.orientation, self.faces[1:]):
             arr.setflags(write=False)
         self.vertices.setflags(write=False)
 
@@ -174,27 +224,18 @@ def build_complex(dim: int, vertex_coords, top_cells, validate: bool = True) -> 
         raise MeshError("cell vertex index out of range")
 
     cells = np.sort(cells, axis=1)
-    if len(np.unique(cells, axis=0)) != len(cells):
-        seen: dict[tuple, int] = {}
-        for i, row in enumerate(map(tuple, cells)):
-            if row in seen:
-                raise NonConformingError(f"duplicate cell {row} at positions {seen[row]} and {i}")
-            seen[row] = i
-
-    svol = geometry.signed_volume(vertices[cells])
-    scale = geometry.diameter(vertices[cells]) ** dim
-    degenerate = np.abs(svol) <= DEGENERATE_REL_TOL * np.maximum(scale, 1e-300)
-    if degenerate.any():
-        i = int(np.argmax(degenerate))
-        raise DegenerateSimplexError(
-            f"degenerate cell {tuple(cells[i])}: signed volume {svol[i]:.3e}")
+    top, place = _unique_rows(cells)
+    if len(top) != len(cells):
+        first = np.full(len(top), len(cells))
+        np.minimum.at(first, place, np.arange(len(cells)))
+        i = int(np.flatnonzero(first[place] != np.arange(len(cells)))[0])
+        raise NonConformingError(
+            f"duplicate cell {tuple(cells[i])} at positions {first[place[i]]} and {i}")
+    signs = cell_orientation(vertices, cells)
 
     simplices: list[np.ndarray] = [None] * (dim + 1)  # type: ignore[list-item]
     faces: list[np.ndarray | None] = [None] * (dim + 1)
-    order = np.lexsort(cells.T[::-1])
-    cells = cells[order]
-    svol = svol[order]
-    simplices[dim] = cells
+    simplices[dim] = top
     for k in range(dim, 0, -1):
         rows = simplices[k]
         kp1 = k + 1
@@ -202,21 +243,32 @@ def build_complex(dim: int, vertex_coords, top_cells, validate: bool = True) -> 
         for i in range(kp1):
             keep = [j for j in range(kp1) if j != i]
             sub[i::kp1] = rows[:, keep]
-        uniq, inv = np.unique(sub, axis=0, return_inverse=True)
-        simplices[k - 1] = uniq
+        simplices[k - 1], inv = _unique_rows(sub)
         faces[k] = inv.reshape(len(rows), kp1)
-    if simplices[0] is None:
-        simplices[0] = np.arange(len(vertices), dtype=np.int64)[:, None]
-    elif len(simplices[0]) != len(vertices):
+    if len(simplices[0]) != len(vertices):
         raise MeshError("isolated vertices: every vertex must belong to a cell")
 
-    orientation = [np.ones(len(simplices[k]), dtype=np.int64) for k in range(dim + 1)]
-    orientation[dim] = np.where(svol > 0, 1, -1).astype(np.int64)
+    orientation = [np.ones(len(rows), dtype=np.int64) for rows in simplices]
+    # cells are unique, so place[i] is the lexsorted position of input cell i
+    orientation[dim][place] = signs
 
     cx = SimplicialComplex(dim, vertices, simplices, orientation, faces)
     if validate:
         _audit_conformity(cx)
     return cx
+
+
+def cell_orientation(vertices: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Sign of each top cell's signed volume; raises on a (relatively) zero volume."""
+    coords = vertices[cells]
+    svol = geometry.signed_volume(coords)
+    scale = geometry.diameter(coords) ** (cells.shape[1] - 1)
+    degenerate = np.abs(svol) <= DEGENERATE_REL_TOL * np.maximum(scale, 1e-300)
+    if degenerate.any():
+        i = int(np.argmax(degenerate))
+        raise DegenerateSimplexError(
+            f"degenerate cell {tuple(cells[i])}: signed volume {svol[i]:.3e}")
+    return np.where(svol > 0, 1, -1).astype(np.int64)
 
 
 def _audit_conformity(cx: SimplicialComplex) -> None:

@@ -9,6 +9,10 @@ class DegenerateSimplexError(MeshError):
     """A cell has (numerically) zero volume or an ill-conditioned equidistance system."""
 
 
+class InvertedCellError(MeshError):
+    """Moving vertices turned a top cell inside out (its orientation sign flipped)."""
+
+
 class NonConformingError(MeshError):
     """Two cells intersect in something other than a common face."""
 

@@ -29,8 +29,8 @@ from itertools import permutations
 import numpy as np
 
 from . import meshio
-from .complex import SimplicialComplex, build_complex
-from .errors import MeshError
+from .complex import SimplicialComplex, build_complex, cell_orientation
+from .errors import InvertedCellError, MeshError
 
 DEFAULT_ALPHA = 8 * math.pi / 5
 
@@ -77,8 +77,6 @@ def generate(spec: FamilySpec) -> SimplicialComplex:
     cx.family = {"family": spec.family, "level": spec.level,
                  "n_gon": spec.n_gon, "pattern": spec.pattern,
                  "alpha": spec.alpha, "path": spec.path}
-    if spec.family == "corner":
-        _label_slit(cx, spec.alpha)
     return cx
 
 
@@ -101,13 +99,11 @@ def refine(cx: SimplicialComplex) -> SimplicialComplex:
     out = medial_refine(cx)
     out.family = dict(family)
     out.family["level"] = family["level"] + 1
-    if name == "corner":
-        _label_slit(out, family.get("alpha", DEFAULT_ALPHA))
     return out
 
 
 def medial_refine(cx: SimplicialComplex) -> SimplicialComplex:
-    """Split every triangle into its four medial subtriangles."""
+    """Split every triangle into its four medial subtriangles; boundary labels carry over."""
     if cx.dim != 2:
         raise MeshError("medial refinement is 2D only")
     nv = cx.num(0)
@@ -124,7 +120,16 @@ def medial_refine(cx: SimplicialComplex) -> SimplicialComplex:
         np.stack([c, m_ac, m_bc], axis=1),
         np.stack([m_ab, m_ac, m_bc], axis=1),
     ])
-    return build_complex(2, verts, children, validate=False)
+    out = build_complex(2, verts, children, validate=False)
+    # the two halves of a labelled boundary edge (a, b) keep its label
+    if cx.boundary_labels:
+        parents = cx.index_of(1, list(cx.boundary_labels))
+        for (a, b), e, label in zip(cx.boundary_labels, parents.tolist(),
+                                    cx.boundary_labels.values()):
+            if e >= 0:
+                out.boundary_labels[(a, nv + e)] = label
+                out.boundary_labels[(b, nv + e)] = label
+    return out
 
 
 # -- builders -----------------------------------------------------------------
@@ -145,7 +150,9 @@ def _wheel(n: int) -> SimplicialComplex:
 def _corner(alpha: float) -> SimplicialComplex:
     verts = _wheel_points(5, alpha / 4)
     cells = [(0, 1 + j, 2 + j) for j in range(4)]
-    return build_complex(2, verts, cells, validate=False)
+    cx = build_complex(2, verts, cells, validate=False)
+    _label_slit(cx, alpha)  # refinement hands the labels down
+    return cx
 
 
 def _label_slit(cx: SimplicialComplex, alpha: float) -> None:
@@ -217,7 +224,9 @@ def jitter_interior(cx: SimplicialComplex, amplitude: float = 0.1,
     """Displace interior vertices by a seeded random fraction of the local edge length.
 
     Produces a generic (asymmetric) mesh from a structured one while keeping a
-    comfortable margin of strict well-centeredness for small amplitudes.
+    comfortable margin of strict well-centeredness for small amplitudes.  The
+    result shares the input's face lattice; a move that turns a cell inside
+    out raises ``InvertedCellError``.
     """
     edges = cx.simplices[1]
     lengths = np.linalg.norm(cx.vertices[edges[:, 1]] - cx.vertices[edges[:, 0]], axis=1)
@@ -233,10 +242,15 @@ def jitter_interior(cx: SimplicialComplex, amplitude: float = 0.1,
     disp = disp * radii[:, None]
     disp[cx.boundary_vertex_mask()] = 0.0
 
-    out = build_complex(cx.dim, cx.vertices + disp, cx.simplices[cx.dim],
-                        validate=False)
-    out.family = None
-    return out
+    verts = cx.vertices + disp
+    n = cx.dim
+    flipped = int((cell_orientation(verts, cx.simplices[n]) != cx.orientation[n]).sum())
+    if flipped:
+        raise InvertedCellError(
+            f"jitter amplitude {amplitude:g} (seed {seed}) inverted {flipped} "
+            f"of {cx.num(n)} cells")
+    # same cells, same orientation signs: the face lattice carries over
+    return SimplicialComplex(n, verts, cx.simplices, cx.orientation, cx.faces)
 
 
 def estimate_unknowns(spec: FamilySpec) -> int | None:

@@ -12,8 +12,8 @@ import numpy as np
 
 from .errors import DegenerateSimplexError
 
-# Relative condition threshold above which the equidistance system is
-# considered degenerate.
+# The equidistance system is degenerate when its Gram determinant, relative to
+# the product of the Gram diagonal, falls to 1 / CIRCUMCENTER_COND_MAX.
 CIRCUMCENTER_COND_MAX = 1e12
 
 
@@ -72,13 +72,16 @@ def circumcenter(coords: np.ndarray, check: bool = True) -> np.ndarray:
     gram = 2.0 * (e @ np.transpose(e, (0, 2, 1)))
     rhs = np.einsum("mkd,mkd->mk", e, e)
     if check:
-        cond = np.linalg.cond(gram)
-        bad = ~(cond < CIRCUMCENTER_COND_MAX)
+        # det(G) / prod diag(G) is 1 for orthogonal edges and 0 for collinear
+        # ones, whatever the edge lengths
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel_det = np.linalg.det(gram) / np.prod(np.diagonal(gram, axis1=1, axis2=2), axis=1)
+        bad = ~(rel_det * CIRCUMCENTER_COND_MAX > 1.0)
         if bad.any():
             i = int(np.argmax(bad))
             raise DegenerateSimplexError(
                 f"near-degenerate simplex (row {i}): equidistance system "
-                f"condition estimate {cond[i]:.3e}"
+                f"relative Gram determinant {rel_det[i]:.3e}"
             )
     alpha = np.linalg.solve(gram, rhs[..., None])[..., 0]
     return coords[:, 0, :] + np.einsum("mk,mkd->md", alpha, e)

@@ -26,7 +26,7 @@ class QuadratureRule:
 
     def physical_points(self, coords: np.ndarray) -> np.ndarray:
         """Map nodes onto simplices given as (m, dim+1, n): returns (m, N, n)."""
-        return np.einsum("qj,mjd->mqd", self.points, coords)
+        return self.points @ coords
 
     def integrate(self, values: np.ndarray, volumes: np.ndarray) -> np.ndarray:
         """Combine sampled values (m, N) with simplex volumes (m,)."""

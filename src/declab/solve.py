@@ -96,7 +96,9 @@ def pcg(a: sp.csr_matrix, b: np.ndarray, tol: float, max_iterations: int,
         diag: np.ndarray | None = None):
     """Jacobi-preconditioned conjugate gradients.
 
-    Returns (x, iterations, relative residual, residual history).
+    Returns (x, iterations, relative residual, residual history).  Raises
+    ``IterativeSolveError``, carrying the history so far, on breakdown (a
+    non-finite or non-positive curvature p.Ap) or when the iterations run out.
     """
     n = len(b)
     x = np.zeros(n)
@@ -112,7 +114,13 @@ def pcg(a: sp.csr_matrix, b: np.ndarray, tol: float, max_iterations: int,
     history = [1.0]
     for it in range(1, max_iterations + 1):
         ap = a @ p
-        alpha = rz / (p @ ap)
+        pap = p @ ap
+        # a non-finite residual reaches p, so this one check also catches it
+        if not 0.0 < pap < np.inf:
+            raise IterativeSolveError(
+                f"conjugate gradients broke down at iteration {it}: p.Ap = {pap:.3e} "
+                f"(last relative residual {history[-1]:.3e})", history)
+        alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
         rel = np.linalg.norm(r) / norm_b

@@ -144,6 +144,13 @@ def test_duplicate_cell_rejected():
                       [(0, 1, 2), (2, 1, 0)])
 
 
+def test_duplicate_cell_message_names_first_pair():
+    verts = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    cells = [(1, 2, 3), (0, 1, 2), (3, 2, 1), (2, 1, 0), (1, 3, 2)]
+    with pytest.raises(NonConformingError, match=r"at positions 0 and 2$"):
+        build_complex(2, verts, cells)
+
+
 def test_hanging_vertex_rejected():
     # vertex 3 sits on the interior of the first triangle's edge
     verts = [(0, 0), (2, 0), (0, 2), (1, 0), (3, -1)]

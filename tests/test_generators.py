@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from declab import geometry
-from declab.errors import MeshError
-from declab.generators import (DEFAULT_ALPHA, FamilySpec, estimate_unknowns,
+from declab import geometry, meshio
+from declab.complex import build_complex
+from declab.errors import InvertedCellError, MeshError
+from declab.generators import (DEFAULT_ALPHA, FamilySpec, _label_slit, estimate_unknowns,
                                generate, jitter_interior, medial_refine, refine)
 
 C_PENTAGON = math.sqrt(2 - 2 * math.cos(2 * math.pi / 5))
@@ -145,6 +146,38 @@ def test_jitter_moves_interior_only():
     # deterministic for a fixed seed
     j2 = jitter_interior(cx, amplitude=0.05, seed=42)
     assert np.array_equal(j.vertices, j2.vertices)
+
+
+def test_jitter_shares_the_lattice_build_complex_makes():
+    cx = generate(FamilySpec("pentagon_wheel", level=3, n_gon=6))
+    j = jitter_interior(cx, amplitude=0.14, seed=7)
+    rebuilt = build_complex(2, j.vertices, cx.simplices[2], validate=False)
+    for k in range(3):
+        assert np.array_equal(j.simplices[k], rebuilt.simplices[k])
+        assert np.array_equal(j.orientation[k], rebuilt.orientation[k])
+    for k in (1, 2):
+        assert np.array_equal(j.faces[k], rebuilt.faces[k])
+    assert j.family is None
+
+
+@pytest.mark.parametrize("seed", [3, 5])
+def test_jitter_that_inverts_a_cell_fails_fast(seed):
+    cx = generate(FamilySpec("pentagon_wheel", level=3, n_gon=6))
+    with pytest.raises(InvertedCellError, match="inverted 1 of 384 cells"):
+        jitter_interior(cx, amplitude=0.5, seed=seed)
+
+
+def test_refined_file_mesh_keeps_boundary_labels(tmp_path):
+    path = tmp_path / "corner1.decmesh"
+    meshio.save(generate(FamilySpec("corner", level=1)), path)
+    refined = generate(FamilySpec("from_file", level=1, path=str(path)))
+    corner2 = generate(FamilySpec("corner", level=2))
+    assert refined.boundary_labels == corner2.boundary_labels
+    assert sum(lbl == "gamma" for lbl in refined.boundary_labels.values()) == 8
+    # handed-down labels agree with labelling the refined corner from scratch
+    relabelled = generate(FamilySpec("corner", level=2))
+    _label_slit(relabelled, DEFAULT_ALPHA)
+    assert relabelled.boundary_labels == corner2.boundary_labels
 
 
 def test_shape_constants_stable_across_levels_all_families():

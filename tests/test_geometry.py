@@ -70,6 +70,16 @@ def test_degenerate_simplex_raises_with_condition_estimate():
         geometry.circumcenter(tri)
 
 
+def test_degeneracy_check_is_relative_to_each_edge_length():
+    # a right-angled sliver has a well-defined circumcenter, the hypotenuse midpoint
+    sliver = np.array([[(0, 0), (1, 0), (0, 1e-7)]], dtype=float)
+    assert np.allclose(geometry.circumcenter(sliver)[0], [0.5, 0.5e-7], rtol=1e-12)
+    # a flat triangle of the same height does not
+    flat = np.array([[(0, 0), (1, 0), (0.5, 1e-7)]], dtype=float)
+    with pytest.raises(DegenerateSimplexError, match="relative Gram determinant"):
+        geometry.circumcenter(flat)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(-5, 5), min_size=6, max_size=6))
 def test_triangle_area_matches_shoelace(vals):

@@ -150,6 +150,15 @@ def test_pcg_failure_carries_history(pentagon3):
     assert len(info.value.history) == 4
 
 
+def test_pcg_breakdown_fails_fast():
+    # symmetric, but a zero diagonal entry breaks the Jacobi preconditioner
+    a = sp.csr_matrix(np.array([[2.0, -1.0, 0.0], [-1.0, 0.0, -1.0], [0.0, -1.0, 2.0]]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(IterativeSolveError, match="broke down") as info:
+            pcg(a, np.array([1.0, 0.0, 1.0]), 1e-10, 100_000)
+    assert len(info.value.history) <= 5
+
+
 def test_stability_constant_settles(pentagon3):
     cx, dual = pentagon3
     prob = make_problem(cx, dual, get_problem("trig2d"))
