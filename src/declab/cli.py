@@ -5,7 +5,8 @@
     dec-lab study convergence|consistency ...
 
 Exit code 0 only when every requested level completed; aborted studies still
-emit the partial report when --out is given.
+emit the partial report when --out is given.  Errors print one line, or, with
+--debug, propagate with their traceback.
 """
 from __future__ import annotations
 
@@ -46,17 +47,20 @@ def _family_spec(args, level: int | None = None) -> FamilySpec:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="dec-lab",
                                  description="discrete exterior calculus workbench")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--debug", action="store_true",
+                        help="raise errors with their traceback instead of a one-line message")
     sub = ap.add_subparsers(dest="command", required=True)
 
     mesh = sub.add_parser("mesh", help="generate, refine, or audit meshes")
     msub = mesh.add_subparsers(dest="action", required=True)
     for action in ("gen", "refine", "report"):
-        mp = msub.add_parser(action)
+        mp = msub.add_parser(action, parents=[common])
         _add_family_args(mp)
         if action != "report":
             mp.add_argument("--out", required=True, help="output mesh file")
 
-    sv = sub.add_parser("solve", help="solve one Dirichlet problem")
+    sv = sub.add_parser("solve", parents=[common], help="solve one Dirichlet problem")
     _add_family_args(sv)
     sv.add_argument("--problem", required=True,
                     choices=["trig2d", "trig3d", "corner", "linear2d", "linear3d"])
@@ -69,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     st = sub.add_parser("study", help="convergence / consistency studies")
     ssub = st.add_subparsers(dest="kind", required=True)
 
-    conv = ssub.add_parser("convergence")
+    conv = ssub.add_parser("convergence", parents=[common])
     _add_family_args(conv, with_level=False)
     conv.add_argument("--problem", required=True,
                       choices=["trig2d", "trig3d", "corner", "linear2d", "linear3d"])
@@ -84,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--format", choices=["csv", "svg_loglog", "text_table"],
                       default="csv")
 
-    cons = ssub.add_parser("consistency")
+    cons = ssub.add_parser("consistency", parents=[common])
     _add_family_args(cons, with_level=False)
     cons.add_argument("--field", required=True,
                       choices=["trig2d", "trig3d", "corner", "linear2d", "linear3d"])
@@ -133,7 +137,7 @@ def main(argv=None) -> int:
         if args.command == "solve":
             spec = _family_spec(args)
             cx = generators.generate(spec)
-            dual = build_dual(cx, keep_fragments=False)
+            dual = build_dual(cx)
             bundle = get_problem(args.problem, args.mu)
             prob = make_problem(cx, dual, bundle)
             cfg = SolverConfig(tol=args.tol, max_iterations=args.max_iterations,
@@ -170,10 +174,14 @@ def main(argv=None) -> int:
             if args.out:
                 emit(aborted.report, args.format, args.out)
                 print(f"wrote partial report to {args.out}", file=sys.stderr)
+            if args.debug:
+                raise
             return 1
         _emit_or_print(rep, args)
         return 0
     except Exception as exc:  # surface a clean one-line error
+        if args.debug:
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,23 +1,33 @@
 """Oriented circumcentric dual complexes.
 
-The dual of a k-simplex t is assembled from one elementary fragment per full
-ascending flag t = t_k < t_{k+1} < ... < t_n through the top cells: the
-ordered circumcenter chain [c(t_k), ..., c(t_n)].  Consecutive chain edges are
-mutually orthogonal (each circumcenter difference is perpendicular to the
-plane of the smaller simplex), so every fragment is an orthoscheme.
+Dual volumes come from the face-coface pyramid recursion (Hirani 2003; PyDEC,
+Bell & Hirani): the dual of a k-simplex t is the union of pyramids with apex
+c(t) over the duals of its (k+1)-cofaces T, and c(T) - c(t) is perpendicular
+to dual(T), so
 
-Two distinct signs are attached to a fragment:
+    |dual t| = 1/(n-k) * sum_{T > t} s(t,T) |c(T) - c(t)| |dual T|,
+
+with |dual T| = 1 for a top cell.  ``build_dual`` runs it top-down, one
+bincount over the incidence pairs of ``faces[k+1]`` per degree.  The side sign
+s(t,T) is +1 when c(T) lies on the side of t's plane that holds the vertex of
+T opposite t, else -1; on (weakly) well-centered meshes every term is >= 0,
+degenerate pairs contributing exactly 0.  Off-centered circumcenters would
+cancel, which is why such meshes are refused up front.
+
+Unrolled, the recursion is a sum over full ascending flags
+t = t_k < t_{k+1} < ... < t_n through the top cells, one elementary fragment
+per flag: the ordered circumcenter chain [c(t_k), ..., c(t_n)].  Consecutive
+chain edges are mutually orthogonal, so every fragment is an orthoscheme.
+Fragments are only needed to integrate forms over dual cells, so
+``DualComplex.flags(k)`` builds them for one k on its first call and caches
+them.  Two signs are attached to a fragment:
 
 * ``sign`` -- the chain coefficient orienting the fragment so that an oriented
   frame of the base simplex followed by the fragment's edge chain matches the
   ambient orientation of the top cell.  These are the coefficients of the dual
   cell as an oriented chain and drive all operator sign conventions.
 * a side-signed *volume* -- the orthoscheme measure with each chain edge
-  signed by whether the larger circumcenter lies on the interior side of the
-  smaller simplex's plane.  Summed per base simplex this yields |dual(t)|;
-  on (weakly) well-centered meshes every contribution is >= 0, degenerate
-  flags contributing exactly 0.  Off-centered circumcenters would cancel,
-  which is why such meshes are refused up front.
+  carrying its side sign s.  Summed per base simplex it gives |dual(t)| again.
 
 Boundary dual cells are truncated at the domain boundary: fragments only run
 through existing flags, no mirroring.
@@ -52,11 +62,11 @@ class DualCell:
 
 
 class DualComplex:
-    def __init__(self, cx: SimplicialComplex, circumcenters, volumes, flags):
+    def __init__(self, cx: SimplicialComplex, circumcenters, volumes):
         self.complex = cx
         self.circumcenters = circumcenters  # circumcenters[k]: (N_k, n)
         self.volumes = volumes              # volumes[k]: (N_k,) dual volumes
-        self._flags = flags                 # per k: (chain, sign, vol) arrays or None
+        self._flags: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._boundary_masks: list[np.ndarray] | None = None
         self._primal_volumes: dict[int, np.ndarray] = {}
         for arr in (*circumcenters, *volumes):
@@ -79,9 +89,15 @@ class DualComplex:
         return self._boundary_masks[k]
 
     def flags(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Raw flag arrays (chain (M, n-k+1), sign (M,), signed volume (M,))."""
-        if self._flags[k] is None:
-            raise ValueError("dual complex was built without fragments")
+        """Raw flag arrays (chain (M, n-k+1), sign (M,), signed volume (M,)).
+
+        Built for this k alone on the first call, then cached.
+        """
+        if k not in self._flags:
+            arrays = _fragments(self.complex, self.circumcenters, k)
+            for arr in arrays:
+                arr.setflags(write=False)
+            self._flags[k] = arrays
         return self._flags[k]
 
     def cell(self, k: int, index: int) -> DualCell:
@@ -121,7 +137,7 @@ class DualComplex:
         return self.volumes[k], self._primal_volumes[k]
 
 
-def build_dual(cx: SimplicialComplex, keep_fragments: bool = True) -> DualComplex:
+def build_dual(cx: SimplicialComplex) -> DualComplex:
     """Construct the circumcentric dual of an (at least weakly) well-centered complex."""
     from .complex import WELL_CENTERED_TOL
 
@@ -132,48 +148,56 @@ def build_dual(cx: SimplicialComplex, keep_fragments: bool = True) -> DualComple
         cc = geometry.circumcenter(coords, check=True)
         if k >= 2:
             lam = geometry.barycentric_coordinates(cc, coords)
-            lmin = lam.min(axis=1)
-            if (lmin < -WELL_CENTERED_TOL).any():
-                i = int(np.argmin(lmin))
+            if (lam < -WELL_CENTERED_TOL).any():
+                i = int(np.argmin(lam.min(axis=1)))
                 raise WellCenteredError(
                     f"complex is not well-centered: circumcenter of {k}-simplex "
                     f"{tuple(cx.simplices[k][i])} lies outside it")
         centers.append(cc)
 
-    volumes: list[np.ndarray] = [None] * (n + 1)  # type: ignore[list-item]
-    flags: list[tuple | None] = [None] * (n + 1)
+    # |dual t| = 1/(n-k) * sum over cofaces T of s(t,T) |c(T) - c(t)| |dual T|
+    volumes: list[np.ndarray] = [None] * n + [np.ones(cx.num(n))]  # type: ignore[list-item]
+    for k in range(n - 1, -1, -1):
+        t = cx.faces[k + 1].ravel()  # faces[k+1][T, i] drops vertex i of T, its opposite
+        cof = np.repeat(np.arange(cx.num(k + 1)), k + 2)
+        steps = _signed_steps(cx, centers, k, t, cof, cx.simplices[k + 1].ravel())
+        steps *= volumes[k + 1][cof]
+        volumes[k] = np.bincount(t, weights=steps, minlength=cx.num(k)) / (n - k)
+    return DualComplex(cx, centers, volumes)
 
+
+def _signed_steps(cx: SimplicialComplex, centers, k: int, t: np.ndarray, cof: np.ndarray,
+                  opp: np.ndarray) -> np.ndarray:
+    """s(t,T) |c(T) - c(t)| pair by pair, for k-simplices t, (k+1)-cofaces T
+    and the vertices opp of T opposite t, all given by index.
+
+    s is +1 when c(T) lies on the side of t's plane that holds opp (a zero
+    length counts as +1), else -1.
+    """
+    base = centers[k][t]
+    u = centers[k + 1][cof] - base
+    norm = np.sqrt(sum(c * c for c in u.T))  # np.linalg.norm's sums, column by column, faster
+    side = np.einsum("md,md->m", u, cx.vertices[opp] - base)
+    return np.where(side >= 0, norm, -norm)
+
+
+def _fragments(cx: SimplicialComplex, centers, k: int):
+    """Every flag t_k < ... < t_n of the k-simplex duals: (chain, sign, volume)."""
+    n = cx.dim
     chain = np.arange(cx.num(n), dtype=np.int64)[:, None]
-    vsum = [cx.simplices[k].sum(axis=1) for k in range(n + 1)]
-    for k in range(n, -1, -1):
-        m = len(chain)
-        # signed chain-edge lengths, one per step k+j-1 -> k+j
-        prev_pts = centers[k][chain[:, 0]]
-        prev_sum = vsum[k][chain[:, 0]]
+    for j in range(n, k, -1):
+        f = cx.faces[j][chain[:, 0]]           # (m, j+1) faces of the bottom simplex
+        chain = np.hstack([f.reshape(-1, 1), np.repeat(chain, f.shape[1], axis=0)])
+    if k == n:
+        vol = np.ones(len(chain))  # dual of a top cell is its circumcenter, volume 1
+    else:
+        vsum = [rows.sum(axis=1) for rows in cx.simplices]
         lens = []
-        for j in range(1, n - k + 1):
-            pts = centers[k + j][chain[:, j]]
-            u = pts - prev_pts
-            norm = np.linalg.norm(u, axis=1)
-            opp = vsum[k + j][chain[:, j]] - prev_sum
-            side = np.einsum("md,md->m", u, cx.vertices[opp] - prev_pts)
-            lens.append(np.where(side >= 0, norm, -norm))
-            prev_pts = pts
-            prev_sum = vsum[k + j][chain[:, j]]
-        if lens:
-            signed_vol = np.prod(np.stack(lens, axis=1), axis=1) / math.factorial(n - k)
-        else:
-            signed_vol = np.ones(m)  # dual of a top cell is its circumcenter, volume 1
-        volumes[k] = np.bincount(chain[:, 0], weights=signed_vol,
-                                 minlength=cx.num(k))
-        if keep_fragments:
-            flags[k] = (chain, _orientation_signs(cx, centers, chain, k), signed_vol)
-        if k > 0:
-            first = chain[:, 0]
-            f = cx.faces[k][first]           # (m, k+1) faces of the bottom simplex
-            width = f.shape[1]
-            chain = np.hstack([f.reshape(-1, 1), np.repeat(chain, width, axis=0)])
-    return DualComplex(cx, centers, volumes, flags)
+        for j in range(k, n):
+            t, cof = chain[:, j - k], chain[:, j - k + 1]
+            lens.append(_signed_steps(cx, centers, j, t, cof, vsum[j + 1][cof] - vsum[j][t]))
+        vol = np.prod(np.stack(lens, axis=1), axis=1) / math.factorial(n - k)
+    return chain, _orientation_signs(cx, centers, chain, k), vol
 
 
 def _orientation_signs(cx: SimplicialComplex, centers, chain: np.ndarray, k: int) -> np.ndarray:

@@ -62,6 +62,9 @@ class SolveReport:
     residual: float               # relative residual of the reduced system
     energy: float
     stability_constant: float     # ||omega||_h / (||R_h f||_h + ||d g_ext||_h)
+    # relative residual per CG iteration, from 1.0 at iteration 0; a dense or
+    # trivial solve records its one final residual
+    residual_history: tuple[float, ...]
 
 
 def stiffness_matrix(cx: SimplicialComplex, dual: DualComplex) -> sp.csr_matrix:
@@ -145,7 +148,7 @@ def solve(problem: DirichletProblem, config: SolverConfig = SolverConfig()) -> S
     except TrivialProblemError:
         sol = Cochain(0, "primal", omega)
         return SolveReport(sol, 0, 0.0, _energy(problem, sol),
-                           _stability(problem, sol))
+                           _stability(problem, sol), (0.0,))
     use_dense = config.method == "dense" or (
         config.method == "auto" and system.reduced.shape[0] < config.dense_cutoff)
     if use_dense:
@@ -154,12 +157,14 @@ def solve(problem: DirichletProblem, config: SolverConfig = SolverConfig()) -> S
         nb = np.linalg.norm(system.load)
         rel = 0.0 if nb == 0 else float(
             np.linalg.norm(system.reduced @ x - system.load) / nb)
+        history = [rel]
     else:
-        x, iters, rel, _ = pcg(system.reduced, system.load,
-                               config.tol, config.max_iterations)
+        x, iters, rel, history = pcg(system.reduced, system.load,
+                                     config.tol, config.max_iterations)
     omega[system.interior] = x
     sol = Cochain(0, "primal", omega)
-    return SolveReport(sol, iters, rel, _energy(problem, sol), _stability(problem, sol))
+    return SolveReport(sol, iters, rel, _energy(problem, sol), _stability(problem, sol),
+                       tuple(history))
 
 
 def _energy(problem: DirichletProblem, omega: Cochain) -> float:

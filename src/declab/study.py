@@ -116,7 +116,7 @@ def run_convergence_study(spec: FamilySpec, problem: str | ProblemBundle,
         t0 = time.monotonic()
         try:
             cx = generators.generate(lspec) if cx is None else generators.refine(cx)
-            dual = build_dual(cx, keep_fragments=False)
+            dual = build_dual(cx)
             prob = make_problem(cx, dual, bundle)
             sol = solve(prob, config)
             err = error_report(prob, sol.solution, bundle)
@@ -181,7 +181,7 @@ def run_consistency_study(spec: FamilySpec, problem: str | ProblemBundle, k: int
             cx = base
             if jitter:
                 cx = generators.jitter_interior(cx, amplitude=jitter, seed=seed + i)
-            dual = build_dual(cx, keep_fragments=True)
+            dual = build_dual(cx)
             rec = consistency_probe(fld, cx, dual, degree=degree,
                                     interior_l2=interior_l2)
             row = {"level": i, "h": max_h(cx),

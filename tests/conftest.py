@@ -11,16 +11,16 @@ def mesh_cache():
     """Shared generated meshes/duals; keyed by (family, level, kwargs)."""
     cache = {}
 
-    def get(family, level, dual=False, keep_fragments=True, **kw):
+    def get(family, level, dual=False, **kw):
         key = (family, level, tuple(sorted(kw.items())))
         if key not in cache:
             cache[key] = generate(FamilySpec(family, level, **kw))
         cx = cache[key]
         if not dual:
             return cx
-        dkey = key + ("dual", keep_fragments)
+        dkey = key + ("dual",)
         if dkey not in cache:
-            cache[dkey] = build_dual(cx, keep_fragments=keep_fragments)
+            cache[dkey] = build_dual(cx)
         return cx, cache[dkey]
 
     return get

@@ -66,7 +66,7 @@ def pentagon_hierarchy():
     for lev in range(9):
         if lev > 0:
             cx = refine(cx)
-        out.append((cx, build_dual(cx, keep_fragments=False)))
+        out.append((cx, build_dual(cx)))
     return out
 
 
@@ -77,7 +77,7 @@ def test_criterion_01_chain_complex_exactness():
     for fam, kw in families:
         for level in range(4):
             cx = generate(FamilySpec(fam, level=level, **kw))
-            dual = build_dual(cx, keep_fragments=False)
+            dual = build_dual(cx)
             for k in range(2, cx.dim + 1):
                 bb = cx.boundary_matrix(k - 1) @ cx.boundary_matrix(k)
                 assert bb.nnz == 0 or not bb.toarray().any(), (fam, level, k)
@@ -110,7 +110,7 @@ def test_criterion_02_dual_boundary_sign_pinning(worked_triangle):
 
 def test_criterion_03_double_star_and_isometry():
     cx = generate(FamilySpec("pentagon_wheel", level=3))
-    dual = build_dual(cx, keep_fragments=False)
+    dual = build_dual(cx)
     n = cx.dim
     rng = np.random.default_rng(303)
     worst = 0.0
@@ -133,7 +133,7 @@ def test_criterion_04_adjointness():
     rng = np.random.default_rng(404)
     worst = 0.0
     cx = generate(FamilySpec("pentagon_wheel", level=3))
-    dual = build_dual(cx, keep_fragments=False)
+    dual = build_dual(cx)
     for k in range(cx.dim):
         d = exterior_derivative(dual, k, "primal")
         delta = codifferential(dual, k + 1)
@@ -145,7 +145,7 @@ def test_criterion_04_adjointness():
             scale = max(discrete_l2(dual, d.apply(om)) * discrete_l2(dual, eta), 1e-30)
             worst = max(worst, abs(lhs - rhs) / scale)
     cube = generate(FamilySpec("cube_kuhn", level=1))
-    cdual = build_dual(cube, keep_fragments=False)
+    cdual = build_dual(cube)
     d = exterior_derivative(cdual, 0, "primal")
     delta = codifferential(cdual, 1)
     for _ in range(20):
@@ -186,14 +186,14 @@ def test_criterion_05_cotan_oracle_and_linear_reproduction():
     for fam in ("pentagon_wheel", "corner"):
         for level in range(4):
             cx = generate(FamilySpec(fam, level=level))
-            dual = build_dual(cx, keep_fragments=False)
+            dual = build_dual(cx)
             gap = abs(stiffness_matrix(cx, dual) - cotan_stiffness(cx)).max()
             worst = max(worst, gap)
             assert gap <= 1e-10, (fam, level)
     for spec, bundle in ((FamilySpec("pentagon_wheel", level=3), linear(2, [1.5, -2.0], 0.3)),
                          (FamilySpec("cube_kuhn", level=1), linear(3, [1.0, 2.0, -1.0], 1.0))):
         cx = generate(spec)
-        dual = build_dual(cx, keep_fragments=False)
+        dual = build_dual(cx)
         prob = make_problem(cx, dual, bundle)
         err = error_report(prob, solve(prob).solution, bundle)
         assert err.max <= 1e-10, spec.family

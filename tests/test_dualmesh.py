@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from declab import geometry
+from declab import dualmesh, geometry
 from declab.complex import build_complex
 from declab.dualmesh import build_dual
 from declab.errors import WellCenteredError
 from declab.generators import FamilySpec, generate
+from strategies import jittered_wheels
 
 
 def shoelace(poly):
@@ -72,7 +73,7 @@ def test_vertex_dual_fragment_signs_on_random_acute_triangles(vals):
 
 def test_dual_boundary_matches_signed_transpose():
     cx = generate(FamilySpec("pentagon_wheel", level=2))
-    dual = build_dual(cx, keep_fragments=False)
+    dual = build_dual(cx)
     for k in range(cx.dim):
         got = dual.dual_boundary_matrix(k)
         want = ((-1) ** (k + 1)) * cx.boundary_matrix(k + 1).T
@@ -81,7 +82,7 @@ def test_dual_boundary_matches_signed_transpose():
 
 def test_dual_boundary_composes_to_zero():
     cx = generate(FamilySpec("cube_kuhn", level=0))
-    dual = build_dual(cx, keep_fragments=False)
+    dual = build_dual(cx)
     for k in range(cx.dim - 1):
         prod = dual.dual_boundary_matrix(k + 1) @ dual.dual_boundary_matrix(k)
         assert prod.nnz == 0 or not prod.toarray().any()
@@ -112,11 +113,11 @@ def test_top_cell_dual_is_circumcenter_with_unit_volume(worked_triangle):
 def test_vertex_dual_volumes_partition_area():
     for fam, kw in (("pentagon_wheel", {}), ("corner", {}), ("square", {"pattern": 2})):
         cx = generate(FamilySpec(fam, level=2, **kw))
-        dual = build_dual(cx, keep_fragments=False)
+        dual = build_dual(cx)
         area = geometry.unsigned_volume(cx.coords_of(2)).sum()
         assert dual.volumes[0].sum() == pytest.approx(area, rel=1e-10)
     cube = generate(FamilySpec("cube_kuhn", level=1))
-    dual = build_dual(cube, keep_fragments=False)
+    dual = build_dual(cube)
     assert dual.volumes[0].sum() == pytest.approx(1.0, rel=1e-10)
 
 
@@ -168,9 +169,39 @@ def test_boundary_flags():
     assert not dual.cell(0, 0).is_boundary  # hub
 
 
-def test_flags_unavailable_without_fragments():
+def test_flags_built_once_and_only_for_the_asked_degree(monkeypatch):
+    built = []
+    real = dualmesh._fragments
+
+    def spy(cx, centers, k):
+        built.append(k)
+        return real(cx, centers, k)
+
+    monkeypatch.setattr(dualmesh, "_fragments", spy)
     cx = generate(FamilySpec("pentagon_wheel", level=1))
-    dual = build_dual(cx, keep_fragments=False)
-    with pytest.raises(ValueError, match="without fragments"):
-        dual.flags(0)
-    assert dual.volumes[0].sum() > 0  # volumes still built
+    dual = build_dual(cx)
+    assert built == []                      # volumes need no fragments
+    first = dual.flags(1)
+    again = dual.flags(1)
+    assert all(a is b for a, b in zip(first, again))
+    dual.cell(1, 0)
+    assert built == [1]
+    assert not first[0].flags.writeable
+
+
+structured = st.one_of(
+    st.integers(0, 2).map(lambda level: generate(FamilySpec("cube_kuhn", level))),
+    st.integers(1, 3).map(lambda level: generate(FamilySpec("corner", level))))
+
+
+@settings(deadline=None, max_examples=40)
+@given(cx=st.one_of(jittered_wheels, structured))
+def test_pyramid_volumes_equal_flag_sums(cx):
+    """The face-coface recursion against its unrolled form, the flag sum."""
+    dual = build_dual(cx)
+    for k in range(cx.dim + 1):
+        chain, _, vol = dual.flags(k)
+        oracle = np.bincount(chain[:, 0], weights=vol, minlength=cx.num(k))
+        got = dual.volumes[k]
+        assert np.abs(got - oracle).max() <= 1e-12 * np.abs(oracle).max()
+        assert np.array_equal(got == 0.0, oracle == 0.0)

@@ -203,7 +203,7 @@ def test_whitney_norm_equivalence_smoke(rng):
     ratios = []
     for level in (1, 2, 3):
         cx = generate(FamilySpec("pentagon_wheel", level=level))
-        dual = build_dual(cx, keep_fragments=False)
+        dual = build_dual(cx)
         from declab.operators import discrete_l2
         c = Cochain(0, "primal", rng.standard_normal(cx.num(0)))
         ratios.append(whitney_l2_norm(c, cx) / discrete_l2(dual, c))

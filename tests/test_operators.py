@@ -15,7 +15,7 @@ from declab.operators import (Cochain, codifferential, discrete_l2,
 @pytest.fixture(scope="module")
 def pentagon2():
     cx = generate(FamilySpec("pentagon_wheel", level=2))
-    return cx, build_dual(cx, keep_fragments=False)
+    return cx, build_dual(cx)
 
 
 def test_vertex_star_entries_are_dual_areas(pentagon2):
@@ -28,7 +28,7 @@ def test_edge_star_on_uniform_line_mesh():
     ell = 0.25
     pts = np.arange(5, dtype=float)[:, None] * ell
     cx = build_complex(1, pts, [(i, i + 1) for i in range(4)])
-    dual = build_dual(cx, keep_fragments=False)
+    dual = build_dual(cx)
     s1 = hodge_star(dual, 1, "primal")
     assert np.allclose(s1.diagonal(), 1.0 / ell)
 
@@ -180,7 +180,7 @@ def test_max_norm(pentagon2):
 
 def test_singular_star_raises_on_cube():
     cx = generate(FamilySpec("cube_kuhn", level=0))
-    dual = build_dual(cx, keep_fragments=False)
+    dual = build_dual(cx)
     with pytest.raises(SingularStarError, match="dual volume"):
         hodge_star(dual, 2, "dual")  # inverts the edge star, which has zeros
     with pytest.raises(SingularStarError):
@@ -191,7 +191,7 @@ def test_dual_derivative_norm_grows_like_inverse_h():
     norms = []
     for lev in range(1, 5):
         cx = generate(FamilySpec("pentagon_wheel", level=lev))
-        dual = build_dual(cx, keep_fragments=False)
+        dual = build_dual(cx)
         t = (exterior_derivative(dual, 1, "dual")
              @ hodge_star(dual, 1, "primal")).as_matrix()
         dvol1, pvol1 = dual.hodge_ratios(1)
@@ -204,7 +204,7 @@ def test_dual_derivative_norm_grows_like_inverse_h():
     assert np.all(growth <= 1.05)
     # the star itself is an isometry: operator norm 1 between discrete L2 spaces
     cx = generate(FamilySpec("pentagon_wheel", level=2))
-    dual = build_dual(cx, keep_fragments=False)
+    dual = build_dual(cx)
     rng = np.random.default_rng(5)
     for _ in range(20):
         c = Cochain(1, "primal", rng.standard_normal(cx.num(1)))

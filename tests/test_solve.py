@@ -14,7 +14,7 @@ from declab.solve import (DirichletProblem, SolverConfig, assemble, dump_solutio
 @pytest.fixture(scope="module")
 def pentagon3():
     cx = generate(FamilySpec("pentagon_wheel", level=3))
-    return cx, build_dual(cx, keep_fragments=False)
+    return cx, build_dual(cx)
 
 
 def cotan_stiffness(cx):
@@ -38,13 +38,13 @@ def cotan_stiffness(cx):
 def test_stiffness_equals_cotan_oracle():
     for fam, lev in (("pentagon_wheel", 2), ("corner", 2)):
         cx = generate(FamilySpec(fam, level=lev))
-        dual = build_dual(cx, keep_fragments=False)
+        dual = build_dual(cx)
         s = stiffness_matrix(cx, dual)
         oracle = cotan_stiffness(cx)
         assert abs(s - oracle).max() <= 1e-10
     cx = jitter_interior(generate(FamilySpec("pentagon_wheel", level=3)),
                          amplitude=0.05, seed=3)
-    dual = build_dual(cx, keep_fragments=False)
+    dual = build_dual(cx)
     assert abs(stiffness_matrix(cx, dual) - cotan_stiffness(cx)).max() <= 1e-10
 
 
@@ -70,7 +70,7 @@ def test_linear_fields_reproduced_exactly():
     for spec, bundle in ((FamilySpec("pentagon_wheel", level=3), linear(2, [1.5, -2.0], 0.3)),
                          (FamilySpec("cube_kuhn", level=1), linear(3, [1.0, 2.0, -1.0], 1.0))):
         cx = generate(spec)
-        dual = build_dual(cx, keep_fragments=False)
+        dual = build_dual(cx)
         prob = make_problem(cx, dual, bundle)
         rep = solve(prob)
         err = error_report(prob, rep.solution, bundle)
@@ -85,6 +85,15 @@ def test_solver_reaches_tolerance_with_cg(pentagon3):
     assert rep.residual <= 1e-12
     dense = solve(prob, SolverConfig(method="dense"))
     assert np.allclose(rep.solution.values, dense.solution.values, atol=1e-10)
+
+
+def test_solve_report_keeps_the_cg_residual_history():
+    cx = generate(FamilySpec("pentagon_wheel", level=5))
+    rep = solve(make_problem(cx, build_dual(cx), get_problem("trig2d")))
+    history = rep.residual_history
+    assert rep.iterations > 0 and len(history) == rep.iterations + 1
+    assert history[0] == 1.0
+    assert history[-1] == rep.residual
 
 
 def test_energy_minimality(pentagon3, rng):
@@ -122,7 +131,7 @@ def test_galerkin_orthogonality(pentagon3):
 
 def test_trivial_problem_behavior():
     cx = generate(FamilySpec("corner", level=0))
-    dual = build_dual(cx, keep_fragments=False)
+    dual = build_dual(cx)
     bundle = get_problem("corner")
     prob = make_problem(cx, dual, bundle)
     with pytest.raises(TrivialProblemError):
@@ -180,7 +189,7 @@ def test_stiffness_kernel_is_constants(pentagon3):
 
 def test_weak_mesh_assembly_flags_zero_weight_edges():
     cx = generate(FamilySpec("cube_kuhn", level=0))
-    dual = build_dual(cx, keep_fragments=False)
+    dual = build_dual(cx)
     prob = make_problem(cx, dual, get_problem("trig3d"))
     system = assemble(prob)
     assert len(system.zero_weight_edges) > 0

@@ -205,3 +205,11 @@ def test_cli_errors_exit_nonzero(tmp_path, capsys):
     rc = main(["study", "convergence", "--family", "pentagon_wheel",
                "--problem", "trig2d", "--levels", "9", "--max-unknowns", "100"])
     assert rc == 1
+
+
+def test_cli_debug_raises_instead_of_one_line_error(tmp_path, capsys):
+    argv = ["solve", "--mesh", str(tmp_path / "missing.decmesh"), "--problem", "trig2d"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    with pytest.raises(FileNotFoundError):
+        main(argv + ["--debug"])
