@@ -22,10 +22,13 @@ Fragments are only needed to integrate forms over dual cells, so
 ``DualComplex.flags(k)`` builds them for one k on its first call and caches
 them.  Two signs are attached to a fragment:
 
-* ``sign`` -- the chain coefficient orienting the fragment so that an oriented
-  frame of the base simplex followed by the fragment's edge chain matches the
-  ambient orientation of the top cell.  These are the coefficients of the dual
-  cell as an oriented chain and drive all operator sign conventions.
+* ``sign`` -- the chain coefficient of the fragment in the oriented dual cell:
+  orientation[n][top] * orientation[k][base] * the parity of the top cell's
+  vertex order "base vertices, then the vertex each step t_j < t_{j+1} adds".
+  On a well-centered mesh each chain edge c(t_{j+1}) - c(t_j) points towards
+  that added vertex, or vanishes, so a base frame followed by the chain edges
+  is positively oriented in the top cell.  These exact integers drive all
+  operator sign conventions.
 * a side-signed *volume* -- the orthoscheme measure with each chain edge
   carrying its side sign s.  Summed per base simplex it gives |dual(t)| again.
 
@@ -101,6 +104,9 @@ class DualComplex:
         return self._flags[k]
 
     def cell(self, k: int, index: int) -> DualCell:
+        num = self.complex.num(k)
+        if not 0 <= index < num:
+            raise IndexError(f"no {k}-simplex {index}: indices run over [0, {num})")
         chain, sign, vol = self.flags(k)
         mine = np.flatnonzero(chain[:, 0] == index)
         frags = tuple(
@@ -158,57 +164,47 @@ def build_dual(cx: SimplicialComplex) -> DualComplex:
     # |dual t| = 1/(n-k) * sum over cofaces T of s(t,T) |c(T) - c(t)| |dual T|
     volumes: list[np.ndarray] = [None] * n + [np.ones(cx.num(n))]  # type: ignore[list-item]
     for k in range(n - 1, -1, -1):
-        t = cx.faces[k + 1].ravel()  # faces[k+1][T, i] drops vertex i of T, its opposite
-        cof = np.repeat(np.arange(cx.num(k + 1)), k + 2)
-        steps = _signed_steps(cx, centers, k, t, cof, cx.simplices[k + 1].ravel())
-        steps *= volumes[k + 1][cof]
-        volumes[k] = np.bincount(t, weights=steps, minlength=cx.num(k)) / (n - k)
+        steps = _signed_steps(cx, centers, k) * np.repeat(volumes[k + 1], k + 2)
+        volumes[k] = np.bincount(cx.faces[k + 1].ravel(), weights=steps,
+                                 minlength=cx.num(k)) / (n - k)
     return DualComplex(cx, centers, volumes)
 
 
-def _signed_steps(cx: SimplicialComplex, centers, k: int, t: np.ndarray, cof: np.ndarray,
-                  opp: np.ndarray) -> np.ndarray:
-    """s(t,T) |c(T) - c(t)| pair by pair, for k-simplices t, (k+1)-cofaces T
-    and the vertices opp of T opposite t, all given by index.
+def _signed_steps(cx: SimplicialComplex, centers, k: int) -> np.ndarray:
+    """s(t,T) |c(T) - c(t)| for every incidence pair of ``faces[k+1]``, in ravel
+    order: pair T*(k+2) + i joins the (k+1)-simplex T to its face
+    t = faces[k+1][T, i], which drops vertex i of T, the vertex opposite t.
 
-    s is +1 when c(T) lies on the side of t's plane that holds opp (a zero
-    length counts as +1), else -1.
+    s is +1 when c(T) lies on the side of t's plane that holds that vertex (a
+    zero length counts as +1), else -1.
     """
+    t = cx.faces[k + 1].ravel()
     base = centers[k][t]
-    u = centers[k + 1][cof] - base
+    u = np.repeat(centers[k + 1], k + 2, axis=0) - base
     norm = np.sqrt(sum(c * c for c in u.T))  # np.linalg.norm's sums, column by column, faster
-    side = np.einsum("md,md->m", u, cx.vertices[opp] - base)
+    side = np.einsum("md,md->m", u, cx.vertices[cx.simplices[k + 1].ravel()] - base)
     return np.where(side >= 0, norm, -norm)
 
 
 def _fragments(cx: SimplicialComplex, centers, k: int):
-    """Every flag t_k < ... < t_n of the k-simplex duals: (chain, sign, volume)."""
+    """Every flag t_k < ... < t_n of the k-simplex duals: (chain, sign, volume).
+
+    One walk down from the top cells: drop[:, c] is the position, among the
+    sorted vertices of chain[:, c+1], of the vertex its face chain[:, c] drops.
+    """
     n = cx.dim
     chain = np.arange(cx.num(n), dtype=np.int64)[:, None]
+    drop = np.empty((cx.num(n), 0), dtype=np.int64)
     for j in range(n, k, -1):
         f = cx.faces[j][chain[:, 0]]           # (m, j+1) faces of the bottom simplex
-        chain = np.hstack([f.reshape(-1, 1), np.repeat(chain, f.shape[1], axis=0)])
-    if k == n:
-        vol = np.ones(len(chain))  # dual of a top cell is its circumcenter, volume 1
-    else:
-        vsum = [rows.sum(axis=1) for rows in cx.simplices]
-        lens = []
-        for j in range(k, n):
-            t, cof = chain[:, j - k], chain[:, j - k + 1]
-            lens.append(_signed_steps(cx, centers, j, t, cof, vsum[j + 1][cof] - vsum[j][t]))
-        vol = np.prod(np.stack(lens, axis=1), axis=1) / math.factorial(n - k)
-    return chain, _orientation_signs(cx, centers, chain, k), vol
-
-
-def _orientation_signs(cx: SimplicialComplex, centers, chain: np.ndarray, k: int) -> np.ndarray:
-    """Chain coefficients: sign of det[base frame | circumcenter chain edges]."""
-    n = cx.dim
-    m = len(chain)
-    mat = np.empty((m, n, n))
-    if k > 0:
-        base = cx.coords_of(k, chain[:, 0])
-        mat[:, :k, :] = base[:, 1:, :] - base[:, :1, :]
-    for j in range(1, n - k + 1):
-        mat[:, k + j - 1, :] = centers[k + j][chain[:, j]] - centers[k + j - 1][chain[:, j - 1]]
-    det = np.linalg.det(mat) * cx.orientation[k][chain[:, 0]]
-    return np.where(det >= 0, 1, -1).astype(np.int64)
+        chain = np.hstack([f.reshape(-1, 1), np.repeat(chain, j + 1, axis=0)])
+        drop = np.hstack([np.tile(np.arange(j + 1), len(f))[:, None],
+                          np.repeat(drop, j + 1, axis=0)])
+    # moving the vertex dropped at position i of t_j to the back takes j - i swaps
+    parity = (np.arange(k + 1, n + 1) - drop).sum(axis=1) % 2
+    sign = cx.orientation[n][chain[:, -1]] * cx.orientation[k][chain[:, 0]] * (1 - 2 * parity)
+    vol = np.ones(len(chain))
+    for j in range(k, n):
+        pair = chain[:, j - k + 1] * (j + 2) + drop[:, j - k]
+        vol = vol * _signed_steps(cx, centers, j)[pair]
+    return chain, sign, vol / math.factorial(n - k)

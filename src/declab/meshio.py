@@ -16,6 +16,8 @@ volume); the writer emits positively oriented cells.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
+
 import numpy as np
 
 from .complex import SimplicialComplex, build_complex
@@ -51,41 +53,45 @@ def load(path, validate: bool = True) -> SimplicialComplex:
         raise MeshError(f"missing '{FORMAT_HEADER}' header")
     pos = 1
 
-    def expect(keyword: str) -> list[str]:
+    def expect(keyword: str) -> int:
         nonlocal pos
         if pos >= len(raw):
             raise MeshError(f"truncated file: expected '{keyword}'")
         parts = raw[pos].split()
         if parts[0] != keyword:
             raise MeshError(f"expected '{keyword}', got '{raw[pos]}'")
+        if len(parts) != 2 or not parts[1].isdecimal():
+            raise MeshError(f"expected '{keyword} <number>', got '{raw[pos]}'")
         pos += 1
-        return parts
+        return int(parts[1])
 
-    dim = int(expect("dim")[1])
-    nv = int(expect("vertices")[1])
-    if pos + nv > len(raw):
-        raise MeshError("vertex count exceeds file length")
-    try:
-        verts = np.array([[float(x) for x in raw[pos + i].split()] for i in range(nv)])
-    except ValueError as exc:
-        raise MeshError(f"bad vertex line: {exc}") from exc
-    if nv and verts.shape[1] != dim:
-        raise MeshError(f"vertex lines must have {dim} coordinates")
-    pos += nv
-    nc = int(expect("cells")[1])
-    if pos + nc > len(raw):
-        raise MeshError("cell count exceeds file length")
-    cells = np.array([[int(x) for x in raw[pos + i].split()] for i in range(nc)],
-                     dtype=np.int64)
-    pos += nc
+    def lines(count: int, what: str) -> Iterator[list[str]]:
+        nonlocal pos
+        if pos + count > len(raw):
+            raise MeshError(f"{what} count exceeds file length")
+        pos += count
+        return (ln.split() for ln in raw[pos - count:pos])
+
+    dim = expect("dim")
+    verts = _table(lines(expect("vertices"), "vertex"), dim, float, "vertex")
+    cells = _table(lines(expect("cells"), "cell"), dim + 1, int, "cell")
     labels: dict[tuple, str] = {}
     if pos < len(raw):
-        nb = int(expect("boundary")[1])
-        for i in range(nb):
-            parts = raw[pos + i].split()
-            tup = tuple(sorted(int(x) for x in parts[:dim]))
-            labels[tup] = parts[dim] if len(parts) > dim else "default"
-        pos += nb
+        rows = list(lines(expect("boundary"), "boundary"))
+        ids = _table((r[:dim] for r in rows), dim, int, "boundary")
+        for tup, r in zip(np.sort(ids, axis=1).tolist(), rows):
+            labels[tuple(tup)] = r[dim] if len(r) > dim else "default"
     cx = build_complex(dim, verts, cells, validate=validate)
     cx.boundary_labels = labels
     return cx
+
+
+def _table(rows: Iterable[list[str]], width: int, kind: type, what: str) -> np.ndarray:
+    """Rows of exactly ``width`` entries of type ``kind`` as a (rows, width) array."""
+    try:
+        table = [[kind(x) for x in r] for r in rows]
+    except ValueError as exc:
+        raise MeshError(f"bad {what} line: {exc}") from exc
+    if table and set(map(len, table)) != {width}:
+        raise MeshError(f"every {what} line must have {width} entries")
+    return np.array(table, dtype=kind).reshape(-1, width)

@@ -63,10 +63,19 @@ def commit_stamp() -> str:
     return "unknown"
 
 
-def step_rate(prev: float | None, cur: float) -> float | None:
-    if prev is None or prev <= 0 or cur <= 0:
-        return None
-    return math.log2(prev / cur)
+RATE_COLUMNS = {"err_max": "rate_max", "err_h1": "rate_h1", "err_l2": "rate_l2",
+                "err_dual": "rate_dual", "lap_total": "rate_lap",
+                "term1": "rate_term1", "term2": "rate_term2"}
+
+
+def _append_row(report: StudyReport, row: dict) -> None:
+    """Append ``row`` with the rate log2(e_prev / e) of each of its error columns."""
+    prev = report.rows[-1] if report.rows else {}
+    for err, rate in RATE_COLUMNS.items():
+        if err in row:
+            e0, e = prev.get(err), row[err]
+            row[rate] = math.log2(e0 / e) if e0 is not None and e0 > 0 and e > 0 else None
+    report.rows.append(row)
 
 
 def fit_rate(errors, last: int = 4) -> float:
@@ -111,7 +120,6 @@ def run_convergence_study(spec: FamilySpec, problem: str | ProblemBundle,
                   "tolerance": config.tol, "commit": commit_stamp()},
         columns=list(CONVERGENCE_COLUMNS))
     cx = None
-    prev = {"err_max": None, "err_h1": None, "err_l2": None}
     for i, lspec in _level_specs(spec, levels, max_unknowns):
         t0 = time.monotonic()
         try:
@@ -123,14 +131,10 @@ def run_convergence_study(spec: FamilySpec, problem: str | ProblemBundle,
         except Exception as exc:
             raise StudyAborted(f"level {i} failed: {exc}", report, exc) from exc
         seconds = 0.0 if deterministic else time.monotonic() - t0
-        row = {"level": i, "h": max_h(cx),
-               "err_max": err.max, "rate_max": step_rate(prev["err_max"], err.max),
-               "err_h1": err.h1, "rate_h1": step_rate(prev["err_h1"], err.h1),
-               "err_l2": err.l2, "rate_l2": step_rate(prev["err_l2"], err.l2),
-               "iters": sol.iterations, "seconds": seconds,
+        row = {"level": i, "h": max_h(cx), "err_max": err.max, "err_h1": err.h1,
+               "err_l2": err.l2, "iters": sol.iterations, "seconds": seconds,
                "stability": sol.stability_constant, "energy": sol.energy}
-        prev = {"err_max": err.max, "err_h1": err.h1, "err_l2": err.l2}
-        report.rows.append(row)
+        _append_row(report, row)
     return report
 
 
@@ -173,7 +177,6 @@ def run_consistency_study(spec: FamilySpec, problem: str | ProblemBundle, k: int
                   "degree": degree, "jitter": jitter, "seed": seed,
                   "interior_l2": interior_l2, "commit": commit_stamp()},
         columns=columns)
-    prev: dict = {}
     base = None
     for i, lspec in _level_specs(spec, levels, max_unknowns):
         try:
@@ -184,28 +187,15 @@ def run_consistency_study(spec: FamilySpec, problem: str | ProblemBundle, k: int
             dual = build_dual(cx)
             rec = consistency_probe(fld, cx, dual, degree=degree,
                                     interior_l2=interior_l2)
-            row = {"level": i, "h": max_h(cx),
-                   "err_max": rec.err_max,
-                   "rate_max": step_rate(prev.get("err_max"), rec.err_max),
-                   "err_l2": rec.err_l2_primal_side,
-                   "rate_l2": step_rate(prev.get("err_l2"), rec.err_l2_primal_side),
-                   "err_dual": rec.err_max_dual_side,
-                   "rate_dual": step_rate(prev.get("err_dual"), rec.err_max_dual_side)}
+            row = {"level": i, "h": max_h(cx), "err_max": rec.err_max,
+                   "err_l2": rec.err_l2_primal_side, "err_dual": rec.err_max_dual_side}
             if with_lap:
                 lap = laplace_consistency_probe(bundle, cx, dual, degree=degree)
-                row.update({
-                    "lap_total": lap.total_max,
-                    "rate_lap": step_rate(prev.get("lap_total"), lap.total_max),
-                    "term1": lap.term1_max,
-                    "rate_term1": step_rate(prev.get("term1"), lap.term1_max),
-                    "term2": lap.term2_max,
-                    "rate_term2": step_rate(prev.get("term2"), lap.term2_max),
-                    "identity_gap": lap.identity_gap})
+                row.update({"lap_total": lap.total_max, "term1": lap.term1_max,
+                            "term2": lap.term2_max, "identity_gap": lap.identity_gap})
         except Exception as exc:
             raise StudyAborted(f"level {i} failed: {exc}", report, exc) from exc
-        prev = {key: row.get(key) for key in
-                ("err_max", "err_l2", "err_dual", "lap_total", "term1", "term2")}
-        report.rows.append(row)
+        _append_row(report, row)
     return report
 
 

@@ -51,6 +51,24 @@ def test_bad_counts_rejected(tmp_path):
         meshio.load(p)
 
 
+TRIANGLE = "decmesh 1\ndim 2\nvertices 3\n0 0\n1 0\n0 1\n"
+
+
+@pytest.mark.parametrize("text", [
+    TRIANGLE + "cells 1\n0 1 2\nboundary 3\n0 1\n",
+    "decmesh 1\ndim\nvertices 0\ncells 0\n",
+    TRIANGLE + "cells 1\n0 1 x\n",
+    TRIANGLE + "cells 2\n0 1 2\n0 1\n",
+    TRIANGLE + "cells 1\n0 1 2\nboundary 1\n0\n",
+], ids=["boundary_count_past_end", "keyword_without_count", "non_integer_cell_entry",
+        "cell_line_of_wrong_length", "boundary_line_short_of_dim_ids"])
+def test_malformed_file_raises_mesh_error(tmp_path, text):
+    p = tmp_path / "bad.decmesh"
+    p.write_text(text)
+    with pytest.raises(MeshError):
+        meshio.load(p)
+
+
 def test_non_conforming_file_rejected(tmp_path):
     p = tmp_path / "bad.decmesh"
     p.write_text("decmesh 1\ndim 2\nvertices 5\n"
