@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import geometry
-from .errors import DegenerateSimplexError, MeshError, NonConformingError
+from .errors import DegenerateSimplexError, MeshError, NonConformingError, ids
 
 WELL_CENTERED_TOL = 1e-12
 DEGENERATE_REL_TOL = 1e-12
@@ -159,8 +159,9 @@ class SimplicialComplex:
 
     def boundary_face_indices(self) -> np.ndarray:
         """(n-1)-simplices with exactly one top coface."""
-        indptr, _ = self.cofaces(self.dim - 1)
-        counts = np.diff(indptr)
+        # a count, not the coface table: studies ask for the interior of each
+        # level before its dual is built, and the table would outlive that peak
+        counts = np.bincount(self.faces[self.dim].ravel(), minlength=self.num(self.dim - 1))
         return np.flatnonzero(counts == 1).astype(np.int64)
 
     def boundary_vertex_mask(self) -> np.ndarray:
@@ -230,7 +231,7 @@ def build_complex(dim: int, vertex_coords, top_cells, validate: bool = True) -> 
         np.minimum.at(first, place, np.arange(len(cells)))
         i = int(np.flatnonzero(first[place] != np.arange(len(cells)))[0])
         raise NonConformingError(
-            f"duplicate cell {tuple(cells[i])} at positions {first[place[i]]} and {i}")
+            f"duplicate cell {ids(cells[i])} at positions {first[place[i]]} and {i}")
     signs = cell_orientation(vertices, cells)
 
     simplices: list[np.ndarray] = [None] * (dim + 1)  # type: ignore[list-item]
@@ -267,7 +268,7 @@ def cell_orientation(vertices: np.ndarray, cells: np.ndarray) -> np.ndarray:
     if degenerate.any():
         i = int(np.argmax(degenerate))
         raise DegenerateSimplexError(
-            f"degenerate cell {tuple(cells[i])}: signed volume {svol[i]:.3e}")
+            f"degenerate cell {ids(cells[i])}: signed volume {svol[i]:.3e}")
     return np.where(svol > 0, 1, -1).astype(np.int64)
 
 
@@ -302,5 +303,5 @@ def _audit_conformity(cx: SimplicialComplex) -> None:
         if inside.any():
             i = int(np.argmax(inside))
             raise NonConformingError(
-                f"vertex {vert_ids[i]} lies inside cell {tuple(cells[cell_ids[i]])}: "
+                f"vertex {vert_ids[i]} lies inside cell {ids(cells[cell_ids[i]])}: "
                 "non-conforming intersection")

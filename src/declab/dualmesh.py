@@ -45,7 +45,7 @@ import scipy.sparse as sp
 
 from . import geometry
 from .complex import SimplicialComplex
-from .errors import WellCenteredError
+from .errors import WellCenteredError, ids
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,7 @@ def build_dual(cx: SimplicialComplex) -> DualComplex:
                 i = int(np.argmin(lam.min(axis=1)))
                 raise WellCenteredError(
                     f"complex is not well-centered: circumcenter of {k}-simplex "
-                    f"{tuple(cx.simplices[k][i])} lies outside it")
+                    f"{ids(cx.simplices[k][i])} lies outside it")
         centers.append(cc)
 
     # |dual t| = 1/(n-k) * sum over cofaces T of s(t,T) |c(T) - c(t)| |dual T|

@@ -1,6 +1,11 @@
 """Exception types shared across the package."""
 
 
+def ids(row) -> tuple[int, ...]:
+    """A row of simplex or vertex indices as Python ints, which print plainly in messages."""
+    return tuple(int(v) for v in row)
+
+
 class MeshError(ValueError):
     """Invalid mesh input."""
 

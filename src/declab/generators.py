@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import meshio
 from .complex import SimplicialComplex, build_complex, cell_orientation
@@ -100,6 +101,36 @@ def refine(cx: SimplicialComplex) -> SimplicialComplex:
     out.family = dict(family)
     out.family["level"] = family["level"] + 1
     return out
+
+
+def prolongation(coarse: SimplicialComplex) -> sp.csr_matrix:
+    """Linear interpolation of vertex values from ``coarse`` to ``refine(coarse)``.
+
+    A ``(N_0 fine, N_0 coarse)`` matrix, exact for both refinements: every
+    fine vertex is a coarse vertex or the midpoint of a coarse edge.  Medial
+    subdivision numbers the midpoint of edge ``e`` as ``nv + e``; grid halving
+    puts fine point ``p`` midway between coarse points ``(p - odd(p))/2`` and
+    ``(p + odd(p))/2``.  Dispatches on the family tag as ``refine`` does.
+    """
+    family = coarse.family
+    if family is not None and family["family"] == "cube_kuhn":
+        m = 2 ** (family["level"] + 1)   # coarse grid cells per side
+        g = np.arange(2 * m + 1)
+        fine = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+        odd = fine % 2
+        strides = np.array([(m + 1) ** 2, m + 1, 1])
+        ends = [((fine - odd) // 2) @ strides, ((fine + odd) // 2) @ strides]
+    elif coarse.dim == 2:
+        nv = coarse.num(0)
+        edges = coarse.simplices[1]
+        ends = [np.concatenate([np.arange(nv), edges[:, j]]) for j in (0, 1)]
+    else:
+        raise MeshError(f"no prolongation for refinement in dim {coarse.dim}")
+    nf = len(ends[0])
+    rows = np.tile(np.arange(nf), 2)
+    # a fine vertex that is a coarse vertex gets its two halves summed to 1
+    return sp.csr_matrix((np.full(2 * nf, 0.5), (rows, np.concatenate(ends))),
+                         shape=(nf, coarse.num(0)))
 
 
 def medial_refine(cx: SimplicialComplex) -> SimplicialComplex:

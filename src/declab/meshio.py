@@ -82,6 +82,12 @@ def load(path, validate: bool = True) -> SimplicialComplex:
         for tup, r in zip(np.sort(ids, axis=1).tolist(), rows):
             labels[tuple(tup)] = r[dim] if len(r) > dim else "default"
     cx = build_complex(dim, verts, cells, validate=validate)
+    if labels:
+        faces = cx.index_of(dim - 1, list(labels))
+        known = np.isin(faces, cx.boundary_face_indices())
+        if not known.all():
+            bad = list(labels)[int(np.argmin(known))]
+            raise MeshError(f"boundary line {bad} is not a boundary face of the mesh")
     cx.boundary_labels = labels
     return cx
 

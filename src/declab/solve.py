@@ -5,11 +5,26 @@ Variational form: find omega with omega = g on boundary vertices and
 stiffness matrix is the edge-weighted graph Laplacian S = d_0^T star_1 d_0,
 assembled symmetrically entry-by-entry; boundary data enters by elimination.
 The operator is positive semidefinite (f = delta d u for manufactured u), so
-the reduced interior system is SPD and solved by diagonally preconditioned
-conjugate gradients, with a dense fallback for small systems.
+the reduced interior system S_II is SPD and solved by preconditioned conjugate
+gradients, with a dense solve below ``dense_cutoff`` unknowns.
+
+The preconditioner is a symmetric geometric V-cycle when the caller passes the
+coarser levels of a nested refinement hierarchy, as convergence studies do:
+each level's S_II with the exact interpolation ``generators.prolongation``
+restricted to interior vertices.  Because the interpolation nests the P1
+spaces, P^T S_II,fine P equals the coarse S_II, so the stored blocks are the
+Galerkin coarse operators; the cycle smooths with damped Jacobi and solves the
+coarsest level (1 to 3 unknowns for the generated families) by its dense
+inverse.  The iteration count then stays flat under refinement instead of
+doubling per level.  A solve without a hierarchy (one mesh, a file at level 0)
+uses Jacobi, the diagonal of S_II, as does one whose coarsest level has
+``dense_cutoff`` unknowns or more.  No reduction goes through BLAS, so the
+solution does not depend on the BLAS thread count.
 """
 from __future__ import annotations
 
+import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +50,13 @@ def make_problem(cx: SimplicialComplex, dual: DualComplex,
     f_vals = bundle.f_at(cx.vertices)
     g_vals = bundle.u_at(cx.vertices)
     return DirichletProblem(cx, dual, Cochain(0, "primal", f_vals), g_vals)
+
+
+# damped-Jacobi smoothing of the V-cycle: sweeps before and after the coarse
+# correction, and the damping, which keeps omega * rho(D^-1 S) below 2 for the
+# weighted graph Laplacians here (rho <= 2)
+SWEEPS = 2
+JACOBI_DAMPING = 0.6
 
 
 @dataclass(frozen=True)
@@ -65,6 +87,9 @@ class SolveReport:
     # relative residual per CG iteration, from 1.0 at iteration 0; a dense or
     # trivial solve records its one final residual
     residual_history: tuple[float, ...]
+    # the interior block S_II, which a study keeps as a coarse level of the
+    # next solve; None for a trivial problem
+    reduced: sp.csr_matrix | None = None
 
 
 def stiffness_matrix(cx: SimplicialComplex, dual: DualComplex) -> sp.csr_matrix:
@@ -96,28 +121,32 @@ def assemble(problem: DirichletProblem) -> AssembledSystem:
 
 
 def pcg(a: sp.csr_matrix, b: np.ndarray, tol: float, max_iterations: int,
-        diag: np.ndarray | None = None):
-    """Jacobi-preconditioned conjugate gradients.
+        precondition: Callable[[np.ndarray], np.ndarray] | None = None):
+    """Preconditioned conjugate gradients; Jacobi when ``precondition`` is None.
 
-    Returns (x, iterations, relative residual, residual history).  Raises
-    ``IterativeSolveError``, carrying the history so far, on breakdown (a
-    non-finite or non-positive curvature p.Ap) or when the iterations run out.
+    ``precondition(r)`` applies an SPD approximation of ``a``'s inverse.  Dot
+    products and norms go through ``_dot``, so the iterates do not depend on
+    the BLAS thread count.  Returns (x, iterations, relative residual,
+    residual history).  Raises ``IterativeSolveError``, carrying the history so
+    far, on breakdown (a non-finite or non-positive curvature p.Ap) or when the
+    iterations run out.
     """
     n = len(b)
     x = np.zeros(n)
-    norm_b = np.linalg.norm(b)
+    norm_b = math.sqrt(_dot(b, b))
     if norm_b == 0.0:
         return x, 0, 0.0, [0.0]
-    m = a.diagonal() if diag is None else diag
-    minv = 1.0 / m
+    if precondition is None:
+        minv = 1.0 / a.diagonal()
+        precondition = lambda r: minv * r
     r = b.copy()
-    z = minv * r
+    z = precondition(r)
     p = z.copy()
-    rz = r @ z
+    rz = _dot(r, z)
     history = [1.0]
     for it in range(1, max_iterations + 1):
         ap = a @ p
-        pap = p @ ap
+        pap = _dot(p, ap)
         # a non-finite residual reaches p, so this one check also catches it
         if not 0.0 < pap < np.inf:
             raise IterativeSolveError(
@@ -126,12 +155,12 @@ def pcg(a: sp.csr_matrix, b: np.ndarray, tol: float, max_iterations: int,
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
-        rel = np.linalg.norm(r) / norm_b
+        rel = math.sqrt(_dot(r, r)) / norm_b
         history.append(rel)
         if rel <= tol:
             return x, it, rel, history
-        z = minv * r
-        rz_new = r @ z
+        z = precondition(r)
+        rz_new = _dot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise IterativeSolveError(
@@ -139,8 +168,73 @@ def pcg(a: sp.csr_matrix, b: np.ndarray, tol: float, max_iterations: int,
         f"iterations (last relative residual {history[-1]:.3e})", history)
 
 
-def solve(problem: DirichletProblem, config: SolverConfig = SolverConfig()) -> SolveReport:
-    """Solve the Dirichlet problem; trivial (all-boundary) meshes return g itself."""
+def _dot(u: np.ndarray, v: np.ndarray) -> float:
+    """u . v in numpy's own summation loop; BLAS sums in an order set by its thread count."""
+    return np.einsum("i,i", u, v)
+
+
+def v_cycle(a: sp.csr_matrix, coarse: Sequence[tuple[sp.csr_matrix, sp.csr_matrix]],
+            cutoff: int) -> Callable[[np.ndarray], np.ndarray] | None:
+    """A symmetric V(2, 2)-cycle on a nested hierarchy, as a CG preconditioner.
+
+    ``coarse`` lists the coarser levels, coarsest first, as pairs
+    ``(a_j, p_j)``: the level's interior stiffness and the prolongation from its
+    interior to the next finer level's (the last one into ``a``'s).  Galerkin
+    holds on the interior blocks, ``p_j^T a_(j+1) p_j = a_j``, so the stored
+    blocks are the coarse operators.  The cycle smooths with damped Jacobi on
+    every level above the coarsest and solves the coarsest exactly; equal pre-
+    and post-sweeps of a symmetric smoother keep the preconditioner SPD.
+    Returns None when the coarsest level has ``cutoff`` unknowns or more,
+    too many for its dense inverse.
+    """
+    if not coarse or coarse[0][0].shape[0] >= cutoff:
+        return None
+    inv = _spd_inverse(coarse[0][0].toarray())
+    mats = [m for m, _ in coarse[1:]] + [a]
+    levels = [(m, JACOBI_DAMPING / m.diagonal(), p) for m, (_, p) in zip(mats, coarse)]
+
+    def cycle(j: int, r: np.ndarray) -> np.ndarray:
+        if j < 0:
+            return (inv * r).sum(axis=1)
+        m, wdinv, p = levels[j]
+        x = wdinv * r
+        for _ in range(SWEEPS - 1):
+            x += wdinv * (r - m @ x)
+        x += p @ cycle(j - 1, p.T @ (r - m @ x))
+        for _ in range(SWEEPS):
+            x += wdinv * (r - m @ x)
+        return x
+
+    return lambda r: cycle(len(levels) - 1, r)
+
+
+def _spd_inverse(a: np.ndarray) -> np.ndarray:
+    """Inverse of a small SPD matrix by Gauss-Jordan elimination without pivoting.
+
+    Elementwise numpy only, like its application in ``v_cycle``: LAPACK's
+    inverse changes in its last bits with the BLAS thread count, and so would
+    every CG iterate it preconditions.  Symmetrized, so the cycle is symmetric.
+    """
+    n = len(a)
+    aug = np.hstack([a, np.eye(n)])
+    for k in range(n):
+        aug[k] /= aug[k, k]
+        col = aug[:, k].copy()
+        col[k] = 0.0
+        aug -= col[:, None] * aug[k]
+    inv = aug[:, n:]
+    return 0.5 * (inv + inv.T)
+
+
+def solve(problem: DirichletProblem, config: SolverConfig = SolverConfig(),
+          coarse: Sequence[tuple[sp.csr_matrix, sp.csr_matrix]] = ()) -> SolveReport:
+    """Solve the Dirichlet problem; trivial (all-boundary) meshes return g itself.
+
+    ``coarse`` is the refinement hierarchy below this mesh, in the form
+    ``v_cycle`` takes.  CG is preconditioned by the V-cycle when there is one
+    and its coarsest level has fewer than ``dense_cutoff`` unknowns, and by
+    Jacobi otherwise.
+    """
     cx = problem.cx
     omega = problem.boundary_values.astype(float).copy()
     try:
@@ -159,12 +253,13 @@ def solve(problem: DirichletProblem, config: SolverConfig = SolverConfig()) -> S
             np.linalg.norm(system.reduced @ x - system.load) / nb)
         history = [rel]
     else:
+        precondition = v_cycle(system.reduced, coarse, config.dense_cutoff)
         x, iters, rel, history = pcg(system.reduced, system.load,
-                                     config.tol, config.max_iterations)
+                                     config.tol, config.max_iterations, precondition)
     omega[system.interior] = x
     sol = Cochain(0, "primal", omega)
     return SolveReport(sol, iters, rel, _energy(problem, sol), _stability(problem, sol),
-                       tuple(history))
+                       tuple(history), system.reduced)
 
 
 def _energy(problem: DirichletProblem, omega: Cochain) -> float:

@@ -119,15 +119,19 @@ def run_convergence_study(spec: FamilySpec, problem: str | ProblemBundle,
                   "problem": bundle.name, "levels": levels,
                   "tolerance": config.tol, "commit": commit_stamp()},
         columns=list(CONVERGENCE_COLUMNS))
-    cx = None
+    cx = sol = None
+    coarse: list = []   # (S_II, P) of the levels solved so far, as ``solve`` takes them
     for i, lspec in _level_specs(spec, levels, max_unknowns):
         t0 = time.monotonic()
         try:
-            cx = generators.generate(lspec) if cx is None else generators.refine(cx)
-            dual = build_dual(cx)
-            prob = make_problem(cx, dual, bundle)
-            sol = solve(prob, config)
-            err = error_report(prob, sol.solution, bundle)
+            if cx is None:
+                cx = generators.generate(lspec)
+            else:
+                fine = generators.refine(cx)
+                if sol.reduced is not None:
+                    coarse.append((sol.reduced, _interior_prolongation(cx, fine)))
+                cx = fine
+            sol, err = _solve_level(cx, bundle, config, coarse)
         except Exception as exc:
             raise StudyAborted(f"level {i} failed: {exc}", report, exc) from exc
         seconds = 0.0 if deterministic else time.monotonic() - t0
@@ -136,6 +140,23 @@ def run_convergence_study(spec: FamilySpec, problem: str | ProblemBundle,
                "stability": sol.stability_constant, "energy": sol.energy}
         _append_row(report, row)
     return report
+
+
+def _interior_prolongation(coarse, fine):
+    """``generators.prolongation`` from the interior vertices of ``coarse`` to those of ``fine``.
+
+    Boundary values are fixed, so a correction vanishes there and only the
+    interior block of the interpolation acts on it.
+    """
+    p = generators.prolongation(coarse)[fine.interior_vertex_indices()]
+    return p[:, coarse.interior_vertex_indices()]
+
+
+def _solve_level(cx, bundle: ProblemBundle, config: SolverConfig, coarse: list):
+    """(solve report, error report) on one level; its dual and problem die on return."""
+    prob = make_problem(cx, build_dual(cx), bundle)
+    sol = solve(prob, config, coarse)
+    return sol, error_report(prob, sol.solution, bundle)
 
 
 CONSISTENCY_COLUMNS = ["level", "h", "err_max", "rate_max", "err_l2", "rate_l2",

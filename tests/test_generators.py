@@ -7,7 +7,7 @@ from declab import geometry, meshio
 from declab.complex import build_complex
 from declab.errors import InvertedCellError, MeshError
 from declab.generators import (DEFAULT_ALPHA, FamilySpec, _label_slit, estimate_unknowns,
-                               generate, jitter_interior, medial_refine, refine)
+                               generate, jitter_interior, medial_refine, prolongation, refine)
 
 C_PENTAGON = math.sqrt(2 - 2 * math.cos(2 * math.pi / 5))
 
@@ -115,6 +115,19 @@ def test_refine_3d_untagged_refused():
         refine(cx)
     with pytest.raises(MeshError):
         medial_refine(cx)
+    with pytest.raises(MeshError):
+        prolongation(cx)
+
+
+@pytest.mark.parametrize("family,level", [("pentagon_wheel", 2), ("corner", 1),
+                                          ("square", 1), ("cube_kuhn", 1)])
+def test_prolongation_interpolates_the_refined_vertices(family, level):
+    # every fine vertex is a coarse vertex or an edge midpoint, so P is exact
+    # on the coordinates, and its rows are convex weights
+    cx = generate(FamilySpec(family, level))
+    p = prolongation(cx)
+    assert np.array_equal(p @ cx.vertices, refine(cx).vertices)
+    assert set(p.data) <= {0.5, 1.0} and np.array_equal(p.sum(axis=1).A1, np.ones(p.shape[0]))
 
 
 def test_corner_strictly_well_centered_for_other_angles():

@@ -119,3 +119,23 @@ def test_shipped_fixture_matches_generator():
     assert np.array_equal(cx.simplices[2], gen.simplices[2])
     for k in (1, 2):
         assert (cx.boundary_matrix(k) - gen.boundary_matrix(k)).nnz == 0
+
+
+def test_degenerate_cell_message_prints_plain_ints(tmp_path):
+    p = tmp_path / "bad.decmesh"
+    p.write_text(TRIANGLE + "cells 1\n0 1 1\n")
+    with pytest.raises(MeshError, match=r"degenerate cell \(0, 1, 1\):"):
+        meshio.load(p)
+
+
+@pytest.mark.parametrize("cells,face", [
+    ("cells 1\n0 1 2\n", "0 5"),                              # no such vertex
+    ("vertices 4\n0 0\n1 0\n0 1\n1 1\ncells 2\n0 1 2\n1 3 2\n", "1 2"),  # interior edge
+], ids=["unknown_vertex", "interior_edge"])
+def test_boundary_line_must_name_a_boundary_face(tmp_path, cells, face):
+    head = TRIANGLE if cells.startswith("cells") else "decmesh 1\ndim 2\n"
+    p = tmp_path / "bad.decmesh"
+    p.write_text(head + cells + f"boundary 1\n{face} gamma\n")
+    with pytest.raises(MeshError, match=rf"boundary line \({face.replace(' ', ', ')}\) "
+                                        "is not a boundary face"):
+        meshio.load(p)
