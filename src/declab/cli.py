@@ -67,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--mu", type=float, default=0.625, help="corner exponent")
     sv.add_argument("--tol", type=float, default=1e-12)
     sv.add_argument("--max-iterations", type=int, default=100_000)
-    sv.add_argument("--method", choices=["auto", "cg", "dense"], default="auto")
     sv.add_argument("--out", help="solution dump path")
 
     st = sub.add_parser("study", help="convergence / consistency studies")
@@ -140,9 +139,7 @@ def main(argv=None) -> int:
             dual = build_dual(cx)
             bundle = get_problem(args.problem, args.mu)
             prob = make_problem(cx, dual, bundle)
-            cfg = SolverConfig(tol=args.tol, max_iterations=args.max_iterations,
-                               method=args.method)
-            rep = solve(prob, cfg)
+            rep = solve(prob, SolverConfig(tol=args.tol, max_iterations=args.max_iterations))
             err = error_report(prob, rep.solution, bundle)
             print(f"unknowns = {len(cx.interior_vertex_indices())}")
             print(f"iterations = {rep.iterations}  residual = {rep.residual:.3e}")

@@ -18,7 +18,6 @@ import scipy.sparse as sp
 from . import geometry
 from .errors import DegenerateSimplexError, MeshError, NonConformingError, ids
 
-WELL_CENTERED_TOL = 1e-12
 DEGENERATE_REL_TOL = 1e-12
 
 
@@ -177,11 +176,13 @@ class SimplicialComplex:
     # -- audits ----------------------------------------------------------------
 
     def shape_report(self) -> ShapeReport:
+        from .dualmesh import _signed_steps, well_centeredness  # dualmesh imports this module
+
         n = self.dim
         h = 0.0
         gamma_min = np.inf
         c_reg = 0.0
-        status = 0  # 0 strict, 1 weak, 2 violated
+        centers = [self.vertices]
         for k in range(1, n + 1):
             coords = self.coords_of(k)
             diam = geometry.diameter(coords)
@@ -189,14 +190,11 @@ class SimplicialComplex:
             h = max(h, float(diam.max()))
             gamma_min = min(gamma_min, float(rho.min()))
             c_reg = max(c_reg, float((diam / rho).max()))
-            if k >= 2:
-                cc = geometry.circumcenter(coords, check=False)
-                lam = geometry.barycentric_coordinates(cc, coords)
-                lmin = lam.min(axis=1)
-                if (lmin < -WELL_CENTERED_TOL).any():
-                    status = 2
-                elif (lmin <= WELL_CENTERED_TOL).any():
-                    status = max(status, 1)
+            centers.append(geometry.circumcenter(coords, check=False))
+        status = 0  # 0 strict, 1 weak, 2 violated
+        for k in range(1, n):
+            _, cls = well_centeredness(*_signed_steps(self, centers, k), k)
+            status = max(status, int(cls.max()))
         # max top-cell count over closed stars; vertices attain the maximum
         # over base simplices of every dimension
         star_bound = int(np.bincount(self.simplices[n].ravel(),

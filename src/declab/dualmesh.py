@@ -12,7 +12,8 @@ bincount over the incidence pairs of ``faces[k+1]`` per degree.  The side sign
 s(t,T) is +1 when c(T) lies on the side of t's plane that holds the vertex of
 T opposite t, else -1; on (weakly) well-centered meshes every term is >= 0,
 degenerate pairs contributing exactly 0.  Off-centered circumcenters would
-cancel, which is why such meshes are refused up front.
+cancel, so ``build_dual`` refuses them, gating on the barycentric coordinate of
+c(T) opposite t that each pair yields (``well_centeredness``).
 
 Unrolled, the recursion is a sum over full ascending flags
 t = t_k < t_{k+1} < ... < t_n through the top cells, one elementary fragment
@@ -46,6 +47,8 @@ import scipy.sparse as sp
 from . import geometry
 from .complex import SimplicialComplex
 from .errors import WellCenteredError, ids
+
+WELL_CENTERED_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -145,45 +148,59 @@ class DualComplex:
 
 def build_dual(cx: SimplicialComplex) -> DualComplex:
     """Construct the circumcentric dual of an (at least weakly) well-centered complex."""
-    from .complex import WELL_CENTERED_TOL
-
     n = cx.dim
-    centers = [cx.vertices]
-    for k in range(1, n + 1):
-        coords = cx.coords_of(k)
-        cc = geometry.circumcenter(coords, check=True)
-        if k >= 2:
-            lam = geometry.barycentric_coordinates(cc, coords)
-            if (lam < -WELL_CENTERED_TOL).any():
-                i = int(np.argmin(lam.min(axis=1)))
-                raise WellCenteredError(
-                    f"complex is not well-centered: circumcenter of {k}-simplex "
-                    f"{ids(cx.simplices[k][i])} lies outside it")
-        centers.append(cc)
+    centers = [cx.vertices] + [geometry.circumcenter(cx.coords_of(k), check=True)
+                               for k in range(1, n + 1)]
 
     # |dual t| = 1/(n-k) * sum over cofaces T of s(t,T) |c(T) - c(t)| |dual T|
     volumes: list[np.ndarray] = [None] * n + [np.ones(cx.num(n))]  # type: ignore[list-item]
     for k in range(n - 1, -1, -1):
-        steps = _signed_steps(cx, centers, k) * np.repeat(volumes[k + 1], k + 2)
+        steps, side = _signed_steps(cx, centers, k)
+        if k >= 1:
+            lam, status = well_centeredness(steps, side, k)
+            if status.max() == 2:
+                i = int(np.argmin(lam))
+                raise WellCenteredError(
+                    f"complex is not well-centered: circumcenter of {k + 1}-simplex "
+                    f"{ids(cx.simplices[k + 1][i])} lies outside it")
+        steps *= np.repeat(volumes[k + 1], k + 2)
         volumes[k] = np.bincount(cx.faces[k + 1].ravel(), weights=steps,
                                  minlength=cx.num(k)) / (n - k)
     return DualComplex(cx, centers, volumes)
 
 
-def _signed_steps(cx: SimplicialComplex, centers, k: int) -> np.ndarray:
-    """s(t,T) |c(T) - c(t)| for every incidence pair of ``faces[k+1]``, in ravel
-    order: pair T*(k+2) + i joins the (k+1)-simplex T to its face
-    t = faces[k+1][T, i], which drops vertex i of T, the vertex opposite t.
+def _signed_steps(cx: SimplicialComplex, centers, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(s(t,T) |u|, side) for every incidence pair of ``faces[k+1]``, in ravel
+    order, with u = c(T) - c(t) and side = u . (v - c(t)): pair T*(k+2) + i
+    joins the (k+1)-simplex T to its face t = faces[k+1][T, i], which drops
+    vertex v = vertex i of T, the vertex opposite t.
 
-    s is +1 when c(T) lies on the side of t's plane that holds that vertex (a
-    zero length counts as +1), else -1.
+    s is the sign of side: +1 when c(T) lies on the side of t's plane that
+    holds v (a zero length counts as +1), else -1.
     """
     t = cx.faces[k + 1].ravel()
     base = centers[k][t]
     u = np.repeat(centers[k + 1], k + 2, axis=0) - base
     norm = np.sqrt(sum(c * c for c in u.T))  # np.linalg.norm's sums, column by column, faster
     side = np.einsum("md,md->m", u, cx.vertices[cx.simplices[k + 1].ravel()] - base)
-    return np.where(side >= 0, norm, -norm)
+    return np.where(side >= 0, norm, -norm), side
+
+
+def well_centeredness(steps: np.ndarray, side: np.ndarray,
+                      k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The well-centeredness test of the (k+1)-simplices, from ``_signed_steps``.
+
+    Returns, per (k+1)-simplex T, the smallest barycentric coordinate of c(T)
+    and a status: 0 when c(T) lies strictly inside T, 1 when on its boundary
+    (weakly well-centered), 2 when outside, up to ``WELL_CENTERED_TOL``.
+    c(t) is the orthogonal projection of c(T) onto t's plane, so the
+    coordinate of c(T) at the vertex opposite t is |u|^2 / side; it is 0 when
+    side is, as it is for u = 0.
+    """
+    lam = np.divide(steps * steps, side, out=np.zeros_like(side), where=side != 0)
+    lam = lam.reshape(-1, k + 2).min(axis=1)
+    status = np.where(lam < -WELL_CENTERED_TOL, 2, np.where(lam <= WELL_CENTERED_TOL, 1, 0))
+    return lam, status
 
 
 def _fragments(cx: SimplicialComplex, centers, k: int):
@@ -206,5 +223,5 @@ def _fragments(cx: SimplicialComplex, centers, k: int):
     vol = np.ones(len(chain))
     for j in range(k, n):
         pair = chain[:, j - k + 1] * (j + 2) + drop[:, j - k]
-        vol = vol * _signed_steps(cx, centers, j)[pair]
+        vol = vol * _signed_steps(cx, centers, j)[0][pair]
     return chain, sign, vol / math.factorial(n - k)

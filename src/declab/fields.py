@@ -102,7 +102,7 @@ def _integrate(field: FormField, corners: np.ndarray, degree: int) -> np.ndarray
     pts = rule.physical_points(corners)          # (m, Q, n)
     m, q, n = pts.shape
     vals = field(pts.reshape(-1, n)).reshape(m, q, -1)
-    frame = corners[:, 1:, :] - corners[:, :1, :]
+    frame = geometry.edge_matrix(corners)
     integ = np.zeros(m)
     for c, rho in enumerate(index_tuples(n, k)):
         integ += (vals[:, :, c] @ rule.weights) * np.linalg.det(frame[:, :, rho])
@@ -146,17 +146,10 @@ def derham_dual(field: FormField, dual: DualComplex, degree: int = 4) -> Cochain
 
 def _barycentric_gradients(cx: SimplicialComplex) -> np.ndarray:
     """Gradients of the n+1 barycentric hat functions per top cell: (m, n+1, n)."""
-    coords = cx.coords_of(cx.dim)
-    e = coords[:, 1:, :] - coords[:, :1, :]
-    ginv = np.linalg.inv(e)          # (m, n, n); rows of inv(E)^T are grad lam_i
-    grads = np.transpose(ginv, (0, 2, 1))
+    e = geometry.edge_matrix(cx.coords_of(cx.dim))
+    grads = np.transpose(np.linalg.inv(e), (0, 2, 1))  # rows of inv(E)^T are grad lam_i
     g0 = -grads.sum(axis=1, keepdims=True)
     return np.concatenate([g0, grads], axis=1)
-
-
-@lru_cache(maxsize=None)
-def _face_positions(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(combinations(range(n + 1), k + 1))
 
 
 class WhitneyField:
@@ -171,7 +164,7 @@ class WhitneyField:
         n = cx.dim
         k = cochain.degree
         self._grads = _barycentric_gradients(cx)
-        subsets = _face_positions(n, k)
+        subsets = index_tuples(n + 1, k + 1)
         rows = np.array(subsets, dtype=np.int64)  # (S, k+1) vertex positions
         cells = cx.simplices[n]
         face_rows = cells[:, rows]                # (m, S, k+1) vertex ids, sorted

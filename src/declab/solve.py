@@ -5,8 +5,8 @@ Variational form: find omega with omega = g on boundary vertices and
 stiffness matrix is the edge-weighted graph Laplacian S = d_0^T star_1 d_0,
 assembled symmetrically entry-by-entry; boundary data enters by elimination.
 The operator is positive semidefinite (f = delta d u for manufactured u), so
-the reduced interior system S_II is SPD and solved by preconditioned conjugate
-gradients, with a dense solve below ``dense_cutoff`` unknowns.
+the reduced interior system S_II is SPD and every solve is by preconditioned
+conjugate gradients.
 
 The preconditioner is a symmetric geometric V-cycle when the caller passes the
 coarser levels of a nested refinement hierarchy, as convergence studies do:
@@ -18,7 +18,7 @@ coarsest level (1 to 3 unknowns for the generated families) by its dense
 inverse.  The iteration count then stays flat under refinement instead of
 doubling per level.  A solve without a hierarchy (one mesh, a file at level 0)
 uses Jacobi, the diagonal of S_II, as does one whose coarsest level has
-``dense_cutoff`` unknowns or more.  No reduction goes through BLAS, so the
+``DENSE_CUTOFF`` unknowns or more.  No reduction goes through BLAS, so the
 solution does not depend on the BLAS thread count.
 """
 from __future__ import annotations
@@ -57,14 +57,14 @@ def make_problem(cx: SimplicialComplex, dual: DualComplex,
 # weighted graph Laplacians here (rho <= 2)
 SWEEPS = 2
 JACOBI_DAMPING = 0.6
+# a coarsest level with this many unknowns is too large for the V-cycle's dense inverse
+DENSE_CUTOFF = 500
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     tol: float = 1e-12
     max_iterations: int = 100_000
-    method: str = "auto"   # auto | cg | dense
-    dense_cutoff: int = 500
 
 
 @dataclass(frozen=True)
@@ -84,8 +84,8 @@ class SolveReport:
     residual: float               # relative residual of the reduced system
     energy: float
     stability_constant: float     # ||omega||_h / (||R_h f||_h + ||d g_ext||_h)
-    # relative residual per CG iteration, from 1.0 at iteration 0; a dense or
-    # trivial solve records its one final residual
+    # relative residual per CG iteration, from 1.0 at iteration 0; a trivial
+    # solve records its one final residual
     residual_history: tuple[float, ...]
     # the interior block S_II, which a study keeps as a coarse level of the
     # next solve; None for a trivial problem
@@ -173,8 +173,8 @@ def _dot(u: np.ndarray, v: np.ndarray) -> float:
     return np.einsum("i,i", u, v)
 
 
-def v_cycle(a: sp.csr_matrix, coarse: Sequence[tuple[sp.csr_matrix, sp.csr_matrix]],
-            cutoff: int) -> Callable[[np.ndarray], np.ndarray] | None:
+def v_cycle(a: sp.csr_matrix, coarse: Sequence[tuple[sp.csr_matrix, sp.csr_matrix]]
+            ) -> Callable[[np.ndarray], np.ndarray] | None:
     """A symmetric V(2, 2)-cycle on a nested hierarchy, as a CG preconditioner.
 
     ``coarse`` lists the coarser levels, coarsest first, as pairs
@@ -184,10 +184,10 @@ def v_cycle(a: sp.csr_matrix, coarse: Sequence[tuple[sp.csr_matrix, sp.csr_matri
     blocks are the coarse operators.  The cycle smooths with damped Jacobi on
     every level above the coarsest and solves the coarsest exactly; equal pre-
     and post-sweeps of a symmetric smoother keep the preconditioner SPD.
-    Returns None when the coarsest level has ``cutoff`` unknowns or more,
-    too many for its dense inverse.
+    Returns None when the coarsest level has ``DENSE_CUTOFF`` unknowns or
+    more, too many for its dense inverse.
     """
-    if not coarse or coarse[0][0].shape[0] >= cutoff:
+    if not coarse or coarse[0][0].shape[0] >= DENSE_CUTOFF:
         return None
     inv = _spd_inverse(coarse[0][0].toarray())
     mats = [m for m, _ in coarse[1:]] + [a]
@@ -232,7 +232,7 @@ def solve(problem: DirichletProblem, config: SolverConfig = SolverConfig(),
 
     ``coarse`` is the refinement hierarchy below this mesh, in the form
     ``v_cycle`` takes.  CG is preconditioned by the V-cycle when there is one
-    and its coarsest level has fewer than ``dense_cutoff`` unknowns, and by
+    and its coarsest level has fewer than ``DENSE_CUTOFF`` unknowns, and by
     Jacobi otherwise.
     """
     cx = problem.cx
@@ -243,19 +243,8 @@ def solve(problem: DirichletProblem, config: SolverConfig = SolverConfig(),
         sol = Cochain(0, "primal", omega)
         return SolveReport(sol, 0, 0.0, _energy(problem, sol),
                            _stability(problem, sol), (0.0,))
-    use_dense = config.method == "dense" or (
-        config.method == "auto" and system.reduced.shape[0] < config.dense_cutoff)
-    if use_dense:
-        x = np.linalg.solve(system.reduced.toarray(), system.load)
-        iters = 0
-        nb = np.linalg.norm(system.load)
-        rel = 0.0 if nb == 0 else float(
-            np.linalg.norm(system.reduced @ x - system.load) / nb)
-        history = [rel]
-    else:
-        precondition = v_cycle(system.reduced, coarse, config.dense_cutoff)
-        x, iters, rel, history = pcg(system.reduced, system.load,
-                                     config.tol, config.max_iterations, precondition)
+    x, iters, rel, history = pcg(system.reduced, system.load, config.tol,
+                                 config.max_iterations, v_cycle(system.reduced, coarse))
     omega[system.interior] = x
     sol = Cochain(0, "primal", omega)
     return SolveReport(sol, iters, rel, _energy(problem, sol), _stability(problem, sol),

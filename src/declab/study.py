@@ -276,6 +276,9 @@ def to_text_table(report: StudyReport) -> str:
     lines = [head]
     for r in table:
         lines.append("  ".join(cell.rjust(widths[j]) for j, cell in enumerate(r)))
+    fits = [f"{c} {fit_rate(report.column(c)):.4f}" for c in report.columns if c in RATE_COLUMNS]
+    if fits:
+        lines.append("fitted rate over the last 4 levels: " + "  ".join(fits))
     return "\n".join(lines) + "\n"
 
 

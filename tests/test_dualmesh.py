@@ -4,8 +4,8 @@ import pytest
 from declab import dualmesh, geometry
 from declab.complex import build_complex
 from declab.dualmesh import build_dual
-from declab.errors import WellCenteredError
-from declab.generators import FamilySpec, generate
+from declab.errors import InvertedCellError, WellCenteredError
+from declab.generators import FamilySpec, generate, jitter_interior
 from strategies import jittered_wheels
 
 
@@ -41,7 +41,7 @@ def test_dual_boundary_signs_vs_legacy_convention(worked_triangle):
     assert np.array_equal(m.astype(np.int64), m)  # integer entries
 
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 
@@ -162,6 +162,15 @@ def test_violated_well_centeredness_refused():
         build_dual(cx)
 
 
+def test_violated_well_centeredness_refused_in_3d():
+    # the corner tetrahedron: its faces are right or equilateral triangles,
+    # but its circumcenter (1/2, 1/2, 1/2) lies outside it
+    cx = build_complex(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 1, 2, 3)])
+    with pytest.raises(WellCenteredError, match=r"not well-centered: circumcenter of "
+                                                r"3-simplex \(0, 1, 2, 3\) lies outside it"):
+        build_dual(cx)
+
+
 def test_boundary_flags():
     cx = generate(FamilySpec("pentagon_wheel", level=1))
     dual = build_dual(cx)
@@ -246,3 +255,48 @@ def test_parity_signs_equal_determinant_signs(strict, weak):
             want = determinant_signs(cx, dual.circumcenters, chain, k)
             hit = np.ones(len(chain), dtype=bool) if everywhere else vol != 0
             assert np.array_equal(sign[hit], want[hit])
+
+
+def jittered_or_none(spec, amplitude, seed):
+    try:
+        return jitter_interior(generate(spec), amplitude=amplitude, seed=seed)
+    except InvertedCellError:
+        return None
+
+
+seeds = st.integers(0, 2 ** 32 - 1)
+# amplitudes up to 0.4 move wheel circumcenters out of their triangles; any
+# jitter of the right-angled Kuhn cube breaks its weak well-centeredness
+off_centered = st.one_of(
+    st.builds(lambda n_gon, level, amplitude, seed: jittered_or_none(
+        FamilySpec("pentagon_wheel", level, n_gon=n_gon), amplitude, seed),
+        st.integers(6, 8), st.integers(1, 3), st.floats(0.0, 0.4), seeds),
+    st.builds(lambda level, amplitude, seed: jittered_or_none(
+        FamilySpec("cube_kuhn", level), amplitude, seed),
+        st.integers(0, 2), st.floats(0.0, 0.4), seeds))
+
+
+@settings(deadline=None, max_examples=60)
+@given(cx=st.one_of(jittered_wheels, off_centered, squares, cubes))
+def test_well_centeredness_equals_the_barycentric_reference(cx):
+    """The one well-centeredness test, |u|^2 / side per facet, against the
+    smallest barycentric coordinate of each circumcenter; build_dual's gate
+    and shape_report's class must decide as the coordinates do."""
+    assume(cx is not None)
+    centers = [cx.vertices] + [geometry.circumcenter(cx.coords_of(k), check=False)
+                               for k in range(1, cx.dim + 1)]
+    status = 0
+    for k in range(2, cx.dim + 1):
+        want = geometry.barycentric_coordinates(centers[k], cx.coords_of(k)).min(axis=1)
+        got, _ = dualmesh.well_centeredness(*dualmesh._signed_steps(cx, centers, k - 1), k - 1)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+        if (want < -1e-12).any():
+            status = 2
+        elif (want <= 1e-12).any():
+            status = max(status, 1)
+    assert cx.shape_report().well_centered == ("strict", "weak", "violated")[status]
+    if status == 2:
+        with pytest.raises(WellCenteredError):
+            build_dual(cx)
+    else:
+        build_dual(cx)

@@ -1,4 +1,6 @@
 """The geometric V-cycle that preconditions CG across a study's refinement levels."""
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,18 +83,20 @@ def test_solve_without_hierarchy_takes_the_jacobi_path():
 
 def test_v_cycle_is_a_symmetric_positive_operator(rng):
     prob, coarse = hierarchy("pentagon_wheel", 5, "trig2d")
-    m = v_cycle(assemble(prob).reduced, coarse, SolverConfig().dense_cutoff)
+    m = v_cycle(assemble(prob).reduced, coarse)
     x, y = rng.standard_normal((2, coarse[-1][1].shape[0]))
     assert abs(x @ m(y) - y @ m(x)) <= 1e-12 * abs(x @ m(y))
     assert x @ m(x) > 0 and y @ m(y) > 0
 
 
-def test_jacobi_when_the_coarsest_level_is_too_large_for_a_dense_inverse():
+def test_jacobi_when_the_coarsest_level_is_too_large_for_a_dense_inverse(monkeypatch):
     # as in a study of a mesh file whose level 0 is already large
     prob, coarse = hierarchy("pentagon_wheel", 5, "trig2d")
-    cfg = SolverConfig(dense_cutoff=100)   # the coarsest kept level, 3, has 141 unknowns
-    assert solve(prob, cfg, coarse[3:]).iterations == 139
-    assert solve(prob, cfg, coarse[2:]).iterations <= 20
+    # the package exports the function ``solve``, which shadows the module's name
+    monkeypatch.setattr(importlib.import_module("declab.solve"), "DENSE_CUTOFF", 100)
+    # the coarsest kept level, 3, has 141 unknowns
+    assert solve(prob, coarse=coarse[3:]).iterations == 139
+    assert solve(prob, coarse=coarse[2:]).iterations <= 20
 
 
 def test_spd_inverse_is_exact_and_symmetric(rng):

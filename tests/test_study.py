@@ -63,6 +63,15 @@ def test_text_table_alternates_error_and_rate_columns(small_report):
                            "err_l2", "rate_l2"]
 
 
+def test_text_table_footer_fits_each_error_column(small_report):
+    footer = to_text_table(small_report).strip().split("\n")[-1].split()
+    assert footer[:7] == ["fitted", "rate", "over", "the", "last", "4", "levels:"]
+    fits = dict(zip(footer[7::2], map(float, footer[8::2])))
+    assert list(fits) == ["err_max", "err_h1", "err_l2"]
+    for col, rate in fits.items():
+        assert rate == pytest.approx(fit_rate(small_report.column(col)), abs=5e-5)
+
+
 def test_emit_writes_files(tmp_path, small_report):
     for fmt, suffix in (("csv", "csv"), ("svg_loglog", "svg"), ("text_table", "txt")):
         p = tmp_path / f"report.{suffix}"
@@ -81,7 +90,7 @@ def test_memory_guard_refuses_large_levels():
 def test_aborted_study_keeps_partial_report():
     with pytest.raises(StudyAborted) as info:
         run_convergence_study(FamilySpec("pentagon_wheel"), "trig2d", 6,
-                              SolverConfig(method="cg", max_iterations=2))
+                              SolverConfig(max_iterations=2))
     assert len(info.value.report.rows) >= 1  # coarse levels may converge in 2 steps
 
 
