@@ -7,6 +7,7 @@ m=1 case.
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
 
@@ -50,10 +51,17 @@ def signed_volume(coords: np.ndarray) -> np.ndarray:
 
 
 def diameter(coords: np.ndarray) -> np.ndarray:
-    """Largest pairwise vertex distance (= longest edge for a simplex)."""
+    """Largest pairwise vertex distance (= longest edge for a simplex).
+
+    A running maximum of the squared lengths over the vertex pairs i < j, then
+    one square root: the square root is monotone and correctly rounded, so
+    this is exactly the largest of the lengths.
+    """
     coords = np.asarray(coords, dtype=float)
-    diff = coords[:, :, None, :] - coords[:, None, :, :]
-    return np.sqrt((diff ** 2).sum(-1)).max(axis=(1, 2))
+    sq = np.zeros(len(coords))
+    for i, j in combinations(range(coords.shape[1]), 2):
+        np.maximum(sq, ((coords[:, i] - coords[:, j]) ** 2).sum(-1), out=sq)
+    return np.sqrt(sq)
 
 
 def circumcenter(coords: np.ndarray, check: bool = True) -> np.ndarray:

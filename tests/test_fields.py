@@ -1,19 +1,23 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from declab import geometry
+from declab import fields, geometry
 from declab.complex import build_complex
 from declab.dualmesh import build_dual
 from declab.fields import (FormField, WhitneyField, consistency_probe,
                            derham_dual, derham_primal, hodge_field,
                            laplace_consistency_probe, scalar_field,
                            volume_field, whitney_l2_norm)
-from declab.generators import FamilySpec, generate
+from declab.generators import FamilySpec, generate, jitter_interior
 from declab.operators import Cochain, exterior_derivative
 from declab.problems import get_problem
 from declab.quadrature import simplex_rule
+from strategies import jittered_wheels
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +121,54 @@ def test_derham_constant_2form_on_cube_triangles_matches_minor_expansion():
         expect += coef[c] * (e1[:, i] * e2[:, j] - e1[:, j] * e2[:, i])
     assert np.any(expect != 0)
     assert np.allclose(r.values, 0.5 * expect * cx.orientation[2], rtol=1e-13, atol=1e-15)
+
+
+def _plane_waves(n, k):
+    """A k-form on R^n whose components are distinct plane waves."""
+    freqs = np.arange(1.0, n + 1)
+    return FormField(k, n, lambda p: np.stack(
+        [np.cos((c + 1) * (p @ freqs) + c) for c in range(math.comb(n, k))], axis=1))
+
+
+def _derham_cochains(cx, dual):
+    n = cx.dim
+    return ([derham_primal(_plane_waves(n, k), cx, 6).values for k in range(n + 1)]
+            + [derham_dual(_plane_waves(n, n - k), dual, 6).values for k in range(n + 1)])
+
+
+@settings(deadline=None, max_examples=30)
+@given(cx=jittered_wheels | st.integers(0, 1).map(
+           lambda level: generate(FamilySpec("cube_kuhn", level))),
+       block_nodes=st.integers(1, 60).map(lambda i: 2 * i + 1).filter(lambda b: b % 5))
+def test_blocked_quadrature_equals_one_block(cx, block_nodes):
+    # the degree-6 rules have 1, 4, 16 and 125 nodes, and an odd block size
+    # that is no multiple of 5 divides none but the first: ragged blocks, and
+    # a partial last block wherever the block step does not divide the count
+    dual = build_dual(cx)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fields, "BLOCK_NODES", 1 << 62)
+        whole = _derham_cochains(cx, dual)
+        mp.setattr(fields, "BLOCK_NODES", block_nodes)
+        blocked = _derham_cochains(cx, dual)
+    for a, b in zip(whole, blocked):
+        assert np.array_equal(a, b)
+
+
+def test_dual_derham_memory_is_bounded_by_the_block():
+    # jittered hexagon level 6: 147,456 vertex-dual fragments of 16 nodes each;
+    # the points of all 2.4M nodes at once would take 38 MB alone
+    cx = jitter_interior(generate(FamilySpec("pentagon_wheel", 6, n_gon=6)),
+                         amplitude=0.14, seed=106)
+    dual = build_dual(cx)
+    assert len(dual.flags(0)[0]) == 147456   # built and cached before tracing
+    f = volume_field(2, lambda p: np.sin(p[:, 0]) * np.cos(p[:, 1]))
+    tracemalloc.start()
+    try:
+        derham_dual(f, dual, 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 # -- Whitney forms ------------------------------------------------------------

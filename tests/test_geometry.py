@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from declab import geometry
 from declab.errors import DegenerateSimplexError
+from declab.generators import FamilySpec, generate
+from strategies import jittered_wheels
 
 
 def brute_force_circumcenter(coords):
@@ -105,6 +107,21 @@ def test_inradius_and_diameter():
     assert d / r == pytest.approx(2 * math.sqrt(3))
     edge = np.array([[(0.0,), (3.0,)]])
     assert geometry.inradius(edge)[0] == pytest.approx(1.5)
+
+
+def broadcast_diameter(coords):
+    """Oracle: the largest length in the full pairwise difference array."""
+    diff = coords[:, :, None, :] - coords[:, None, :, :]
+    return np.sqrt((diff ** 2).sum(-1)).max(axis=(1, 2))
+
+
+@settings(deadline=None, max_examples=40)
+@given(cx=jittered_wheels | st.integers(0, 2).map(
+    lambda level: generate(FamilySpec("cube_kuhn", level))))
+def test_diameter_is_bit_identical_to_broadcast_formula(cx):
+    for k in range(cx.dim + 1):
+        coords = cx.coords_of(k)
+        assert np.array_equal(geometry.diameter(coords), broadcast_diameter(coords))
 
 
 def test_barycentric_coordinates_roundtrip(rng):
