@@ -102,8 +102,11 @@ class SimplicialComplex:
         #                                 obtained by dropping vertex position i
         self._boundary: dict[int, sp.csr_matrix] = {}
         self._cofaces: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._boundary_masks: list[np.ndarray] | None = None
         self.boundary_labels: dict[tuple, str] = {}
-        self.family: dict | None = None  # set by generators for refinement dispatch
+        # the generators.FamilySpec that built this mesh, which refinement
+        # dispatches on; None for untagged or moved-vertex meshes
+        self.family = None
         # read-only, so a complex on moved vertices can share the lattice
         for arr in chain(self.simplices, self.orientation, self.faces[1:]):
             arr.setflags(write=False)
@@ -163,15 +166,27 @@ class SimplicialComplex:
         counts = np.bincount(self.faces[self.dim].ravel(), minlength=self.num(self.dim - 1))
         return np.flatnonzero(counts == 1).astype(np.int64)
 
+    def boundary_mask(self, k: int) -> np.ndarray:
+        """True where the k-simplex lies in the domain boundary; read-only, cached.
+
+        One walk down from the boundary faces marks their faces, degree by degree.
+        """
+        if self._boundary_masks is None:
+            n = self.dim
+            masks = [np.zeros(self.num(j), dtype=bool) for j in range(n + 1)]
+            masks[n - 1][self.boundary_face_indices()] = True
+            for j in range(n - 1, 0, -1):
+                masks[j - 1][self.faces[j][masks[j]].ravel()] = True
+            for mask in masks:
+                mask.setflags(write=False)
+            self._boundary_masks = masks
+        return self._boundary_masks[k]
+
     def boundary_vertex_mask(self) -> np.ndarray:
-        mask = np.zeros(self.num(0), dtype=bool)
-        bf = self.boundary_face_indices()
-        if len(bf):
-            mask[np.unique(self.simplices[self.dim - 1][bf])] = True
-        return mask
+        return self.boundary_mask(0)
 
     def interior_vertex_indices(self) -> np.ndarray:
-        return np.flatnonzero(~self.boundary_vertex_mask())
+        return np.flatnonzero(~self.boundary_mask(0))
 
     # -- audits ----------------------------------------------------------------
 
@@ -213,7 +228,8 @@ def build_complex(dim: int, vertex_coords, top_cells, validate: bool = True) -> 
     rejected): duplicate vertex coordinates and vertices lying inside a
     non-incident cell both raise ``NonConformingError``.
     """
-    vertices = np.ascontiguousarray(np.atleast_2d(np.asarray(vertex_coords, dtype=float)))
+    # a copy: the complex freezes its vertices and must not freeze the caller's
+    vertices = np.array(vertex_coords, dtype=float, order="C", ndmin=2)
     cells = np.atleast_2d(np.asarray(top_cells, dtype=np.int64))
     if vertices.shape[1] != dim:
         raise MeshError(f"vertex coordinates must be {dim}-dimensional")

@@ -73,26 +73,9 @@ class DualComplex:
         self.circumcenters = circumcenters  # circumcenters[k]: (N_k, n)
         self.volumes = volumes              # volumes[k]: (N_k,) dual volumes
         self._flags: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._boundary_masks: list[np.ndarray] | None = None
         self._primal_volumes: dict[int, np.ndarray] = {}
         for arr in (*circumcenters, *volumes):
             arr.setflags(write=False)
-
-    def boundary_mask(self, k: int) -> np.ndarray:
-        """True where the base k-simplex lies in the domain boundary."""
-        if self._boundary_masks is None:
-            cx = self.complex
-            n = cx.dim
-            masks = [np.zeros(cx.num(j), dtype=bool) for j in range(n + 1)]
-            bf = cx.boundary_face_indices()
-            if len(bf):
-                masks[n - 1][bf] = True
-                for j in range(n - 1, 0, -1):
-                    hot = np.flatnonzero(masks[j])
-                    if len(hot):
-                        masks[j - 1][cx.faces[j][hot].ravel()] = True
-            self._boundary_masks = masks
-        return self._boundary_masks[k]
 
     def flags(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Raw flag arrays (chain (M, n-k+1), sign (M,), signed volume (M,)).
@@ -117,7 +100,7 @@ class DualComplex:
             for i in mine
         )
         return DualCell(k, index, float(self.volumes[k][index]),
-                        bool(self.boundary_mask(k)[index]), frags)
+                        bool(self.complex.boundary_mask(k)[index]), frags)
 
     def dual_boundary_matrix(self, k: int) -> sp.csr_matrix:
         """Boundary of dual cells: C_{n-k}(dual) -> C_{n-k-1}(dual).

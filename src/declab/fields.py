@@ -323,7 +323,7 @@ def consistency_probe(field: FormField, cx: SimplicialComplex, dual: DualComplex
     dual_expr = Cochain(k, "primal", sd.apply(rhs).values - rhs2.values)
 
     if interior_l2:
-        keep = ~dual.boundary_mask(k)
+        keep = ~cx.boundary_mask(k)
         dvol, pvol = dual.hodge_ratios(k)
         l2_prim = float(np.sqrt(np.sum(
             (pvol[keep] / dvol[keep]) * prim_expr.values[keep] ** 2)))

@@ -23,7 +23,7 @@ midpoints; h halves exactly).  The cube family refines by halving the grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import permutations
 
 import numpy as np
@@ -61,45 +61,34 @@ class FamilySpec:
 
 
 def generate(spec: FamilySpec) -> SimplicialComplex:
-    if spec.family == "pentagon_wheel":
-        cx = _wheel(spec.n_gon)
-    elif spec.family == "corner":
-        cx = _corner(spec.alpha)
-    elif spec.family == "square":
-        cx = _square(spec.pattern)
-    elif spec.family == "cube_kuhn":
+    if spec.family == "cube_kuhn":
         cx = _cube(spec.level)
-        cx.family = {"family": "cube_kuhn", "level": spec.level}
-        return cx
     else:
-        cx = meshio.load(spec.path)
-    for _ in range(spec.level):
-        cx = medial_refine(cx)
-    cx.family = {"family": spec.family, "level": spec.level,
-                 "n_gon": spec.n_gon, "pattern": spec.pattern,
-                 "alpha": spec.alpha, "path": spec.path}
+        if spec.family == "pentagon_wheel":
+            cx = _wheel(spec.n_gon)
+        elif spec.family == "corner":
+            cx = _corner(spec.alpha)
+        elif spec.family == "square":
+            cx = _square(spec.pattern)
+        else:
+            cx = meshio.load(spec.path)
+        for _ in range(spec.level):
+            cx = medial_refine(cx)
+    cx.family = spec
     return cx
 
 
 def refine(cx: SimplicialComplex) -> SimplicialComplex:
-    """One refinement step, dispatching on the family tag."""
-    family = cx.family
-    if family is None:
-        if cx.dim == 2:
-            out = medial_refine(cx)
-            out.family = None
-            return out
-        raise MeshError("refinement of untagged meshes is only supported in 2D")
-    name = family["family"]
-    if name == "cube_kuhn":
-        out = _cube(family["level"] + 1)
-        out.family = {"family": "cube_kuhn", "level": family["level"] + 1}
-        return out
-    if cx.dim != 2:
-        raise MeshError(f"family '{name}' does not support refinement in dim {cx.dim}")
-    out = medial_refine(cx)
-    out.family = dict(family)
-    out.family["level"] = family["level"] + 1
+    """One refinement step, dispatching on the family tag, which advances a level."""
+    spec = cx.family
+    if spec is not None and spec.family == "cube_kuhn":
+        out = _cube(spec.level + 1)
+    elif cx.dim == 2:
+        out = medial_refine(cx)
+    else:
+        name = "untagged meshes" if spec is None else f"family '{spec.family}'"
+        raise MeshError(f"refinement of {name} is only supported in 2D")
+    out.family = None if spec is None else replace(spec, level=spec.level + 1)
     return out
 
 
@@ -112,9 +101,9 @@ def prolongation(coarse: SimplicialComplex) -> sp.csr_matrix:
     puts fine point ``p`` midway between coarse points ``(p - odd(p))/2`` and
     ``(p + odd(p))/2``.  Dispatches on the family tag as ``refine`` does.
     """
-    family = coarse.family
-    if family is not None and family["family"] == "cube_kuhn":
-        m = 2 ** (family["level"] + 1)   # coarse grid cells per side
+    spec = coarse.family
+    if spec is not None and spec.family == "cube_kuhn":
+        m = 2 ** (spec.level + 1)   # coarse grid cells per side
         g = np.arange(2 * m + 1)
         fine = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
         odd = fine % 2

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .dualmesh import DualComplex
-from .errors import SingularStarError, TagMismatchError
+from .errors import SingularStarError, TagMismatchError, ids
 
 Tag = tuple[int, str]  # (degree, "primal" | "dual")
 
@@ -145,7 +145,7 @@ def hodge_star(dual: DualComplex, k: int, side: str = "primal") -> DiagonalOpera
     if np.any(dvol == 0):
         i = int(np.argmax(dvol == 0))
         raise SingularStarError(
-            f"dual volume of {base}-simplex {tuple(dual.complex.simplices[base][i])} "
+            f"dual volume of {base}-simplex {ids(dual.complex.simplices[base][i])} "
             "is zero; inverse star undefined")
     sign = -1 if (k * (n - k)) % 2 else 1
     return DiagonalOperator(sign * pvol, dvol, (k, "dual"), (n - k, "primal"))

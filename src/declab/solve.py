@@ -33,7 +33,7 @@ import scipy.sparse as sp
 from .complex import SimplicialComplex
 from .dualmesh import DualComplex
 from .errors import IterativeSolveError, TrivialProblemError
-from .operators import Cochain, discrete_l2, exterior_derivative, inner_product
+from .operators import Cochain, discrete_l2, exterior_derivative, h1_seminorm, inner_product
 from .problems import ProblemBundle
 
 
@@ -107,8 +107,9 @@ def stiffness_matrix(cx: SimplicialComplex, dual: DualComplex) -> sp.csr_matrix:
 
 def assemble(problem: DirichletProblem) -> AssembledSystem:
     cx = problem.cx
-    interior = cx.interior_vertex_indices()
-    boundary = np.flatnonzero(cx.boundary_vertex_mask())
+    on_boundary = cx.boundary_vertex_mask()
+    interior = np.flatnonzero(~on_boundary)
+    boundary = np.flatnonzero(on_boundary)
     if len(interior) == 0:
         raise TrivialProblemError("no interior vertices: boundary data determines the solution")
     s = stiffness_matrix(cx, problem.dual)
@@ -267,9 +268,8 @@ def _stability(problem: DirichletProblem, omega: Cochain) -> float:
     h^(-1/2) and hide the boundedness being measured.
     """
     dual = problem.dual
-    d0 = exterior_derivative(dual, 0, "primal")
     g_ext = Cochain(0, "primal", problem.boundary_values.astype(float))
-    denom = discrete_l2(dual, problem.rhs) + discrete_l2(dual, d0.apply(g_ext))
+    denom = discrete_l2(dual, problem.rhs) + h1_seminorm(dual, g_ext)
     num = discrete_l2(dual, omega)
     if denom == 0.0:
         return 0.0 if num == 0.0 else float("inf")
@@ -287,11 +287,10 @@ def error_report(problem: DirichletProblem, solution: Cochain,
                  reference: ProblemBundle) -> ErrorReport:
     """Norms of e = R_h u - omega_h: max, discrete L2, discrete H1 seminorm."""
     e = Cochain(0, "primal", reference.u_at(problem.cx.vertices) - solution.values)
-    d0 = exterior_derivative(problem.dual, 0, "primal")
     return ErrorReport(
         max=float(np.max(np.abs(e.values))),
         l2=discrete_l2(problem.dual, e),
-        h1=discrete_l2(problem.dual, d0.apply(e)),
+        h1=h1_seminorm(problem.dual, e),
     )
 
 

@@ -11,7 +11,7 @@ import math
 import os
 import subprocess
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -94,17 +94,16 @@ def max_h(cx) -> float:
         cx.vertices[edges[:, 1]] - cx.vertices[edges[:, 0]], axis=1).max())
 
 
-def _level_specs(spec: FamilySpec, levels: int, cap: int | None):
+def _check_unknowns(spec: FamilySpec, levels: int, cap: int | None) -> None:
+    """Refuse a study before its first level when any level would pass the unknown cap."""
+    if cap is None:
+        return
     for i in range(levels):
-        lspec = FamilySpec(spec.family, i, spec.n_gon, spec.pattern,
-                           spec.alpha, spec.path)
-        if cap is not None:
-            est = generators.estimate_unknowns(lspec)
-            if est is not None and est > cap:
-                raise MemoryGuardError(
-                    f"level {i} of {spec.family} has ~{est} unknowns, above the cap {cap}; "
-                    "raise max_unknowns to proceed")
-        yield i, lspec
+        est = generators.estimate_unknowns(replace(spec, level=i))
+        if est is not None and est > cap:
+            raise MemoryGuardError(
+                f"level {i} of {spec.family} has ~{est} unknowns, above the cap {cap}; "
+                "raise max_unknowns to proceed")
 
 
 def run_convergence_study(spec: FamilySpec, problem: str | ProblemBundle,
@@ -119,13 +118,14 @@ def run_convergence_study(spec: FamilySpec, problem: str | ProblemBundle,
                   "problem": bundle.name, "levels": levels,
                   "tolerance": config.tol, "commit": commit_stamp()},
         columns=list(CONVERGENCE_COLUMNS))
+    _check_unknowns(spec, levels, max_unknowns)
     cx = sol = None
     coarse: list = []   # (S_II, P) of the levels solved so far, as ``solve`` takes them
-    for i, lspec in _level_specs(spec, levels, max_unknowns):
+    for i in range(levels):
         t0 = time.monotonic()
         try:
             if cx is None:
-                cx = generators.generate(lspec)
+                cx = generators.generate(replace(spec, level=0))
             else:
                 fine = generators.refine(cx)
                 if sol.reduced is not None:
@@ -198,10 +198,14 @@ def run_consistency_study(spec: FamilySpec, problem: str | ProblemBundle, k: int
                   "degree": degree, "jitter": jitter, "seed": seed,
                   "interior_l2": interior_l2, "commit": commit_stamp()},
         columns=columns)
+    _check_unknowns(spec, levels, max_unknowns)
     base = None
-    for i, lspec in _level_specs(spec, levels, max_unknowns):
+    for i in range(levels):
         try:
-            base = generators.generate(lspec) if base is None else generators.refine(base)
+            if base is None:
+                base = generators.generate(replace(spec, level=0))
+            else:
+                base = generators.refine(base)
             cx = base
             if jitter:
                 cx = generators.jitter_interior(cx, amplitude=jitter, seed=seed + i)

@@ -169,6 +169,31 @@ def test_vertex_index_out_of_range():
         build_complex(2, [(0, 0), (1, 0), (0, 1)], [(0, 1, 7)])
 
 
+def test_build_complex_leaves_the_callers_vertices_alone():
+    v = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+    cx = build_complex(2, v, [(0, 1, 2)])
+    assert v.flags.writeable and cx.vertices is not v
+    v[0] = (5.0, 5.0)
+    assert np.array_equal(cx.vertices[0], (0.0, 0.0))
+
+
+@pytest.mark.parametrize("spec,counts", [
+    (FamilySpec("pentagon_wheel", level=1), [10, 10, 0]),
+    (FamilySpec("cube_kuhn", level=0), [26, 72, 48, 0]),
+])
+def test_boundary_mask_is_the_closure_of_the_boundary_faces(spec, counts):
+    cx = generate(spec)
+    n = cx.dim
+    faces = [set(row) for row in cx.simplices[n - 1][cx.boundary_face_indices()].tolist()]
+    for k in range(n + 1):
+        mask = cx.boundary_mask(k)
+        expected = [any(set(row) <= f for f in faces) for row in cx.simplices[k].tolist()]
+        assert mask.tolist() == expected
+        assert mask.sum() == counts[k]
+        assert not mask.flags.writeable and cx.boundary_mask(k) is mask
+    assert cx.boundary_vertex_mask() is cx.boundary_mask(0)
+
+
 def test_boundary_vertex_detection():
     cx = generate(FamilySpec("pentagon_wheel", level=1))
     mask = cx.boundary_vertex_mask()

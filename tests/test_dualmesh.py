@@ -174,7 +174,7 @@ def test_violated_well_centeredness_refused_in_3d():
 def test_boundary_flags():
     cx = generate(FamilySpec("pentagon_wheel", level=1))
     dual = build_dual(cx)
-    assert dual.boundary_mask(0).sum() == 10
+    assert dual.complex.boundary_mask(0).sum() == 10
     assert not dual.cell(0, 0).is_boundary  # hub
 
 

@@ -95,7 +95,14 @@ def test_cube_refine_halves_grid():
     cx = generate(FamilySpec("cube_kuhn", level=0))
     fine = refine(cx)
     assert fine.num(3) == 8 * cx.num(3)
-    assert fine.family["level"] == 1
+    assert fine.family.level == 1
+
+
+def test_refine_advances_the_family_spec():
+    spec = FamilySpec("corner", level=1, alpha=1.5 * math.pi)
+    fine = refine(generate(spec))
+    assert fine.family == FamilySpec("corner", level=2, alpha=1.5 * math.pi)
+    assert refine(fine).family.level == 3
 
 
 def test_refine_from_file_2d_is_medial(tmp_path):

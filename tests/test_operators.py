@@ -181,10 +181,30 @@ def test_max_norm(pentagon2):
 def test_singular_star_raises_on_cube():
     cx = generate(FamilySpec("cube_kuhn", level=0))
     dual = build_dual(cx)
-    with pytest.raises(SingularStarError, match="dual volume"):
-        hodge_star(dual, 2, "dual")  # inverts the edge star, which has zeros
+    # inverts the edge star, which has zeros; the edge prints as plain ints
+    with pytest.raises(SingularStarError, match=r"dual volume of 1-simplex \(0, 4\) is zero"):
+        hodge_star(dual, 2, "dual")
     with pytest.raises(SingularStarError):
         codifferential(dual, 2)
+
+
+def test_inner_product_over_zero_dual_volumes():
+    # the level-0 cube is weakly well-centered: 44 of its 98 edges have zero
+    # dual area, so a dual 2-cochain there carries infinite weight
+    cx = generate(FamilySpec("cube_kuhn", level=0))
+    dual = build_dual(cx)
+    zero = dual.volumes[1] == 0.0
+    assert (zero.sum(), cx.num(1)) == (44, 98)
+    vals = np.arange(1.0, cx.num(1) + 1)
+    c = Cochain(2, "dual", vals)
+    assert inner_product(dual, c, c) == np.inf
+    vals[zero] = 0.0
+    c = Cochain(2, "dual", vals)
+    dvol, pvol = dual.hodge_ratios(1)
+    rest = ~zero
+    expected = np.sum(vals[rest] ** 2 * pvol[rest] / dvol[rest])
+    assert inner_product(dual, c, c) == pytest.approx(expected, rel=1e-14)
+    assert np.isfinite(expected) and expected > 0
 
 
 def test_dual_derivative_norm_grows_like_inverse_h():

@@ -3,8 +3,9 @@ import os
 
 import pytest
 
+from declab import generators
 from declab.cli import main
-from declab.errors import MemoryGuardError
+from declab.errors import MemoryGuardError, WellCenteredError
 from declab.generators import FamilySpec
 from declab.solve import SolverConfig
 from declab.study import (CONVERGENCE_COLUMNS, StudyAborted, emit, fit_rate,
@@ -85,6 +86,19 @@ def test_memory_guard_refuses_large_levels():
     with pytest.raises(MemoryGuardError, match="unknowns"):
         run_convergence_study(FamilySpec("pentagon_wheel"), "trig2d", 9,
                               max_unknowns=1000)
+
+
+@pytest.mark.parametrize("run", [
+    lambda spec, cap: run_convergence_study(spec, "trig2d", 6, max_unknowns=cap),
+    lambda spec, cap: run_consistency_study(spec, "trig2d", 0, 6, max_unknowns=cap),
+], ids=["convergence", "consistency"])
+def test_memory_guard_refuses_before_level_zero(monkeypatch, run):
+    # level 4 has 601 unknowns, level 5 has 2481: nothing may be built first
+    calls = []
+    monkeypatch.setattr(generators, "generate", calls.append)
+    with pytest.raises(MemoryGuardError, match="level 5 of pentagon_wheel has ~2481"):
+        run(FamilySpec("pentagon_wheel"), 1000)
+    assert calls == []
 
 
 def test_aborted_study_keeps_partial_report():
@@ -214,6 +228,23 @@ def test_cli_errors_exit_nonzero(tmp_path, capsys):
     rc = main(["study", "convergence", "--family", "pentagon_wheel",
                "--problem", "trig2d", "--levels", "9", "--max-unknowns", "100"])
     assert rc == 1
+
+
+def test_cli_aborted_study_writes_partial_report(tmp_path, capsys):
+    # the strong jitter leaves level 2 off-centered
+    out = tmp_path / "r.csv"
+    argv = ["study", "consistency", "--family", "pentagon_wheel", "--ngon", "6",
+            "--field", "trig2d", "--k", "1", "--levels", "4", "--degree", "2",
+            "--jitter", "0.3", "--seed", "1", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("study aborted: level 2 failed")
+    rows = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    assert [row.split(",")[0] for row in rows[1:]] == ["0", "1"]
+    out.unlink()
+    with pytest.raises(StudyAborted) as info:
+        main(argv + ["--debug"])
+    assert isinstance(info.value.cause, WellCenteredError)
+    assert out.read_text().splitlines()[-1].startswith("1,")
 
 
 def test_cli_debug_raises_instead_of_one_line_error(tmp_path, capsys):
