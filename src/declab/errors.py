@@ -47,4 +47,4 @@ class MemoryGuardError(RuntimeError):
 
 
 class TrivialProblemError(ValueError):
-    """The Dirichlet problem has no interior vertices; nothing to solve."""
+    """The mesh has no interior vertices: nothing to solve or probe there."""

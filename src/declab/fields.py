@@ -1,9 +1,11 @@
-"""Continuous-side bridge: form fields, deRham maps, Whitney forms, probes.
+"""Continuous-side bridge: form fields, deRham maps, the Whitney mass matrix, probes.
 
 A ``FormField`` evaluates to antisymmetric coefficient arrays over the
 lexicographically increasing index tuples of its degree.  The Euclidean
 pointwise Hodge star of a field is purely algebraic (a signed permutation of
-components), so starred fields never need hand-derived formulas.
+components), so starred fields never need hand-derived formulas.  Whitney
+forms enter only through their Gram matrix, which is assembled in closed form
+from barycentric gradients.
 """
 from __future__ import annotations
 
@@ -14,11 +16,13 @@ from itertools import combinations
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import geometry
 from .complex import SimplicialComplex
 from .dualmesh import DualComplex
-from .operators import Cochain, hodge_star
+from .errors import TrivialProblemError
+from .operators import Cochain, discrete_l2, hodge_star, laplace, max_norm
 from .quadrature import simplex_rule
 
 
@@ -156,7 +160,7 @@ def derham_dual(field: FormField, dual: DualComplex, degree: int = 4) -> Cochain
                    np.bincount(chain[:, 0], weights=integ, minlength=cx.num(k)))
 
 
-# -- Whitney forms ------------------------------------------------------------------
+# -- Whitney mass matrix ------------------------------------------------------------
 
 
 def _barycentric_gradients(cx: SimplicialComplex) -> np.ndarray:
@@ -167,123 +171,41 @@ def _barycentric_gradients(cx: SimplicialComplex) -> np.ndarray:
     return np.concatenate([g0, grads], axis=1)
 
 
-class WhitneyField:
-    """Piecewise-polynomial form obtained by Whitney interpolation of a cochain."""
+def whitney_mass_matrix(cx: SimplicialComplex, k: int) -> sp.csr_matrix:
+    """Gram matrix of the Whitney k-basis: ||W c||_L2^2 = c^T G c, in closed form.
 
-    def __init__(self, cochain: Cochain, cx: SimplicialComplex):
-        if cochain.side != "primal":
-            raise ValueError("Whitney interpolation applies to primal cochains")
-        self.cochain = cochain
-        self.cx = cx
-        self.degree = cochain.degree
-        n = cx.dim
-        k = cochain.degree
-        self._grads = _barycentric_gradients(cx)
-        subsets = index_tuples(n + 1, k + 1)
-        rows = np.array(subsets, dtype=np.int64)  # (S, k+1) vertex positions
-        cells = cx.simplices[n]
-        face_rows = cells[:, rows]                # (m, S, k+1) vertex ids, sorted
-        self._face_idx = np.stack(
-            [cx.index_of(k, face_rows[:, s, :]) for s in range(len(subsets))], axis=1)
-        self._subsets = rows
-
-    def eval_on_cells(self, cells: np.ndarray, bary: np.ndarray) -> np.ndarray:
-        """Evaluate on given top cells at shared barycentric points.
-
-        cells: (m,) cell indices; bary: (Q, n+1); returns (m, Q, C(n, k)).
-        """
-        cells = np.asarray(cells, dtype=np.int64)
-        coef = self.cochain.values * self.cx.orientation[self.degree]
-        return sum(coef[self._face_idx[cells, s]][:, None, None]
-                   * _single_basis_values(self, cells, s, bary)
-                   for s in range(len(self._subsets)))
-
-    def derivative_on_cells(self, cells: np.ndarray) -> np.ndarray:
-        """Constant (k+1)-form d(W omega) per top cell: (m, C(n, k+1))."""
-        cx, k, n = self.cx, self.degree, self.cx.dim
-        cells = np.asarray(cells, dtype=np.int64)
-        m = len(cells)
-        combos = index_tuples(n, k + 1)
-        out = np.zeros((m, len(combos)))
-        grads = self._grads[cells]
-        vals = self.cochain.values
-        fact = math.factorial(k + 1)
-        for s, pos in enumerate(self._subsets):
-            fidx = self._face_idx[cells, s]
-            coef = vals[fidx] * cx.orientation[k][fidx]
-            gsel = grads[:, list(pos), :]              # (m, k+1, n)
-            for c, rho in enumerate(combos):
-                minors = np.linalg.det(gsel[:, :, rho])
-                out[:, c] += coef * minors * fact
-        return out
-
-
-def whitney_l2_norm(cochain: Cochain, cx: SimplicialComplex, degree: int = 4) -> float:
-    """L2 norm of the Whitney interpolant (quadrature exact for its degree)."""
-    w = WhitneyField(cochain, cx)
-    n = cx.dim
-    rule = simplex_rule(n, degree)
-    cells = np.arange(cx.num(n), dtype=np.int64)
-    vals = w.eval_on_cells(cells, rule.points)         # (m, Q, C)
-    dens = (vals ** 2).sum(axis=2)                     # pointwise |W|^2
-    vols = geometry.unsigned_volume(cx.coords_of(n))
-    return float(np.sqrt(np.sum(rule.integrate(dens, vols))))
-
-
-def whitney_mass_matrix(cx: SimplicialComplex, k: int, degree: int = 4):
-    """Gram matrix of the Whitney k-basis: ||W c||_L2^2 = c^T G c.
-
-    Assembled cell by cell from quadrature values of the local basis forms;
-    the integrand is quadratic in barycentric coordinates, so the default
-    quadrature is exact.
+    On a top cell T the basis form of the face [a_0..a_k] is
+    k! sum_i (-1)^i lam_{a_i} dlam_{a_0} ^ .. (no a_i) .. ^ dlam_{a_k}.  Two such
+    terms pair to the integral of lam_a lam_b, |T| (1 + [a = b]) / ((n+1)(n+2)),
+    times the inner product of their wedges of gradients, which is a k x k
+    minor of the Gram matrix grad lam grad lam^T.
     """
-    import scipy.sparse as sp
-
     n = cx.dim
-    rule = simplex_rule(n, max(degree, 2))
-    nk = cx.num(k)
-    cells = np.arange(cx.num(n), dtype=np.int64)
+    grads = _barycentric_gradients(cx)
+    gram = grads @ np.transpose(grads, (0, 2, 1))              # (m, n+1, n+1)
+    sides = index_tuples(n + 1, k)
+    rows = np.array(sides, dtype=np.int64).reshape(len(sides), k)
+    minors = np.linalg.det(gram[:, rows[:, None, :, None], rows[None, :, None, :]])
+    # inc[v, a, u] = (-1)^i where face a, without its i-th vertex v, is side u
+    faces = index_tuples(n + 1, k + 1)
+    inc = np.zeros((n + 1, len(faces), len(sides)))
+    for a, face in enumerate(faces):
+        for i, v in enumerate(face):
+            inc[v, a, sides.index(face[:i] + face[i + 1:])] = (-1) ** i
+    # the 1 of 1 + [a = b] pairs all terms, the [a = b] those dropping one vertex
+    total = inc.sum(axis=0)
+    local = (np.einsum("au,muv,bv->mab", total, minors, total, optimize=True)
+             + np.einsum("xau,muv,xbv->mab", inc, minors, inc, optimize=True))
+    cells = cx.simplices[n]
+    idx = np.stack([cx.index_of(k, cells[:, list(face)]) for face in faces], axis=1)
+    sign = cx.orientation[k][idx]
     vols = geometry.unsigned_volume(cx.coords_of(n))
-    scaffold = WhitneyField(Cochain(k, "primal", np.zeros(nk)), cx)
-    nsub = len(scaffold._subsets)
-    local_vals = [_single_basis_values(scaffold, cells, s, rule.points)
-                  for s in range(nsub)]
-    orient = cx.orientation[k]
-    rows, cols, data = [], [], []
-    for a in range(nsub):
-        fa = scaffold._face_idx[cells, a]
-        for b in range(nsub):
-            fb = scaffold._face_idx[cells, b]
-            integ = np.einsum("mqc,mqc,q->m", local_vals[a], local_vals[b],
-                              rule.weights)
-            rows.append(fa)
-            cols.append(fb)
-            data.append(integ * vols * orient[fa] * orient[fb])
+    local *= (math.factorial(k) ** 2 / ((n + 1) * (n + 2)) * vols[:, None, None]
+              * sign[:, :, None] * sign[:, None, :])
     return sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nk, nk)).tocsr()
-
-
-def _single_basis_values(w: WhitneyField, cells: np.ndarray, subset: int,
-                         bary: np.ndarray) -> np.ndarray:
-    """Values of one local Whitney basis form (with the face's stored
-    orientation) on every cell: (m, Q, C)."""
-    k, n = w.degree, w.cx.dim
-    m, q = len(cells), len(bary)
-    combos = index_tuples(n, k)
-    out = np.zeros((m, q, len(combos)))
-    pos = w._subsets[subset]
-    grads = w._grads[cells]
-    fact = math.factorial(k)
-    for drop in range(k + 1):
-        keep = [pos[j] for j in range(k + 1) if j != drop]
-        gsel = grads[:, keep, :]
-        lam = bary[:, pos[drop]]
-        sgn = (-1) ** drop * fact
-        for c, rho in enumerate(combos):
-            minors = np.linalg.det(gsel[:, :, rho])
-            out[:, :, c] += (minors * sgn)[:, None] * lam[None, :]
-    return out
+        (local.ravel(), (np.repeat(idx, len(faces), axis=1).ravel(),
+                         np.tile(idx, (1, len(faces))).ravel())),
+        shape=(cx.num(k),) * 2).tocsr()
 
 
 # -- consistency probes ----------------------------------------------------------------
@@ -308,8 +230,6 @@ def consistency_probe(field: FormField, cx: SimplicialComplex, dual: DualComplex
     whose base simplex touches the domain boundary (their truncated duals
     carry a slowly decaying layer that masks the sharp interior rate).
     """
-    from .operators import discrete_l2, max_norm
-
     k = field.degree
     n = cx.dim
     star_w = hodge_field(field)
@@ -318,9 +238,11 @@ def consistency_probe(field: FormField, cx: SimplicialComplex, dual: DualComplex
     rhs = derham_dual(star_w, dual, degree)
     prim_expr = Cochain(n - k, "dual", sh.apply(primal).values - rhs.values)
 
+    # star star w = (-1)^(k(n-k)) w bit for bit (hodge_field is a signed
+    # permutation) and R_h is linear, so R_h(star star w) is R_h w up to sign
     sd = hodge_star(dual, n - k, side="dual")
-    rhs2 = derham_primal(hodge_field(star_w), cx, degree)
-    dual_expr = Cochain(k, "primal", sd.apply(rhs).values - rhs2.values)
+    rhs2 = (-1) ** (k * (n - k)) * primal.values
+    dual_expr = Cochain(k, "primal", sd.apply(rhs).values - rhs2)
 
     if interior_l2:
         keep = ~cx.boundary_mask(k)
@@ -357,12 +279,13 @@ def laplace_consistency_probe(bundle, cx: SimplicialComplex, dual: DualComplex,
     """Evaluate Delta_h R_h u - R_h Delta u and its exact two-term decomposition.
 
     Restricted to interior vertices: boundary dual cells are truncated, so the
-    dual Stokes step behind the decomposition only holds away from them.
+    dual Stokes step behind the decomposition only holds away from them.  A
+    mesh without interior vertices raises ``TrivialProblemError``.
     """
-    from .operators import laplace
-
     n = cx.dim
     interior = cx.interior_vertex_indices()
+    if not len(interior):
+        raise TrivialProblemError("no interior vertices: the Laplace probe has nothing to measure")
     ru = derham_primal(bundle.u, cx, degree)
     rf = derham_primal(bundle.f, cx, degree)  # f = delta d u, the continuous image
     lap = laplace(dual, 0)

@@ -274,8 +274,23 @@ def jitter_interior(cx: SimplicialComplex, amplitude: float = 0.1,
 
 
 def estimate_unknowns(spec: FamilySpec) -> int | None:
-    """Interior vertex count, used by the study memory guard."""
+    """Interior vertex count, used by the study memory guard.
+
+    A mesh file is read unaudited (``generate`` audits it) for its level-0
+    counts, which medial refinement advances as (V, E, F, B, V_b) -> (V+E,
+    2E+3F, 4F, 2B, V_b+B) for B boundary edges and V_b boundary vertices; a
+    file outside 2D does not refine past level 0.
+    """
     i = spec.level
+    if spec.family == "from_file":
+        cx = meshio.load(spec.path, validate=False)
+        if cx.dim != 2:
+            return len(cx.interior_vertex_indices()) if i == 0 else None
+        v, e, f = cx.num(0), cx.num(1), cx.num(2)
+        b, vb = len(cx.boundary_face_indices()), int(cx.boundary_mask(0).sum())
+        for _ in range(i):
+            v, e, f, b, vb = v + e, 2 * e + 3 * f, 4 * f, 2 * b, vb + b
+        return v - vb
     if spec.family == "pentagon_wheel":
         n = spec.n_gon
         return 1 + (n * 4 ** i - n * 2 ** i) // 2

@@ -28,10 +28,6 @@ class QuadratureRule:
         """Map nodes onto simplices given as (m, dim+1, n): returns (m, N, n)."""
         return self.points @ coords
 
-    def integrate(self, values: np.ndarray, volumes: np.ndarray) -> np.ndarray:
-        """Combine sampled values (m, N) with simplex volumes (m,)."""
-        return volumes * (values @ self.weights)
-
 
 @lru_cache(maxsize=None)
 def simplex_rule(dim: int, degree: int = 4) -> QuadratureRule:

@@ -214,7 +214,8 @@ def run_consistency_study(spec: FamilySpec, problem: str | ProblemBundle, k: int
                                     interior_l2=interior_l2)
             row = {"level": i, "h": max_h(cx), "err_max": rec.err_max,
                    "err_l2": rec.err_l2_primal_side, "err_dual": rec.err_max_dual_side}
-            if with_lap:
+            # a level without interior vertices leaves the Laplace cells empty
+            if with_lap and len(cx.interior_vertex_indices()):
                 lap = laplace_consistency_probe(bundle, cx, dual, degree=degree)
                 row.update({"lap_total": lap.total_max, "term1": lap.term1_max,
                             "term2": lap.term2_max, "identity_gap": lap.identity_gap})

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -7,16 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from declab import fields, geometry
-from declab.complex import build_complex
 from declab.dualmesh import build_dual
-from declab.fields import (FormField, WhitneyField, consistency_probe,
-                           derham_dual, derham_primal, hodge_field,
-                           laplace_consistency_probe, scalar_field,
-                           volume_field, whitney_l2_norm)
+from declab.errors import TrivialProblemError
+from declab.fields import (FormField, consistency_probe, derham_dual, derham_primal,
+                           hodge_field, laplace_consistency_probe, volume_field,
+                           whitney_mass_matrix)
 from declab.generators import FamilySpec, generate, jitter_interior
-from declab.operators import Cochain, exterior_derivative
+from declab.operators import Cochain, discrete_l2, exterior_derivative
 from declab.problems import get_problem
 from declab.quadrature import simplex_rule
+from declab.solve import stiffness_matrix
 from strategies import jittered_wheels
 
 
@@ -45,14 +46,14 @@ def test_hodge_field_tables_3d():
         assert np.allclose(out, [list(expect)]), i
 
 
-def test_double_hodge_field_sign():
-    for n, k in ((2, 0), (2, 1), (3, 1), (3, 2)):
-        ncomp = math.comb(n, k)
-        rng = np.random.default_rng(n * 10 + k)
-        coeffs = rng.standard_normal(ncomp)
-        f = FormField(k, n, lambda p, c=coeffs: np.repeat(c[None, :], len(p), 0))
-        out = hodge_field(hodge_field(f))(np.zeros((1, n)))
-        assert np.allclose(out, (-1.0) ** (k * (n - k)) * coeffs)
+def test_double_hodge_field_sign(rng):
+    # exact: the dual side of the consistency probe reads R_h(star star w) off R_h w
+    for n in (2, 3):
+        pts = rng.standard_normal((50, n))
+        for k in range(n + 1):
+            f = _plane_waves(n, k)
+            out = hodge_field(hodge_field(f))(pts)
+            assert np.array_equal(out, (-1.0) ** (k * (n - k)) * f(pts)), (n, k)
 
 
 def test_derham_dx_over_edges_exact(pentagon2d):
@@ -174,81 +175,82 @@ def test_dual_derham_memory_is_bounded_by_the_block():
 # -- Whitney forms ------------------------------------------------------------
 
 
-def test_whitney_hat_function(pentagon2d):
-    cx, _ = pentagon2d
-    vals = np.zeros(cx.num(0))
-    vals[0] = 1.0
-    w = WhitneyField(Cochain(0, "primal", vals), cx)
-    cell = int(np.flatnonzero(np.any(cx.simplices[2] == 0, axis=1))[0])
-    p = int(np.flatnonzero(cx.simplices[2][cell] == 0)[0])
-    at_vertex = np.eye(3)[p][None, :]
-    assert w.eval_on_cells(np.array([cell]), at_vertex)[0, 0, 0] == pytest.approx(1.0)
-    # affine on incident cells: value at the midpoint to a neighbor is 1/2
-    mid = 0.5 * (np.eye(3)[p] + np.eye(3)[(p + 1) % 3])[None, :]
-    assert w.eval_on_cells(np.array([cell]), mid)[0, 0, 0] == pytest.approx(0.5)
+def _whitney_meshes():
+    yield generate(FamilySpec("pentagon_wheel", level=2))
+    yield jitter_interior(generate(FamilySpec("pentagon_wheel", 3, n_gon=6)),
+                          amplitude=0.14, seed=100)
+    yield generate(FamilySpec("corner", level=2))
+    yield generate(FamilySpec("cube_kuhn", level=1))
 
 
-def test_whitney_constant_cochain_reproduces_constants(pentagon2d):
-    cx, _ = pentagon2d
-    area = geometry.unsigned_volume(cx.coords_of(2)).sum()
-    nrm = whitney_l2_norm(Cochain(0, "primal", np.ones(cx.num(0))), cx)
-    assert nrm == pytest.approx(math.sqrt(area), rel=1e-12)
+def test_whitney_constant_cochain_reproduces_constants(rng):
+    # Whitney interpolation of R_h alpha is alpha itself for a constant k-form
+    for cx in _whitney_meshes():
+        n = cx.dim
+        area = geometry.unsigned_volume(cx.coords_of(n)).sum()
+        for k in range(n + 1):
+            coef = rng.standard_normal(math.comb(n, k))
+            alpha = FormField(k, n, lambda p, c=coef: np.repeat(c[None, :], len(p), 0))
+            c = derham_primal(alpha, cx, degree=1).values
+            g = whitney_mass_matrix(cx, k)
+            assert c @ (g @ c) == pytest.approx(coef @ coef * area, rel=1e-12), (n, k)
+
+
+def test_whitney_mass_pulls_back_to_the_cotangent_stiffness():
+    # W d = d W, so d0^T G_1 d0 is the P1 stiffness, which in 2D is the
+    # cotangent Laplacian d0^T star_1 d0 (on the 3D Kuhn cube it is not)
+    for cx in (cx for cx in _whitney_meshes() if cx.dim == 2):
+        dual = build_dual(cx)
+        d0 = exterior_derivative(dual, 0, "primal").as_matrix()
+        lhs = (d0.T @ whitney_mass_matrix(cx, 1) @ d0).toarray()
+        rhs = stiffness_matrix(cx, dual).toarray()
+        assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(rhs).max()
 
 
 def test_whitney_hat_norm_closed_form(pentagon2d):
     # oracle: the linear-element mass of a hat is sum |T|/6 over incident cells
     cx, _ = pentagon2d
-    vals = np.zeros(cx.num(0))
-    vals[0] = 1.0
-    nrm = whitney_l2_norm(Cochain(0, "primal", vals), cx)
     vols = geometry.unsigned_volume(cx.coords_of(2))
-    incident = [t for t in range(cx.num(2)) if 0 in cx.simplices[2][t]]
-    assert nrm == pytest.approx(math.sqrt(sum(vols[t] / 6.0 for t in incident)),
-                                rel=1e-12)
+    incident = np.any(cx.simplices[2] == 0, axis=1)
+    g = whitney_mass_matrix(cx, 0)
+    assert g[0, 0] == pytest.approx(vols[incident].sum() / 6.0, rel=1e-12)
 
 
-def test_edge_whitney_form_integrates_to_one():
-    # brute-force quadrature of lam0 d lam1 - lam1 d lam0 along its own edge
-    cx = build_complex(2, [(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
-    e01 = int(cx.index_of(1, [(0, 1)])[0])
-    vals = np.zeros(cx.num(1))
-    vals[e01] = 1.0
-    w = WhitneyField(Cochain(1, "primal", vals), cx)
-    rule = simplex_rule(1, 6)
-    t = rule.points[:, 1]
-    total = 0.0
-    for q, wq in zip(t, rule.weights):
-        lam = np.array([[1 - q, q, 0.0]])
-        comps = w.eval_on_cells(np.array([0]), lam)[0, 0]
-        total += wq * comps[0]  # tangent (1, 0), edge length 1
-    assert total == pytest.approx(1.0, rel=1e-12)
+def _whitney_gram_by_quadrature(cx, k):
+    """Oracle: the Gram matrix from point values of the local Whitney forms
+    k! sum_i (-1)^i lam_i dlam_0 ^ .. (no i) .. ^ dlam_k, by a degree-2 rule."""
+    n = cx.dim
+    rule = simplex_rule(n, 2)
+    grads = fields._barycentric_gradients(cx)
+    vols = geometry.unsigned_volume(cx.coords_of(n))
+    vals, idx = [], []
+    for face in combinations(range(n + 1), k + 1):
+        v = 0.0
+        for i, drop in enumerate(face):
+            keep = grads[:, [a for a in face if a != drop], :]
+            wedge = np.stack([np.linalg.det(keep[:, :, list(rho)])
+                              for rho in combinations(range(n), k)], axis=1)
+            v = v + (-1) ** i * rule.points[None, :, drop, None] * wedge[:, None, :]
+        vals.append(math.factorial(k) * v)
+        idx.append(cx.index_of(k, cx.simplices[n][:, list(face)]))
+    g = np.zeros((cx.num(k), cx.num(k)))
+    for va, ia in zip(vals, idx):
+        for vb, ib in zip(vals, idx):
+            local = vols * np.einsum("mqc,mqc,q->m", va, vb, rule.weights)
+            np.add.at(g, (ia, ib), local * cx.orientation[k][ia] * cx.orientation[k][ib])
+    return g
 
 
-def test_whitney_commutes_with_derivative(pentagon2d, rng):
-    cx, dual = pentagon2d
-    for k in (0, 1):
-        c = Cochain(k, "primal", rng.standard_normal(cx.num(k)))
-        w = WhitneyField(c, cx)
-        dc = exterior_derivative(dual, k, "primal").apply(c)
-        wd = WhitneyField(dc, cx)
-        rule = simplex_rule(2, 4)
-        cells = np.arange(cx.num(2))
-        const = w.derivative_on_cells(cells)
-        other = wd.eval_on_cells(cells, rule.points)
-        gap = np.abs(other - const[:, None, :]).max()
-        assert gap <= 1e-10
-
-
-def test_whitney_mass_matrix_matches_direct_quadrature(pentagon2d, rng):
-    from declab.fields import whitney_mass_matrix
-    cx, _ = pentagon2d
-    for k in (0, 1):
-        g = whitney_mass_matrix(cx, k)
-        assert abs(g - g.T).max() <= 1e-13 * abs(g).max()
-        for _ in range(5):
+def test_whitney_mass_matrix_matches_direct_quadrature(rng):
+    for cx in (generate(FamilySpec("pentagon_wheel", level=2)),
+               generate(FamilySpec("cube_kuhn", level=0))):
+        for k in range(cx.dim + 1):
+            g = whitney_mass_matrix(cx, k)
+            assert abs(g - g.T).max() <= 1e-13 * abs(g).max()
+            quad = _whitney_gram_by_quadrature(cx, k)
+            assert np.abs(g.toarray() - quad).max() <= 1e-12 * np.abs(quad).max()
             v = rng.standard_normal(cx.num(k))
-            quad = whitney_l2_norm(Cochain(k, "primal", v), cx)
-            assert math.sqrt(v @ (g @ v)) == pytest.approx(quad, rel=1e-12)
+            assert v @ (g @ v) == pytest.approx(v @ quad @ v, rel=1e-12)
 
 
 def test_whitney_norm_equivalence_smoke(rng):
@@ -256,9 +258,9 @@ def test_whitney_norm_equivalence_smoke(rng):
     for level in (1, 2, 3):
         cx = generate(FamilySpec("pentagon_wheel", level=level))
         dual = build_dual(cx)
-        from declab.operators import discrete_l2
         c = Cochain(0, "primal", rng.standard_normal(cx.num(0)))
-        ratios.append(whitney_l2_norm(c, cx) / discrete_l2(dual, c))
+        g = whitney_mass_matrix(cx, 0)
+        ratios.append(math.sqrt(c.values @ (g @ c.values)) / discrete_l2(dual, c))
     assert 0.3 < min(ratios) and max(ratios) < 3.0
 
 
@@ -300,6 +302,12 @@ def test_laplace_probe_identity_gap(pentagon2d):
     rec = laplace_consistency_probe(b, cx, dual, degree=6)
     assert rec.identity_gap <= 1e-8
     assert rec.total_max > 0
+
+
+def test_laplace_probe_refuses_a_mesh_without_interior_vertices():
+    cx = generate(FamilySpec("square", level=0, pattern=1))
+    with pytest.raises(TrivialProblemError, match="no interior vertices"):
+        laplace_consistency_probe(get_problem("trig2d"), cx, build_dual(cx))
 
 
 def test_missing_analytic_field_errors():

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from declab.generators import (DEFAULT_ALPHA, FamilySpec, _label_slit, estimate_
                                generate, jitter_interior, medial_refine, prolongation, refine)
 
 C_PENTAGON = math.sqrt(2 - 2 * math.cos(2 * math.pi / 5))
+FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "pentagon_level2.decmesh")
 
 
 def test_pentagon_initial_mesh_size():
@@ -153,6 +155,20 @@ def test_estimate_unknowns_matches_actual():
             est = estimate_unknowns(spec)
             actual = len(generate(spec).interior_vertex_indices())
             assert est == actual, (fam, kw, level)
+
+
+def test_estimate_unknowns_reads_mesh_files(tmp_path):
+    corner = tmp_path / "corner.decmesh"
+    meshio.save(generate(FamilySpec("corner", level=1)), corner)
+    for path in (FIXTURE, str(corner)):
+        for level in range(3):
+            spec = FamilySpec("from_file", level=level, path=path)
+            assert estimate_unknowns(spec) == len(generate(spec).interior_vertex_indices())
+    # a 3D file does not refine, so it has a count at level 0 only
+    cube = tmp_path / "cube.decmesh"
+    meshio.save(generate(FamilySpec("cube_kuhn", level=1)), cube)
+    assert estimate_unknowns(FamilySpec("from_file", path=str(cube))) == 27
+    assert estimate_unknowns(FamilySpec("from_file", level=1, path=str(cube))) is None
 
 
 def test_jitter_moves_interior_only():

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from declab import generators
+from declab import generators, study
 from declab.cli import main
 from declab.errors import MemoryGuardError, WellCenteredError
 from declab.generators import FamilySpec
@@ -99,6 +99,34 @@ def test_memory_guard_refuses_before_level_zero(monkeypatch, run):
     with pytest.raises(MemoryGuardError, match="level 5 of pentagon_wheel has ~2481"):
         run(FamilySpec("pentagon_wheel"), 1000)
     assert calls == []
+
+
+def test_memory_guard_covers_studies_on_a_mesh_file(monkeypatch):
+    # the fixture's levels 0-2 have 31, 141 and 601 unknowns
+    solves = []
+    monkeypatch.setattr(study, "solve", lambda *args: solves.append(args))
+    with pytest.raises(MemoryGuardError, match="level 0 of from_file has ~31 unknowns"):
+        main(["study", "convergence", "--mesh", FIXTURE, "--problem", "trig2d",
+              "--levels", "3", "--max-unknowns", "10", "--debug"])
+    assert solves == []
+
+
+@pytest.mark.parametrize("family", [
+    ["--family", "corner", "--field", "corner"],
+    ["--family", "square", "--pattern", "1", "--field", "trig2d"],
+], ids=["corner", "square1"])
+def test_consistency_study_leaves_laplace_cells_empty_without_interior(tmp_path, family):
+    # level 0 of both families has every vertex on the boundary
+    out = tmp_path / "r.csv"
+    assert main(["study", "consistency", *family, "--k", "0", "--levels", "3",
+                 "--out", str(out)]) == 0
+    lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    header = lines[0].split(",")
+    rows = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+    assert [row["level"] for row in rows] == ["0", "1", "2"]
+    for row in rows:
+        lap = [row[c] for c in ("lap_total", "term1", "term2")]
+        assert (lap == ["", "", ""]) == (row["level"] == "0"), row
 
 
 def test_aborted_study_keeps_partial_report():
