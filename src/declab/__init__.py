@@ -8,7 +8,7 @@ and convergence / consistency study tooling.
 __version__ = "0.1.0"
 
 from .complex import ShapeReport, SimplicialComplex, build_complex
-from .dualmesh import DualCell, DualComplex, build_dual
+from .dualmesh import DualComplex, build_dual
 from .generators import FamilySpec, generate, jitter_interior, refine
 from .geometry import circumcenter
 from .operators import (Cochain, codifferential, discrete_l2, exterior_derivative,
@@ -19,7 +19,7 @@ from .study import run_consistency_study, run_convergence_study
 
 __all__ = [
     "SimplicialComplex", "ShapeReport", "build_complex",
-    "DualComplex", "DualCell", "build_dual", "circumcenter",
+    "DualComplex", "build_dual", "circumcenter",
     "FamilySpec", "generate", "refine", "jitter_interior",
     "Cochain", "hodge_star", "exterior_derivative", "codifferential",
     "laplace", "inner_product", "discrete_l2",

@@ -14,10 +14,9 @@ import argparse
 import sys
 
 from . import generators, meshio, study
-from .dualmesh import build_dual
 from .generators import FamilySpec
 from .problems import get_problem
-from .solve import SolverConfig, dump_solution, error_report, make_problem, solve
+from .solve import SolverConfig, dump_solution
 from .study import StudyAborted, emit, render, run_consistency_study, run_convergence_study
 
 
@@ -135,12 +134,16 @@ def main(argv=None) -> int:
             return 0
         if args.command == "solve":
             spec = _family_spec(args)
-            cx = generators.generate(spec)
-            dual = build_dual(cx)
             bundle = get_problem(args.problem, args.mu)
-            prob = make_problem(cx, dual, bundle)
-            rep = solve(prob, SolverConfig(tol=args.tol, max_iterations=args.max_iterations))
-            err = error_report(prob, rep.solution, bundle)
+            # the coarser levels only give the V-cycle its prolongations
+            prolongations, coarse = [], None
+            for cx in generators.walk(spec, spec.level + 1):
+                if coarse is not None:
+                    prolongations.append(generators.interior_prolongation(coarse, cx))
+                coarse = cx
+            rep, err = study.solve_level(
+                cx, bundle, SolverConfig(tol=args.tol, max_iterations=args.max_iterations),
+                prolongations)
             print(f"unknowns = {len(cx.interior_vertex_indices())}")
             print(f"iterations = {rep.iterations}  residual = {rep.residual:.3e}")
             print(f"energy = {rep.energy:.9e}  stability = {rep.stability_constant:.6f}")

@@ -39,7 +39,6 @@ through existing flags, no mirroring.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,22 +48,6 @@ from .complex import SimplicialComplex
 from .errors import WellCenteredError, ids
 
 WELL_CENTERED_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class DualFragment:
-    chain: tuple[int, ...]  # simplex indices at dimensions k, k+1, ..., n
-    sign: int               # orientation coefficient in the dual chain
-    volume: float           # side-signed orthoscheme measure
-
-
-@dataclass(frozen=True)
-class DualCell:
-    degree: int             # dimension k of the base simplex
-    base: int               # index of the base simplex
-    volume: float           # |dual cell|, the (n-k)-dimensional measure
-    is_boundary: bool
-    fragments: tuple[DualFragment, ...]
 
 
 class DualComplex:
@@ -88,19 +71,6 @@ class DualComplex:
                 arr.setflags(write=False)
             self._flags[k] = arrays
         return self._flags[k]
-
-    def cell(self, k: int, index: int) -> DualCell:
-        num = self.complex.num(k)
-        if not 0 <= index < num:
-            raise IndexError(f"no {k}-simplex {index}: indices run over [0, {num})")
-        chain, sign, vol = self.flags(k)
-        mine = np.flatnonzero(chain[:, 0] == index)
-        frags = tuple(
-            DualFragment(tuple(int(x) for x in chain[i]), int(sign[i]), float(vol[i]))
-            for i in mine
-        )
-        return DualCell(k, index, float(self.volumes[k][index]),
-                        bool(self.complex.boundary_mask(k)[index]), frags)
 
     def dual_boundary_matrix(self, k: int) -> sp.csr_matrix:
         """Boundary of dual cells: C_{n-k}(dual) -> C_{n-k-1}(dual).

@@ -266,11 +266,8 @@ def consistency_probe(field: FormField, cx: SimplicialComplex, dual: DualComplex
 class LaplaceConsistencyRecord:
     """Interior-vertex consistency of the 0-form Hodge-Laplace and its two-term split."""
     total_max: float
-    total_l2: float
     term1_max: float   # star d (star R - R star) d u  : the non-decaying term
-    term1_l2: float
     term2_max: float   # (star R - R star) d star d u  : the O(h) term
-    term2_l2: float
     identity_gap: float  # max |total - (term1 - term2)| at interior vertices
 
 
@@ -302,18 +299,11 @@ def laplace_consistency_probe(bundle, cx: SimplicialComplex, dual: DualComplex,
     t2_rhs = -rf.values
     term2 = t2_lhs - t2_rhs
 
-    weights = dual.volumes[0][interior]
-
-    def l2(x):
-        return float(np.sqrt(np.sum(weights * x[interior] ** 2)))
-
     def mx(x):
         return float(np.max(np.abs(x[interior])))
 
     gap = mx(total - (term1 - term2))
     return LaplaceConsistencyRecord(
-        total_max=mx(total), total_l2=l2(total),
-        term1_max=mx(term1), term1_l2=l2(term1),
-        term2_max=mx(term2), term2_l2=l2(term2),
+        total_max=mx(total), term1_max=mx(term1), term2_max=mx(term2),
         identity_gap=gap,
     )

@@ -23,6 +23,7 @@ midpoints; h halves exactly).  The cube family refines by halving the grid.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from itertools import permutations
 
@@ -92,6 +93,18 @@ def refine(cx: SimplicialComplex) -> SimplicialComplex:
     return out
 
 
+def walk(spec: FamilySpec, levels: int) -> Iterator[SimplicialComplex]:
+    """The meshes of levels 0 to ``levels - 1``: ``generate`` at level 0, then ``refine``.
+
+    Each mesh is refined from the one before it, so ``interior_prolongation``
+    maps between consecutive meshes.
+    """
+    cx = None
+    for _ in range(levels):
+        cx = generate(replace(spec, level=0)) if cx is None else refine(cx)
+        yield cx
+
+
 def prolongation(coarse: SimplicialComplex) -> sp.csr_matrix:
     """Linear interpolation of vertex values from ``coarse`` to ``refine(coarse)``.
 
@@ -120,6 +133,16 @@ def prolongation(coarse: SimplicialComplex) -> sp.csr_matrix:
     # a fine vertex that is a coarse vertex gets its two halves summed to 1
     return sp.csr_matrix((np.full(2 * nf, 0.5), (rows, np.concatenate(ends))),
                          shape=(nf, coarse.num(0)))
+
+
+def interior_prolongation(coarse: SimplicialComplex, fine: SimplicialComplex) -> sp.csr_matrix:
+    """``prolongation`` from the interior vertices of ``coarse`` to those of ``fine``.
+
+    Boundary values are fixed, so a correction vanishes there and only the
+    interior block of the interpolation acts on it.
+    """
+    p = prolongation(coarse)[fine.interior_vertex_indices()]
+    return p[:, coarse.interior_vertex_indices()]
 
 
 def medial_refine(cx: SimplicialComplex) -> SimplicialComplex:

@@ -9,17 +9,18 @@ the reduced interior system S_II is SPD and every solve is by preconditioned
 conjugate gradients.
 
 The preconditioner is a symmetric geometric V-cycle when the caller passes the
-coarser levels of a nested refinement hierarchy, as convergence studies do:
-each level's S_II with the exact interpolation ``generators.prolongation``
-restricted to interior vertices.  Because the interpolation nests the P1
-spaces, P^T S_II,fine P equals the coarse S_II, so the stored blocks are the
-Galerkin coarse operators; the cycle smooths with damped Jacobi and solves the
-coarsest level (1 to 3 unknowns for the generated families) by its dense
-inverse.  The iteration count then stays flat under refinement instead of
-doubling per level.  A solve without a hierarchy (one mesh, a file at level 0)
-uses Jacobi, the diagonal of S_II, as does one whose coarsest level has
-``DENSE_CUTOFF`` unknowns or more.  No reduction goes through BLAS, so the
-solution does not depend on the BLAS thread count.
+interior prolongations of a nested refinement hierarchy below the mesh
+(``generators.interior_prolongation``), as convergence studies and the CLI's
+``solve`` do.  Each coarse operator is the Galerkin product P^T A P of the one
+above it, formed once per solve from the finest S_II: the interpolation nests
+the P1 spaces, so the product is the coarse level's own S_II, and the coarse
+levels need a mesh for P but no dual and no assembly.  The cycle smooths with
+damped Jacobi and solves the coarsest level (1 to 3 unknowns for the generated
+families) by its dense inverse, so the iteration count stays flat under
+refinement instead of doubling per level.  A solve with no coarser level (level
+0, a 3D mesh file), or whose coarsest level has ``DENSE_CUTOFF`` unknowns or
+more, is preconditioned by Jacobi, the diagonal of S_II.  No reduction goes
+through BLAS, so the solution does not depend on the BLAS thread count.
 """
 from __future__ import annotations
 
@@ -69,11 +70,9 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    stiffness: sp.csr_matrix      # full S = d0^T star_1 d0, symmetric
     reduced: sp.csr_matrix        # interior block S_II
     load: np.ndarray              # b_I = (star_0 R_h f)_I - S_IB g_B
     interior: np.ndarray
-    boundary: np.ndarray
     zero_weight_edges: np.ndarray  # edges with |dual| = 0 (weakly well-centered)
 
 
@@ -87,9 +86,6 @@ class SolveReport:
     # relative residual per CG iteration, from 1.0 at iteration 0; a trivial
     # solve records its one final residual
     residual_history: tuple[float, ...]
-    # the interior block S_II, which a study keeps as a coarse level of the
-    # next solve; None for a trivial problem
-    reduced: sp.csr_matrix | None = None
 
 
 def stiffness_matrix(cx: SimplicialComplex, dual: DualComplex) -> sp.csr_matrix:
@@ -117,7 +113,7 @@ def assemble(problem: DirichletProblem) -> AssembledSystem:
     s_ib = s[interior][:, boundary].tocsr()
     b = problem.dual.volumes[0][interior] * problem.rhs.values[interior] \
         - s_ib @ problem.boundary_values[boundary]
-    return AssembledSystem(s, s_ii, b, interior, boundary,
+    return AssembledSystem(s_ii, b, interior,
                            np.flatnonzero(problem.dual.volumes[1] == 0.0))
 
 
@@ -174,39 +170,49 @@ def _dot(u: np.ndarray, v: np.ndarray) -> float:
     return np.einsum("i,i", u, v)
 
 
-def v_cycle(a: sp.csr_matrix, coarse: Sequence[tuple[sp.csr_matrix, sp.csr_matrix]]
+def v_cycle(a: sp.csr_matrix, prolongations: Sequence[sp.csr_matrix]
             ) -> Callable[[np.ndarray], np.ndarray] | None:
     """A symmetric V(2, 2)-cycle on a nested hierarchy, as a CG preconditioner.
 
-    ``coarse`` lists the coarser levels, coarsest first, as pairs
-    ``(a_j, p_j)``: the level's interior stiffness and the prolongation from its
-    interior to the next finer level's (the last one into ``a``'s).  Galerkin
-    holds on the interior blocks, ``p_j^T a_(j+1) p_j = a_j``, so the stored
-    blocks are the coarse operators.  The cycle smooths with damped Jacobi on
-    every level above the coarsest and solves the coarsest exactly; equal pre-
-    and post-sweeps of a symmetric smoother keep the preconditioner SPD.
-    Returns None when the coarsest level has ``DENSE_CUTOFF`` unknowns or
-    more, too many for its dense inverse.
+    ``prolongations`` maps each coarser level's interior unknowns to the next
+    finer level's, coarsest first, the last one into ``a``'s.  Each coarse
+    operator is the Galerkin product ``p^T a_fine p``, formed here once.
+    Leading prolongations from a level without interior vertices are skipped.
+    The cycle smooths with damped Jacobi on every level above the coarsest and
+    solves the coarsest exactly; equal pre- and post-sweeps of a symmetric
+    smoother keep the preconditioner SPD.  Returns None when no coarser level
+    is left or the coarsest has ``DENSE_CUTOFF`` unknowns or more, too many for
+    its dense inverse.
     """
-    if not coarse or coarse[0][0].shape[0] >= DENSE_CUTOFF:
+    # an interior vertex stays interior under refinement, so empty levels lead
+    ps = [p for p in prolongations if p.shape[1]]
+    if not ps or ps[0].shape[1] >= DENSE_CUTOFF:
         return None
-    inv = _spd_inverse(coarse[0][0].toarray())
-    mats = [m for m, _ in coarse[1:]] + [a]
-    levels = [(m, JACOBI_DAMPING / m.diagonal(), p) for m, (_, p) in zip(mats, coarse)]
+    mats = [a]
+    for p in reversed(ps):
+        mats.append((p.T @ mats[-1] @ p).tocsr())
+    inv = _spd_inverse(mats.pop().toarray())
+    levels = [(m, JACOBI_DAMPING / m.diagonal(), p) for m, p in zip(reversed(mats), ps)]
+    return lambda r: _cycle(levels, inv, len(levels) - 1, r)
 
-    def cycle(j: int, r: np.ndarray) -> np.ndarray:
-        if j < 0:
-            return (inv * r).sum(axis=1)
-        m, wdinv, p = levels[j]
-        x = wdinv * r
-        for _ in range(SWEEPS - 1):
-            x += wdinv * (r - m @ x)
-        x += p @ cycle(j - 1, p.T @ (r - m @ x))
-        for _ in range(SWEEPS):
-            x += wdinv * (r - m @ x)
-        return x
 
-    return lambda r: cycle(len(levels) - 1, r)
+def _cycle(levels: list, inv: np.ndarray, j: int, r: np.ndarray) -> np.ndarray:
+    """The V-cycle from level ``j`` down; ``levels[j]`` is (operator, damped inverse
+    diagonal, prolongation from level j - 1) and ``inv`` inverts the coarsest.
+
+    A module function, not a closure over itself: a self-referencing closure
+    would keep every operator of a solve alive until the cyclic collector runs.
+    """
+    if j < 0:
+        return (inv * r).sum(axis=1)
+    m, wdinv, p = levels[j]
+    x = wdinv * r
+    for _ in range(SWEEPS - 1):
+        x += wdinv * (r - m @ x)
+    x += p @ _cycle(levels, inv, j - 1, p.T @ (r - m @ x))
+    for _ in range(SWEEPS):
+        x += wdinv * (r - m @ x)
+    return x
 
 
 def _spd_inverse(a: np.ndarray) -> np.ndarray:
@@ -228,15 +234,14 @@ def _spd_inverse(a: np.ndarray) -> np.ndarray:
 
 
 def solve(problem: DirichletProblem, config: SolverConfig = SolverConfig(),
-          coarse: Sequence[tuple[sp.csr_matrix, sp.csr_matrix]] = ()) -> SolveReport:
+          prolongations: Sequence[sp.csr_matrix] = ()) -> SolveReport:
     """Solve the Dirichlet problem; trivial (all-boundary) meshes return g itself.
 
-    ``coarse`` is the refinement hierarchy below this mesh, in the form
+    ``prolongations`` is the refinement hierarchy below this mesh, in the form
     ``v_cycle`` takes.  CG is preconditioned by the V-cycle when there is one
     and its coarsest level has fewer than ``DENSE_CUTOFF`` unknowns, and by
     Jacobi otherwise.
     """
-    cx = problem.cx
     omega = problem.boundary_values.astype(float).copy()
     try:
         system = assemble(problem)
@@ -244,12 +249,12 @@ def solve(problem: DirichletProblem, config: SolverConfig = SolverConfig(),
         sol = Cochain(0, "primal", omega)
         return SolveReport(sol, 0, 0.0, _energy(problem, sol),
                            _stability(problem, sol), (0.0,))
-    x, iters, rel, history = pcg(system.reduced, system.load, config.tol,
-                                 config.max_iterations, v_cycle(system.reduced, coarse))
+    x, iters, rel, history = pcg(system.reduced, system.load, config.tol, config.max_iterations,
+                                 v_cycle(system.reduced, prolongations))
     omega[system.interior] = x
     sol = Cochain(0, "primal", omega)
     return SolveReport(sol, iters, rel, _energy(problem, sol), _stability(problem, sol),
-                       tuple(history), system.reduced)
+                       tuple(history))
 
 
 def _energy(problem: DirichletProblem, omega: Cochain) -> float:

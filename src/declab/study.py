@@ -119,43 +119,30 @@ def run_convergence_study(spec: FamilySpec, problem: str | ProblemBundle,
                   "tolerance": config.tol, "commit": commit_stamp()},
         columns=list(CONVERGENCE_COLUMNS))
     _check_unknowns(spec, levels, max_unknowns)
-    cx = sol = None
-    coarse: list = []   # (S_II, P) of the levels solved so far, as ``solve`` takes them
-    for i in range(levels):
-        t0 = time.monotonic()
-        try:
-            if cx is None:
-                cx = generators.generate(replace(spec, level=0))
-            else:
-                fine = generators.refine(cx)
-                if sol.reduced is not None:
-                    coarse.append((sol.reduced, _interior_prolongation(cx, fine)))
-                cx = fine
-            sol, err = _solve_level(cx, bundle, config, coarse)
-        except Exception as exc:
-            raise StudyAborted(f"level {i} failed: {exc}", report, exc) from exc
-        seconds = 0.0 if deterministic else time.monotonic() - t0
-        row = {"level": i, "h": max_h(cx), "err_max": err.max, "err_h1": err.h1,
-               "err_l2": err.l2, "iters": sol.iterations, "seconds": seconds,
-               "stability": sol.stability_constant, "energy": sol.energy}
-        _append_row(report, row)
+    prolongations, coarse = [], None
+    t0 = time.monotonic()
+    try:
+        for i, cx in enumerate(generators.walk(spec, levels)):
+            if coarse is not None:
+                prolongations.append(generators.interior_prolongation(coarse, cx))
+            coarse = cx
+            sol, err = solve_level(cx, bundle, config, prolongations)
+            seconds = 0.0 if deterministic else time.monotonic() - t0
+            row = {"level": i, "h": max_h(cx), "err_max": err.max, "err_h1": err.h1,
+                   "err_l2": err.l2, "iters": sol.iterations, "seconds": seconds,
+                   "stability": sol.stability_constant, "energy": sol.energy}
+            _append_row(report, row)
+            t0 = time.monotonic()
+    except Exception as exc:
+        # every finished level has appended its row, so the row count is the failed level
+        raise StudyAborted(f"level {len(report.rows)} failed: {exc}", report, exc) from exc
     return report
 
 
-def _interior_prolongation(coarse, fine):
-    """``generators.prolongation`` from the interior vertices of ``coarse`` to those of ``fine``.
-
-    Boundary values are fixed, so a correction vanishes there and only the
-    interior block of the interpolation acts on it.
-    """
-    p = generators.prolongation(coarse)[fine.interior_vertex_indices()]
-    return p[:, coarse.interior_vertex_indices()]
-
-
-def _solve_level(cx, bundle: ProblemBundle, config: SolverConfig, coarse: list):
+def solve_level(cx, bundle: ProblemBundle, config: SolverConfig, prolongations: list):
     """(solve report, error report) on one level; its dual and problem die on return."""
     prob = make_problem(cx, build_dual(cx), bundle)
-    sol = solve(prob, config, coarse)
+    sol = solve(prob, config, prolongations)
     return sol, error_report(prob, sol.solution, bundle)
 
 
@@ -199,14 +186,8 @@ def run_consistency_study(spec: FamilySpec, problem: str | ProblemBundle, k: int
                   "interior_l2": interior_l2, "commit": commit_stamp()},
         columns=columns)
     _check_unknowns(spec, levels, max_unknowns)
-    base = None
-    for i in range(levels):
-        try:
-            if base is None:
-                base = generators.generate(replace(spec, level=0))
-            else:
-                base = generators.refine(base)
-            cx = base
+    try:
+        for i, cx in enumerate(generators.walk(spec, levels)):
             if jitter:
                 cx = generators.jitter_interior(cx, amplitude=jitter, seed=seed + i)
             dual = build_dual(cx)
@@ -219,9 +200,10 @@ def run_consistency_study(spec: FamilySpec, problem: str | ProblemBundle, k: int
                 lap = laplace_consistency_probe(bundle, cx, dual, degree=degree)
                 row.update({"lap_total": lap.total_max, "term1": lap.term1_max,
                             "term2": lap.term2_max, "identity_gap": lap.identity_gap})
-        except Exception as exc:
-            raise StudyAborted(f"level {i} failed: {exc}", report, exc) from exc
-        _append_row(report, row)
+            _append_row(report, row)
+    except Exception as exc:
+        # every finished level has appended its row, so the row count is the failed level
+        raise StudyAborted(f"level {len(report.rows)} failed: {exc}", report, exc) from exc
     return report
 
 

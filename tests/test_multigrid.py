@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 
 from declab.dualmesh import build_dual
-from declab.generators import FamilySpec, generate, refine
+from declab.generators import FamilySpec, generate, interior_prolongation, refine, walk
 from declab.problems import get_problem
 from declab.solve import (SolverConfig, _spd_inverse, assemble, make_problem, solve,
                           stiffness_matrix, v_cycle)
-from declab.study import _interior_prolongation, run_convergence_study
+from declab.study import run_convergence_study
 from strategies import jittered_wheels
 
 
@@ -21,20 +21,17 @@ def interior_block(cx):
 
 
 def hierarchy(family, level, problem):
-    """The problem at ``level`` and the (S_II, P) pairs below it, as a study keeps them."""
-    cx = generate(FamilySpec(family, 0))
-    coarse = []
-    for _ in range(level):
-        fine = refine(cx)
-        coarse.append((interior_block(cx), _interior_prolongation(cx, fine)))
-        cx = fine
-    return make_problem(cx, build_dual(cx), get_problem(problem)), coarse
+    """The problem at ``level`` and the interior prolongations below it, as a study passes them."""
+    meshes = list(walk(FamilySpec(family), level + 1))
+    prolongations = [interior_prolongation(c, f) for c, f in zip(meshes, meshes[1:])]
+    cx = meshes[-1]
+    return make_problem(cx, build_dual(cx), get_problem(problem)), prolongations
 
 
 def galerkin_gap(coarse):
     """max |P^T S_II,fine P - S_II,coarse| relative to max |S_II,coarse|."""
     fine = refine(coarse)
-    p = _interior_prolongation(coarse, fine)
+    p = interior_prolongation(coarse, fine)
     s_c = interior_block(coarse)
     gap = abs(p.T @ interior_block(fine) @ p - s_c)
     return gap.max() / abs(s_c).max()
@@ -69,8 +66,8 @@ def test_interior_galerkin_identity_on_jittered_wheels(cx):
 
 
 def test_multigrid_and_jacobi_solutions_agree():
-    prob, coarse = hierarchy("pentagon_wheel", 6, "trig2d")
-    mg, jacobi = solve(prob, SolverConfig(), coarse), solve(prob)
+    prob, prolongations = hierarchy("pentagon_wheel", 6, "trig2d")
+    mg, jacobi = solve(prob, SolverConfig(), prolongations), solve(prob)
     assert mg.iterations <= 20 < jacobi.iterations
     gap = np.abs(mg.solution.values - jacobi.solution.values).max()
     assert gap <= 1e-10 * np.abs(jacobi.solution.values).max()
@@ -82,21 +79,21 @@ def test_solve_without_hierarchy_takes_the_jacobi_path():
 
 
 def test_v_cycle_is_a_symmetric_positive_operator(rng):
-    prob, coarse = hierarchy("pentagon_wheel", 5, "trig2d")
-    m = v_cycle(assemble(prob).reduced, coarse)
-    x, y = rng.standard_normal((2, coarse[-1][1].shape[0]))
+    prob, prolongations = hierarchy("pentagon_wheel", 5, "trig2d")
+    m = v_cycle(assemble(prob).reduced, prolongations)
+    x, y = rng.standard_normal((2, prolongations[-1].shape[0]))
     assert abs(x @ m(y) - y @ m(x)) <= 1e-12 * abs(x @ m(y))
     assert x @ m(x) > 0 and y @ m(y) > 0
 
 
 def test_jacobi_when_the_coarsest_level_is_too_large_for_a_dense_inverse(monkeypatch):
     # as in a study of a mesh file whose level 0 is already large
-    prob, coarse = hierarchy("pentagon_wheel", 5, "trig2d")
+    prob, prolongations = hierarchy("pentagon_wheel", 5, "trig2d")
     # the package exports the function ``solve``, which shadows the module's name
     monkeypatch.setattr(importlib.import_module("declab.solve"), "DENSE_CUTOFF", 100)
     # the coarsest kept level, 3, has 141 unknowns
-    assert solve(prob, coarse=coarse[3:]).iterations == 139
-    assert solve(prob, coarse=coarse[2:]).iterations <= 20
+    assert solve(prob, prolongations=prolongations[3:]).iterations == 139
+    assert solve(prob, prolongations=prolongations[2:]).iterations <= 20
 
 
 def test_spd_inverse_is_exact_and_symmetric(rng):

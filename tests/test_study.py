@@ -1,5 +1,6 @@
 import math
 import os
+import re
 
 import pytest
 
@@ -136,6 +137,14 @@ def test_aborted_study_keeps_partial_report():
     assert len(info.value.report.rows) >= 1  # coarse levels may converge in 2 steps
 
 
+def test_a_level_the_walk_cannot_refine_aborts_with_its_number(tmp_path):
+    mesh = tmp_path / "cube.decmesh"
+    assert main(["mesh", "gen", "--family", "cube_kuhn", "--out", str(mesh)]) == 0
+    with pytest.raises(StudyAborted, match=r"^level 1 failed: .*only supported in 2D") as info:
+        run_convergence_study(FamilySpec("from_file", path=str(mesh)), "trig3d", 2)
+    assert [row["level"] for row in info.value.report.rows] == [0]
+
+
 def test_consistency_study_columns_and_lap_block():
     rep = run_consistency_study(FamilySpec("pentagon_wheel"), "trig2d", 0, 3,
                                 degree=4)
@@ -240,6 +249,21 @@ def test_cli_solve_from_mesh_file_honours_level(capsys):
     rc = main(["solve", "--mesh", FIXTURE, "--level", "1", "--problem", "trig2d"])
     assert rc == 0
     assert "unknowns = 141" in capsys.readouterr().out  # pentagon level 3
+
+
+@pytest.mark.parametrize("source,spec,level", [
+    (["--family", "pentagon_wheel"], FamilySpec("pentagon_wheel"), 6),
+    (["--mesh", FIXTURE], FamilySpec("from_file", path=FIXTURE), 1),
+])
+def test_cli_solve_matches_the_study_row_of_its_level(source, spec, level, capsys):
+    # the single solve walks the study's hierarchy, so it takes the V-cycle and
+    # lands on the study's iterate
+    row = run_convergence_study(spec, "trig2d", level + 1, deterministic=True).rows[level]
+    assert main(["solve", *source, "--level", str(level), "--problem", "trig2d"]) == 0
+    printed = dict(re.findall(r"(\w+) = (\S+)", capsys.readouterr().out))
+    assert int(printed["iterations"]) == row["iters"] <= 20
+    for col in ("err_max", "err_h1", "err_l2"):
+        assert printed[col] == f"{row[col]:.6e}", col
 
 
 def test_cli_svg_without_out_prints_svg(capsys):
