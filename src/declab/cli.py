@@ -22,7 +22,7 @@ from .study import StudyAborted, emit, render, run_consistency_study, run_conver
 
 def _add_family_args(p: argparse.ArgumentParser, with_level: bool = True):
     p.add_argument("--family", required=False,
-                   choices=["pentagon_wheel", "square", "corner", "cube_kuhn"],
+                   choices=[f for f in generators.FAMILIES if f != "from_file"],
                    help="mesh family")
     if with_level:
         p.add_argument("--level", type=int, default=0, help="refinement level")

@@ -19,6 +19,8 @@ Families:
 
 2D refinement is medial subdivision (each triangle into four by its edge
 midpoints; h halves exactly).  The cube family refines by halving the grid.
+Both are regular (Freudenthal) refinements, so one linear rule on the simplex
+counts of a level-0 mesh gives the size of every level (``estimate_unknowns``).
 """
 from __future__ import annotations
 
@@ -35,11 +37,12 @@ from .complex import SimplicialComplex, build_complex, cell_orientation
 from .errors import InvertedCellError, MeshError
 
 DEFAULT_ALPHA = 8 * math.pi / 5
+FAMILIES = ("pentagon_wheel", "square", "corner", "cube_kuhn", "from_file")
 
 
 @dataclass(frozen=True)
 class FamilySpec:
-    family: str                      # pentagon_wheel | square | corner | cube_kuhn | from_file
+    family: str                      # one of FAMILIES
     level: int = 0
     n_gon: int = 5
     pattern: int = 1
@@ -57,7 +60,7 @@ class FamilySpec:
             raise MeshError("corner angle must lie in (pi, 2*pi)")
         if self.family == "from_file" and not self.path:
             raise MeshError("from_file requires a path")
-        if self.family not in ("pentagon_wheel", "square", "corner", "cube_kuhn", "from_file"):
+        if self.family not in FAMILIES:
             raise MeshError(f"unknown family '{self.family}'")
 
 
@@ -296,39 +299,22 @@ def jitter_interior(cx: SimplicialComplex, amplitude: float = 0.1,
     return SimplicialComplex(n, verts, cx.simplices, cx.orientation, cx.faces)
 
 
-def estimate_unknowns(spec: FamilySpec) -> int | None:
-    """Interior vertex count, used by the study memory guard.
+# Regular refinement (Bey, Computing 55, 1995) of the counts (V, E, F, T): entry
+# (i, j) is how many i-simplices it puts inside one j-simplex.
+_REFINED_COUNTS = ((1, 1, 0, 0), (0, 2, 3, 1), (0, 0, 4, 8), (0, 0, 0, 8))
 
-    A mesh file is read unaudited (``generate`` audits it) for its level-0
-    counts, which medial refinement advances as (V, E, F, B, V_b) -> (V+E,
-    2E+3F, 4F, 2B, V_b+B) for B boundary edges and V_b boundary vertices; a
-    file outside 2D does not refine past level 0.
+
+def _refined(counts: list[int]) -> list[int]:
+    return [sum(r * c for r, c in zip(row, counts)) for row in _REFINED_COUNTS[:len(counts)]]
+
+
+def estimate_unknowns(cx: SimplicialComplex, level: int) -> int:
+    """Interior vertex count of ``cx`` refined ``level`` times, for the study memory guard.
+
+    The rule refines the counts of ``cx`` and, one degree lower, of its boundary.
     """
-    i = spec.level
-    if spec.family == "from_file":
-        cx = meshio.load(spec.path, validate=False)
-        if cx.dim != 2:
-            return len(cx.interior_vertex_indices()) if i == 0 else None
-        v, e, f = cx.num(0), cx.num(1), cx.num(2)
-        b, vb = len(cx.boundary_face_indices()), int(cx.boundary_mask(0).sum())
-        for _ in range(i):
-            v, e, f, b, vb = v + e, 2 * e + 3 * f, 4 * f, 2 * b, vb + b
-        return v - vb
-    if spec.family == "pentagon_wheel":
-        n = spec.n_gon
-        return 1 + (n * 4 ** i - n * 2 ** i) // 2
-    if spec.family == "corner":
-        return 1 + 2 * 4 ** i - 3 * 2 ** i
-    if spec.family == "square":
-        if spec.pattern == 1:
-            m = 2 ** i
-            return (m - 1) ** 2
-        if spec.pattern == 2:
-            m = 2 ** (i + 1)
-            return (m - 1) ** 2
-        m = 2 ** i
-        return (m - 1) ** 2 + m ** 2
-    if spec.family == "cube_kuhn":
-        m = 2 ** (i + 1)
-        return (m - 1) ** 3
-    return None
+    counts = [cx.num(k) for k in range(cx.dim + 1)]
+    bounds = [int(cx.boundary_mask(k).sum()) for k in range(cx.dim)]
+    for _ in range(level):
+        counts, bounds = _refined(counts), _refined(bounds)
+    return counts[0] - bounds[0]

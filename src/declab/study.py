@@ -3,7 +3,8 @@
 A study runs a mesh family through a level sequence, collects error norms,
 and attaches per-step dyadic rates rate(i) = log2(e(i-1)/e(i)), mirroring the
 layout used for refinement tables.  Reports can be emitted as CSV, an aligned
-text table, or a log-log SVG plot with reference slopes 1 and 2.
+text table, or a log-log SVG plot with reference slopes 1 and 2.  A memory
+guard refuses a study whose levels would pass an unknown cap on its level-0 mesh.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import math
 import os
 import subprocess
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -94,16 +95,20 @@ def max_h(cx) -> float:
         cx.vertices[edges[:, 1]] - cx.vertices[edges[:, 0]], axis=1).max())
 
 
-def _check_unknowns(spec: FamilySpec, levels: int, cap: int | None) -> None:
-    """Refuse a study before its first level when any level would pass the unknown cap."""
-    if cap is None:
-        return
-    for i in range(levels):
-        est = generators.estimate_unknowns(replace(spec, level=i))
-        if est is not None and est > cap:
-            raise MemoryGuardError(
-                f"level {i} of {spec.family} has ~{est} unknowns, above the cap {cap}; "
-                "raise max_unknowns to proceed")
+def _guarded_walk(spec: FamilySpec, levels: int, cap: int | None):
+    """``generators.walk``, refused on its level-0 mesh, before any refinement,
+    dual or solve, when the interior count of some level would pass ``cap``."""
+    meshes = generators.walk(spec, levels)
+    first = next(meshes)
+    if cap is not None:
+        for i in range(levels):
+            est = generators.estimate_unknowns(first, i)
+            if est > cap:
+                raise MemoryGuardError(
+                    f"level {i} of {spec.family} has ~{est} unknowns, above the cap {cap}; "
+                    "raise max_unknowns to proceed")
+    yield first
+    yield from meshes
 
 
 def run_convergence_study(spec: FamilySpec, problem: str | ProblemBundle,
@@ -112,17 +117,18 @@ def run_convergence_study(spec: FamilySpec, problem: str | ProblemBundle,
                           max_unknowns: int | None = DEFAULT_UNKNOWN_CAP,
                           deterministic: bool = False) -> StudyReport:
     """Solve the Dirichlet problem across a refinement sequence and tabulate errors."""
+    if levels < 1:
+        raise ValueError(f"levels must be >= 1, got {levels}")
     bundle = get_problem(problem, mu) if isinstance(problem, str) else problem
     report = StudyReport(
         metadata={"study": "convergence", "family": spec.family,
                   "problem": bundle.name, "levels": levels,
                   "tolerance": config.tol, "commit": commit_stamp()},
         columns=list(CONVERGENCE_COLUMNS))
-    _check_unknowns(spec, levels, max_unknowns)
     prolongations, coarse = [], None
     t0 = time.monotonic()
     try:
-        for i, cx in enumerate(generators.walk(spec, levels)):
+        for i, cx in enumerate(_guarded_walk(spec, levels, max_unknowns)):
             if coarse is not None:
                 prolongations.append(generators.interior_prolongation(coarse, cx))
             coarse = cx
@@ -133,6 +139,8 @@ def run_convergence_study(spec: FamilySpec, problem: str | ProblemBundle,
                    "stability": sol.stability_constant, "energy": sol.energy}
             _append_row(report, row)
             t0 = time.monotonic()
+    except MemoryGuardError:
+        raise
     except Exception as exc:
         # every finished level has appended its row, so the row count is the failed level
         raise StudyAborted(f"level {len(report.rows)} failed: {exc}", report, exc) from exc
@@ -168,6 +176,8 @@ def run_consistency_study(spec: FamilySpec, problem: str | ProblemBundle, k: int
     the L2 norms to interior cells, where the sharp rate lives (truncated
     boundary dual cells contribute a slowly decaying h^1.5 layer).
     """
+    if levels < 1:
+        raise ValueError(f"levels must be >= 1, got {levels}")
     bundle = get_problem(problem) if isinstance(problem, str) else problem
     if not 0 <= k <= bundle.dim:
         raise ValueError(f"k out of range for dimension {bundle.dim}")
@@ -185,9 +195,8 @@ def run_consistency_study(spec: FamilySpec, problem: str | ProblemBundle, k: int
                   "degree": degree, "jitter": jitter, "seed": seed,
                   "interior_l2": interior_l2, "commit": commit_stamp()},
         columns=columns)
-    _check_unknowns(spec, levels, max_unknowns)
     try:
-        for i, cx in enumerate(generators.walk(spec, levels)):
+        for i, cx in enumerate(_guarded_walk(spec, levels, max_unknowns)):
             if jitter:
                 cx = generators.jitter_interior(cx, amplitude=jitter, seed=seed + i)
             dual = build_dual(cx)
@@ -201,6 +210,8 @@ def run_consistency_study(spec: FamilySpec, problem: str | ProblemBundle, k: int
                 row.update({"lap_total": lap.total_max, "term1": lap.term1_max,
                             "term2": lap.term2_max, "identity_gap": lap.identity_gap})
             _append_row(report, row)
+    except MemoryGuardError:
+        raise
     except Exception as exc:
         # every finished level has appended its row, so the row count is the failed level
         raise StudyAborted(f"level {len(report.rows)} failed: {exc}", report, exc) from exc

@@ -216,7 +216,7 @@ def test_criterion_06_table_pentagon_reproduction(pentagon_study):
             ratio = rows[lev][col] / ref
             assert 0.5 <= ratio <= 2.0, (lev, col, ratio)
     # the finest level solves the predicted interior system iteratively to tol
-    assert estimate_unknowns(FamilySpec("pentagon_wheel", level=8)) == 163201
+    assert estimate_unknowns(generate(FamilySpec("pentagon_wheel")), 8) == 163201
     assert rows[8]["iters"] > 0
     report(6, f"pentagon table reproduced: rates at levels 6-8 all within "
               f"2.00 +- 0.02, raw errors within 2x at levels 1-8, "

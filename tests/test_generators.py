@@ -8,7 +8,8 @@ from declab import geometry, meshio
 from declab.complex import build_complex
 from declab.errors import InvertedCellError, MeshError
 from declab.generators import (DEFAULT_ALPHA, FamilySpec, _label_slit, estimate_unknowns,
-                               generate, jitter_interior, medial_refine, prolongation, refine)
+                               generate, jitter_interior, medial_refine, prolongation, refine,
+                               walk)
 
 C_PENTAGON = math.sqrt(2 - 2 * math.cos(2 * math.pi / 5))
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "pentagon_level2.decmesh")
@@ -145,30 +146,34 @@ def test_corner_strictly_well_centered_for_other_angles():
         assert cx.shape_report().well_centered == "strict", alpha
 
 
+def _assert_estimates_match_walk(spec, levels):
+    meshes = list(walk(spec, levels))
+    for level, cx in enumerate(meshes):
+        assert estimate_unknowns(meshes[0], level) == len(cx.interior_vertex_indices()), \
+            (spec, level)
+
+
 def test_estimate_unknowns_matches_actual():
     for fam, kw in (("pentagon_wheel", {}), ("pentagon_wheel", {"n_gon": 7}),
                     ("corner", {}),
                     ("square", {"pattern": 1}), ("square", {"pattern": 2}),
-                    ("square", {"pattern": 3}), ("cube_kuhn", {})):
-        for level in range(3):
-            spec = FamilySpec(fam, level=level, **kw)
-            est = estimate_unknowns(spec)
-            actual = len(generate(spec).interior_vertex_indices())
-            assert est == actual, (fam, kw, level)
+                    ("square", {"pattern": 3})):
+        _assert_estimates_match_walk(FamilySpec(fam, **kw), 5)
+    _assert_estimates_match_walk(FamilySpec("cube_kuhn"), 3)
+    # the counts the closed forms gave for the deepest tables
+    assert estimate_unknowns(generate(FamilySpec("pentagon_wheel")), 9) == 654081
+    assert estimate_unknowns(generate(FamilySpec("cube_kuhn")), 5) == 250047
 
 
 def test_estimate_unknowns_reads_mesh_files(tmp_path):
     corner = tmp_path / "corner.decmesh"
     meshio.save(generate(FamilySpec("corner", level=1)), corner)
     for path in (FIXTURE, str(corner)):
-        for level in range(3):
-            spec = FamilySpec("from_file", level=level, path=path)
-            assert estimate_unknowns(spec) == len(generate(spec).interior_vertex_indices())
-    # a 3D file does not refine, so it has a count at level 0 only
+        _assert_estimates_match_walk(FamilySpec("from_file", path=path), 4)
+    # a 3D file does not refine, but its level 0 has a count like any mesh
     cube = tmp_path / "cube.decmesh"
     meshio.save(generate(FamilySpec("cube_kuhn", level=1)), cube)
-    assert estimate_unknowns(FamilySpec("from_file", path=str(cube))) == 27
-    assert estimate_unknowns(FamilySpec("from_file", level=1, path=str(cube))) is None
+    assert estimate_unknowns(generate(FamilySpec("from_file", path=str(cube))), 0) == 27
 
 
 def test_jitter_moves_interior_only():

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from declab import generators, study
+from declab import generators, meshio, study
 from declab.cli import main
 from declab.errors import MemoryGuardError, WellCenteredError
 from declab.generators import FamilySpec
@@ -94,12 +94,30 @@ def test_memory_guard_refuses_large_levels():
     lambda spec, cap: run_consistency_study(spec, "trig2d", 0, 6, max_unknowns=cap),
 ], ids=["convergence", "consistency"])
 def test_memory_guard_refuses_before_level_zero(monkeypatch, run):
-    # level 4 has 601 unknowns, level 5 has 2481: nothing may be built first
-    calls = []
-    monkeypatch.setattr(generators, "generate", calls.append)
+    # level 4 has 601 unknowns, level 5 has 2481: the guard reads both off level 0,
+    # which is built once, before anything is refined, dualized or solved
+    generated, refined, duals = [], [], []
+    generate = generators.generate
+    monkeypatch.setattr(generators, "generate",
+                        lambda spec: generated.append(spec) or generate(spec))
+    monkeypatch.setattr(generators, "refine", refined.append)
+    monkeypatch.setattr(study, "build_dual", duals.append)
     with pytest.raises(MemoryGuardError, match="level 5 of pentagon_wheel has ~2481"):
         run(FamilySpec("pentagon_wheel"), 1000)
-    assert calls == []
+    assert generated == [FamilySpec("pentagon_wheel")]
+    assert refined == [] and duals == []
+
+
+@pytest.mark.parametrize("run", [
+    lambda spec: run_convergence_study(spec, "trig2d", 2),
+    lambda spec: run_consistency_study(spec, "trig2d", 0, 3),
+], ids=["convergence", "consistency"])
+def test_study_on_a_mesh_file_reads_it_once(monkeypatch, run):
+    calls = []
+    load = meshio.load
+    monkeypatch.setattr(meshio, "load", lambda *a, **kw: calls.append(a) or load(*a, **kw))
+    run(FamilySpec("from_file", path=FIXTURE))
+    assert len(calls) == 1
 
 
 def test_memory_guard_covers_studies_on_a_mesh_file(monkeypatch):
@@ -280,6 +298,13 @@ def test_cli_errors_exit_nonzero(tmp_path, capsys):
     rc = main(["study", "convergence", "--family", "pentagon_wheel",
                "--problem", "trig2d", "--levels", "9", "--max-unknowns", "100"])
     assert rc == 1
+    capsys.readouterr()
+    # a study of no levels is refused, not reported empty
+    for argv in (["convergence", "--problem", "trig2d", "--levels", "0"],
+                 ["consistency", "--field", "trig2d", "--levels", "-2"]):
+        assert main(["study", *argv, "--family", "pentagon_wheel"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: levels must be >= 1")
 
 
 def test_cli_aborted_study_writes_partial_report(tmp_path, capsys):
