@@ -82,16 +82,18 @@ def generate(spec: FamilySpec) -> SimplicialComplex:
     return cx
 
 
+def refinable(cx: SimplicialComplex) -> bool:
+    """Whether ``refine`` can refine ``cx``: every 2D mesh, and the Kuhn cube."""
+    return cx.dim == 2 or (cx.family is not None and cx.family.family == "cube_kuhn")
+
+
 def refine(cx: SimplicialComplex) -> SimplicialComplex:
     """One refinement step, dispatching on the family tag, which advances a level."""
     spec = cx.family
-    if spec is not None and spec.family == "cube_kuhn":
-        out = _cube(spec.level + 1)
-    elif cx.dim == 2:
-        out = medial_refine(cx)
-    else:
+    if not refinable(cx):
         name = "untagged meshes" if spec is None else f"family '{spec.family}'"
         raise MeshError(f"refinement of {name} is only supported in 2D")
+    out = medial_refine(cx) if cx.dim == 2 else _cube(spec.level + 1)
     out.family = None if spec is None else replace(spec, level=spec.level + 1)
     return out
 

@@ -97,11 +97,11 @@ def max_h(cx) -> float:
 
 def _guarded_walk(spec: FamilySpec, levels: int, cap: int | None):
     """``generators.walk``, refused on its level-0 mesh, before any refinement,
-    dual or solve, when the interior count of some level would pass ``cap``."""
+    dual or solve, when the interior count of a level it can build would pass ``cap``."""
     meshes = generators.walk(spec, levels)
     first = next(meshes)
     if cap is not None:
-        for i in range(levels):
+        for i in range(levels if generators.refinable(first) else 1):
             est = generators.estimate_unknowns(first, i)
             if est > cap:
                 raise MemoryGuardError(
