@@ -158,22 +158,13 @@ def test_aborted_study_keeps_partial_report():
 def test_a_level_the_walk_cannot_refine_aborts_with_its_number(tmp_path):
     mesh = tmp_path / "cube.decmesh"
     assert main(["mesh", "gen", "--family", "cube_kuhn", "--out", str(mesh)]) == 0
-    with pytest.raises(StudyAborted, match=r"^level 1 failed: .*only supported in 2D") as info:
-        run_convergence_study(FamilySpec("from_file", path=str(mesh)), "trig3d", 2)
-    assert [row["level"] for row in info.value.report.rows] == [0]
-
-
-def test_memory_guard_checks_only_level_zero_of_a_mesh_it_cannot_refine(tmp_path):
-    """A cap between a 3D file's level-0 and level-1 counts is no guard
-    failure: level 1 cannot be built, and the walk says so."""
-    mesh = tmp_path / "cube.decmesh"
-    assert main(["mesh", "gen", "--family", "cube_kuhn", "--out", str(mesh)]) == 0
     spec = FamilySpec("from_file", path=str(mesh))
-    cx = generators.generate(spec)
-    cap = generators.estimate_unknowns(cx, 0)
-    assert generators.estimate_unknowns(cx, 1) > cap
-    with pytest.raises(StudyAborted, match=r"^level 1 failed: .*only supported in 2D"):
-        run_convergence_study(spec, "trig3d", 2, max_unknowns=cap)
+    # the cap 1 lies between the file's level-0 (1) and level-1 (27) counts: the
+    # guard checks only the level it can build, and level 1 fails in the walk
+    for cap in (study.DEFAULT_UNKNOWN_CAP, 1):
+        with pytest.raises(StudyAborted, match=r"^level 1 failed: .*only supported in 2D") as info:
+            run_convergence_study(spec, "trig3d", 2, max_unknowns=cap)
+        assert [row["level"] for row in info.value.report.rows] == [0]
 
 
 def test_consistency_study_columns_and_lap_block():
