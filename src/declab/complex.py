@@ -191,13 +191,11 @@ class SimplicialComplex:
     # -- audits ----------------------------------------------------------------
 
     def shape_report(self) -> ShapeReport:
-        from .dualmesh import _signed_steps, well_centeredness  # dualmesh imports this module
-
         n = self.dim
         h = 0.0
         gamma_min = np.inf
         c_reg = 0.0
-        centers = [self.vertices]
+        lam_min = np.inf  # smallest barycentric coordinate of any circumcenter
         for k in range(1, n + 1):
             coords = self.coords_of(k)
             diam = geometry.diameter(coords)
@@ -205,18 +203,15 @@ class SimplicialComplex:
             h = max(h, float(diam.max()))
             gamma_min = min(gamma_min, float(rho.min()))
             c_reg = max(c_reg, float((diam / rho).max()))
-            centers.append(geometry.circumcenter(coords, check=False))
-        status = 0  # 0 strict, 1 weak, 2 violated
-        for k in range(1, n):
-            _, cls = well_centeredness(*_signed_steps(self, centers, k), k)
-            status = max(status, int(cls.max()))
+            lam_min = min(lam_min, float(geometry.circumcenter(coords, check=False)[1].min()))
+        tol = geometry.WELL_CENTERED_TOL
         # max top-cell count over closed stars; vertices attain the maximum
         # over base simplices of every dimension
         star_bound = int(np.bincount(self.simplices[n].ravel(),
                                      minlength=self.num(0)).max())
         return ShapeReport(
             h=h, gamma_min=gamma_min, c_reg=c_reg, star_bound=star_bound,
-            well_centered=("strict", "weak", "violated")[status],
+            well_centered="violated" if lam_min < -tol else "weak" if lam_min <= tol else "strict",
         )
 
 

@@ -10,10 +10,11 @@ to dual(T), so
 with |dual T| = 1 for a top cell.  ``build_dual`` runs it top-down, one
 bincount over the incidence pairs of ``faces[k+1]`` per degree.  The side sign
 s(t,T) is +1 when c(T) lies on the side of t's plane that holds the vertex of
-T opposite t, else -1; on (weakly) well-centered meshes every term is >= 0,
-degenerate pairs contributing exactly 0.  Off-centered circumcenters would
-cancel, so ``build_dual`` refuses them, gating on the barycentric coordinate of
-c(T) opposite t that each pair yields (``well_centeredness``).
+T opposite t, else -1: the sign of c(T)'s barycentric coordinate at that
+vertex, which ``geometry.circumcenter`` returns with c(T).  On (weakly)
+well-centered meshes every term is >= 0, degenerate pairs contributing
+exactly 0.  Off-centered circumcenters would cancel, so ``build_dual`` refuses
+any simplex whose smallest coordinate is below ``-geometry.WELL_CENTERED_TOL``.
 
 Unrolled, the recursion is a sum over full ascending flags
 t = t_k < t_{k+1} < ... < t_n through the top cells, one elementary fragment
@@ -21,24 +22,18 @@ per flag: the ordered circumcenter chain [c(t_k), ..., c(t_n)].  Consecutive
 chain edges are mutually orthogonal, so every fragment is an orthoscheme.
 Fragments are only needed to integrate forms over dual cells, so
 ``DualComplex.flags(k)`` builds them for one k on its first call and caches
-them.  Two signs are attached to a fragment:
-
-* ``sign`` -- the chain coefficient of the fragment in the oriented dual cell:
-  orientation[n][top] * orientation[k][base] * the parity of the top cell's
-  vertex order "base vertices, then the vertex each step t_j < t_{j+1} adds".
-  On a well-centered mesh each chain edge c(t_{j+1}) - c(t_j) points towards
-  that added vertex, or vanishes, so a base frame followed by the chain edges
-  is positively oriented in the top cell.  These exact integers drive all
-  operator sign conventions.
-* a side-signed *volume* -- the orthoscheme measure with each chain edge
-  carrying its side sign s.  Summed per base simplex it gives |dual(t)| again.
+them.  A fragment is its chain and one sign, the chain coefficient of the
+fragment in the oriented dual cell: orientation[n][top] * orientation[k][base]
+* the parity of the top cell's vertex order "base vertices, then the vertex
+each step t_j < t_{j+1} adds".  On a well-centered mesh each chain edge
+c(t_{j+1}) - c(t_j) points towards that added vertex, or vanishes, so a base
+frame followed by the chain edges is positively oriented in the top cell.
+These exact integers drive all operator sign conventions.
 
 Boundary dual cells are truncated at the domain boundary: fragments only run
 through existing flags, no mirroring.
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,26 +42,24 @@ from . import geometry
 from .complex import SimplicialComplex
 from .errors import WellCenteredError, ids
 
-WELL_CENTERED_TOL = 1e-12
-
 
 class DualComplex:
     def __init__(self, cx: SimplicialComplex, circumcenters, volumes):
         self.complex = cx
         self.circumcenters = circumcenters  # circumcenters[k]: (N_k, n)
         self.volumes = volumes              # volumes[k]: (N_k,) dual volumes
-        self._flags: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._flags: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._primal_volumes: dict[int, np.ndarray] = {}
         for arr in (*circumcenters, *volumes):
             arr.setflags(write=False)
 
-    def flags(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Raw flag arrays (chain (M, n-k+1), sign (M,), signed volume (M,)).
+    def flags(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The fragments of the k-simplex duals: chain (M, n-k+1), sign (M,).
 
         Built for this k alone on the first call, then cached.
         """
         if k not in self._flags:
-            arrays = _fragments(self.complex, self.circumcenters, k)
+            arrays = _fragments(self.complex, k)
             for arr in arrays:
                 arr.setflags(write=False)
             self._flags[k] = arrays
@@ -102,62 +95,33 @@ class DualComplex:
 def build_dual(cx: SimplicialComplex) -> DualComplex:
     """Construct the circumcentric dual of an (at least weakly) well-centered complex."""
     n = cx.dim
-    centers = [cx.vertices] + [geometry.circumcenter(cx.coords_of(k), check=True)
-                               for k in range(1, n + 1)]
+    centers, lams = [cx.vertices], [None]
+    for k in range(1, n + 1):
+        center, lam = geometry.circumcenter(cx.coords_of(k), check=True)
+        centers.append(center)
+        lams.append(lam)
 
     # |dual t| = 1/(n-k) * sum over cofaces T of s(t,T) |c(T) - c(t)| |dual T|
     volumes: list[np.ndarray] = [None] * n + [np.ones(cx.num(n))]  # type: ignore[list-item]
     for k in range(n - 1, -1, -1):
-        steps, side = _signed_steps(cx, centers, k)
-        if k >= 1:
-            lam, status = well_centeredness(steps, side, k)
-            if status.max() == 2:
-                i = int(np.argmin(lam))
-                raise WellCenteredError(
-                    f"complex is not well-centered: circumcenter of {k + 1}-simplex "
-                    f"{ids(cx.simplices[k + 1][i])} lies outside it")
-        steps *= np.repeat(volumes[k + 1], k + 2)
-        volumes[k] = np.bincount(cx.faces[k + 1].ravel(), weights=steps,
-                                 minlength=cx.num(k)) / (n - k)
+        lam = lams[k + 1]
+        if lam.min() < -geometry.WELL_CENTERED_TOL:
+            i = int(np.argmin(lam.min(axis=1)))
+            raise WellCenteredError(
+                f"complex is not well-centered: circumcenter of {k + 1}-simplex "
+                f"{ids(cx.simplices[k + 1][i])} lies outside it")
+        # pair T*(k+2) + i joins T to its face t = faces[k+1][T, i], which drops
+        # vertex i of T; s(t,T) is the sign of lam[T, i], 0 counting as +1
+        t = cx.faces[k + 1].ravel()
+        u = np.repeat(centers[k + 1], k + 2, axis=0) - centers[k][t]
+        norm = np.sqrt(sum(c * c for c in u.T))  # np.linalg.norm's sums, column by column, faster
+        steps = np.where(lam.ravel() >= 0, norm, -norm) * np.repeat(volumes[k + 1], k + 2)
+        volumes[k] = np.bincount(t, weights=steps, minlength=cx.num(k)) / (n - k)
     return DualComplex(cx, centers, volumes)
 
 
-def _signed_steps(cx: SimplicialComplex, centers, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(s(t,T) |u|, side) for every incidence pair of ``faces[k+1]``, in ravel
-    order, with u = c(T) - c(t) and side = u . (v - c(t)): pair T*(k+2) + i
-    joins the (k+1)-simplex T to its face t = faces[k+1][T, i], which drops
-    vertex v = vertex i of T, the vertex opposite t.
-
-    s is the sign of side: +1 when c(T) lies on the side of t's plane that
-    holds v (a zero length counts as +1), else -1.
-    """
-    t = cx.faces[k + 1].ravel()
-    base = centers[k][t]
-    u = np.repeat(centers[k + 1], k + 2, axis=0) - base
-    norm = np.sqrt(sum(c * c for c in u.T))  # np.linalg.norm's sums, column by column, faster
-    side = np.einsum("md,md->m", u, cx.vertices[cx.simplices[k + 1].ravel()] - base)
-    return np.where(side >= 0, norm, -norm), side
-
-
-def well_centeredness(steps: np.ndarray, side: np.ndarray,
-                      k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The well-centeredness test of the (k+1)-simplices, from ``_signed_steps``.
-
-    Returns, per (k+1)-simplex T, the smallest barycentric coordinate of c(T)
-    and a status: 0 when c(T) lies strictly inside T, 1 when on its boundary
-    (weakly well-centered), 2 when outside, up to ``WELL_CENTERED_TOL``.
-    c(t) is the orthogonal projection of c(T) onto t's plane, so the
-    coordinate of c(T) at the vertex opposite t is |u|^2 / side; it is 0 when
-    side is, as it is for u = 0.
-    """
-    lam = np.divide(steps * steps, side, out=np.zeros_like(side), where=side != 0)
-    lam = lam.reshape(-1, k + 2).min(axis=1)
-    status = np.where(lam < -WELL_CENTERED_TOL, 2, np.where(lam <= WELL_CENTERED_TOL, 1, 0))
-    return lam, status
-
-
-def _fragments(cx: SimplicialComplex, centers, k: int):
-    """Every flag t_k < ... < t_n of the k-simplex duals: (chain, sign, volume).
+def _fragments(cx: SimplicialComplex, k: int):
+    """Every flag t_k < ... < t_n of the k-simplex duals: (chain, sign).
 
     One walk down from the top cells: drop[:, c] is the position, among the
     sorted vertices of chain[:, c+1], of the vertex its face chain[:, c] drops.
@@ -173,8 +137,4 @@ def _fragments(cx: SimplicialComplex, centers, k: int):
     # moving the vertex dropped at position i of t_j to the back takes j - i swaps
     parity = (np.arange(k + 1, n + 1) - drop).sum(axis=1) % 2
     sign = cx.orientation[n][chain[:, -1]] * cx.orientation[k][chain[:, 0]] * (1 - 2 * parity)
-    vol = np.ones(len(chain))
-    for j in range(k, n):
-        pair = chain[:, j - k + 1] * (j + 2) + drop[:, j - k]
-        vol = vol * _signed_steps(cx, centers, j)[0][pair]
-    return chain, sign, vol / math.factorial(n - k)
+    return chain, sign

@@ -152,7 +152,7 @@ def derham_dual(field: FormField, dual: DualComplex, degree: int = 4) -> Cochain
     k = n - field.degree
     if not 0 <= k <= n:
         raise ValueError("field degree exceeds complex dimension")
-    chain, sign, _ = dual.flags(k)
+    chain, sign = dual.flags(k)
     corners = np.stack([dual.circumcenters[k + j][chain[:, j]]
                         for j in range(field.degree + 1)], axis=1)
     integ = _integrate(field, corners, degree) * sign

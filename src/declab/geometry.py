@@ -16,6 +16,9 @@ from .errors import DegenerateSimplexError
 # The equidistance system is degenerate when its Gram determinant, relative to
 # the product of the Gram diagonal, falls to 1 / CIRCUMCENTER_COND_MAX.
 CIRCUMCENTER_COND_MAX = 1e12
+# A circumcenter whose smallest barycentric coordinate lies within this of 0
+# is on its simplex's boundary (weakly well-centered); below -tol it is outside.
+WELL_CENTERED_TOL = 1e-12
 
 
 def edge_matrix(coords: np.ndarray) -> np.ndarray:
@@ -64,18 +67,21 @@ def diameter(coords: np.ndarray) -> np.ndarray:
     return np.sqrt(sq)
 
 
-def circumcenter(coords: np.ndarray, check: bool = True) -> np.ndarray:
-    """Circumcenters of k-simplices in R^n, shape (m, n).
+def circumcenter(coords: np.ndarray, check: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Circumcenters of k-simplices in R^n and their barycentric coordinates.
 
     The unique point of the simplex plane equidistant from all vertices:
     solve the normal equations 2 E E^T a = diag(E E^T) for the barycentric
-    offsets a, then c = v_0 + a^T E.
+    offsets a, then c = v_0 + a^T E.  Returns the centers, shape (m, n), and
+    lam = [1 - sum a, a], shape (m, k+1): lam[:, i] is the coordinate at
+    vertex i, so the circumcenter lies in its simplex iff lam >= 0, the
+    well-centeredness test.
     """
     coords = np.asarray(coords, dtype=float)
     m, kp1, n = coords.shape
     k = kp1 - 1
     if k == 0:
-        return coords[:, 0, :].copy()
+        return coords[:, 0, :].copy(), np.ones((m, 1))
     e = edge_matrix(coords)
     gram = 2.0 * (e @ np.transpose(e, (0, 2, 1)))
     rhs = np.einsum("mkd,mkd->mk", e, e)
@@ -92,7 +98,8 @@ def circumcenter(coords: np.ndarray, check: bool = True) -> np.ndarray:
                 f"relative Gram determinant {rel_det[i]:.3e}"
             )
     alpha = np.linalg.solve(gram, rhs[..., None])[..., 0]
-    return coords[:, 0, :] + np.einsum("mk,mkd->md", alpha, e)
+    lam = np.concatenate([1.0 - alpha.sum(axis=1, keepdims=True), alpha], axis=1)
+    return coords[:, 0, :] + np.einsum("mk,mkd->md", alpha, e), lam
 
 
 def barycentric_coordinates(points: np.ndarray, coords: np.ndarray) -> np.ndarray:

@@ -96,7 +96,7 @@ def test_criterion_02_dual_boundary_sign_pinning(worked_triangle):
     cx, dual = worked_triangle
     e01 = int(cx.index_of(1, [(0, 1)])[0])
     e02 = int(cx.index_of(1, [(0, 2)])[0])
-    chain, sign, _ = dual.flags(0)
+    chain, sign = dual.flags(0)
     mine = chain[:, 0] == 0
     assert dict(zip(chain[mine, 1].tolist(), sign[mine].tolist())) == {e01: 1, e02: -1}
     m = dual.dual_boundary_matrix(0).toarray()

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from declab import dualmesh, geometry
 from declab.complex import build_complex
@@ -15,9 +18,23 @@ def shoelace(poly):
     return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
+def fragment_volumes(dual, k):
+    """Oracle: the volume of each fragment of ``dual.flags(k)``.  Its chain
+    edges are mutually orthogonal, so the orthoscheme's volume is the product
+    of their lengths, read off ``dual.circumcenters``, over (n-k)!."""
+    chain, _ = dual.flags(k)
+    vol = np.ones(len(chain))
+    for j in range(chain.shape[1] - 1):
+        step = (dual.circumcenters[k + j + 1][chain[:, j + 1]]
+                - dual.circumcenters[k + j][chain[:, j]])
+        vol *= np.linalg.norm(step, axis=1)
+    return vol / math.factorial(dual.complex.dim - k)
+
+
 def fragments_of(dual, k, index):
     """(chain, sign, volume) of the fragments of the dual of k-simplex ``index``."""
-    chain, sign, vol = dual.flags(k)
+    chain, sign = dual.flags(k)
+    vol = fragment_volumes(dual, k)
     mine = chain[:, 0] == index
     return chain[mine], sign[mine], vol[mine]
 
@@ -142,7 +159,7 @@ def test_fragment_edges_orthogonal_to_base_plane():
         dual = build_dual(cx)
         n = cx.dim
         for k in range(1, n):
-            chain, _, _ = dual.flags(k)
+            chain, _ = dual.flags(k)
             base = cx.coords_of(k, chain[:, 0])
             t = base[:, 1:, :] - base[:, :1, :]
             u = dual.circumcenters[k + 1][chain[:, 1]] - dual.circumcenters[k][chain[:, 0]]
@@ -157,8 +174,7 @@ def test_weak_mesh_zero_volume_fragments_kept():
     dual = build_dual(cx)
     assert np.any(dual.volumes[1] == 0.0)       # hypotenuse duals collapse
     assert np.all(dual.volumes[0] > 0)          # vertex duals stay positive
-    k1 = dual.flags(1)
-    assert np.any(k1[2] == 0.0)                 # zero fragments present, volume 0
+    assert np.any(fragment_volumes(dual, 1) == 0.0)  # zero fragments present, volume 0
 
 
 def test_violated_well_centeredness_refused():
@@ -187,9 +203,9 @@ def test_flags_built_once_and_only_for_the_asked_degree(monkeypatch):
     built = []
     real = dualmesh._fragments
 
-    def spy(cx, centers, k):
+    def spy(cx, k):
         built.append(k)
-        return real(cx, centers, k)
+        return real(cx, k)
 
     monkeypatch.setattr(dualmesh, "_fragments", spy)
     cx = generate(FamilySpec("pentagon_wheel", level=1))
@@ -215,8 +231,9 @@ def test_pyramid_volumes_equal_flag_sums(cx):
     """The face-coface recursion against its unrolled form, the flag sum."""
     dual = build_dual(cx)
     for k in range(cx.dim + 1):
-        chain, _, vol = dual.flags(k)
-        oracle = np.bincount(chain[:, 0], weights=vol, minlength=cx.num(k))
+        chain, _ = dual.flags(k)
+        oracle = np.bincount(chain[:, 0], weights=fragment_volumes(dual, k),
+                             minlength=cx.num(k))
         got = dual.volumes[k]
         assert np.abs(got - oracle).max() <= 1e-12 * np.abs(oracle).max()
         assert np.array_equal(got == 0.0, oracle == 0.0)
@@ -246,9 +263,9 @@ def test_parity_signs_equal_determinant_signs(strict, weak):
     for cx, everywhere in ((strict, True), (weak, False)):
         dual = build_dual(cx)
         for k in range(cx.dim + 1):
-            chain, sign, vol = dual.flags(k)
+            chain, sign = dual.flags(k)
             want = determinant_signs(cx, dual.circumcenters, chain, k)
-            hit = np.ones(len(chain), dtype=bool) if everywhere else vol != 0
+            hit = np.ones(len(chain), dtype=bool) if everywhere else fragment_volumes(dual, k) != 0
             assert np.array_equal(sign[hit], want[hit])
 
 
@@ -279,16 +296,16 @@ def _det(m):
                for j in range(len(m)))
 
 
-def exact_classes(cx, k):
-    """Oracle: per k-simplex, 0 when its circumcenter lies strictly inside, 1 on
-    its boundary and 2 outside, up to ``WELL_CENTERED_TOL``, in exact arithmetic
-    over the float vertex coordinates.
+def exact_coordinates(cx, k):
+    """Oracle: the barycentric coordinates of each k-simplex's circumcenter in
+    exact arithmetic over the float vertex coordinates, as the integer
+    numerators [lam_0, ..., lam_k] over one positive integer denominator.
 
     Every float is an integer over a power of two, so the coordinates scale to
     Python integers: the exact rationals ``fractions.Fraction`` would hold, over
     one denominator so that numpy can vectorize them.  The circumcenter is v_0 + sum_i a_i (v_i - v_0) with
     2 G a = diag(G) for the edge Gram matrix G, so its barycentric coordinates
-    are a_1..a_k and 1 - sum a: by Cramer's rule, integers over 2 det G > 0.
+    are 1 - sum a and a_1..a_k: by Cramer's rule, integers over 2 det G > 0.
     """
     ratios = [x.as_integer_ratio() for x in cx.vertices.ravel().tolist()]
     scale = max(d for _, d in ratios)
@@ -299,14 +316,64 @@ def exact_classes(cx, k):
     den = 2 * _det(g)
     nums = [_det([[g[a][a] if b == i else g[a][b] for b in range(k)] for a in range(k)])
             for i in range(k)]
-    nums.append(den - sum(nums))
-    p, q = dualmesh.WELL_CENTERED_TOL.as_integer_ratio()
-    outside = np.zeros(len(v), dtype=bool)
-    on_boundary = np.zeros(len(v), dtype=bool)
+    return [den - sum(nums)] + nums, den
+
+
+def exact_classes(nums, den):
+    """Oracle: per simplex, 0 when its circumcenter lies strictly inside, 1 on
+    its boundary and 2 outside, up to ``WELL_CENTERED_TOL``, in exact arithmetic."""
+    p, q = geometry.WELL_CENTERED_TOL.as_integer_ratio()
+    outside = np.zeros(len(den), dtype=bool)
+    on_boundary = np.zeros(len(den), dtype=bool)
     for num in nums:   # num / den < -tol, <= tol
         outside |= (num * q < -p * den).astype(bool)
         on_boundary |= (num * q <= p * den).astype(bool)
     return np.where(outside, 2, np.where(on_boundary, 1, 0))
+
+
+def rounding_bound(coords, lam):
+    """A first-order bound, per simplex and coordinate, on the rounding error of
+    both float computations of the circumcenter's barycentric coordinates:
+    ``geometry.circumcenter``'s lam, and ``barycentric_coordinates`` of its
+    center.
+
+    With unit roundoff u, edge matrix E (k x n), P = |E||E|^T and the
+    partial-pivoting LU factors of G = 2 E E^T: rounding E, forming G and
+    b = diag(E E^T) in sums of n terms, and the LU solve, whose backward error
+    is |dG| <= 3k u |L||U|, rows permuted back (Higham, Accuracy and Stability
+    of Numerical Algorithms, Thm 9.4), give (G + F) a^ = b + f with
+    |F| <= u ((4 + 2n) P + 3k |L||U|) and |f| <= (2 + n) u b.  So
+    |a^ - a| <= d = |G^-1| (|F| |a^| + |f|).  barycentric_coordinates solves
+    (G/2) l = E (c^ - v_0), with the same factors halved.  Its right side
+    differs from E E^T a^ by the rounding of c^ = v_0 + E^T a^ and of
+    c^ - v_0, at most u ((k + 4) |E|^T |a^| + |v_0|) per coordinate, and by
+    its own n-term sums, (1 + n) u |E| |E|^T |a^|.  So
+    |l - a| <= 2 d + 2 u |G^-1| ((k + 5 + n) P |a^| + |E| |v_0|), the bound
+    taken for both.  The coordinate 1 - sum a adds up the others' bounds, and
+    k u (1 + sum |a^|) for its own sum.
+    """
+    u = np.finfo(float).eps / 2
+    _, kp1, n = coords.shape
+    k = kp1 - 1
+    e = geometry.edge_matrix(coords)
+    a = np.abs(lam[:, 1:, None])
+    g = 2.0 * (e @ np.transpose(e, (0, 2, 1)))
+    perm, low, up = scipy.linalg.lu(g)
+    prod = np.abs(e) @ np.abs(np.transpose(e, (0, 2, 1)))
+    ginv = np.abs(np.linalg.inv(g))
+    f = (((4 + 2 * n) * prod + 3 * k * perm @ (np.abs(low) @ np.abs(up))) @ a
+         + (2 + n) * np.einsum("mkd,mkd->mk", e, e)[..., None])
+    d = u * ginv @ f
+    side = 2 * d + 2 * u * ginv @ ((k + 5 + n) * prod @ a
+                                   + np.abs(e) @ np.abs(coords[:, 0, :, None]))
+    side = side[..., 0]
+    first = side.sum(axis=1) + k * u * (1 + a.sum(axis=(1, 2)))
+    return np.concatenate([first[:, None], side], axis=1)
+
+
+def classes(lam, tol):
+    """0 strict, 1 weak, 2 violated, from each simplex's smallest coordinate."""
+    return np.where(lam < -tol, 2, np.where(lam <= tol, 1, 0))
 
 
 @settings(deadline=None, max_examples=60)
@@ -314,26 +381,43 @@ def exact_classes(cx, k):
 # a nearly flat tetrahedron: its smallest coordinate, about -4e4, comes out of
 # the two float computations 3.6e-11 apart in relative terms
 @example(cx=jittered_or_none(FamilySpec("cube_kuhn", 2), 0.3984375, 30051))
+# circumcenters on facets, up to rounding: weakly well-centered
+@example(cx=jittered_or_none(FamilySpec("cube_kuhn", 2), 1e-15, 19))
+# violated, with one tetrahedron's coordinate -9.9964e-13 about 4e-16 inside
+# the weak class
+@example(cx=jittered_or_none(FamilySpec("cube_kuhn", 2), 1e-12, 0))
 def test_well_centeredness_equals_the_barycentric_reference(cx):
-    """The one well-centeredness test, |u|^2 / side per facet, and the smallest
-    barycentric coordinate of each circumcenter must both put every simplex
-    in its exact class; build_dual's gate and shape_report's class must
-    decide as the exact classes do.  The float values themselves are not
-    compared: on a nearly flat simplex either computation loses digits."""
+    """The one well-centeredness test, the circumcenter solve's barycentric
+    coordinates, and barycentric_coordinates of the circumcenter must both lie
+    within ``rounding_bound`` of the exact coordinates, and put every simplex
+    whose exact smallest coordinate is farther than that from +-tol in its
+    exact class.  shape_report's class, and build_dual's gate, must be the
+    exact mesh class whenever no cell straddles a threshold within its bound,
+    and one of the classes the straddling cells allow otherwise."""
     assume(cx is not None)
-    tol = dualmesh.WELL_CENTERED_TOL
-    centers = [cx.vertices] + [geometry.circumcenter(cx.coords_of(k), check=False)
-                               for k in range(1, cx.dim + 1)]
-    status = 0
+    tol = geometry.WELL_CENTERED_TOL
+    status, status_lo, status_hi = 0, 0, 0
     for k in range(2, cx.dim + 1):
-        exact = exact_classes(cx, k)
-        _, got = dualmesh.well_centeredness(*dualmesh._signed_steps(cx, centers, k - 1), k - 1)
-        lam = geometry.barycentric_coordinates(centers[k], cx.coords_of(k)).min(axis=1)
-        want = np.where(lam < -tol, 2, np.where(lam <= tol, 1, 0))
-        assert np.array_equal(got, exact) and np.array_equal(want, exact)
+        nums, den = exact_coordinates(cx, k)
+        exact = exact_classes(nums, den)
+        lam_exact = np.stack([(num / den).astype(float) for num in nums], axis=1)
+        coords = cx.coords_of(k)
+        centers, lam = geometry.circumcenter(coords, check=False)
+        bary = geometry.barycentric_coordinates(centers, coords)
+        bound = rounding_bound(coords, lam)
+        low, cell_bound = lam_exact.min(axis=1), bound.max(axis=1)
+        lo, hi = classes(low + cell_bound, tol), classes(low - cell_bound, tol)
+        clear = lo == hi
+        for got in (lam, bary):
+            assert np.all(np.abs(got - lam_exact) <= bound)
+            assert np.array_equal(classes(got.min(axis=1), tol)[clear], exact[clear])
         status = max(status, int(exact.max()))
-    assert cx.shape_report().well_centered == ("strict", "weak", "violated")[status]
-    if status == 2:
+        status_lo, status_hi = max(status_lo, int(lo.max())), max(status_hi, int(hi.max()))
+    reported = ("strict", "weak", "violated").index(cx.shape_report().well_centered)
+    if status_lo == status_hi:
+        assert reported == status
+    assert status_lo <= reported <= status_hi
+    if reported == 2:
         with pytest.raises(WellCenteredError):
             build_dual(cx)
     else:

@@ -28,29 +28,35 @@ def brute_force_circumcenter(coords):
 
 
 def test_right_triangle_circumcenter_is_hypotenuse_midpoint():
-    c = geometry.circumcenter(np.array([[(0, 0), (1, 0), (0, 1)]], dtype=float))
+    c, lam = geometry.circumcenter(np.array([[(0, 0), (1, 0), (0, 1)]], dtype=float))
     assert np.allclose(c[0], [0.5, 0.5], atol=1e-14)
+    assert np.allclose(lam[0], [0.0, 0.5, 0.5], atol=1e-14)  # on the hypotenuse
 
 
 def test_equilateral_circumcenter():
     tri = np.array([[(0, 0), (1, 0), (0.5, math.sqrt(3) / 2)]])
-    c = geometry.circumcenter(tri)
+    c, lam = geometry.circumcenter(tri)
     assert np.allclose(c[0], [0.5, math.sqrt(3) / 6], atol=1e-14)
+    assert np.allclose(lam[0], 1 / 3, atol=1e-14)
 
 
 def test_regular_tetrahedron_corner_circumcenter_matches_least_squares():
     tet = np.array([[(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]], dtype=float)
     expected = brute_force_circumcenter(tet[0])
     assert np.allclose(expected, [0.5, 0.5, 0.5], atol=1e-14)
-    c = geometry.circumcenter(tet)
+    c, lam = geometry.circumcenter(tet)
     assert np.allclose(c[0], expected, atol=1e-13)
+    # outside, beyond the face opposite the origin
+    assert np.allclose(lam, geometry.barycentric_coordinates(expected[None], tet), atol=1e-13)
+    assert lam[0, 0] == pytest.approx(-0.5)
 
 
 def test_lower_dimensional_circumcenter_lies_in_plane():
     # an edge in R^3: circumcenter is the midpoint
     e = np.array([[(1.0, 2.0, 3.0), (3.0, 0.0, 1.0)]])
-    c = geometry.circumcenter(e)
+    c, lam = geometry.circumcenter(e)
     assert np.allclose(c[0], [2.0, 1.0, 2.0], atol=1e-14)
+    assert lam.tolist() == [[0.5, 0.5]]
 
 
 @settings(max_examples=60, deadline=None)
@@ -61,7 +67,7 @@ def test_circumcenter_equidistance_property(vals):
     diam = geometry.diameter(tri)[0]
     if area2 < 1e-3 * max(diam, 1e-3) ** 2:
         return  # skip near-degenerate inputs
-    c = geometry.circumcenter(tri)[0]
+    c = geometry.circumcenter(tri)[0][0]
     d = np.linalg.norm(tri[0] - c, axis=1)
     assert np.allclose(d, d[0], rtol=1e-9)
 
@@ -75,7 +81,7 @@ def test_degenerate_simplex_raises_with_condition_estimate():
 def test_degeneracy_check_is_relative_to_each_edge_length():
     # a right-angled sliver has a well-defined circumcenter, the hypotenuse midpoint
     sliver = np.array([[(0, 0), (1, 0), (0, 1e-7)]], dtype=float)
-    assert np.allclose(geometry.circumcenter(sliver)[0], [0.5, 0.5e-7], rtol=1e-12)
+    assert np.allclose(geometry.circumcenter(sliver)[0][0], [0.5, 0.5e-7], rtol=1e-12)
     # a flat triangle of the same height does not
     flat = np.array([[(0, 0), (1, 0), (0.5, 1e-7)]], dtype=float)
     with pytest.raises(DegenerateSimplexError, match="relative Gram determinant"):
