@@ -124,7 +124,7 @@ def _integrate(field: FormField, corners: np.ndarray, degree: int) -> np.ndarray
         out = integ[start:start + step]
         for c, rho in enumerate(index_tuples(n, k)):
             out += (np.einsum("bq,q->b", vals[:, :, c], rule.weights)
-                    * np.linalg.det(frame[:, :, rho]))
+                    * geometry.det(frame[:, :, rho]))
     return integ / math.factorial(k)
 
 
@@ -166,7 +166,9 @@ def derham_dual(field: FormField, dual: DualComplex, degree: int = 4) -> Cochain
 def _barycentric_gradients(cx: SimplicialComplex) -> np.ndarray:
     """Gradients of the n+1 barycentric hat functions per top cell: (m, n+1, n)."""
     e = geometry.edge_matrix(cx.coords_of(cx.dim))
-    grads = np.transpose(np.linalg.inv(e), (0, 2, 1))  # rows of inv(E)^T are grad lam_i
+    # rows of inv(E)^T are grad lam_i, with inv(E) the solution X of E X = I
+    inv = geometry.solve(e, np.broadcast_to(np.eye(cx.dim), e.shape), geometry.det(e))
+    grads = np.transpose(inv, (0, 2, 1))
     g0 = -grads.sum(axis=1, keepdims=True)
     return np.concatenate([g0, grads], axis=1)
 
@@ -185,7 +187,7 @@ def whitney_mass_matrix(cx: SimplicialComplex, k: int) -> sp.csr_matrix:
     gram = grads @ np.transpose(grads, (0, 2, 1))              # (m, n+1, n+1)
     sides = index_tuples(n + 1, k)
     rows = np.array(sides, dtype=np.int64).reshape(len(sides), k)
-    minors = np.linalg.det(gram[:, rows[:, None, :, None], rows[None, :, None, :]])
+    minors = geometry.det(gram[:, rows[:, None, :, None], rows[None, :, None, :]])
     # inc[v, a, u] = (-1)^i where face a, without its i-th vertex v, is side u
     faces = index_tuples(n + 1, k + 1)
     inc = np.zeros((n + 1, len(faces), len(sides)))

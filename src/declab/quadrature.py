@@ -63,11 +63,3 @@ def simplex_rule(dim: int, degree: int = 4) -> QuadratureRule:
     bary = np.concatenate([1.0 - x.sum(axis=1, keepdims=True), x], axis=1)
     return QuadratureRule(dim, bary, w, degree)
 
-
-def reference_monomial_integral(exponents) -> float:
-    """Exact integral of prod x_i^{a_i} over the unit simplex: prod(a_i!) / (sum a + m)!."""
-    a = list(exponents)
-    num = 1.0
-    for ai in a:
-        num *= math.factorial(ai)
-    return num / math.factorial(sum(a) + len(a))

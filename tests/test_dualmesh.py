@@ -1,8 +1,8 @@
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from declab import dualmesh, geometry
 from declab.complex import build_complex
@@ -331,23 +331,38 @@ def exact_classes(nums, den):
     return np.where(outside, 2, np.where(on_boundary, 1, 0))
 
 
+def permanent(a):
+    """The permanent of each k x k matrix of a stack (m, k, k): the sum of the
+    products a[0, p(0)] ... a[k-1, p(k-1)] over all permutations p."""
+    k = a.shape[-1]
+    return sum(np.prod([a[:, i, p[i]] for i in range(k)], axis=0)
+               for p in permutations(range(k)))
+
+
 def rounding_bound(coords, lam):
     """A first-order bound, per simplex and coordinate, on the rounding error of
     both float computations of the circumcenter's barycentric coordinates:
     ``geometry.circumcenter``'s lam, and ``barycentric_coordinates`` of its
     center.
 
-    With unit roundoff u, edge matrix E (k x n), P = |E||E|^T and the
-    partial-pivoting LU factors of G = 2 E E^T: rounding E, forming G and
-    b = diag(E E^T) in sums of n terms, and the LU solve, whose backward error
-    is |dG| <= 3k u |L||U|, rows permuted back (Higham, Accuracy and Stability
-    of Numerical Algorithms, Thm 9.4), give (G + F) a^ = b + f with
-    |F| <= u ((4 + 2n) P + 3k |L||U|) and |f| <= (2 + n) u b.  So
-    |a^ - a| <= d = |G^-1| (|F| |a^| + |f|).  barycentric_coordinates solves
-    (G/2) l = E (c^ - v_0), with the same factors halved.  Its right side
-    differs from E E^T a^ by the rounding of c^ = v_0 + E^T a^ and of
-    c^ - v_0, at most u ((k + 4) |E|^T |a^| + |v_0|) per coordinate, and by
-    its own n-term sums, (1 + n) u |E| |E|^T |a^|.  So
+    With unit roundoff u, gamma_c = c u / (1 - c u), edge matrix E (k x n),
+    P = |E||E|^T, G = 2 E E^T and b = diag(E E^T): rounding E, and forming G
+    and b in sums of n terms, give (G + F) a~ = b + f with
+    |F| <= (4 + 2n) u P and |f| <= (2 + n) u b, so
+    |a~ - a| <= |G^-1| (|F| |a^| + |f|).  Cramer's rule then takes
+    a^_i = fl(N_i / D) with D = det G and N_i = det G_i, G with its column i
+    replaced by b.  Each closed-form expansion of ``geometry.det`` puts every
+    product of k entries through at most c = k(k+1)/2 - 1 roundings, so each
+    determinant is off by at most gamma_c per(|.|), per the permanent (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., Lemma 3.1 and
+    sections 1.10 and 14.6), and the quotient adds u |a^_i|:
+    |a^_i - a~_i| <= gamma_c (per|G_i| + |a^_i| per|G|) / |D| + u |a^_i|.
+    The two give d, the bound on |a^ - a|.  barycentric_coordinates solves
+    (G/2) l = E (c^ - v_0) by the same rule.  G/2 is G's float halved, and the
+    expansions are homogeneous, so its own rounding is again at most d to
+    first order; its right side differs from E E^T a^ by the rounding of
+    c^ = v_0 + E^T a^ and of c^ - v_0, at most u ((k + 4) |E|^T |a^| + |v_0|)
+    per coordinate, and by its own n-term sums, (1 + n) u |E| |E|^T |a^|.  So
     |l - a| <= 2 d + 2 u |G^-1| ((k + 5 + n) P |a^| + |E| |v_0|), the bound
     taken for both.  The coordinate 1 - sum a adds up the others' bounds, and
     k u (1 + sum |a^|) for its own sum.
@@ -355,15 +370,22 @@ def rounding_bound(coords, lam):
     u = np.finfo(float).eps / 2
     _, kp1, n = coords.shape
     k = kp1 - 1
+    c = k * (k + 1) // 2 - 1
+    gamma = c * u / (1 - c * u)
     e = geometry.edge_matrix(coords)
     a = np.abs(lam[:, 1:, None])
     g = 2.0 * (e @ np.transpose(e, (0, 2, 1)))
-    perm, low, up = scipy.linalg.lu(g)
+    b = np.einsum("mkd,mkd->mk", e, e)
     prod = np.abs(e) @ np.abs(np.transpose(e, (0, 2, 1)))
     ginv = np.abs(np.linalg.inv(g))
-    f = (((4 + 2 * n) * prod + 3 * k * perm @ (np.abs(low) @ np.abs(up))) @ a
-         + (2 + n) * np.einsum("mkd,mkd->mk", e, e)[..., None])
-    d = u * ginv @ f
+    per_num = np.empty_like(b)
+    for i in range(k):
+        gi = np.abs(g)
+        gi[:, :, i] = b
+        per_num[:, i] = permanent(gi)
+    cramer = gamma * (per_num + a[..., 0] * permanent(np.abs(g))[:, None]) \
+        / np.abs(np.linalg.det(g))[:, None]
+    d = u * ginv @ ((4 + 2 * n) * prod @ a + (2 + n) * b[..., None]) + cramer[..., None] + u * a
     side = 2 * d + 2 * u * ginv @ ((k + 5 + n) * prod @ a
                                    + np.abs(e) @ np.abs(coords[:, 0, :, None]))
     side = side[..., 0]

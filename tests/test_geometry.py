@@ -1,11 +1,16 @@
 import math
+from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from declab import geometry
+from declab.complex import build_complex
+from declab.dualmesh import build_dual
 from declab.errors import DegenerateSimplexError
 from declab.generators import FamilySpec, generate
 from strategies import jittered_wheels
@@ -76,6 +81,10 @@ def test_degenerate_simplex_raises_with_condition_estimate():
     tri = np.array([[(0, 0), (1, 0), (2, 1e-15)]], dtype=float)
     with pytest.raises(DegenerateSimplexError):
         geometry.circumcenter(tri)
+    # a zero-length edge: its relative Gram determinant is 0/0
+    edge = np.array([[(1.0, 2.0), (1.0, 2.0)]])
+    with pytest.raises(DegenerateSimplexError, match="relative Gram determinant nan"):
+        geometry.circumcenter(edge)
 
 
 def test_degeneracy_check_is_relative_to_each_edge_length():
@@ -137,3 +146,132 @@ def test_barycentric_coordinates_roundtrip(rng):
     pts = np.einsum("mj,mjd->md", lam, tet)
     out = geometry.barycentric_coordinates(pts, tet)
     assert np.allclose(out, lam, atol=1e-10)
+
+
+def leibniz_det(a):
+    """Oracle: the exact determinant of a small integer matrix, a sum over permutations."""
+    k = len(a)
+    total = 0
+    for p in permutations(range(k)):
+        inversions = sum(p[i] > p[j] for i in range(k) for j in range(i + 1, k))
+        total += (-1) ** inversions * math.prod(int(a[i][p[i]]) for i in range(k))
+    return total
+
+
+def stacks(k, elements):
+    """Stacks of 1 to 5 k x k matrices."""
+    return st.integers(1, 5).flatmap(lambda m: arrays(float, (m, k, k), elements=elements))
+
+
+sizes = st.integers(0, 4)
+# zero or at least 2^-20 in magnitude, so that no product of four entries underflows
+entries = st.floats(-4, 4).filter(lambda x: x == 0 or abs(x) >= 2.0 ** -20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=sizes.flatmap(lambda k: stacks(k, entries)))
+def test_det_matches_lapack(a):
+    """Above 3 x 3 det is LAPACK's.  Up to 3 x 3 both are within 1e-13 (about
+    900 u) of each other relative to prod_i ||a_i||_1, which bounds |det a|
+    and the permanent of |a| that bounds the closed form's rounding error."""
+    got, want = geometry.det(a), np.linalg.det(a)
+    assert got.shape == want.shape
+    if a.shape[-1] > 3:
+        assert np.array_equal(got, want)
+    scale = np.prod(np.abs(a).sum(axis=-1), axis=-1)
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.integers(0, 3).flatmap(lambda k: stacks(k, st.integers(-9, 9).map(float))))
+def test_det_is_exact_on_small_integers(a):
+    assert geometry.det(a).tolist() == [leibniz_det(x) for x in a.tolist()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), k=sizes)
+def test_solve_matches_lapack(data, k):
+    """On strictly diagonally dominant matrices, whose condition number is
+    below 2, Cramer's x is within 1e-13 of LAPACK's relative to |x|_inf."""
+    a = data.draw(stacks(k, entries)) + 16 * k * np.eye(k)
+    b = data.draw(arrays(float, (len(a), k, 2), elements=entries))
+    want = np.linalg.solve(a, b)
+    before = a.copy()
+    got = geometry.solve(a, b, geometry.det(a))
+    assert np.array_equal(a, before)  # the swapped columns are put back
+    scale = np.abs(want).max(axis=(1, 2), keepdims=True, initial=0)
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), k=st.integers(1, 3))
+def test_solve_is_correctly_rounded_on_small_integers(data, k):
+    """Integer numerators and denominators are exact, so the one division
+    rounds the exact rational solution correctly."""
+    a = data.draw(stacks(k, st.integers(-9, 9).map(float)))
+    b = data.draw(arrays(float, (len(a), k, 1), elements=st.integers(-9, 9).map(float)))
+    dets = [leibniz_det(x) for x in a.tolist()]
+    keep = np.array(dets) != 0
+    a, b = a[keep], b[keep]
+    got = geometry.solve(a, b, geometry.det(a))
+    for x, mat, rhs, den in zip(got, a.tolist(), b.tolist(), np.array(dets)[keep].tolist()):
+        for i in range(k):
+            swapped = [row[:i] + [r[0]] + row[i + 1:] for row, r in zip(mat, rhs)]
+            assert x[i, 0] == float(Fraction(leibniz_det(swapped), den))
+
+
+def lapack_signed_volume(coords):
+    """Reference: signed volumes by LAPACK's determinant."""
+    n = coords.shape[2]
+    return np.linalg.det(geometry.edge_matrix(coords)) / math.factorial(n)
+
+
+def lapack_circumcenter(coords, check=True):
+    """Reference: circumcenters by LAPACK's solve of 2 E E^T a = diag(E E^T)."""
+    coords = np.asarray(coords, dtype=float)
+    m, kp1, _ = coords.shape
+    if kp1 == 1:
+        return coords[:, 0, :].copy(), np.ones((m, 1))
+    e = geometry.edge_matrix(coords)
+    gram = 2.0 * (e @ np.transpose(e, (0, 2, 1)))
+    rhs = np.einsum("mkd,mkd->mk", e, e)
+    alpha = np.linalg.solve(gram, rhs[..., None])[..., 0]
+    lam = np.concatenate([1.0 - alpha.sum(axis=1, keepdims=True), alpha], axis=1)
+    return coords[:, 0, :] + np.einsum("mk,mkd->md", alpha, e), lam
+
+
+def assert_exact_bits_as_with_lapack(cx):
+    """Orientations, the signs and exact zeros of every circumcenter's
+    barycentric coordinates and the set of exactly zero dual volumes are the
+    same with the closed-form kernels as with LAPACK."""
+    cells = cx.simplices[cx.dim]
+    got_cx = build_complex(cx.dim, cx.vertices, cells, validate=False)
+    got_dual = build_dual(got_cx)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "signed_volume", lapack_signed_volume)
+        mp.setattr(geometry, "circumcenter", lapack_circumcenter)
+        want_cx = build_complex(cx.dim, cx.vertices, cells, validate=False)
+        want_dual = build_dual(want_cx)
+    for k in range(cx.dim + 1):
+        assert np.array_equal(got_cx.orientation[k], want_cx.orientation[k])
+        assert np.array_equal(got_dual.volumes[k] == 0, want_dual.volumes[k] == 0)
+        coords = cx.coords_of(k)
+        assert np.array_equal(np.sign(geometry.circumcenter(coords)[1]),
+                              np.sign(lapack_circumcenter(coords)[1]))
+    return got_dual
+
+
+@pytest.mark.parametrize("spec", [FamilySpec("cube_kuhn", level) for level in range(4)]
+                         + [FamilySpec("square", 2, pattern=p) for p in (1, 2, 3)]
+                         + [FamilySpec("pentagon_wheel", 3), FamilySpec("corner", 3)],
+                         ids=lambda s: f"{s.family}-{s.level}-{s.pattern}")
+def test_structured_meshes_keep_lapack_signs_and_zeros(spec):
+    dual = assert_exact_bits_as_with_lapack(generate(spec))
+    if spec == FamilySpec("cube_kuhn", 3):
+        assert np.count_nonzero(dual.volumes[1] == 0) == 17152
+
+
+@settings(max_examples=30, deadline=None)
+@given(cx=jittered_wheels)
+def test_jittered_wheels_keep_lapack_signs_and_zeros(cx):
+    assert_exact_bits_as_with_lapack(cx)
