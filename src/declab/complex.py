@@ -6,6 +6,13 @@ their ambient signed volume positive; lower simplices keep sign +1 (the sorted
 order itself is the stored orientation).  Relative orientations then reduce to
 an alternating-sign parity check, and boundary-of-boundary vanishes in exact
 integer arithmetic.
+
+The lattice is stored compactly: simplex rows and face ids are int32 and the
+orientation signs int8.  So every vertex and simplex count must stay below
+2**31, which ``build_complex`` checks; the studies' default cap of 2M unknowns
+keeps every count far below it.  Arithmetic on these arrays widens as it
+needs: ``_pack`` forms its int64 keys from int64 columns, and
+``boundary_matrix`` has int64 entries.
 """
 from __future__ import annotations
 
@@ -33,18 +40,20 @@ def _packing(*arrays: np.ndarray) -> tuple[int, int] | None:
 
 
 def _pack(rows: np.ndarray, lo: int, base: int) -> np.ndarray:
-    keys = rows[:, 0] - lo
+    # each column widened to int64 first: int32 rows would wrap in the products
+    keys = rows[:, 0].astype(np.int64) - lo
     for j in range(1, rows.shape[1]):
-        keys = keys * base + (rows[:, j] - lo)
+        keys = keys * base + (rows[:, j].astype(np.int64) - lo)
     return keys
 
 
 def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Same result as ``np.unique(rows, axis=0, return_inverse=True)`` for int64 rows.
+    """Same result as ``np.unique(rows, axis=0, return_inverse=True)`` for integer rows.
 
-    Sorts packed integer keys, or lexsorts the columns when keys would overflow.
+    The unique rows keep the dtype of ``rows`` and the inverse is int64.  Sorts
+    packed int64 keys, or lexsorts the columns when keys would overflow.
     """
-    rows = np.asarray(rows, dtype=np.int64)
+    rows = np.asarray(rows)
     m = len(rows)
     if m == 0:
         return rows.copy(), np.empty(0, dtype=np.int64)
@@ -96,9 +105,9 @@ class SimplicialComplex:
                  orientation: list[np.ndarray], faces: list[np.ndarray | None]):
         self.dim = dim
         self.vertices = vertices
-        self.simplices = simplices      # simplices[k]: (N_k, k+1) sorted rows, lexsorted
-        self.orientation = orientation  # orientation[k]: (N_k,) in {-1, +1}
-        self.faces = faces              # faces[k][s, i] = index of the (k-1)-face
+        self.simplices = simplices      # simplices[k]: (N_k, k+1) int32 sorted rows, lexsorted
+        self.orientation = orientation  # orientation[k]: (N_k,) int8 in {-1, +1}
+        self.faces = faces              # faces[k][s, i] = int32 index of the (k-1)-face
         #                                 obtained by dropping vertex position i
         self._boundary: dict[int, sp.csr_matrix] = {}
         self._cofaces: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -232,8 +241,11 @@ def build_complex(dim: int, vertex_coords, top_cells, validate: bool = True) -> 
         raise MeshError(f"top cells need {dim + 1} vertices")
     if cells.size and (cells.min() < 0 or cells.max() >= len(vertices)):
         raise MeshError("cell vertex index out of range")
+    # a top cell has at most C(dim+1, k+1) <= 2**dim faces of each degree k
+    if max(len(vertices), len(cells) << dim) >= 2 ** 31:
+        raise MeshError("mesh too large: the face lattice holds int32 ids below 2**31")
 
-    cells = np.sort(cells, axis=1)
+    cells = np.sort(cells.astype(np.int32), axis=1)
     top, place = _unique_rows(cells)
     if len(top) != len(cells):
         first = np.full(len(top), len(cells))
@@ -249,16 +261,16 @@ def build_complex(dim: int, vertex_coords, top_cells, validate: bool = True) -> 
     for k in range(dim, 0, -1):
         rows = simplices[k]
         kp1 = k + 1
-        sub = np.empty((len(rows) * kp1, k), dtype=np.int64)
+        sub = np.empty((len(rows) * kp1, k), dtype=np.int32)
         for i in range(kp1):
             keep = [j for j in range(kp1) if j != i]
             sub[i::kp1] = rows[:, keep]
         simplices[k - 1], inv = _unique_rows(sub)
-        faces[k] = inv.reshape(len(rows), kp1)
+        faces[k] = inv.reshape(len(rows), kp1).astype(np.int32)
     if len(simplices[0]) != len(vertices):
         raise MeshError("isolated vertices: every vertex must belong to a cell")
 
-    orientation = [np.ones(len(rows), dtype=np.int64) for rows in simplices]
+    orientation = [np.ones(len(rows), dtype=np.int8) for rows in simplices]
     # cells are unique, so place[i] is the lexsorted position of input cell i
     orientation[dim][place] = signs
 
@@ -278,7 +290,7 @@ def cell_orientation(vertices: np.ndarray, cells: np.ndarray) -> np.ndarray:
         i = int(np.argmax(degenerate))
         raise DegenerateSimplexError(
             f"degenerate cell {ids(cells[i])}: signed volume {svol[i]:.3e}")
-    return np.where(svol > 0, 1, -1).astype(np.int64)
+    return np.where(svol > 0, 1, -1).astype(np.int8)
 
 
 def _audit_conformity(cx: SimplicialComplex) -> None:

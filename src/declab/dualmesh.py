@@ -16,6 +16,17 @@ well-centered meshes every term is >= 0, degenerate pairs contributing
 exactly 0.  Off-centered circumcenters would cancel, so ``build_dual`` refuses
 any simplex whose smallest coordinate is below ``-geometry.WELL_CENTERED_TOL``.
 
+Both kernels of ``build_dual`` work in ``geometry.row_blocks``, blocks of
+max(1, geometry.BLOCK_NODES // w) simplices, w points per row: the
+circumcenter solve over blocks of k-simplices (w = k+1 vertices), written into
+preallocated (N_k, n) centers and (N_k, k+1) coordinates, and the step lengths
+over blocks of (k+1)-cofaces (w = k+2 faces), written into one preallocated
+array of every incidence pair.  Every quantity is per row, and the one
+bincount per degree still sums the whole array in the same order, so the
+block size changes no bit of the result; it bounds the temporaries, which
+whole arrays would size by the number of incidence pairs.  The
+well-centeredness gate reads the whole coordinate array.
+
 Unrolled, the recursion is a sum over full ascending flags
 t = t_k < t_{k+1} < ... < t_n through the top cells, one elementary fragment
 per flag: the ordered circumcenter chain [c(t_k), ..., c(t_n)].  Consecutive
@@ -97,7 +108,9 @@ def build_dual(cx: SimplicialComplex) -> DualComplex:
     n = cx.dim
     centers, lams = [cx.vertices], [None]
     for k in range(1, n + 1):
-        center, lam = geometry.circumcenter(cx.coords_of(k), check=True)
+        center, lam = np.empty((cx.num(k), n)), np.empty((cx.num(k), k + 1))
+        for rows in geometry.row_blocks(cx.num(k), k + 1):
+            center[rows], lam[rows] = geometry.circumcenter(cx.coords_of(k, rows), check=True)
         centers.append(center)
         lams.append(lam)
 
@@ -113,9 +126,14 @@ def build_dual(cx: SimplicialComplex) -> DualComplex:
         # pair T*(k+2) + i joins T to its face t = faces[k+1][T, i], which drops
         # vertex i of T; s(t,T) is the sign of lam[T, i], 0 counting as +1
         t = cx.faces[k + 1].ravel()
-        u = np.repeat(centers[k + 1], k + 2, axis=0) - centers[k][t]
-        norm = np.sqrt(sum(c * c for c in u.T))  # np.linalg.norm's sums, column by column, faster
-        steps = np.where(lam.ravel() >= 0, norm, -norm) * np.repeat(volumes[k + 1], k + 2)
+        steps = np.empty(len(t))
+        for rows in geometry.row_blocks(cx.num(k + 1), k + 2):
+            pairs = slice(rows.start * (k + 2), rows.stop * (k + 2))
+            u = np.repeat(centers[k + 1][rows], k + 2, axis=0) - centers[k][t[pairs]]
+            # np.linalg.norm's sums, column by column, faster
+            norm = np.sqrt(sum(c * c for c in u.T))
+            steps[pairs] = (np.where(lam[rows].ravel() >= 0, norm, -norm)
+                            * np.repeat(volumes[k + 1][rows], k + 2))
         volumes[k] = np.bincount(t, weights=steps, minlength=cx.num(k)) / (n - k)
     return DualComplex(cx, centers, volumes)
 
@@ -127,7 +145,7 @@ def _fragments(cx: SimplicialComplex, k: int):
     sorted vertices of chain[:, c+1], of the vertex its face chain[:, c] drops.
     """
     n = cx.dim
-    chain = np.arange(cx.num(n), dtype=np.int64)[:, None]
+    chain = np.arange(cx.num(n), dtype=np.int32)[:, None]
     drop = np.empty((cx.num(n), 0), dtype=np.int64)
     for j in range(n, k, -1):
         f = cx.faces[j][chain[:, 0]]           # (m, j+1) faces of the bottom simplex

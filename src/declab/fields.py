@@ -95,33 +95,29 @@ def hodge_field(field: FormField) -> FormField:
 # -- deRham maps -----------------------------------------------------------------
 
 
-BLOCK_NODES = 1 << 18  # quadrature nodes per block of _integrate
-
-
 def _integrate(field: FormField, corners: np.ndarray, degree: int) -> np.ndarray:
     """Integrate a k-form over each simplex given by ordered corners (m, k+1, n).
 
     The orientation is the corner order; a 0-simplex is a point evaluation
-    (one node of weight 1, and the 0x0 minor is 1).  Simplices go in blocks of
-    max(1, BLOCK_NODES // Q) for a rule of Q nodes, so the mapped nodes, the
-    field values and the field's temporaries cover at most max(BLOCK_NODES, Q)
-    nodes at a time, whatever m is.  The weighted sum over a row's nodes is an
-    einsum on that row alone, not a BLAS matrix-vector product, whose rounding
-    of a row depends on where it falls in the kernel's groups and thread split;
-    so the result depends neither on the block size nor on the BLAS thread
-    count.
+    (one node of weight 1, and the 0x0 minor is 1).  Simplices go in
+    ``geometry.row_blocks`` of max(1, BLOCK_NODES // Q) for a rule of Q nodes,
+    so the mapped nodes, the field values and the field's temporaries cover at
+    most max(BLOCK_NODES, Q) nodes at a time, whatever m is.  The weighted sum
+    over a row's nodes is an einsum on that row alone, not a BLAS
+    matrix-vector product, whose rounding of a row depends on where it falls
+    in the kernel's groups and thread split; so the result depends neither on
+    the block size nor on the BLAS thread count.
     """
     k = field.degree
     rule = simplex_rule(k, degree)
     m, _, n = corners.shape
-    step = max(1, BLOCK_NODES // len(rule.weights))
     integ = np.zeros(m)
-    for start in range(0, m, step):
-        block = corners[start:start + step]
+    for rows in geometry.row_blocks(m, len(rule.weights)):
+        block = corners[rows]
         pts = rule.physical_points(block)          # (b, Q, n)
         vals = field(pts.reshape(-1, n)).reshape(*pts.shape[:2], -1)
         frame = geometry.edge_matrix(block)
-        out = integ[start:start + step]
+        out = integ[rows]
         for c, rho in enumerate(index_tuples(n, k)):
             out += (np.einsum("bq,q->b", vals[:, :, c], rule.weights)
                     * geometry.det(frame[:, :, rho]))

@@ -21,6 +21,16 @@ CIRCUMCENTER_COND_MAX = 1e12
 # A circumcenter whose smallest barycentric coordinate lies within this of 0
 # is on its simplex's boundary (weakly well-centered); below -tol it is outside.
 WELL_CENTERED_TOL = 1e-12
+# Points per block of the row-blocked kernels (fields._integrate's quadrature
+# nodes, dualmesh.build_dual's simplex vertices), see row_blocks.
+BLOCK_NODES = 1 << 18
+
+
+def row_blocks(m: int, width: int):
+    """Slices covering rows 0..m-1 in order, max(1, BLOCK_NODES // width) rows
+    each for rows of ``width`` points, so a block's temporaries stay bounded."""
+    step = max(1, BLOCK_NODES // width)
+    return (slice(start, start + step) for start in range(0, m, step))
 
 
 def det(a: np.ndarray) -> np.ndarray:
@@ -135,8 +145,9 @@ def circumcenter(coords: np.ndarray, check: bool = True) -> tuple[np.ndarray, np
         bad = ~(rel_det * CIRCUMCENTER_COND_MAX > 1.0)
         if bad.any():
             i = int(np.argmax(bad))
+            # named by its vertices, not its row, which a blocked caller would shift
             raise DegenerateSimplexError(
-                f"near-degenerate simplex (row {i}): equidistance system "
+                f"near-degenerate simplex {coords[i].tolist()}: equidistance system "
                 f"relative Gram determinant {rel_det[i]:.3e}"
             )
     alpha = solve(gram, rhs[..., None], den)[..., 0]

@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from declab import dualmesh, geometry
 from declab.complex import build_complex
 from declab.dualmesh import build_dual
-from declab.errors import InvertedCellError, WellCenteredError
+from declab.errors import DegenerateSimplexError, InvertedCellError, WellCenteredError
 from declab.generators import FamilySpec, generate, jitter_interior
 from strategies import jittered_wheels
 
@@ -197,6 +199,37 @@ def test_boundary_flags():
     dual = build_dual(cx)
     assert dual.complex.boundary_mask(0).sum() == 10
     assert not cx.boundary_mask(0)[0]  # hub
+
+
+def test_near_degenerate_simplex_is_named_alike_at_every_block_size(monkeypatch):
+    # the third triangle passes build_complex's volume test but not the
+    # circumcenter's conditioning test; in blocks of one row it is row 0
+    cx = build_complex(2, [(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 1 + 1e-7)],
+                       [(0, 1, 2), (0, 2, 3), (3, 2, 4)])
+    for block_nodes in (1 << 62, 3):
+        monkeypatch.setattr(geometry, "BLOCK_NODES", block_nodes)
+        with pytest.raises(DegenerateSimplexError, match=re.escape(
+                "simplex [[1.0, 1.0], [0.0, 1.0], [0.5, 1.0000001]]: equidistance")):
+            build_dual(cx)
+
+
+def test_build_dual_memory_is_bounded_by_the_block(monkeypatch):
+    # cube level 3: 24,576 tetrahedra, 50,688 triangles and 31,024 edges.  At
+    # one block the (N_{k+1}(k+2), 3) step temporaries and the circumcenter
+    # solve's (N_k, k, 3) arrays set the peak; blocks of 1,024 tetrahedra
+    # (4,096 points) leave mostly the dual's own arrays
+    cx = generate(FamilySpec("cube_kuhn", 3))
+
+    def peak(block_nodes):
+        monkeypatch.setattr(geometry, "BLOCK_NODES", block_nodes)
+        tracemalloc.start()
+        try:
+            build_dual(cx)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4 * 1024) < 0.6 * peak(1 << 62)
 
 
 def test_flags_built_once_and_only_for_the_asked_degree(monkeypatch):

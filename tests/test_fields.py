@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from declab import fields, geometry
+from declab import dualmesh, fields, geometry
+from declab.complex import SimplicialComplex
 from declab.dualmesh import build_dual
-from declab.errors import TrivialProblemError
+from declab.errors import TrivialProblemError, WellCenteredError
 from declab.fields import (FormField, consistency_probe, derham_dual, derham_primal,
                            hodge_field, laplace_consistency_probe, volume_field,
                            whitney_mass_matrix)
@@ -147,12 +148,45 @@ def test_blocked_quadrature_equals_one_block(cx, block_nodes):
     # a partial last block wherever the block step does not divide the count
     dual = build_dual(cx)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fields, "BLOCK_NODES", 1 << 62)
+        mp.setattr(geometry, "BLOCK_NODES", 1 << 62)
         whole = _derham_cochains(cx, dual)
-        mp.setattr(fields, "BLOCK_NODES", block_nodes)
+        mp.setattr(geometry, "BLOCK_NODES", block_nodes)
         blocked = _derham_cochains(cx, dual)
     for a, b in zip(whole, blocked):
         assert np.array_equal(a, b)
+
+
+def _dual_arrays(cx):
+    dual = build_dual(cx)
+    frags = [dualmesh._fragments(cx, k) for k in range(cx.dim + 1)]
+    return [*dual.circumcenters, *dual.volumes, *(a for f in frags for a in f)]
+
+
+def _refusal(cx):
+    with pytest.raises(WellCenteredError) as info:
+        build_dual(cx)
+    return str(info.value)
+
+
+@settings(deadline=None, max_examples=30)
+@given(cx=jittered_wheels | st.integers(0, 1).map(
+           lambda level: generate(FamilySpec("cube_kuhn", level))),
+       block_nodes=st.integers(0, 60).map(lambda i: 2 * i + 1))
+def test_blocked_dual_equals_one_block(cx, block_nodes):
+    # rows of 2, 3 or 4 points: odd block sizes give ragged blocks of
+    # block_nodes // width rows, down to one row, and a partial last block
+    n = cx.dim
+    shear = np.eye(n)
+    shear[0, 1] = 2.0   # det 1, so the orientation signs carry over
+    off = SimplicialComplex(n, cx.vertices @ shear.T, cx.simplices, cx.orientation, cx.faces)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "BLOCK_NODES", 1 << 62)
+        whole, whole_refusal = _dual_arrays(cx), _refusal(off)
+        mp.setattr(geometry, "BLOCK_NODES", block_nodes)
+        blocked, blocked_refusal = _dual_arrays(cx), _refusal(off)
+    for a, b in zip(whole, blocked, strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert blocked_refusal == whole_refusal
 
 
 def test_dual_derham_memory_is_bounded_by_the_block():

@@ -19,7 +19,7 @@ def row_arrays(elements):
 def assert_matches_numpy(rows):
     uniq, inv = _unique_rows(rows)
     want_uniq, want_inv = np.unique(rows, axis=0, return_inverse=True)
-    assert uniq.dtype == np.int64 and inv.dtype == np.int64
+    assert uniq.dtype == rows.dtype and inv.dtype == np.int64
     assert np.array_equal(uniq, want_uniq)
     assert np.array_equal(inv, want_inv.ravel())
 
@@ -45,6 +45,33 @@ def test_unique_rows_lexsort_fallback(rows):
     assert_matches_numpy(rows)
 
 
+I32 = np.iinfo(np.int32)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.int32, st.tuples(st.integers(0, 60), st.just(2)),
+                  elements=st.sampled_from([0, 1, 2, 2 ** 30 - 1, 2 ** 30])))
+def test_unique_rows_packs_int32_rows_into_int64_keys(rows):
+    # base = 2**30 + 1, so the keys reach base**2 ~ 2**60: they would wrap if
+    # _pack multiplied in int32
+    rows = np.vstack([rows, np.array([[0, 2 ** 30]], dtype=np.int32)])
+    assert _packing(rows) is not None
+    assert_matches_numpy(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda w: hnp.arrays(
+    np.int32, st.tuples(st.integers(0, 60), st.just(w)),
+    elements=st.sampled_from([I32.min, I32.min + 1, -1, 0, 1, I32.max - 1, I32.max]))))
+def test_unique_rows_on_the_whole_int32_range(rows):
+    # base = 2**32: one column still packs, with (r - lo) formed in int64;
+    # wider rows take the lexsort fallback
+    rows = np.vstack([rows, np.full((1, rows.shape[1]), I32.min, dtype=np.int32),
+                      np.full((1, rows.shape[1]), I32.max, dtype=np.int32)])
+    assert (_packing(rows) is None) == (rows.shape[1] > 1)
+    assert_matches_numpy(rows)
+
+
 def lookup_oracle(table, queries):
     where = {tuple(r): i for i, r in enumerate(table.tolist())}
     return np.array([where.get(tuple(q), -1) for q in queries.tolist()], dtype=np.int64)
@@ -60,6 +87,29 @@ def test_row_lookup_finds_present_rows_and_flags_absent_ones(table_queries):
     table, queries = table_queries
     table = np.unique(table, axis=0)
     assert np.array_equal(_row_lookup(table, queries), lookup_oracle(table, queries))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda w: st.tuples(
+    hnp.arrays(np.int32, st.tuples(st.integers(1, 40), st.just(w)),
+               elements=st.sampled_from([-3, 0, 1, 2, 5, I32.max])),
+    hnp.arrays(np.int64, st.tuples(st.integers(0, 40), st.just(w)),
+               elements=st.sampled_from([-4, 0, 1, 2, 5, I32.max, BIG])))))
+def test_row_lookup_takes_an_int32_table_and_int64_queries(table_queries):
+    table, queries = table_queries
+    table = np.unique(table, axis=0)
+    assert np.array_equal(_row_lookup(table, queries), lookup_oracle(table, queries))
+
+
+def test_the_lattice_is_int32_and_int8():
+    # test_complex.py's test_boundary_matrices_compose_to_zero_exactly checks
+    # that the products of these int8 signs stay int64 and exactly zero
+    for spec in (FamilySpec("pentagon_wheel", level=2), FamilySpec("cube_kuhn", level=1)):
+        cx = generate(spec)
+        assert all(s.dtype == np.int32 for s in cx.simplices)
+        assert all(f.dtype == np.int32 for f in cx.faces[1:])
+        assert all(o.dtype == np.int8 for o in cx.orientation)
+        assert all(cx.boundary_matrix(k).dtype == np.int64 for k in range(1, cx.dim + 1))
 
 
 def test_index_of_returns_minus_one_for_absent_rows():
