@@ -113,9 +113,6 @@ class SimplicialComplex:
         self._cofaces: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._boundary_masks: list[np.ndarray] | None = None
         self.boundary_labels: dict[tuple, str] = {}
-        # the generators.FamilySpec that built this mesh, which refinement
-        # dispatches on; None for untagged or moved-vertex meshes
-        self.family = None
         # read-only, so a complex on moved vertices can share the lattice
         for arr in chain(self.simplices, self.orientation, self.faces[1:]):
             arr.setflags(write=False)

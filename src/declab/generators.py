@@ -12,22 +12,23 @@ Families:
   patterns (1: uniform diagonals, 2: alternating diagonals on a 2x2 base,
   3: criss-cross with cell centers).  Weakly well-centered: circumcenters sit
   on the hypotenuses.
-* ``cube_kuhn`` -- unit cube on a 2^(level+1) grid, each cell split into six
-  tetrahedra around its main diagonal (self-similar under grid halving).
-  Weakly well-centered.
+* ``cube_kuhn`` -- unit cube on a 2 x 2 x 2 grid, each cell split into six
+  tetrahedra around its main diagonal.  Weakly well-centered.
 * ``from_file(path)`` -- arbitrary conforming meshes via the decmesh format.
 
-2D refinement is medial subdivision (each triangle into four by its edge
-midpoints; h halves exactly).  The cube family refines by halving the grid.
-Both are regular (Freudenthal) refinements, so one linear rule on the simplex
-counts of a level-0 mesh gives the size of every level (``estimate_unknowns``).
+Level L of every family is its level-0 mesh refined L times.  ``refine`` is one
+red refinement by edge midpoints, in 1 to 3 dimensions: each triangle into four,
+each tetrahedron into eight, and h halves exactly.  It is self-similar on the
+cube: the Kuhn simplices of a grid refine into those of the halved grid.  It is
+regular (Freudenthal), so one linear rule on the simplex counts of a level-0
+mesh gives the size of every level (``estimate_unknowns``).
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
-from itertools import permutations
+from itertools import combinations, permutations, product
 
 import numpy as np
 import scipy.sparse as sp
@@ -65,37 +66,20 @@ class FamilySpec:
 
 
 def generate(spec: FamilySpec) -> SimplicialComplex:
-    if spec.family == "cube_kuhn":
-        cx = _cube(spec.level)
+    """The family's level-0 mesh, refined ``spec.level`` times."""
+    if spec.family == "pentagon_wheel":
+        cx = _wheel(spec.n_gon)
+    elif spec.family == "corner":
+        cx = _corner(spec.alpha)
+    elif spec.family == "square":
+        cx = _square(spec.pattern)
+    elif spec.family == "cube_kuhn":
+        cx = _cube()
     else:
-        if spec.family == "pentagon_wheel":
-            cx = _wheel(spec.n_gon)
-        elif spec.family == "corner":
-            cx = _corner(spec.alpha)
-        elif spec.family == "square":
-            cx = _square(spec.pattern)
-        else:
-            cx = meshio.load(spec.path)
-        for _ in range(spec.level):
-            cx = medial_refine(cx)
-    cx.family = spec
+        cx = meshio.load(spec.path)
+    for _ in range(spec.level):
+        cx = refine(cx)
     return cx
-
-
-def refinable(cx: SimplicialComplex) -> bool:
-    """Whether ``refine`` can refine ``cx``: every 2D mesh, and the Kuhn cube."""
-    return cx.dim == 2 or (cx.family is not None and cx.family.family == "cube_kuhn")
-
-
-def refine(cx: SimplicialComplex) -> SimplicialComplex:
-    """One refinement step, dispatching on the family tag, which advances a level."""
-    spec = cx.family
-    if not refinable(cx):
-        name = "untagged meshes" if spec is None else f"family '{spec.family}'"
-        raise MeshError(f"refinement of {name} is only supported in 2D")
-    out = medial_refine(cx) if cx.dim == 2 else _cube(spec.level + 1)
-    out.family = None if spec is None else replace(spec, level=spec.level + 1)
-    return out
 
 
 def walk(spec: FamilySpec, levels: int) -> Iterator[SimplicialComplex]:
@@ -110,34 +94,82 @@ def walk(spec: FamilySpec, levels: int) -> Iterator[SimplicialComplex]:
         yield cx
 
 
+# Red refinement by edge midpoints (Freudenthal, Ann. Math. 43, 1942; Bey,
+# Numer. Math. 85, 2000): the children of a k-simplex with vertices 0..k, where
+# "i" names vertex i and "ij" the midpoint of edge ij.  The vertices are taken
+# in increasing x+y+z order, ties by id.  In 3D that order makes the children of
+# a Kuhn simplex the Kuhn simplices of the halved grid; in lower dimensions the
+# children do not depend on it.  Any order refines conformingly: it only picks
+# a tetrahedron's interior diagonal, and every face splits into its own children.
+_RED = {
+    1: "0,01 1,01",
+    2: "0,01,02 1,01,12 2,02,12 01,02,12",
+    3: "0,01,02,03 01,1,12,13 02,12,2,23 03,13,23,3 "
+       "01,02,03,13 01,02,12,13 02,03,13,23 02,12,13,23",
+}
+
+
+def _red_children(cx: SimplicialComplex, k: int, idx: np.ndarray) -> np.ndarray:
+    """The red children of the k-simplices ``idx``, as fine vertex rows in a
+    ``(len(idx), children, k+1)`` array.
+
+    Fine vertex ``v < nv`` is coarse vertex ``v`` and ``nv + e`` is the
+    midpoint of coarse edge ``e``.
+    """
+    if k not in _RED:
+        raise MeshError(f"no red refinement template for dimension {k}")
+    rows = cx.simplices[k][idx]
+    # sorted position of each vertex in x+y+z order; the stable sort breaks ties by id
+    order = np.argsort(cx.vertices.sum(axis=1)[rows], axis=1, kind="stable")
+    fine = {str(i): col for i, col in enumerate(np.take_along_axis(rows, order, axis=1).T)}
+    for i, j in combinations(range(k + 1), 2):
+        # edge ij: drop the sorted positions of the other vertices from the top, largest first
+        rest = np.sort(np.delete(order, [i, j], axis=1), axis=1)
+        e = idx
+        for d in range(k, 1, -1):
+            e = cx.faces[d][e, rest[:, d - 2]]
+        fine[f"{i}{j}"] = cx.num(0) + e
+    return np.stack([np.stack([fine[v] for v in child.split(",")], axis=1)
+                     for child in _RED[k].split()], axis=1)
+
+
+def refine(cx: SimplicialComplex) -> SimplicialComplex:
+    """One red refinement of every top cell; ``h`` halves exactly.
+
+    The children of a labelled boundary face keep its label.
+    """
+    n = cx.dim
+    cells = _red_children(cx, n, np.arange(cx.num(n))).reshape(-1, n + 1)
+    edges = cx.simplices[1]
+    mids = 0.5 * (cx.vertices[edges[:, 0]] + cx.vertices[edges[:, 1]])
+    out = build_complex(n, np.vstack([cx.vertices, mids]), cells, validate=False)
+    if cx.boundary_labels:
+        faces = _red_children(cx, n - 1, cx.index_of(n - 1, list(cx.boundary_labels)))
+        out.boundary_labels = {tuple(row): label for label, children in
+                               zip(cx.boundary_labels.values(), np.sort(faces, axis=2).tolist())
+                               for row in children}
+    return out
+
+
+def medial_refine(cx: SimplicialComplex) -> SimplicialComplex:
+    """``refine``, under its name from when it split triangles only."""
+    return refine(cx)
+
+
 def prolongation(coarse: SimplicialComplex) -> sp.csr_matrix:
     """Linear interpolation of vertex values from ``coarse`` to ``refine(coarse)``.
 
-    A ``(N_0 fine, N_0 coarse)`` matrix, exact for both refinements: every
-    fine vertex is a coarse vertex or the midpoint of a coarse edge.  Medial
-    subdivision numbers the midpoint of edge ``e`` as ``nv + e``; grid halving
-    puts fine point ``p`` midway between coarse points ``(p - odd(p))/2`` and
-    ``(p + odd(p))/2``.  Dispatches on the family tag as ``refine`` does.
+    A ``(N_0 fine, N_0 coarse)`` matrix, exact: fine vertex ``v < nv`` is coarse
+    vertex ``v`` and fine vertex ``nv + e`` the midpoint of coarse edge ``e``.
     """
-    spec = coarse.family
-    if spec is not None and spec.family == "cube_kuhn":
-        m = 2 ** (spec.level + 1)   # coarse grid cells per side
-        g = np.arange(2 * m + 1)
-        fine = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
-        odd = fine % 2
-        strides = np.array([(m + 1) ** 2, m + 1, 1])
-        ends = [((fine - odd) // 2) @ strides, ((fine + odd) // 2) @ strides]
-    elif coarse.dim == 2:
-        nv = coarse.num(0)
-        edges = coarse.simplices[1]
-        ends = [np.concatenate([np.arange(nv), edges[:, j]]) for j in (0, 1)]
-    else:
-        raise MeshError(f"no prolongation for refinement in dim {coarse.dim}")
+    nv = coarse.num(0)
+    edges = coarse.simplices[1]
+    ends = [np.concatenate([np.arange(nv), edges[:, j]]) for j in (0, 1)]
     nf = len(ends[0])
     rows = np.tile(np.arange(nf), 2)
     # a fine vertex that is a coarse vertex gets its two halves summed to 1
     return sp.csr_matrix((np.full(2 * nf, 0.5), (rows, np.concatenate(ends))),
-                         shape=(nf, coarse.num(0)))
+                         shape=(nf, nv))
 
 
 def interior_prolongation(coarse: SimplicialComplex, fine: SimplicialComplex) -> sp.csr_matrix:
@@ -148,36 +180,6 @@ def interior_prolongation(coarse: SimplicialComplex, fine: SimplicialComplex) ->
     """
     p = prolongation(coarse)[fine.interior_vertex_indices()]
     return p[:, coarse.interior_vertex_indices()]
-
-
-def medial_refine(cx: SimplicialComplex) -> SimplicialComplex:
-    """Split every triangle into its four medial subtriangles; boundary labels carry over."""
-    if cx.dim != 2:
-        raise MeshError("medial refinement is 2D only")
-    nv = cx.num(0)
-    edges = cx.simplices[1]
-    mids = 0.5 * (cx.vertices[edges[:, 0]] + cx.vertices[edges[:, 1]])
-    verts = np.vstack([cx.vertices, mids])
-    tri = cx.simplices[2]
-    f = cx.faces[2]  # f[t, i] = edge opposite vertex position i
-    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
-    m_bc, m_ac, m_ab = nv + f[:, 0], nv + f[:, 1], nv + f[:, 2]
-    children = np.concatenate([
-        np.stack([a, m_ab, m_ac], axis=1),
-        np.stack([b, m_ab, m_bc], axis=1),
-        np.stack([c, m_ac, m_bc], axis=1),
-        np.stack([m_ab, m_ac, m_bc], axis=1),
-    ])
-    out = build_complex(2, verts, children, validate=False)
-    # the two halves of a labelled boundary edge (a, b) keep its label
-    if cx.boundary_labels:
-        parents = cx.index_of(1, list(cx.boundary_labels))
-        for (a, b), e, label in zip(cx.boundary_labels, parents.tolist(),
-                                    cx.boundary_labels.values()):
-            if e >= 0:
-                out.boundary_labels[(a, nv + e)] = label
-                out.boundary_labels[(b, nv + e)] = label
-    return out
 
 
 # -- builders -----------------------------------------------------------------
@@ -239,32 +241,14 @@ def _square(pattern: int) -> SimplicialComplex:
     return build_complex(2, np.array(verts, dtype=float), cells, validate=False)
 
 
-_KUHN_PERMS = list(permutations(range(3)))
-
-
-def _cube(level: int) -> SimplicialComplex:
-    m = 2 ** (level + 1)
-    side = m + 1
-    g = np.arange(side)
-    verts = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3) / m
-
-    base = np.stack(np.meshgrid(np.arange(m), np.arange(m), np.arange(m),
-                                indexing="ij"), axis=-1).reshape(-1, 3)
-    strides = np.array([side * side, side, 1])
-    base_id = base @ strides
-
-    cells = []
-    for perm in _KUHN_PERMS:
-        corner = np.zeros(3, dtype=np.int64)
-        offs = [corner.copy()]
-        for ax in perm:
-            corner = corner.copy()
-            corner[ax] += 1
-            offs.append(corner.copy())
-        off_ids = np.array([o @ strides for o in offs])
-        cells.append(base_id[:, None] + off_ids[None, :])
-    cells = np.concatenate(cells, axis=0)
-    return build_complex(3, verts, cells, validate=False)
+def _cube() -> SimplicialComplex:
+    """The unit cube on a 2 x 2 x 2 grid, each cell split into the six Kuhn
+    tetrahedra: the paths from its low corner to its high one, an axis per step."""
+    grid = np.array(list(product(range(3), repeat=3)))
+    steps = np.eye(3, dtype=np.int64)
+    cells = [np.cumsum([base, *steps[list(perm)]], axis=0) @ (9, 3, 1)
+             for base in grid if base.max() < 2 for perm in permutations(range(3))]
+    return build_complex(3, grid / 2, cells, validate=False)
 
 
 def jitter_interior(cx: SimplicialComplex, amplitude: float = 0.1,

@@ -103,10 +103,6 @@ class DiagonalOperator(LinearOperator):
     def as_matrix(self) -> sp.csr_matrix:
         return sp.diags(self.diagonal()).tocsr()
 
-    def is_signed_identity(self, sign: int) -> bool:
-        """Exact check num == sign * den, immune to reciprocal rounding."""
-        return np.array_equal(self.num, sign * self.den)
-
 
 class SparseOperator(LinearOperator):
     def __init__(self, mat: sp.spmatrix, domain: Tag, codomain: Tag):

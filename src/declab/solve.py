@@ -18,9 +18,10 @@ levels need a mesh for P but no dual and no assembly.  The cycle smooths with
 damped Jacobi and solves the coarsest level (1 to 3 unknowns for the generated
 families) by its dense inverse, so the iteration count stays flat under
 refinement instead of doubling per level.  A solve with no coarser level (level
-0, a 3D mesh file), or whose coarsest level has ``DENSE_CUTOFF`` unknowns or
-more, is preconditioned by Jacobi, the diagonal of S_II.  No reduction goes
-through BLAS, so the solution does not depend on the BLAS thread count.
+0 of a family or a mesh file), or whose coarsest level has ``DENSE_CUTOFF``
+unknowns or more, is preconditioned by Jacobi, the diagonal of S_II.  No
+reduction goes through BLAS, so the solution does not depend on the BLAS
+thread count.
 """
 from __future__ import annotations
 
@@ -73,7 +74,6 @@ class AssembledSystem:
     reduced: sp.csr_matrix        # interior block S_II
     load: np.ndarray              # b_I = (star_0 R_h f)_I - S_IB g_B
     interior: np.ndarray
-    zero_weight_edges: np.ndarray  # edges with |dual| = 0 (weakly well-centered)
 
 
 @dataclass(frozen=True)
@@ -113,8 +113,7 @@ def assemble(problem: DirichletProblem) -> AssembledSystem:
     s_ib = s[interior][:, boundary].tocsr()
     b = problem.dual.volumes[0][interior] * problem.rhs.values[interior] \
         - s_ib @ problem.boundary_values[boundary]
-    return AssembledSystem(s_ii, b, interior,
-                           np.flatnonzero(problem.dual.volumes[1] == 0.0))
+    return AssembledSystem(s_ii, b, interior)
 
 
 def pcg(a: sp.csr_matrix, b: np.ndarray, tol: float, max_iterations: int,

@@ -116,7 +116,7 @@ def test_criterion_03_double_star_and_isometry():
     worst = 0.0
     for k in range(n + 1):
         comp = hodge_star(dual, n - k, "dual") @ hodge_star(dual, k, "primal")
-        assert comp.is_signed_identity((-1) ** (k * (n - k)))
+        assert np.array_equal(comp.num, (-1) ** (k * (n - k)) * comp.den)
         s = hodge_star(dual, k, "primal")
         for _ in range(100):
             c = Cochain(k, "primal", rng.standard_normal(cx.num(k)))

@@ -8,8 +8,7 @@ from declab import geometry, meshio
 from declab.complex import build_complex
 from declab.errors import InvertedCellError, MeshError
 from declab.generators import (DEFAULT_ALPHA, FamilySpec, _label_slit, estimate_unknowns,
-                               generate, jitter_interior, medial_refine, prolongation, refine,
-                               walk)
+                               generate, jitter_interior, prolongation, refine, walk)
 
 C_PENTAGON = math.sqrt(2 - 2 * math.cos(2 * math.pi / 5))
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "pentagon_level2.decmesh")
@@ -98,14 +97,32 @@ def test_cube_refine_halves_grid():
     cx = generate(FamilySpec("cube_kuhn", level=0))
     fine = refine(cx)
     assert fine.num(3) == 8 * cx.num(3)
-    assert fine.family.level == 1
+    assert fine.num(0) == 5 ** 3
 
 
-def test_refine_advances_the_family_spec():
-    spec = FamilySpec("corner", level=1, alpha=1.5 * math.pi)
-    fine = refine(generate(spec))
-    assert fine.family == FamilySpec("corner", level=2, alpha=1.5 * math.pi)
-    assert refine(fine).family.level == 3
+def test_refined_cube_cells_are_kuhn_simplices_of_the_halved_grid():
+    cx = generate(FamilySpec("cube_kuhn"))
+    for level in range(1, 5):
+        cx = refine(cx)
+        h = 2.0 ** -(level + 1)
+        coords = cx.coords_of(3)
+        coords = np.take_along_axis(coords, np.argsort(coords.sum(axis=2), axis=1)[..., None],
+                                    axis=1)
+        # consecutive vertices differ by exactly h along one axis, a different one each step
+        steps = np.diff(coords, axis=1) / h
+        assert np.all((steps == 0) | (steps == 1)), level
+        assert np.all(steps.sum(axis=2) == 1) and np.all(steps.sum(axis=1) == 1), level
+        assert cx.num(3) == 6 * (2 * 2 ** level) ** 3
+
+
+def test_refine_without_a_template_refused(tmp_path):
+    path = tmp_path / "simplex4.decmesh"
+    meshio.save(build_complex(4, np.vstack([np.zeros(4), np.eye(4)]), [range(5)]), path)
+    cx = meshio.load(path)
+    with pytest.raises(MeshError, match="dimension 4"):
+        refine(cx)
+    with pytest.raises(MeshError, match="dimension 4"):
+        generate(FamilySpec("from_file", level=1, path=str(path)))
 
 
 def test_refine_from_file_2d_is_medial(tmp_path):
@@ -118,23 +135,16 @@ def test_refine_from_file_2d_is_medial(tmp_path):
     assert ref.num(2) == 4 * cx.num(2)
 
 
-def test_refine_3d_untagged_refused():
-    cx = generate(FamilySpec("cube_kuhn", level=0))
-    cx.family = None
-    with pytest.raises(MeshError):
-        refine(cx)
-    with pytest.raises(MeshError):
-        medial_refine(cx)
-    with pytest.raises(MeshError):
-        prolongation(cx)
-
-
 @pytest.mark.parametrize("family,level", [("pentagon_wheel", 2), ("corner", 1),
-                                          ("square", 1), ("cube_kuhn", 1)])
-def test_prolongation_interpolates_the_refined_vertices(family, level):
+                                          ("square", 1), ("cube_kuhn", 1), ("from_file", 1)])
+def test_prolongation_interpolates_the_refined_vertices(family, level, tmp_path):
     # every fine vertex is a coarse vertex or an edge midpoint, so P is exact
     # on the coordinates, and its rows are convex weights
-    cx = generate(FamilySpec(family, level))
+    path = None
+    if family == "from_file":   # a 3D file with no grid structure: a jittered cube
+        path = str(tmp_path / "jittered_cube.decmesh")
+        meshio.save(jitter_interior(generate(FamilySpec("cube_kuhn", 1)), 0.2, seed=1), path)
+    cx = generate(FamilySpec(family, level, path=path))
     p = prolongation(cx)
     assert np.array_equal(p @ cx.vertices, refine(cx).vertices)
     assert set(p.data) <= {0.5, 1.0} and np.array_equal(p.sum(axis=1).A1, np.ones(p.shape[0]))
@@ -170,10 +180,9 @@ def test_estimate_unknowns_reads_mesh_files(tmp_path):
     meshio.save(generate(FamilySpec("corner", level=1)), corner)
     for path in (FIXTURE, str(corner)):
         _assert_estimates_match_walk(FamilySpec("from_file", path=path), 4)
-    # a 3D file does not refine, but its level 0 has a count like any mesh
     cube = tmp_path / "cube.decmesh"
     meshio.save(generate(FamilySpec("cube_kuhn", level=1)), cube)
-    assert estimate_unknowns(generate(FamilySpec("from_file", path=str(cube))), 0) == 27
+    _assert_estimates_match_walk(FamilySpec("from_file", path=str(cube)), 3)
 
 
 def test_jitter_moves_interior_only():
@@ -198,7 +207,6 @@ def test_jitter_shares_the_lattice_build_complex_makes():
         assert np.array_equal(j.orientation[k], rebuilt.orientation[k])
     for k in (1, 2):
         assert np.array_equal(j.faces[k], rebuilt.faces[k])
-    assert j.family is None
 
 
 @pytest.mark.parametrize("seed", [3, 5])
@@ -219,6 +227,28 @@ def test_refined_file_mesh_keeps_boundary_labels(tmp_path):
     relabelled = generate(FamilySpec("corner", level=2))
     _label_slit(relabelled, DEFAULT_ALPHA)
     assert relabelled.boundary_labels == corner2.boundary_labels
+
+
+def test_refine_hands_a_boundary_triangle_label_to_its_four_children(tmp_path):
+    cx = generate(FamilySpec("cube_kuhn"))
+    tris = cx.simplices[2][cx.boundary_face_indices()]
+    cx.boundary_labels = {tuple(t): f"t{i}" for i, t in enumerate(tris.tolist())}
+    path = tmp_path / "cube.decmesh"
+    meshio.save(cx, path)
+    fine = refine(meshio.load(path))
+    bdry = fine.simplices[2][fine.boundary_face_indices()]
+    assert set(fine.boundary_labels) == set(map(tuple, bdry.tolist()))
+    for i, t in enumerate(tris):
+        children = [c for c, label in fine.boundary_labels.items() if label == f"t{i}"]
+        # the four medial children: the parent's corners and edge midpoints
+        points = {tuple(p) for c in children for p in fine.vertices[list(c)].tolist()}
+        corners = cx.vertices[t]
+        mids = [(corners[a] + corners[b]) / 2 for a, b in ((0, 1), (0, 2), (1, 2))]
+        assert len(children) == 4
+        assert points == {tuple(p) for p in [*corners.tolist(), *np.array(mids).tolist()]}
+    out = tmp_path / "fine.decmesh"
+    meshio.save(fine, out)
+    assert meshio.load(out).boundary_labels == fine.boundary_labels
 
 
 def test_shape_constants_stable_across_levels_all_families():

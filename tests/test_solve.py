@@ -188,17 +188,6 @@ def test_stiffness_kernel_is_constants(pentagon3):
     assert lam[0] > 1e-6
 
 
-def test_weak_mesh_assembly_flags_zero_weight_edges():
-    cx = generate(FamilySpec("cube_kuhn", level=0))
-    dual = build_dual(cx)
-    prob = make_problem(cx, dual, get_problem("trig3d"))
-    system = assemble(prob)
-    assert len(system.zero_weight_edges) > 0
-    assert np.all(dual.volumes[1][system.zero_weight_edges] == 0.0)
-    rep = solve(prob)
-    assert rep.residual <= 1e-12
-
-
 def test_dump_solution_format(tmp_path, pentagon3):
     cx, dual = pentagon3
     prob = make_problem(cx, dual, get_problem("trig2d"))

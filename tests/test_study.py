@@ -155,16 +155,29 @@ def test_aborted_study_keeps_partial_report():
     assert len(info.value.report.rows) >= 1  # coarse levels may converge in 2 steps
 
 
-def test_a_level_the_walk_cannot_refine_aborts_with_its_number(tmp_path):
+@pytest.fixture
+def cube_file(tmp_path):
     mesh = tmp_path / "cube.decmesh"
     assert main(["mesh", "gen", "--family", "cube_kuhn", "--out", str(mesh)]) == 0
-    spec = FamilySpec("from_file", path=str(mesh))
-    # the cap 1 lies between the file's level-0 (1) and level-1 (27) counts: the
-    # guard checks only the level it can build, and level 1 fails in the walk
-    for cap in (study.DEFAULT_UNKNOWN_CAP, 1):
-        with pytest.raises(StudyAborted, match=r"^level 1 failed: .*only supported in 2D") as info:
-            run_convergence_study(spec, "trig3d", 2, max_unknowns=cap)
-        assert [row["level"] for row in info.value.report.rows] == [0]
+    return str(mesh)
+
+
+def test_a_saved_cube_studies_as_the_family(cube_file):
+    # both walks refine the same level-0 mesh, so every row is the same to the byte
+    def rows(spec):
+        text = to_csv(run_convergence_study(spec, "trig3d", 4, deterministic=True))
+        return [ln for ln in text.splitlines() if not ln.startswith("#")]
+    assert rows(FamilySpec("from_file", path=cube_file)) == rows(FamilySpec("cube_kuhn"))
+
+
+def test_the_guard_counts_every_level_of_a_mesh_file(cube_file, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the guard must refuse before any solve")
+    monkeypatch.setattr(study, "solve", no_solve)
+    # the cap 1 lies between the file's level-0 (1) and level-1 (27) counts
+    with pytest.raises(MemoryGuardError, match=r"^level 1 of from_file has ~27 unknowns"):
+        run_convergence_study(FamilySpec("from_file", path=cube_file), "trig3d", 2,
+                              max_unknowns=1)
 
 
 def test_consistency_study_columns_and_lap_block():
