@@ -15,7 +15,7 @@ import sys
 
 from . import generators, meshio, study
 from .generators import FamilySpec
-from .problems import get_problem
+from .problems import PROBLEMS, get_problem
 from .solve import SolverConfig, dump_solution
 from .study import StudyAborted, emit, render, run_consistency_study, run_convergence_study
 
@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     sv = sub.add_parser("solve", parents=[common], help="solve one Dirichlet problem")
     _add_family_args(sv)
     sv.add_argument("--problem", required=True,
-                    choices=["trig2d", "trig3d", "corner", "linear2d", "linear3d"])
+                    choices=list(PROBLEMS))
     sv.add_argument("--mu", type=float, default=0.625, help="corner exponent")
     sv.add_argument("--tol", type=float, default=1e-12)
     sv.add_argument("--max-iterations", type=int, default=100_000)
@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     conv = ssub.add_parser("convergence", parents=[common])
     _add_family_args(conv, with_level=False)
     conv.add_argument("--problem", required=True,
-                      choices=["trig2d", "trig3d", "corner", "linear2d", "linear3d"])
+                      choices=list(PROBLEMS))
     conv.add_argument("--mu", type=float, default=0.625)
     conv.add_argument("--levels", type=int, default=None,
                       help="defaults to 9 in 2D, 5 in 3D")
@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     cons = ssub.add_parser("consistency", parents=[common])
     _add_family_args(cons, with_level=False)
     cons.add_argument("--field", required=True,
-                      choices=["trig2d", "trig3d", "corner", "linear2d", "linear3d"])
+                      choices=list(PROBLEMS))
     cons.add_argument("--k", type=int, default=0, help="form degree to probe")
     cons.add_argument("--levels", type=int, default=6)
     cons.add_argument("--degree", type=int, default=6, help="quadrature degree")
@@ -157,13 +157,13 @@ def main(argv=None) -> int:
         spec = _family_spec(args, level=0)
         try:
             if args.kind == "convergence":
+                bundle = get_problem(args.problem, args.mu)
                 levels = args.levels
                 if levels is None:
-                    levels = 5 if spec.family == "cube_kuhn" else 9
+                    levels = 5 if bundle.dim == 3 else 9
                 rep = run_convergence_study(
-                    spec, args.problem, levels, SolverConfig(tol=args.tol),
-                    mu=args.mu, max_unknowns=args.max_unknowns,
-                    deterministic=args.deterministic)
+                    spec, bundle, levels, SolverConfig(tol=args.tol),
+                    max_unknowns=args.max_unknowns, deterministic=args.deterministic)
             else:
                 rep = run_consistency_study(
                     spec, args.field, args.k, args.levels, degree=args.degree,

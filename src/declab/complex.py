@@ -28,15 +28,15 @@ from .errors import DegenerateSimplexError, MeshError, NonConformingError, ids
 DEGENERATE_REL_TOL = 1e-12
 
 
-def _packing(*arrays: np.ndarray) -> tuple[int, int] | None:
-    """(lo, base) under which every row of ``arrays`` packs into one int64 key.
+def _packing(rows: np.ndarray) -> tuple[int, int] | None:
+    """(lo, base) under which every row packs into one int64 key.
 
     The key of a row r is sum_j (r[j] - lo) * base**(w-1-j), so keys sort in
     the lexicographic order of the rows.  None when base**w would pass 2**62.
     """
-    lo = min(int(a.min()) for a in arrays)
-    base = max(int(a.max()) for a in arrays) - lo + 1
-    return (lo, base) if base ** arrays[0].shape[1] < 2 ** 62 else None
+    lo = int(rows.min())
+    base = int(rows.max()) - lo + 1
+    return (lo, base) if base ** rows.shape[1] < 2 ** 62 else None
 
 
 def _pack(rows: np.ndarray, lo: int, base: int) -> np.ndarray:
@@ -75,20 +75,12 @@ def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _row_lookup(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Indices of query rows inside a lexsorted unique row table; -1 if absent."""
-    if table.size == 0 or queries.size == 0:
-        return -np.ones(len(queries), dtype=np.int64)
-    packing = _packing(table, queries)
-    if packing is None:
-        # ids of the rows of table and queries together; table rows are unique
-        _, inv = _unique_rows(np.concatenate([table, queries]))
-        pos = -np.ones(len(table) + len(queries), dtype=np.int64)
-        pos[inv[:len(table)]] = np.arange(len(table))
-        return pos[inv[len(table):]]
-    tk = _pack(table, *packing)
-    qk = _pack(queries, *packing)
-    pos = np.minimum(np.searchsorted(tk, qk), len(tk) - 1)
-    return np.where(tk[pos] == qk, pos, -1).astype(np.int64)
+    """Indices of query rows inside a table of unique rows; -1 if absent."""
+    # ids of the rows of table and queries together; table rows are unique
+    _, inv = _unique_rows(np.concatenate([table, queries]))
+    pos = -np.ones(len(table) + len(queries), dtype=np.int64)
+    pos[inv[:len(table)]] = np.arange(len(table))
+    return pos[inv[len(table):]]
 
 
 @dataclass

@@ -91,13 +91,16 @@ class DualComplex:
         return (sign * self.complex.boundary_matrix(k + 1).T).tocsr()
 
     def hodge_ratios(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(numerator, denominator) = (|dual t|, |t|) per k-simplex."""
+        """(numerator, denominator) = (|dual t|, |t|) per k-simplex.
+
+        The primal volumes are computed in ``geometry.row_blocks``, like
+        ``build_dual``'s kernels, and cached.
+        """
         cx = self.complex
         if k not in self._primal_volumes:
-            if k == 0:
-                prim = np.ones(cx.num(0))
-            else:
-                prim = geometry.unsigned_volume(cx.coords_of(k))
+            prim = np.empty(cx.num(k))
+            for rows in geometry.row_blocks(cx.num(k), k + 1):
+                prim[rows] = geometry.unsigned_volume(cx.coords_of(k, rows))
             prim.setflags(write=False)
             self._primal_volumes[k] = prim
         return self.volumes[k], self._primal_volumes[k]

@@ -12,7 +12,9 @@ Layout::
     <b lines of n vertex indices, optionally followed by a label>
 
 Orientation is normalized on load (cells are reoriented to positive signed
-volume); the writer emits positively oriented cells.
+volume); the writer emits positively oriented cells.  A file is input from
+outside the program, so ``load`` always runs ``build_complex``'s conformity
+audit.
 """
 from __future__ import annotations
 
@@ -46,7 +48,7 @@ def save(cx: SimplicialComplex, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load(path, validate: bool = True) -> SimplicialComplex:
+def load(path) -> SimplicialComplex:
     with open(path) as fh:
         raw = [ln.strip() for ln in fh if ln.strip()]
     if not raw or raw[0] != FORMAT_HEADER:
@@ -81,7 +83,7 @@ def load(path, validate: bool = True) -> SimplicialComplex:
         ids = _table((r[:dim] for r in rows), dim, int, "boundary")
         for tup, r in zip(np.sort(ids, axis=1).tolist(), rows):
             labels[tuple(tup)] = r[dim] if len(r) > dim else "default"
-    cx = build_complex(dim, verts, cells, validate=validate)
+    cx = build_complex(dim, verts, cells)
     if labels:
         faces = cx.index_of(dim - 1, list(labels))
         known = np.isin(faces, cx.boundary_face_indices())

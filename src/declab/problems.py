@@ -8,6 +8,7 @@ evaluation.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,16 +110,18 @@ def linear(dim: int, coeffs=None, const: float = 1.0) -> ProblemBundle:
                          FormField(1, dim, du), scalar_field(dim, f))
 
 
+# every named problem, by the factory of its bundle; a factory takes the
+# corner exponent mu, which only ``corner`` reads
+PROBLEMS: dict[str, Callable[[float], ProblemBundle]] = {
+    "trig2d": lambda mu: trig2d(),
+    "trig3d": lambda mu: trig3d(),
+    "corner": corner,
+    "linear2d": lambda mu: linear(2),
+    "linear3d": lambda mu: linear(3),
+}
+
+
 def get_problem(name: str, mu: float = 5.0 / 8.0) -> ProblemBundle:
-    if name == "trig2d":
-        return trig2d()
-    if name == "trig3d":
-        return trig3d()
-    if name == "corner":
-        return corner(mu)
-    if name == "linear2d":
-        return linear(2)
-    if name == "linear3d":
-        return linear(3)
-    raise KeyError(f"unknown problem '{name}' "
-                   "(known: trig2d, trig3d, corner, linear2d, linear3d)")
+    if name not in PROBLEMS:
+        raise KeyError(f"unknown problem '{name}' (known: {', '.join(PROBLEMS)})")
+    return PROBLEMS[name](mu)

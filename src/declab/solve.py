@@ -49,6 +49,8 @@ class DirichletProblem:
 
 def make_problem(cx: SimplicialComplex, dual: DualComplex,
                  bundle: ProblemBundle) -> DirichletProblem:
+    if bundle.dim != cx.dim:
+        raise ValueError(f"problem {bundle.name} lives in R^{bundle.dim}, complex in R^{cx.dim}")
     f_vals = bundle.f_at(cx.vertices)
     g_vals = bundle.u_at(cx.vertices)
     return DirichletProblem(cx, dual, Cochain(0, "primal", f_vals), g_vals)

@@ -164,7 +164,6 @@ def run_consistency_study(spec: FamilySpec, problem: str | ProblemBundle, k: int
                           levels: int, degree: int = 6,
                           jitter: float = 0.0, seed: int = 0,
                           interior_l2: bool = True,
-                          laplace_block: bool = True,
                           max_unknowns: int | None = DEFAULT_UNKNOWN_CAP) -> StudyReport:
     """Measure the star/deRham commutator norms (and the 0-form Hodge-Laplace
     consistency split) across a refinement sequence.
@@ -187,7 +186,7 @@ def run_consistency_study(spec: FamilySpec, problem: str | ProblemBundle, k: int
     if k not in fields_by_k:
         raise ValueError(f"no analytic k={k} field available for {bundle.name}")
     fld = fields_by_k[k]
-    with_lap = laplace_block and k == 0
+    with_lap = k == 0
     columns = list(CONSISTENCY_COLUMNS) + (LAPLACE_COLUMNS if with_lap else [])
     report = StudyReport(
         metadata={"study": "consistency", "family": spec.family,

@@ -8,7 +8,7 @@ import pytest
 
 from declab import dualmesh, geometry
 from declab.complex import build_complex
-from declab.dualmesh import build_dual
+from declab.dualmesh import DualComplex, build_dual
 from declab.errors import DegenerateSimplexError, InvertedCellError, WellCenteredError
 from declab.generators import FamilySpec, generate, jitter_interior
 from strategies import jittered_wheels
@@ -230,6 +230,27 @@ def test_build_dual_memory_is_bounded_by_the_block(monkeypatch):
             tracemalloc.stop()
 
     assert peak(4 * 1024) < 0.6 * peak(1 << 62)
+
+
+def test_hodge_ratios_memory_is_bounded_by_the_block(monkeypatch):
+    # cube level 3: at one block the primal volumes of k = 1, 2, 3 form
+    # (N_k, k+1, 3) coordinates, edge and Gram arrays 7 to 22 times the
+    # (N_k,) result; blocks of 4,096 points leave mostly the result
+    cx = generate(FamilySpec("cube_kuhn", 3))
+    dual = build_dual(cx)
+
+    def peak(block_nodes, k):
+        monkeypatch.setattr(geometry, "BLOCK_NODES", block_nodes)
+        fresh = DualComplex(cx, dual.circumcenters, dual.volumes)  # nothing cached
+        tracemalloc.start()
+        try:
+            fresh.hodge_ratios(k)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for k in (1, 2, 3):
+        assert peak(4 * 1024, k) < 0.3 * peak(1 << 62, k), k
 
 
 def test_flags_built_once_and_only_for_the_asked_degree(monkeypatch):

@@ -7,19 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from declab import dualmesh, fields, geometry
+from declab import dualmesh, geometry
 from declab.complex import SimplicialComplex
 from declab.dualmesh import build_dual
 from declab.errors import TrivialProblemError, WellCenteredError
 from declab.fields import (FormField, consistency_probe, derham_dual, derham_primal,
-                           hodge_field, laplace_consistency_probe, volume_field,
-                           whitney_mass_matrix)
+                           hodge_field, laplace_consistency_probe, volume_field)
 from declab.generators import FamilySpec, generate, jitter_interior
 from declab.operators import Cochain, discrete_l2, exterior_derivative
 from declab.problems import get_problem
 from declab.quadrature import simplex_rule
 from declab.solve import stiffness_matrix
 from strategies import jittered_wheels
+from whitney import _barycentric_gradients, whitney_mass_matrix
 
 
 @pytest.fixture(scope="module")
@@ -159,7 +159,8 @@ def test_blocked_quadrature_equals_one_block(cx, block_nodes):
 def _dual_arrays(cx):
     dual = build_dual(cx)
     frags = [dualmesh._fragments(cx, k) for k in range(cx.dim + 1)]
-    return [*dual.circumcenters, *dual.volumes, *(a for f in frags for a in f)]
+    return [*dual.circumcenters, *dual.volumes, *(a for f in frags for a in f),
+            *(dual.hodge_ratios(k)[1] for k in range(cx.dim + 1))]
 
 
 def _refusal(cx):
@@ -255,7 +256,7 @@ def _whitney_gram_by_quadrature(cx, k):
     k! sum_i (-1)^i lam_i dlam_0 ^ .. (no i) .. ^ dlam_k, by a degree-2 rule."""
     n = cx.dim
     rule = simplex_rule(n, 2)
-    grads = fields._barycentric_gradients(cx)
+    grads = _barycentric_gradients(cx)
     vols = geometry.unsigned_volume(cx.coords_of(n))
     vals, idx = [], []
     for face in combinations(range(n + 1), k + 1):

@@ -90,7 +90,7 @@ def test_roundtrip_3d(tmp_path):
     cx = generate(FamilySpec("cube_kuhn", level=0))
     p = tmp_path / "cube.decmesh"
     meshio.save(cx, p)
-    back = meshio.load(p, validate=False)
+    back = meshio.load(p)
     assert np.array_equal(back.simplices[3], cx.simplices[3])
     assert np.array_equal(back.orientation[3], cx.orientation[3])
     for k in (1, 2, 3):

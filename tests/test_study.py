@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from declab import generators, meshio, study
+from declab import cli, generators, meshio, study
 from declab.cli import main
 from declab.errors import MemoryGuardError, WellCenteredError
 from declab.generators import FamilySpec
@@ -322,6 +322,34 @@ def test_cli_errors_exit_nonzero(tmp_path, capsys):
         assert main(["study", *argv, "--family", "pentagon_wheel"]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: levels must be >= 1")
+
+
+def test_cli_study_levels_default_to_the_problem_dimension(cube_file, monkeypatch, capsys):
+    # a saved cube studies as its family: 5 levels, not the 9 of a 2D study
+    asked = []
+
+    def record(spec, problem, levels, *args, **kwargs):
+        asked.append(levels)
+        return study.StudyReport({}, [])
+
+    monkeypatch.setattr(cli, "run_convergence_study", record)
+    for source, problem in ((["--mesh", cube_file], "trig3d"),
+                            (["--family", "cube_kuhn"], "trig3d"),
+                            (["--mesh", FIXTURE], "trig2d"),
+                            (["--family", "pentagon_wheel"], "trig2d")):
+        assert main(["study", "convergence", *source, "--problem", problem]) == 0
+    assert asked == [5, 5, 9, 9]
+
+
+@pytest.mark.parametrize("family,problem,dims", [
+    ("cube_kuhn", "trig2d", (2, 3)),
+    ("pentagon_wheel", "trig3d", (3, 2)),
+])
+def test_cli_refuses_a_problem_of_another_dimension(family, problem, dims, capsys):
+    assert main(["solve", "--family", family, "--level", "1", "--problem", problem]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: problem {problem} lives in R^{dims[0]}, complex in R^{dims[1]}\n"
 
 
 def test_cli_aborted_study_writes_partial_report(tmp_path, capsys):
