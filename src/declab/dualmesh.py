@@ -91,11 +91,7 @@ class DualComplex:
         return (sign * self.complex.boundary_matrix(k + 1).T).tocsr()
 
     def hodge_ratios(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(numerator, denominator) = (|dual t|, |t|) per k-simplex.
-
-        The primal volumes are computed in ``geometry.row_blocks``, like
-        ``build_dual``'s kernels, and cached.
-        """
+        """(numerator, denominator) = (|dual t|, |t|) per k-simplex."""
         cx = self.complex
         if k not in self._primal_volumes:
             prim = np.empty(cx.num(k))

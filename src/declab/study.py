@@ -113,13 +113,12 @@ def _guarded_walk(spec: FamilySpec, levels: int, cap: int | None):
 
 def run_convergence_study(spec: FamilySpec, problem: str | ProblemBundle,
                           levels: int, config: SolverConfig = SolverConfig(),
-                          mu: float = 5.0 / 8.0,
                           max_unknowns: int | None = DEFAULT_UNKNOWN_CAP,
                           deterministic: bool = False) -> StudyReport:
     """Solve the Dirichlet problem across a refinement sequence and tabulate errors."""
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
-    bundle = get_problem(problem, mu) if isinstance(problem, str) else problem
+    bundle = get_problem(problem) if isinstance(problem, str) else problem
     report = StudyReport(
         metadata={"study": "convergence", "family": spec.family,
                   "problem": bundle.name, "levels": levels,
