@@ -194,14 +194,17 @@ class SimplicialComplex:
         gamma_min = np.inf
         c_reg = 0.0
         lam_min = np.inf  # smallest barycentric coordinate of any circumcenter
+        # max and min do not depend on the order of the rows, so the blocks
+        # change no bit of the report
         for k in range(1, n + 1):
-            coords = self.coords_of(k)
-            diam = geometry.diameter(coords)
-            rho = geometry.inradius(coords)
-            h = max(h, float(diam.max()))
-            gamma_min = min(gamma_min, float(rho.min()))
-            c_reg = max(c_reg, float((diam / rho).max()))
-            lam_min = min(lam_min, float(geometry.circumcenter(coords, check=False)[1].min()))
+            for rows in geometry.row_blocks(self.num(k), k + 1):
+                coords = self.coords_of(k, rows)
+                diam = geometry.diameter(coords)
+                rho = geometry.inradius(coords)
+                h = max(h, float(diam.max()))
+                gamma_min = min(gamma_min, float(rho.min()))
+                c_reg = max(c_reg, float((diam / rho).max()))
+                lam_min = min(lam_min, float(geometry.circumcenter(coords, check=False)[1].min()))
         tol = geometry.WELL_CENTERED_TOL
         # max top-cell count over closed stars; vertices attain the maximum
         # over base simplices of every dimension

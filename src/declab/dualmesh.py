@@ -24,8 +24,9 @@ over blocks of (k+1)-cofaces (w = k+2 faces), written into one preallocated
 array of every incidence pair.  Every quantity is per row, and the one
 bincount per degree still sums the whole array in the same order, so the
 block size changes no bit of the result; it bounds the temporaries, which
-whole arrays would size by the number of incidence pairs.  The
-well-centeredness gate reads the whole coordinate array.
+whole arrays would size by the number of incidence pairs.  Of the
+coordinates only their signs (bool) and each row's minimum outlive a block:
+the side signs read the first, the well-centeredness gate the second.
 
 Unrolled, the recursion is a sum over full ascending flags
 t = t_k < t_{k+1} < ... < t_n through the top cells, one elementary fragment
@@ -65,7 +66,8 @@ class DualComplex:
             arr.setflags(write=False)
 
     def flags(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The fragments of the k-simplex duals: chain (M, n-k+1), sign (M,).
+        """The fragments of the k-simplex duals: chain (M, n-k+1) int32, sign
+        (M,) int8 of +-1.
 
         Built for this k alone on the first call, then cached.
         """
@@ -105,20 +107,21 @@ class DualComplex:
 def build_dual(cx: SimplicialComplex) -> DualComplex:
     """Construct the circumcentric dual of an (at least weakly) well-centered complex."""
     n = cx.dim
-    centers, lams = [cx.vertices], [None]
+    # only lam's signs (a NaN counts as negative) and row minima outlive a block
+    centers, inside, lam_min = [cx.vertices], [None], [None]
     for k in range(1, n + 1):
-        center, lam = np.empty((cx.num(k), n)), np.empty((cx.num(k), k + 1))
+        centers.append(np.empty((cx.num(k), n)))
+        inside.append(np.empty((cx.num(k), k + 1), dtype=bool))
+        lam_min.append(np.empty(cx.num(k)))
         for rows in geometry.row_blocks(cx.num(k), k + 1):
-            center[rows], lam[rows] = geometry.circumcenter(cx.coords_of(k, rows), check=True)
-        centers.append(center)
-        lams.append(lam)
+            centers[k][rows], lam = geometry.circumcenter(cx.coords_of(k, rows), check=True)
+            inside[k][rows], lam_min[k][rows] = lam >= 0, lam.min(axis=1)
 
     # |dual t| = 1/(n-k) * sum over cofaces T of s(t,T) |c(T) - c(t)| |dual T|
     volumes: list[np.ndarray] = [None] * n + [np.ones(cx.num(n))]  # type: ignore[list-item]
     for k in range(n - 1, -1, -1):
-        lam = lams[k + 1]
-        if lam.min() < -geometry.WELL_CENTERED_TOL:
-            i = int(np.argmin(lam.min(axis=1)))
+        if lam_min[k + 1].min() < -geometry.WELL_CENTERED_TOL:
+            i = int(np.argmin(lam_min[k + 1]))
             raise WellCenteredError(
                 f"complex is not well-centered: circumcenter of {k + 1}-simplex "
                 f"{ids(cx.simplices[k + 1][i])} lies outside it")
@@ -131,7 +134,7 @@ def build_dual(cx: SimplicialComplex) -> DualComplex:
             u = np.repeat(centers[k + 1][rows], k + 2, axis=0) - centers[k][t[pairs]]
             # np.linalg.norm's sums, column by column, faster
             norm = np.sqrt(sum(c * c for c in u.T))
-            steps[pairs] = (np.where(lam[rows].ravel() >= 0, norm, -norm)
+            steps[pairs] = (np.where(inside[k + 1][rows].ravel(), norm, -norm)
                             * np.repeat(volumes[k + 1][rows], k + 2))
         volumes[k] = np.bincount(t, weights=steps, minlength=cx.num(k)) / (n - k)
     return DualComplex(cx, centers, volumes)
@@ -145,13 +148,16 @@ def _fragments(cx: SimplicialComplex, k: int):
     """
     n = cx.dim
     chain = np.arange(cx.num(n), dtype=np.int32)[:, None]
-    drop = np.empty((cx.num(n), 0), dtype=np.int64)
+    drop = np.empty((cx.num(n), 0), dtype=np.int8)
     for j in range(n, k, -1):
         f = cx.faces[j][chain[:, 0]]           # (m, j+1) faces of the bottom simplex
         chain = np.hstack([f.reshape(-1, 1), np.repeat(chain, j + 1, axis=0)])
-        drop = np.hstack([np.tile(np.arange(j + 1), len(f))[:, None],
+        drop = np.hstack([np.tile(np.arange(j + 1, dtype=np.int8), len(f))[:, None],
                           np.repeat(drop, j + 1, axis=0)])
-    # moving the vertex dropped at position i of t_j to the back takes j - i swaps
-    parity = (np.arange(k + 1, n + 1) - drop).sum(axis=1) % 2
-    sign = cx.orientation[n][chain[:, -1]] * cx.orientation[k][chain[:, 0]] * (1 - 2 * parity)
+    # moving the vertex dropped at position i of t_j to the back takes j - i
+    # swaps; every count here is at most n(n+1)/2, so int8 holds it
+    swaps = (np.arange(k + 1, n + 1, dtype=np.int8) - drop).sum(axis=1, dtype=np.int8)
+    sign = 1 - 2 * (swaps % 2)
+    sign *= cx.orientation[n][chain[:, -1]]
+    sign *= cx.orientation[k][chain[:, 0]]
     return chain, sign

@@ -94,25 +94,28 @@ def hodge_field(field: FormField) -> FormField:
 # -- deRham maps -----------------------------------------------------------------
 
 
-def _integrate(field: FormField, corners: np.ndarray, degree: int) -> np.ndarray:
-    """Integrate a k-form over each simplex given by ordered corners (m, k+1, n).
+def _integrate(field: FormField, tables, index: np.ndarray, degree: int) -> np.ndarray:
+    """Integrate a k-form over m simplices whose corner j of row r is the point
+    ``tables[j][index[r, j]]``: k+1 point tables of shape (*, n), index (m, k+1).
 
     The orientation is the corner order; a 0-simplex is a point evaluation
     (one node of weight 1, and the 0x0 minor is 1).  Simplices go in
     ``geometry.row_blocks`` of max(1, BLOCK_NODES // Q) for a rule of Q nodes,
-    so the mapped nodes, the field values and the field's temporaries cover at
-    most max(BLOCK_NODES, Q) nodes at a time, whatever m is.  The weighted sum
-    over a row's nodes is an einsum on that row alone, not a BLAS
-    matrix-vector product, whose rounding of a row depends on where it falls
-    in the kernel's groups and thread split; so the result depends neither on
-    the block size nor on the BLAS thread count.
+    and each block gathers its own (b, k+1, n) corners from the tables, so the
+    corners, the mapped nodes, the field values and the field's temporaries
+    cover at most max(BLOCK_NODES, Q) nodes at a time, whatever m is; only the
+    (m,) result grows with m.  The weighted sum over a row's nodes is an
+    einsum on that row alone, not a BLAS matrix-vector product, whose rounding
+    of a row depends on where it falls in the kernel's groups and thread
+    split; so the result depends neither on the block size nor on the BLAS
+    thread count.
     """
     k = field.degree
     rule = simplex_rule(k, degree)
-    m, _, n = corners.shape
+    m, n = len(index), tables[0].shape[1]
     integ = np.zeros(m)
     for rows in geometry.row_blocks(m, len(rule.weights)):
-        block = corners[rows]
+        block = np.stack([table[i] for table, i in zip(tables, index[rows].T)], axis=1)
         pts = rule.physical_points(block)          # (b, Q, n)
         vals = field(pts.reshape(-1, n)).reshape(*pts.shape[:2], -1)
         frame = geometry.edge_matrix(block)
@@ -120,7 +123,8 @@ def _integrate(field: FormField, corners: np.ndarray, degree: int) -> np.ndarray
         for c, rho in enumerate(index_tuples(n, k)):
             out += (np.einsum("bq,q->b", vals[:, :, c], rule.weights)
                     * geometry.det(frame[:, :, rho]))
-    return integ / math.factorial(k)
+    integ /= math.factorial(k)
+    return integ
 
 
 def derham_primal(field: FormField, cx: SimplicialComplex, degree: int = 4) -> Cochain:
@@ -130,8 +134,9 @@ def derham_primal(field: FormField, cx: SimplicialComplex, degree: int = 4) -> C
         raise ValueError(f"field lives in R^{field.dim}, complex in R^{cx.dim}")
     if k > cx.dim:
         raise ValueError("field degree exceeds complex dimension")
-    integ = _integrate(field, cx.coords_of(k), degree)
-    return Cochain(k, "primal", integ * cx.orientation[k])
+    integ = _integrate(field, [cx.vertices] * (k + 1), cx.simplices[k], degree)
+    integ *= cx.orientation[k]
+    return Cochain(k, "primal", integ)
 
 
 def derham_dual(field: FormField, dual: DualComplex, degree: int = 4) -> Cochain:
@@ -148,9 +153,8 @@ def derham_dual(field: FormField, dual: DualComplex, degree: int = 4) -> Cochain
     if not 0 <= k <= n:
         raise ValueError("field degree exceeds complex dimension")
     chain, sign = dual.flags(k)
-    corners = np.stack([dual.circumcenters[k + j][chain[:, j]]
-                        for j in range(field.degree + 1)], axis=1)
-    integ = _integrate(field, corners, degree) * sign
+    integ = _integrate(field, dual.circumcenters[k:], chain, degree)
+    integ *= sign
     return Cochain(field.degree, "dual",
                    np.bincount(chain[:, 0], weights=integ, minlength=cx.num(k)))
 

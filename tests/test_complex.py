@@ -1,12 +1,17 @@
+import dataclasses
 import math
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from declab import geometry
 from declab.complex import build_complex
 from declab.errors import DegenerateSimplexError, MeshError, NonConformingError
 from declab.generators import FamilySpec, generate, refine
+from strategies import jittered_wheels
 
 
 def brute_force_faces(cells, k):
@@ -111,6 +116,21 @@ def test_shape_report_right_triangle_weak(right_triangle):
 def test_shape_report_violated_for_obtuse():
     cx = build_complex(2, [(0, 0), (4, 0), (2, 0.5)], [(0, 1, 2)])
     assert cx.shape_report().well_centered == "violated"
+
+
+@settings(deadline=None, max_examples=30)
+@given(cx=jittered_wheels | st.integers(0, 2).map(
+           lambda level: generate(FamilySpec("cube_kuhn", level))),
+       block_nodes=st.integers(0, 60).map(lambda i: 2 * i + 1))
+def test_blocked_shape_report_equals_one_block(cx, block_nodes):
+    # rows of 2, 3 or 4 points: odd block sizes give ragged blocks of
+    # block_nodes // width rows, down to one row, and a partial last block
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "BLOCK_NODES", 1 << 62)
+        whole = cx.shape_report()
+        mp.setattr(geometry, "BLOCK_NODES", block_nodes)
+        blocked = cx.shape_report()
+    assert dataclasses.astuple(blocked) == dataclasses.astuple(whole)
 
 
 def test_star_bound_sequence_across_levels():

@@ -190,6 +190,15 @@ def test_blocked_dual_equals_one_block(cx, block_nodes):
     assert blocked_refusal == whole_refusal
 
 
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_dual_derham_memory_is_bounded_by_the_block():
     # jittered hexagon level 6: 147,456 vertex-dual fragments of 16 nodes each;
     # the points of all 2.4M nodes at once would take 38 MB alone
@@ -198,13 +207,26 @@ def test_dual_derham_memory_is_bounded_by_the_block():
     dual = build_dual(cx)
     assert len(dual.flags(0)[0]) == 147456   # built and cached before tracing
     f = volume_field(2, lambda p: np.sin(p[:, 0]) * np.cos(p[:, 1]))
-    tracemalloc.start()
-    try:
-        derham_dual(f, dual, 6)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 40e6
+    assert _traced_peak(lambda: derham_dual(f, dual, 6)) < 40e6
+
+
+@pytest.mark.parametrize("family, level", [("pentagon_wheel", 5), ("cube_kuhn", 2)])
+def test_derham_memory_stays_below_the_corner_stack(monkeypatch, family, level):
+    # pentagon level 5: 30,720 vertex-dual fragments and 5,120 triangles;
+    # cube level 2: 73,728 fragments and 3,072 tetrahedra.  Each block gathers
+    # its own corners, so the peak stays below one (M, k+1, n) stack of every
+    # corner, which alone would reach it.  The top cells' stack is (n+1)!
+    # times smaller than the fragments', so their blocks are smaller too, to
+    # keep a block's temporaries well below it
+    cx = generate(FamilySpec(family, level))
+    dual = build_dual(cx)
+    n = cx.dim
+    chain, _ = dual.flags(0)   # built and cached before tracing
+    f = _plane_waves(n, n)
+    monkeypatch.setattr(geometry, "BLOCK_NODES", 4096)
+    assert _traced_peak(lambda: derham_dual(f, dual, 6)) < chain.size * n * 8
+    monkeypatch.setattr(geometry, "BLOCK_NODES", 1024)
+    assert _traced_peak(lambda: derham_primal(f, cx, 6)) < cx.simplices[n].size * n * 8
 
 
 # -- Whitney forms ------------------------------------------------------------
