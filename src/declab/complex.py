@@ -115,10 +115,10 @@ class SimplicialComplex:
     def num(self, k: int) -> int:
         return len(self.simplices[k])
 
-    def coords_of(self, k: int, idx=None) -> np.ndarray:
-        """Vertex coordinates of k-simplices, shape (m, k+1, n)."""
-        rows = self.simplices[k] if idx is None else self.simplices[k][idx]
-        return self.vertices[rows]
+    def coords_of(self, k: int, idx) -> np.ndarray:
+        """Vertex coordinates of the k-simplices ``idx`` (rows, a slice or a
+        mask), shape (m, k+1, n)."""
+        return self.vertices[self.simplices[k][idx]]
 
     def index_of(self, k: int, rows) -> np.ndarray:
         rows = np.sort(np.atleast_2d(np.asarray(rows, dtype=np.int64)), axis=1)
@@ -286,13 +286,23 @@ def cell_orientation(vertices: np.ndarray, cells: np.ndarray) -> np.ndarray:
 
 
 def _audit_conformity(cx: SimplicialComplex) -> None:
+    """Raise ``NonConformingError`` on coincident vertices or a vertex inside a
+    cell it is not a vertex of.
+
+    Both passes run in blocks of cells (``geometry.row_blocks``), so the
+    gathered corners and the ball queries' candidate lists stay bounded.  The
+    tolerance is a maximum, which does not depend on the blocks, and the
+    blocks go in cell order, so the first offending pair, and with it the
+    message, is the same at every block size.
+    """
     from scipy.spatial import cKDTree
 
     verts = cx.vertices
-    cells = cx.simplices[cx.dim]
-    coords = verts[cells]
-    h = geometry.diameter(coords)
-    tol = 1e-9 * max(float(h.max()), 1e-300)
+    n = cx.dim
+    cells = cx.simplices[n]
+    blocks = list(geometry.row_blocks(len(cells), n + 1))
+    h = max(float(geometry.diameter(cx.coords_of(n, rows)).max()) for rows in blocks)
+    tol = 1e-9 * max(h, 1e-300)
 
     tree = cKDTree(verts)
     pairs = tree.query_pairs(tol, output_type="ndarray")
@@ -302,19 +312,31 @@ def _audit_conformity(cx: SimplicialComplex) -> None:
             f"vertices {i} and {j} coincide within tolerance; cells meeting there "
             "cannot intersect in a common face")
 
-    centroid = coords.mean(axis=1)
-    radius = np.sqrt(((coords - centroid[:, None, :]) ** 2).sum(-1)).max(axis=1)
-    cand = tree.query_ball_point(centroid, radius + tol)
-    lens = np.fromiter(map(len, cand), dtype=np.int64, count=len(cand))
-    cell_ids = np.repeat(np.arange(len(cells)), lens)
-    vert_ids = np.fromiter(chain.from_iterable(cand), dtype=np.int64, count=lens.sum())
-    foreign = ~(cells[cell_ids] == vert_ids[:, None]).any(axis=1)
-    cell_ids, vert_ids = cell_ids[foreign], vert_ids[foreign]
-    if len(cell_ids):
+    for rows in blocks:
+        block = cells[rows]
+        coords = verts[block]
+        centroid = coords.mean(axis=1)
+        radius = np.sqrt(((coords - centroid[:, None, :]) ** 2).sum(-1)).max(axis=1)
+        # a cell's own n+1 vertices lie in its ball (tol is far above the
+        # distances' rounding), so only a ball holding more can hold a foreign
+        # vertex; counting first keeps the other cells out of the Python lists
+        busy = np.flatnonzero(
+            tree.query_ball_point(centroid, radius + tol, return_length=True) > n + 1)
+        if not len(busy):
+            continue
+        cand = tree.query_ball_point(centroid[busy], radius[busy] + tol, return_sorted=True)
+        lens = np.fromiter(map(len, cand), dtype=np.int64, count=len(cand))
+        cell_ids = np.repeat(busy, lens)
+        vert_ids = np.fromiter(chain.from_iterable(cand), dtype=np.int64, count=lens.sum())
+        del cand  # the Python lists go before the per-candidate gathers
+        foreign = ~(block[cell_ids] == vert_ids[:, None]).any(axis=1)
+        cell_ids, vert_ids = cell_ids[foreign], vert_ids[foreign]
+        if not len(cell_ids):
+            continue
         lam = geometry.barycentric_coordinates(verts[vert_ids], coords[cell_ids])
         inside = lam.min(axis=1) > -1e-9
         if inside.any():
             i = int(np.argmax(inside))
             raise NonConformingError(
-                f"vertex {vert_ids[i]} lies inside cell {ids(cells[cell_ids[i]])}: "
+                f"vertex {vert_ids[i]} lies inside cell {ids(block[cell_ids[i]])}: "
                 "non-conforming intersection")

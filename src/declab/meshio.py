@@ -11,14 +11,24 @@ Layout::
     boundary b          (optional)
     <b lines of n vertex indices, optionally followed by a label>
 
+Parse rules: entries are separated by any run of spaces or tabs, and blank
+lines are skipped anywhere.  The vertex and cell sections are each parsed as
+one table (``np.loadtxt``): every line must have exactly the section's width
+of entries, n coordinates or n+1 vertex ids.  A coordinate is an ASCII float
+literal such as ``-1.5e-3``; a vertex id is an ASCII decimal integer that fits
+in int64.  Rejected with a ``MeshError`` that names the section: a count past
+the end of the file, an empty vertex or cell section (``vertices 0``), a line
+of the wrong width, and an entry that is not a number of its kind, such as
+``1.0`` as an id, ``1_0``, non-ASCII digits or a ``#`` comment.  Boundary
+lines are read one by one, as their labels are strings.
+
 Orientation is normalized on load (cells are reoriented to positive signed
-volume); the writer emits positively oriented cells.  A file is input from
-outside the program, so ``load`` always runs ``build_complex``'s conformity
-audit.
+volume); the writer emits positively oriented cells, each coordinate as its
+shortest round-trip repr, so ``load`` gives back the vertices bit for bit.
+A file is input from outside the program, so ``load`` always runs
+``build_complex``'s conformity audit.
 """
 from __future__ import annotations
-
-from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -34,18 +44,25 @@ def save(cx: SimplicialComplex, path) -> None:
     flip = cx.orientation[n] < 0
     # emit the oriented permutation: swapping two vertices realizes sign -1
     cells[flip, 0], cells[flip, 1] = cells[flip, 1], cells[flip, 0].copy()
-    lines = [FORMAT_HEADER, f"dim {n}", f"vertices {cx.num(0)}"]
-    for row in cx.vertices:
-        lines.append(" ".join(repr(float(x)) for x in row))
-    lines.append(f"cells {len(cells)}")
-    for row in cells:
-        lines.append(" ".join(str(int(v)) for v in row))
+    parts = [f"{FORMAT_HEADER}\ndim {n}\nvertices {cx.num(0)}\n",
+             _format_rows(" ".join(["%r"] * n), cx.vertices),
+             f"cells {len(cells)}\n",
+             _format_rows(" ".join(["%d"] * (n + 1)), cells)]
     if cx.boundary_labels:
-        lines.append(f"boundary {len(cx.boundary_labels)}")
+        parts.append(f"boundary {len(cx.boundary_labels)}\n")
         for tup, label in sorted(cx.boundary_labels.items()):
-            lines.append(" ".join(str(int(v)) for v in tup) + f" {label}")
+            parts.append(" ".join(str(int(v)) for v in tup) + f" {label}\n")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(parts))
+
+
+def _format_rows(row: str, table: np.ndarray) -> str:
+    """One line of ``row % entries`` per row of ``table``, in one format pass.
+
+    ``tolist`` yields Python floats and ints, so ``%r`` prints each float's
+    shortest round-trip repr and ``%d`` each id, as ``repr`` and ``str`` do.
+    """
+    return (row + "\n") * len(table) % tuple(table.ravel().tolist())
 
 
 def load(path) -> SimplicialComplex:
@@ -67,20 +84,20 @@ def load(path) -> SimplicialComplex:
         pos += 1
         return int(parts[1])
 
-    def lines(count: int, what: str) -> Iterator[list[str]]:
+    def lines(count: int, what: str) -> list[str]:
         nonlocal pos
         if pos + count > len(raw):
             raise MeshError(f"{what} count exceeds file length")
         pos += count
-        return (ln.split() for ln in raw[pos - count:pos])
+        return raw[pos - count:pos]
 
     dim = expect("dim")
-    verts = _table(lines(expect("vertices"), "vertex"), dim, float, "vertex")
-    cells = _table(lines(expect("cells"), "cell"), dim + 1, int, "cell")
+    verts = _section(lines(expect("vertices"), "vertex"), dim, float, "vertex")
+    cells = _section(lines(expect("cells"), "cell"), dim + 1, np.int64, "cell")
     labels: dict[tuple, str] = {}
     if pos < len(raw):
-        rows = list(lines(expect("boundary"), "boundary"))
-        ids = _table((r[:dim] for r in rows), dim, int, "boundary")
+        rows = [ln.split() for ln in lines(expect("boundary"), "boundary")]
+        ids = _boundary_ids(rows, dim)
         for tup, r in zip(np.sort(ids, axis=1).tolist(), rows):
             labels[tuple(tup)] = r[dim] if len(r) > dim else "default"
     cx = build_complex(dim, verts, cells)
@@ -94,12 +111,31 @@ def load(path) -> SimplicialComplex:
     return cx
 
 
-def _table(rows: Iterable[list[str]], width: int, kind: type, what: str) -> np.ndarray:
-    """Rows of exactly ``width`` entries of type ``kind`` as a (rows, width) array."""
+def _section(lines: list[str], width: int, dtype: type, what: str) -> np.ndarray:
+    """A vertex or cell section as one (lines, width) array of ``dtype``."""
+    if not lines:
+        raise MeshError(f"no {what} lines: a mesh needs at least one {what}")
     try:
-        table = [[kind(x) for x in r] for r in rows]
+        table = np.loadtxt(lines, dtype=dtype, ndmin=2, comments=None)
     except ValueError as exc:
+        # a ragged section is a width error, whatever loadtxt calls it
+        if {len(ln.split()) for ln in lines} != {width}:
+            raise MeshError(f"every {what} line must have {width} entries") from exc
         raise MeshError(f"bad {what} line: {exc}") from exc
-    if table and set(map(len, table)) != {width}:
+    if table.shape[1] != width:
         raise MeshError(f"every {what} line must have {width} entries")
-    return np.array(table, dtype=kind).reshape(-1, width)
+    return table
+
+
+def _boundary_ids(rows: list[list[str]], dim: int) -> np.ndarray:
+    """The ``dim`` vertex ids that open each boundary line, as a (rows, dim) array."""
+    try:
+        table = [[int(x) for x in r[:dim]] for r in rows]
+    except ValueError as exc:
+        raise MeshError(f"bad boundary line: {exc}") from exc
+    if table and set(map(len, table)) != {dim}:
+        raise MeshError(f"every boundary line must have {dim} entries")
+    try:
+        return np.array(table, dtype=np.int64).reshape(-1, dim)
+    except OverflowError as exc:
+        raise MeshError(f"bad boundary line: {exc}") from exc

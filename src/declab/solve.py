@@ -303,8 +303,12 @@ def error_report(problem: DirichletProblem, solution: Cochain,
 def dump_solution(path, solution: Cochain, mesh_name: str, problem_name: str,
                   level: int) -> None:
     """Text dump 'vertex_index value' with a provenance header line."""
-    lines = [f"solution mesh={mesh_name} problem={problem_name} level={level}"]
-    for i, v in enumerate(solution.values):
-        lines.append(f"{i} {float(v)!r}")
+    values = solution.values.tolist()
+    # index and value interleaved for one format pass; %r of a Python float
+    # is its shortest round-trip repr
+    entries = [None] * (2 * len(values))
+    entries[::2] = range(len(values))
+    entries[1::2] = values
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"solution mesh={mesh_name} problem={problem_name} level={level}\n"
+                 + "%d %r\n" * len(values) % tuple(entries))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from declab import geometry
-from declab.complex import build_complex
-from declab.errors import DegenerateSimplexError, MeshError, NonConformingError
+from declab.complex import _audit_conformity, build_complex
+from declab.errors import DegenerateSimplexError, MeshError, NonConformingError, ids
 from declab.generators import FamilySpec, generate, refine
 from strategies import jittered_wheels
 
@@ -182,6 +183,62 @@ def test_duplicate_coordinates_rejected():
     verts = [(0, 0), (1, 0), (0, 1), (1e-12, 0)]
     with pytest.raises(NonConformingError, match="coincide"):
         build_complex(2, verts, [(0, 1, 2), (3, 1, 2)])
+
+
+def _overlay(level):
+    """A corner mesh with one extra triangle whose corners are the centroids
+    of cells 70, 30 and 50: three foreign vertices inside cells of the mesh,
+    found first in cell 30."""
+    cx = generate(FamilySpec("corner", level))
+    nv = cx.num(0)
+    centroids = cx.vertices[cx.simplices[2][[70, 30, 50]]].mean(axis=1)
+    verts = np.concatenate([cx.vertices, centroids])
+    cells = np.concatenate([cx.simplices[2], [(nv, nv + 1, nv + 2)]])
+    return verts, cells, (f"vertex {nv + 1} lies inside cell {ids(cx.simplices[2][30])}: "
+                          "non-conforming intersection")
+
+
+@pytest.mark.parametrize("verts, cells, message", [
+    ([(0, 0), (2, 0), (0, 2), (1, 0), (3, -1)], [(0, 1, 2), (3, 4, 1)],
+     "vertex 3 lies inside cell (0, 1, 2): non-conforming intersection"),
+    ([(0, 0), (1, 0), (0, 1), (1e-12, 0)], [(0, 1, 2), (3, 1, 2)],
+     "vertices 0 and 3 coincide within tolerance; cells meeting there "
+     "cannot intersect in a common face"),
+    _overlay(3),
+], ids=["vertex_in_cell", "coincident_vertices", "first_of_three_in_cell_order"])
+def test_conformity_message_is_alike_at_every_block_size(monkeypatch, verts, cells, message):
+    # blocks of 3 nodes hold one triangle, of 64 nodes 21 triangles
+    for block_nodes in (3, 64, 1 << 62):
+        monkeypatch.setattr(geometry, "BLOCK_NODES", block_nodes)
+        with pytest.raises(NonConformingError) as info:
+            build_complex(2, verts, cells)
+        assert str(info.value) == message, block_nodes
+
+
+def test_conforming_mesh_passes_at_every_block_size(monkeypatch):
+    cx = generate(FamilySpec("corner", 2))
+    for block_nodes in (3, 64, 1 << 62):
+        monkeypatch.setattr(geometry, "BLOCK_NODES", block_nodes)
+        build_complex(2, cx.vertices, cx.simplices[2])
+
+
+def test_conformity_audit_memory_is_bounded_by_the_block(monkeypatch):
+    # corner level 5: 4,096 triangles.  At one block the (M, 3, 2) corners,
+    # their offsets from the centroids and the diameters' temporaries set the
+    # peak; blocks of 64 triangles leave mostly the tree
+    cx = generate(FamilySpec("corner", 5))
+    import scipy.spatial  # noqa: F401  (imported before tracing)
+
+    def peak(block_nodes):
+        monkeypatch.setattr(geometry, "BLOCK_NODES", block_nodes)
+        tracemalloc.start()
+        try:
+            _audit_conformity(cx)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(3 * 64) < 0.5 * peak(1 << 62)
 
 
 def test_vertex_index_out_of_range():

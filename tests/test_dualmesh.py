@@ -138,7 +138,7 @@ def test_vertex_dual_volumes_partition_area():
     for fam, kw in (("pentagon_wheel", {}), ("corner", {}), ("square", {"pattern": 2})):
         cx = generate(FamilySpec(fam, level=2, **kw))
         dual = build_dual(cx)
-        area = geometry.unsigned_volume(cx.coords_of(2)).sum()
+        area = geometry.unsigned_volume(cx.coords_of(2, slice(None))).sum()
         assert dual.volumes[0].sum() == pytest.approx(area, rel=1e-10)
     cube = generate(FamilySpec("cube_kuhn", level=1))
     dual = build_dual(cube)
@@ -477,7 +477,7 @@ def test_well_centeredness_equals_the_barycentric_reference(cx):
         nums, den = exact_coordinates(cx, k)
         exact = exact_classes(nums, den)
         lam_exact = np.stack([(num / den).astype(float) for num in nums], axis=1)
-        coords = cx.coords_of(k)
+        coords = cx.coords_of(k, slice(None))
         centers, lam = geometry.circumcenter(coords, check=False)
         bary = geometry.barycentric_coordinates(centers, coords)
         bound = rounding_bound(coords, lam)

@@ -80,7 +80,7 @@ def test_constant_volume_form_integrates_to_signed_area(pentagon2d):
     c = 3.25
     f = volume_field(2, lambda p: np.full(len(p), c))
     r = derham_primal(f, cx, degree=2)
-    vols = geometry.unsigned_volume(cx.coords_of(2))
+    vols = geometry.unsigned_volume(cx.coords_of(2, slice(None)))
     assert np.allclose(r.values, c * vols, rtol=1e-13)
 
 
@@ -116,7 +116,7 @@ def test_derham_constant_2form_on_cube_triangles_matches_minor_expansion():
     coef = np.array([0.7, -1.3, 2.1])  # dx^dy, dx^dz, dy^dz
     f = FormField(2, 3, lambda p: np.repeat(coef[None, :], len(p), 0))
     r = derham_primal(f, cx, degree=1)
-    coords = cx.coords_of(2)
+    coords = cx.coords_of(2, slice(None))
     e1, e2 = coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0]
     expect = np.zeros(cx.num(2))
     for c, (i, j) in enumerate([(0, 1), (0, 2), (1, 2)]):
@@ -244,7 +244,7 @@ def test_whitney_constant_cochain_reproduces_constants(rng):
     # Whitney interpolation of R_h alpha is alpha itself for a constant k-form
     for cx in _whitney_meshes():
         n = cx.dim
-        area = geometry.unsigned_volume(cx.coords_of(n)).sum()
+        area = geometry.unsigned_volume(cx.coords_of(n, slice(None))).sum()
         for k in range(n + 1):
             coef = rng.standard_normal(math.comb(n, k))
             alpha = FormField(k, n, lambda p, c=coef: np.repeat(c[None, :], len(p), 0))
@@ -267,7 +267,7 @@ def test_whitney_mass_pulls_back_to_the_cotangent_stiffness():
 def test_whitney_hat_norm_closed_form(pentagon2d):
     # oracle: the linear-element mass of a hat is sum |T|/6 over incident cells
     cx, _ = pentagon2d
-    vols = geometry.unsigned_volume(cx.coords_of(2))
+    vols = geometry.unsigned_volume(cx.coords_of(2, slice(None)))
     incident = np.any(cx.simplices[2] == 0, axis=1)
     g = whitney_mass_matrix(cx, 0)
     assert g[0, 0] == pytest.approx(vols[incident].sum() / 6.0, rel=1e-12)
@@ -279,7 +279,7 @@ def _whitney_gram_by_quadrature(cx, k):
     n = cx.dim
     rule = simplex_rule(n, 2)
     grads = _barycentric_gradients(cx)
-    vols = geometry.unsigned_volume(cx.coords_of(n))
+    vols = geometry.unsigned_volume(cx.coords_of(n, slice(None)))
     vals, idx = [], []
     for face in combinations(range(n + 1), k + 1):
         v = 0.0

@@ -50,7 +50,7 @@ def test_square_patterns_weakly_well_centered():
         cx = generate(FamilySpec("square", pattern=pattern, level=1))
         rep = cx.shape_report()
         assert rep.well_centered == "weak", pattern
-        area = geometry.unsigned_volume(cx.coords_of(2)).sum()
+        area = geometry.unsigned_volume(cx.coords_of(2, slice(None))).sum()
         assert area == pytest.approx(1.0)
 
 
@@ -89,7 +89,7 @@ def test_cube_counts_and_mesh_size():
         assert cx.num(0) == (m + 1) ** 3
         assert cx.shape_report().h == pytest.approx(math.sqrt(3) / m, rel=1e-12)
         assert cx.shape_report().well_centered == "weak"
-        vol = geometry.unsigned_volume(cx.coords_of(3)).sum()
+        vol = geometry.unsigned_volume(cx.coords_of(3, slice(None))).sum()
         assert vol == pytest.approx(1.0, rel=1e-12)
 
 
@@ -105,7 +105,7 @@ def test_refined_cube_cells_are_kuhn_simplices_of_the_halved_grid():
     for level in range(1, 5):
         cx = refine(cx)
         h = 2.0 ** -(level + 1)
-        coords = cx.coords_of(3)
+        coords = cx.coords_of(3, slice(None))
         coords = np.take_along_axis(coords, np.argsort(coords.sum(axis=2), axis=1)[..., None],
                                     axis=1)
         # consecutive vertices differ by exactly h along one axis, a different one each step

@@ -136,7 +136,7 @@ def broadcast_diameter(coords):
     lambda level: generate(FamilySpec("cube_kuhn", level))))
 def test_diameter_is_bit_identical_to_broadcast_formula(cx):
     for k in range(cx.dim + 1):
-        coords = cx.coords_of(k)
+        coords = cx.coords_of(k, slice(None))
         assert np.array_equal(geometry.diameter(coords), broadcast_diameter(coords))
 
 
@@ -243,7 +243,7 @@ def lapack_circumcenter(coords, check=True):
 
 def lapack_signs(cx, k):
     """Reference: signs of the circumcenters' barycentric coordinates by LAPACK."""
-    return np.sign(lapack_circumcenter(cx.coords_of(k))[1])
+    return np.sign(lapack_circumcenter(cx.coords_of(k, slice(None)))[1])
 
 
 def exact_signs(cx, k):
@@ -270,7 +270,7 @@ def assert_exact_bits_as_with_lapack(cx, signs=lapack_signs):
     for k in range(cx.dim + 1):
         assert np.array_equal(got_cx.orientation[k], want_cx.orientation[k])
         assert np.array_equal(got_dual.volumes[k] == 0, want_dual.volumes[k] == 0)
-        assert np.array_equal(np.sign(geometry.circumcenter(cx.coords_of(k))[1]),
+        assert np.array_equal(np.sign(geometry.circumcenter(cx.coords_of(k, slice(None)))[1]),
                               signs(cx, k))
     return got_dual
 

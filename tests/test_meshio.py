@@ -1,11 +1,16 @@
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from declab import meshio
+from declab import geometry, meshio
+from declab.complex import build_complex
 from declab.errors import MeshError, NonConformingError
-from declab.generators import FamilySpec, generate
+from declab.generators import FamilySpec, generate, jitter_interior
+from strategies import jittered_wheels
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "pentagon_level2.decmesh")
 
@@ -78,6 +83,24 @@ def test_non_conforming_file_rejected(tmp_path):
         meshio.load(p)
 
 
+@pytest.mark.parametrize("verts, message", [
+    ("0.0 0.0\n2.0 0.0\n0.0 2.0\n1.0 0.0\n3.0 -1.0\n",
+     "vertex 3 lies inside cell (0, 1, 2): non-conforming intersection"),
+    ("0.0 0.0\n2.0 0.0\n0.0 2.0\n1e-12 0.0\n3.0 -1.0\n",
+     "vertices 0 and 3 coincide within tolerance; cells meeting there "
+     "cannot intersect in a common face"),
+], ids=["vertex_in_cell", "coincident_vertices"])
+def test_non_conforming_file_message_is_alike_at_every_block_size(
+        tmp_path, monkeypatch, verts, message):
+    p = tmp_path / "bad.decmesh"
+    p.write_text(f"decmesh 1\ndim 2\nvertices 5\n{verts}cells 2\n0 1 2\n3 4 1\n")
+    for block_nodes in (3, 64, 1 << 62):
+        monkeypatch.setattr(geometry, "BLOCK_NODES", block_nodes)
+        with pytest.raises(NonConformingError) as info:
+            meshio.load(p)
+        assert str(info.value) == message, block_nodes
+
+
 def test_boundary_labels_parsed(tmp_path):
     p = tmp_path / "m.decmesh"
     p.write_text("decmesh 1\ndim 2\nvertices 3\n0 0\n1 0\n0 1\n"
@@ -138,4 +161,103 @@ def test_boundary_line_must_name_a_boundary_face(tmp_path, cells, face):
     p.write_text(head + cells + f"boundary 1\n{face} gamma\n")
     with pytest.raises(MeshError, match=rf"boundary line \({face.replace(' ', ', ')}\) "
                                         "is not a boundary face"):
+        meshio.load(p)
+
+
+# -- exactness of the whole-array writer and parser ------------------------------
+
+
+def reference_text(cx):
+    """The decmesh text written one entry at a time, as ``repr`` and ``str`` print it."""
+    n = cx.dim
+    cells = cx.simplices[n].copy()
+    flip = cx.orientation[n] < 0
+    cells[flip, 0], cells[flip, 1] = cells[flip, 1], cells[flip, 0].copy()
+    lines = [meshio.FORMAT_HEADER, f"dim {n}", f"vertices {cx.num(0)}"]
+    lines += [" ".join(repr(float(x)) for x in row) for row in cx.vertices]
+    lines.append(f"cells {len(cells)}")
+    lines += [" ".join(str(int(v)) for v in row) for row in cells]
+    if cx.boundary_labels:
+        lines.append(f"boundary {len(cx.boundary_labels)}")
+        lines += [" ".join(map(str, tup)) + f" {label}"
+                  for tup, label in sorted(cx.boundary_labels.items())]
+    return "\n".join(lines) + "\n"
+
+
+def test_fixture_resaves_byte_for_byte(tmp_path):
+    p = tmp_path / "again.decmesh"
+    meshio.save(meshio.load(FIXTURE), p)
+    with open(FIXTURE, "rb") as fh:
+        assert p.read_bytes() == fh.read()
+
+
+jittered_cubes = st.builds(
+    lambda level, amplitude, seed: jitter_interior(
+        generate(FamilySpec("cube_kuhn", level)), amplitude=amplitude, seed=seed),
+    st.integers(1, 2), st.floats(0.0, 0.1), st.integers(0, 2 ** 32 - 1))
+labelled_corners = st.integers(0, 3).map(lambda level: generate(FamilySpec("corner", level)))
+
+
+@settings(deadline=None, max_examples=30)
+@given(cx=jittered_wheels | jittered_cubes | labelled_corners)
+def test_save_then_load_is_exact(cx):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mesh.decmesh")
+        meshio.save(cx, path)
+        with open(path) as fh:
+            text = fh.read()
+        back = meshio.load(path)
+    assert text == reference_text(cx)
+    # bit for bit, so -0.0 and 0.0 count as different
+    assert np.array_equal(back.vertices.view(np.int64), cx.vertices.view(np.int64))
+    for k in range(cx.dim + 1):
+        assert np.array_equal(back.simplices[k], cx.simplices[k])
+        assert np.array_equal(back.orientation[k], cx.orientation[k])
+    assert back.boundary_labels == cx.boundary_labels
+
+
+def test_awkward_floats_survive_the_round_trip(tmp_path):
+    # negative zero, a subnormal, a sum that rounds, and a repeating fraction
+    cx = build_complex(2, [(-0.0, 5e-324), (0.1 + 0.2, 3 * 5e-324), (1 / 3, 7.0)],
+                       [(0, 1, 2)])
+    p = tmp_path / "m.decmesh"
+    meshio.save(cx, p)
+    assert p.read_text() == reference_text(cx)
+    back = meshio.load(p)
+    assert np.array_equal(back.vertices.view(np.int64), cx.vertices.view(np.int64))
+
+
+def test_blank_lines_and_tabs_inside_sections_are_accepted(tmp_path):
+    p = tmp_path / "m.decmesh"
+    p.write_text("decmesh 1\ndim 2\nvertices 3\n0\t0\n\n1 \t 0\n  0 1  \n\n"
+                 "cells 1\n\n0\t1\t2\n")
+    cx = meshio.load(p)
+    assert np.array_equal(cx.vertices, [(0, 0), (1, 0), (0, 1)])
+    assert np.array_equal(cx.simplices[2], [(0, 1, 2)])
+
+
+CELL = "cells 1\n0 1 2\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("decmesh 1\ndim 2\nvertices 3\n0 0\n1 0 5\n0 1\n" + CELL,
+     "every vertex line must have 2 entries"),
+    ("decmesh 1\ndim 2\nvertices 3\n0 0 5\n1 0 5\n0 1 5\n" + CELL,
+     "every vertex line must have 2 entries"),
+    ("decmesh 1\ndim 2\nvertices 3\n0 0\n1 zero\n0 1\n" + CELL, "bad vertex line"),
+    ("decmesh 1\ndim 2\nvertices 3\n0 0\n1_0 0\n0 1\n" + CELL, "bad vertex line"),
+    (TRIANGLE + "cells 1\n0 1.0 2\n", "bad cell line"),
+    (TRIANGLE + "cells 1\n0 1 99999999999999999999\n", "bad cell line"),
+    (TRIANGLE + "cells 2\n0 1 2\n", "cell count exceeds file length"),
+    ("decmesh 1\ndim 2\nvertices 0\n" + CELL, "no vertex lines"),
+    (TRIANGLE + "cells 0\n", "no cell lines"),
+    (TRIANGLE + CELL + "boundary 1\n0 99999999999999999999\n", "bad boundary line"),
+], ids=["vertex_line_of_three_entries", "every_vertex_line_of_three_entries",
+        "non_numeric_coordinate", "underscore_in_coordinate", "float_as_cell_id",
+        "cell_id_past_int64", "cell_count_past_end", "no_vertices", "no_cells",
+        "boundary_id_past_int64"])
+def test_malformed_section_names_the_section(tmp_path, text, message):
+    p = tmp_path / "bad.decmesh"
+    p.write_text(text)
+    with pytest.raises(MeshError, match=message):
         meshio.load(p)

@@ -16,7 +16,7 @@ from declab.fields import index_tuples
 
 def _barycentric_gradients(cx: SimplicialComplex) -> np.ndarray:
     """Gradients of the n+1 barycentric hat functions per top cell: (m, n+1, n)."""
-    e = geometry.edge_matrix(cx.coords_of(cx.dim))
+    e = geometry.edge_matrix(cx.coords_of(cx.dim, slice(None)))
     # rows of inv(E)^T are grad lam_i, with inv(E) the solution X of E X = I
     inv = geometry.solve(e, np.broadcast_to(np.eye(cx.dim), e.shape), geometry.det(e))
     grads = np.transpose(inv, (0, 2, 1))
@@ -52,7 +52,7 @@ def whitney_mass_matrix(cx: SimplicialComplex, k: int) -> sp.csr_matrix:
     cells = cx.simplices[n]
     idx = np.stack([cx.index_of(k, cells[:, list(face)]) for face in faces], axis=1)
     sign = cx.orientation[k][idx]
-    vols = geometry.unsigned_volume(cx.coords_of(n))
+    vols = geometry.unsigned_volume(cx.coords_of(n, slice(None)))
     local *= (math.factorial(k) ** 2 / ((n + 1) * (n + 2)) * vols[:, None, None]
               * sign[:, :, None] * sign[:, None, :])
     return sp.coo_matrix(
