@@ -135,15 +135,13 @@ def main(argv=None) -> int:
         if args.command == "solve":
             spec = _family_spec(args)
             bundle = get_problem(args.problem, args.mu)
-            # the coarser levels only give the V-cycle its prolongations
-            prolongations, coarse = [], None
-            for cx in generators.walk(spec, spec.level + 1):
-                if coarse is not None:
-                    prolongations.append(generators.interior_prolongation(coarse, cx))
-                coarse = cx
-            rep, err = study.solve_level(
-                cx, bundle, SolverConfig(tol=args.tol, max_iterations=args.max_iterations),
-                prolongations)
+            # the coarser levels give the V-cycle its prolongations and the
+            # dual its carried circumcenters, as in the study
+            config = SolverConfig(tol=args.tol, max_iterations=args.max_iterations)
+            for cx, dual, prolongations in study.walk_levels(spec, spec.level + 1):
+                if len(prolongations) == spec.level:
+                    rep, err = study.solve_level(cx, dual, bundle, config, prolongations)
+                del dual
             print(f"unknowns = {len(cx.interior_vertex_indices())}")
             print(f"iterations = {rep.iterations}  residual = {rep.residual:.3e}")
             print(f"energy = {rep.energy:.9e}  stability = {rep.stability_constant:.6f}")

@@ -94,13 +94,18 @@ class ShapeReport:
 
 class SimplicialComplex:
     def __init__(self, dim: int, vertices: np.ndarray, simplices: list[np.ndarray],
-                 orientation: list[np.ndarray], faces: list[np.ndarray | None]):
+                 orientation: list[np.ndarray], faces: list[np.ndarray | None],
+                 children: list[np.ndarray] | None = None):
         self.dim = dim
         self.vertices = vertices
         self.simplices = simplices      # simplices[k]: (N_k, k+1) int32 sorted rows, lexsorted
         self.orientation = orientation  # orientation[k]: (N_k,) int8 in {-1, +1}
         self.faces = faces              # faces[k][s, i] = int32 index of the (k-1)-face
         #                                 obtained by dropping vertex position i
+        # children[k][s, slot]: the k-simplices a red refinement cut from
+        # coarse k-simplex s (generators.refine), None otherwise; a user done
+        # with it may let it go
+        self.children = children
         self._boundary: dict[int, sp.csr_matrix] = {}
         self._cofaces: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._boundary_masks: list[np.ndarray] | None = None
@@ -273,16 +278,25 @@ def build_complex(dim: int, vertex_coords, top_cells, validate: bool = True) -> 
 
 
 def cell_orientation(vertices: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Sign of each top cell's signed volume; raises on a (relatively) zero volume."""
-    coords = vertices[cells]
-    svol = geometry.signed_volume(coords)
-    scale = geometry.diameter(coords) ** (cells.shape[1] - 1)
-    degenerate = np.abs(svol) <= DEGENERATE_REL_TOL * np.maximum(scale, 1e-300)
-    if degenerate.any():
-        i = int(np.argmax(degenerate))
-        raise DegenerateSimplexError(
-            f"degenerate cell {ids(cells[i])}: signed volume {svol[i]:.3e}")
-    return np.where(svol > 0, 1, -1).astype(np.int8)
+    """Sign of each top cell's signed volume; raises on a (relatively) zero volume.
+
+    Works in ``geometry.row_blocks`` of cells, in order, so the gathered
+    corners stay bounded and the first degenerate cell named is the same at
+    every block size.
+    """
+    signs = np.empty(len(cells), dtype=np.int8)
+    for rows in geometry.row_blocks(len(cells), cells.shape[1]):
+        block = cells[rows]
+        coords = vertices[block]
+        svol = geometry.signed_volume(coords)
+        scale = geometry.diameter(coords) ** (cells.shape[1] - 1)
+        degenerate = np.abs(svol) <= DEGENERATE_REL_TOL * np.maximum(scale, 1e-300)
+        if degenerate.any():
+            i = int(np.argmax(degenerate))
+            raise DegenerateSimplexError(
+                f"degenerate cell {ids(block[i])}: signed volume {svol[i]:.3e}")
+        signs[rows] = np.where(svol > 0, 1, -1)
+    return signs
 
 
 def _audit_conformity(cx: SimplicialComplex) -> None:
@@ -319,12 +333,12 @@ def _audit_conformity(cx: SimplicialComplex) -> None:
         radius = np.sqrt(((coords - centroid[:, None, :]) ** 2).sum(-1)).max(axis=1)
         # a cell's own n+1 vertices lie in its ball (tol is far above the
         # distances' rounding), so only a ball holding more can hold a foreign
-        # vertex; counting first keeps the other cells out of the Python lists
-        busy = np.flatnonzero(
-            tree.query_ball_point(centroid, radius + tol, return_length=True) > n + 1)
+        # vertex; finding those first keeps the other cells out of the Python lists
+        reach = radius + tol
+        busy = _busy_balls(tree, centroid, reach, n + 2)
         if not len(busy):
             continue
-        cand = tree.query_ball_point(centroid[busy], radius[busy] + tol, return_sorted=True)
+        cand = tree.query_ball_point(centroid[busy], reach[busy], return_sorted=True)
         lens = np.fromiter(map(len, cand), dtype=np.int64, count=len(cand))
         cell_ids = np.repeat(busy, lens)
         vert_ids = np.fromiter(chain.from_iterable(cand), dtype=np.int64, count=lens.sum())
@@ -340,3 +354,20 @@ def _audit_conformity(cx: SimplicialComplex) -> None:
             raise NonConformingError(
                 f"vertex {vert_ids[i]} lies inside cell {ids(block[cell_ids[i]])}: "
                 "non-conforming intersection")
+
+
+def _busy_balls(tree, centers: np.ndarray, radii: np.ndarray, count: int) -> np.ndarray:
+    """Indices of the balls holding at least ``count`` of the tree's points.
+
+    As ``query_ball_point`` counts them: the squared distance of the
+    ``count``-th nearest point, summed as the tree sums it, is at most the
+    rounded squared radius, so a point at the radius counts in.  The k-nearest
+    query returns the correctly rounded square roots, which settle every ball
+    but those whose distance rounds to the radius itself.
+    """
+    dist, near = tree.query(centers, k=count, distance_upper_bound=radii.max() * (1 + 1e-12))
+    busy = dist[:, -1] < radii
+    tie = np.flatnonzero(dist[:, -1] == radii)
+    busy[tie] = (((tree.data[near[tie, -1]] - centers[tie]) ** 2).sum(axis=1)
+                 <= radii[tie] * radii[tie])
+    return np.flatnonzero(busy)

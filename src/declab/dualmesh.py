@@ -28,6 +28,19 @@ whole arrays would size by the number of incidence pairs.  Of the
 coordinates only their signs (bool) and each row's minimum outlive a block:
 the side signs read the first, the well-centeredness gate the second.
 
+Not every center is solved.  An edge's is its midpoint, with coordinates
+[1/2, 1/2].  On a mesh refined from one whose dual is at hand, red refinement
+fixes more (Freudenthal 1942; Bey 2000): a corner child is its parent scaled
+by 1/2 about one vertex v, a triangle's middle child its parent scaled by
+-1/2 about the centroid g, and scaling keeps the circumcenter and its
+barycentric coordinates, so the child's center is (v + c) / 2 or (3g - c) / 2
+for its parent's center c, and its coordinate signs and row minimum are its
+parent's, in the child's vertex order.  ``DualComplex.record`` holds what the
+next level takes: centers, signs and row minima of the triangles and
+tetrahedra.  Every triangle of a refined 2D mesh is carried; in 3D the eight
+triangles inside each coarse tetrahedron and the four tetrahedra of its
+octahedron are solved, and gated, as before.
+
 Unrolled, the recursion is a sum over full ascending flags
 t = t_k < t_{k+1} < ... < t_n through the top cells, one elementary fragment
 per flag: the ordered circumcenter chain [c(t_k), ..., c(t_n)].  Consecutive
@@ -47,6 +60,9 @@ through existing flags, no mirroring.
 """
 from __future__ import annotations
 
+from functools import reduce
+from typing import NamedTuple
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -56,14 +72,19 @@ from .errors import WellCenteredError, ids
 
 
 class DualComplex:
-    def __init__(self, cx: SimplicialComplex, circumcenters, volumes):
+    def __init__(self, cx: SimplicialComplex, circumcenters, volumes,
+                 record: CenterRecord | None = None):
         self.complex = cx
         self.circumcenters = circumcenters  # circumcenters[k]: (N_k, n)
         self.volumes = volumes              # volumes[k]: (N_k,) dual volumes
+        # for build_dual on the refined mesh; a caller that refines no
+        # further may let it go
+        self.record = record
+        for arr in (*circumcenters, *volumes, *(record.inside[2:] + record.lam_min[2:]
+                                                if record else ())):
+            arr.setflags(write=False)
         self._flags: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._primal_volumes: dict[int, np.ndarray] = {}
-        for arr in (*circumcenters, *volumes):
-            arr.setflags(write=False)
 
     def flags(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The fragments of the k-simplex duals: chain (M, n-k+1) int32, sign
@@ -104,18 +125,44 @@ class DualComplex:
         return self.volumes[k], self._primal_volumes[k]
 
 
-def build_dual(cx: SimplicialComplex) -> DualComplex:
-    """Construct the circumcentric dual of an (at least weakly) well-centered complex."""
+class CenterRecord(NamedTuple):
+    """Per degree, what a dual hands to the dual of its refinement: the
+    circumcenters, the signs of their barycentric coordinates (lam >= 0, a
+    NaN counting as negative) and each row's smallest coordinate."""
+    centers: list[np.ndarray]
+    inside: list[np.ndarray | None]
+    lam_min: list[np.ndarray | None]
+
+
+# per carried slot of generators.refine's children table: the parent position
+# whose coordinate each sorted position of the child takes.  The corner child
+# at parent position p has vertex p first, then the midpoints towards the
+# other vertices in their order; the middle child of a triangle a < b < c has
+# the midpoints of ab, ac and bc, the images of c, b and a.
+_CARRIED = {k: [[p] + [q for q in range(k + 1) if q != p] for p in range(k + 1)]
+            + ([[2, 1, 0]] if k == 2 else []) for k in (2, 3)}
+
+
+def build_dual(cx: SimplicialComplex, coarse: CenterRecord | None = None) -> DualComplex:
+    """Construct the circumcentric dual of an (at least weakly) well-centered complex.
+
+    ``coarse`` is the ``record`` of the dual of the mesh that ``cx`` refines
+    (``generators.refine``, whose table ``cx.children`` names each parent's
+    children).  A child that is its parent scaled by 1/2 about a vertex v (a
+    corner child) or by -1/2 about the centroid g (a triangle's middle child)
+    then takes the scaled center, (v + c) / 2 or (3g - c) / 2, and its
+    parent's coordinates, which the scaling keeps, instead of a solve.  Every
+    edge's center is its midpoint, on any mesh.
+    """
     n = cx.dim
-    # only lam's signs (a NaN counts as negative) and row minima outlive a block
+    if coarse is not None and cx.children is None:
+        raise ValueError("a coarse record needs the children table of a refined complex")
     centers, inside, lam_min = [cx.vertices], [None], [None]
     for k in range(1, n + 1):
-        centers.append(np.empty((cx.num(k), n)))
-        inside.append(np.empty((cx.num(k), k + 1), dtype=bool))
-        lam_min.append(np.empty(cx.num(k)))
-        for rows in geometry.row_blocks(cx.num(k), k + 1):
-            centers[k][rows], lam = geometry.circumcenter(cx.coords_of(k, rows), check=True)
-            inside[k][rows], lam_min[k][rows] = lam >= 0, lam.min(axis=1)
+        center, sign, low = _circumcenters(cx, k, coarse)
+        centers.append(center)
+        inside.append(sign)
+        lam_min.append(low)
 
     # |dual t| = 1/(n-k) * sum over cofaces T of s(t,T) |c(T) - c(t)| |dual T|
     volumes: list[np.ndarray] = [None] * n + [np.ones(cx.num(n))]  # type: ignore[list-item]
@@ -137,7 +184,56 @@ def build_dual(cx: SimplicialComplex) -> DualComplex:
             steps[pairs] = (np.where(inside[k + 1][rows].ravel(), norm, -norm)
                             * np.repeat(volumes[k + 1][rows], k + 2))
         volumes[k] = np.bincount(t, weights=steps, minlength=cx.num(k)) / (n - k)
-    return DualComplex(cx, centers, volumes)
+    # edges and vertices carry nothing: their centers are midpoints and vertices
+    record = CenterRecord(*([None, None] + x[2:] for x in (centers, inside, lam_min)))
+    return DualComplex(cx, centers, volumes, record)
+
+
+def _circumcenters(cx: SimplicialComplex, k: int, coarse: CenterRecord | None):
+    """(centers, coordinate signs, row minima) of the k-simplices, k >= 1.
+
+    Only lam's signs (a NaN counts as negative) and row minima outlive a
+    block, and every temporary dies on return, before the step lengths.
+    """
+    n = cx.dim
+    m = cx.num(k)
+    centers, inside, lam_min = np.empty((m, n)), np.empty((m, k + 1), dtype=bool), np.empty(m)
+    if k == 1:
+        # an edge's center is its midpoint, rounded once as refine places the
+        # fine vertices, and lam = [0.5, 0.5]: nothing to solve, and nothing
+        # to check, as an edge without length would flatten its cells, which
+        # build_complex and jitter_interior refuse
+        for rows in geometry.row_blocks(m, 2):
+            ends = cx.coords_of(1, rows)
+            centers[rows] = 0.5 * (ends[:, 0] + ends[:, 1])
+        inside[:], lam_min[:] = True, 0.5
+        return centers, inside, lam_min
+    todo = None  # the rows to solve, all when None
+    if coarse is not None and k in _CARRIED:
+        kids = cx.children[k][:, :len(_CARRIED[k])]
+        for rows in geometry.row_blocks(len(kids), k + 1):
+            c = coarse.centers[k][rows]
+            for slot, order in enumerate(_CARRIED[k]):
+                r = kids[rows, slot]
+                if slot <= k:
+                    # the corner's vertex comes first: it is a coarse vertex,
+                    # numbered below every midpoint
+                    centers[r] = 0.5 * (cx.vertices[cx.simplices[k][r, 0]] + c)
+                else:
+                    pts = cx.coords_of(k, r)
+                    centers[r] = 0.5 * (pts[:, 0] + pts[:, 1] + pts[:, 2] - c)
+                inside[r] = coarse.inside[k][rows, order]
+                lam_min[r] = coarse.lam_min[k][rows]
+        todo = np.ones(m, dtype=bool)
+        todo[kids.ravel()] = False
+        todo = np.flatnonzero(todo)
+    for rows in geometry.row_blocks(m if todo is None else len(todo), k + 1):
+        if todo is not None:
+            rows = todo[rows]
+        centers[rows], lam = geometry.circumcenter(cx.coords_of(k, rows), check=True)
+        # the minimum column by column, faster than lam.min(axis=1)
+        inside[rows], lam_min[rows] = lam >= 0, reduce(np.minimum, lam.T)
+    return centers, inside, lam_min
 
 
 def _fragments(cx: SimplicialComplex, k: int):

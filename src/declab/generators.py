@@ -21,7 +21,9 @@ red refinement by edge midpoints, in 1 to 3 dimensions: each triangle into four,
 each tetrahedron into eight, and h halves exactly.  It is self-similar on the
 cube: the Kuhn simplices of a grid refine into those of the halved grid.  It is
 regular (Freudenthal), so one linear rule on the simplex counts of a level-0
-mesh gives the size of every level (``estimate_unknowns``).
+mesh gives the size of every level (``estimate_unknowns``).  It builds the fine
+face lattice from the templates, without ``build_complex``, and keeps a
+parent -> child map from which ``dualmesh.build_dual`` carries circumcenters.
 """
 from __future__ import annotations
 
@@ -33,8 +35,8 @@ from itertools import combinations, permutations, product
 import numpy as np
 import scipy.sparse as sp
 
-from . import meshio
-from .complex import SimplicialComplex, build_complex, cell_orientation
+from . import geometry, meshio
+from .complex import SimplicialComplex, _pack, _packing, build_complex, cell_orientation
 from .errors import InvertedCellError, MeshError
 
 DEFAULT_ALPHA = 8 * math.pi / 5
@@ -109,45 +111,212 @@ _RED = {
 }
 
 
-def _red_children(cx: SimplicialComplex, k: int, idx: np.ndarray) -> np.ndarray:
-    """The red children of the k-simplices ``idx``, as fine vertex rows in a
-    ``(len(idx), children, k+1)`` array.
+def _labels(child: str) -> tuple[tuple[int, ...], ...]:
+    """A template child as its vertices, each the parent positions it averages:
+    "0,01" -> ((0,), (0, 1))."""
+    return tuple(tuple(int(c) for c in v) for v in child.split(","))
 
-    Fine vertex ``v < nv`` is coarse vertex ``v`` and ``nv + e`` is the
-    midpoint of coarse edge ``e``.
+
+_CHILDREN = {0: [((0,),)], **{j: [_labels(c) for c in t.split()] for j, t in _RED.items()}}
+
+
+def _interior(j: int, k: int) -> list[tuple]:
+    """The k-simplices of the red refinement of a j-simplex that lie inside it,
+    on none of its proper faces: all its children for k = j, else the k-faces
+    of the children that use every parent vertex, each once, in order of
+    first appearance."""
+    out: list[tuple] = []
+    for child in _CHILDREN[j]:
+        for face in combinations(child, k + 1):
+            if (len({p for v in face for p in v}) == j + 1
+                    and set(face) not in map(set, out)):
+                out.append(face)
+    return out
+
+
+_INTERIOR = {(j, k): _interior(j, k) for j in _CHILDREN for k in range(j + 1)}
+
+
+def _home(face: tuple) -> tuple[tuple[int, ...], int]:
+    """(U, c): ``face`` of a red child is interior child c of the parent's face
+    on the positions U, the smallest one holding it.
+
+    The x+y+z order is one order of all vertices, so the positions of U keep
+    their order on that face, and ``face`` reads there with U renumbered 0..m.
     """
-    if k not in _RED:
-        raise MeshError(f"no red refinement template for dimension {k}")
-    rows = cx.simplices[k][idx]
-    # sorted position of each vertex in x+y+z order; the stable sort breaks ties by id
+    u = sorted({p for v in face for p in v})
+    rank = {p: r for r, p in enumerate(u)}
+    local = {tuple(rank[p] for p in v) for v in face}
+    return tuple(u), list(map(set, _INTERIOR[len(u) - 1, len(face) - 1])).index(local)
+
+
+def _kept_vertex(child: tuple) -> int | None:
+    """The parent position a corner child keeps, None for any other child."""
+    kept = [v[0] for v in child if len(v) == 1]
+    return kept[0] if kept else None
+
+
+def _template_sign(child: tuple) -> int:
+    """Orientation of ``child``'s vertex order relative to its parent's, from
+    the reference simplex 0, e_1, ..., e_n: midpoints are affine, so every
+    parent gives the same sign."""
+    ref = np.vstack([np.zeros(len(child) - 1), np.eye(len(child) - 1)])
+    pts = np.array([ref[list(v)].mean(axis=0) for v in child])
+    return 1 if geometry.det(pts[1:] - pts[0]) > 0 else -1
+
+
+# per child of a top cell: the sign of its template order
+_SIGNS = {j: np.array([_template_sign(c) for c in _CHILDREN[j]], dtype=np.int8)
+          for j in _RED}
+
+# compare-exchange networks sorting rows of 1 to 4 entries
+_NETWORKS = {1: [], 2: [(0, 1)], 3: [(0, 1), (1, 2), (0, 1)],
+             4: [(0, 1), (2, 3), (0, 2), (1, 3), (1, 2)]}
+
+
+def _sort_rows(rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows given as columns, sorted: (sorted rows, the column each sorted entry
+    came from, the parity of that permutation).  Entries of a row are distinct."""
+    cols = list(rows)
+    src = [np.full(len(cols[0]), i, dtype=np.int8) for i in range(len(cols))]
+    odd = np.zeros(len(cols[0]), dtype=bool)
+    for a, b in _NETWORKS[len(cols)]:
+        swap = cols[a] > cols[b]
+        cols[a], cols[b] = np.minimum(cols[a], cols[b]), np.maximum(cols[a], cols[b])
+        src[a], src[b] = np.where(swap, src[b], src[a]), np.where(swap, src[a], src[b])
+        odd ^= swap
+    return np.stack(cols, axis=1), np.stack(src, axis=1), odd
+
+
+def _local_faces(cx: SimplicialComplex, j: int) -> tuple[np.ndarray, dict]:
+    """Per j-simplex: the sorted positions of its vertices in increasing x+y+z
+    order, ties by id, and the index of each of its faces, keyed by the
+    positions in that order of the face's vertices (a vertex's index is its id)."""
+    rows = cx.simplices[j]
+    # the stable sort breaks ties by id, so this is one order of all vertices
     order = np.argsort(cx.vertices.sum(axis=1)[rows], axis=1, kind="stable")
-    fine = {str(i): col for i, col in enumerate(np.take_along_axis(rows, order, axis=1).T)}
-    for i, j in combinations(range(k + 1), 2):
-        # edge ij: drop the sorted positions of the other vertices from the top, largest first
-        rest = np.sort(np.delete(order, [i, j], axis=1), axis=1)
-        e = idx
-        for d in range(k, 1, -1):
-            e = cx.faces[d][e, rest[:, d - 2]]
-        fine[f"{i}{j}"] = cx.num(0) + e
-    return np.stack([np.stack([fine[v] for v in child.split(",")], axis=1)
-                     for child in _RED[k].split()], axis=1)
+    index = {}
+    for size in range(1, j + 2):
+        for u in combinations(range(j + 1), size):
+            # drop the other vertices' sorted positions from the top, largest first
+            e = np.arange(len(rows), dtype=np.int32)
+            if size <= j:
+                drop = _sort_rows([order[:, p] for p in range(j + 1) if p not in u])[0]
+                for c in range(j - size, -1, -1):
+                    e = cx.faces[c + size][e, drop[:, c]]
+            index[u] = e
+    return order, index
 
 
 def refine(cx: SimplicialComplex) -> SimplicialComplex:
     """One red refinement of every top cell; ``h`` halves exactly.
 
-    The children of a labelled boundary face keep its label.
+    The fine lattice comes from the templates, without ``build_complex``.
+    Fine vertex ``v < nv`` is coarse vertex ``v`` and ``nv + e`` the midpoint
+    of coarse edge ``e``.  Each fine k-simplex is made once, as an interior
+    child of the coarse simplex holding it; sorting each row, then one
+    packed-key sort of the rows of each degree, gives ``build_complex``'s
+    lexsorted lattice with no deduplication.  A child's faces are children
+    of its parent's faces or interior children of the parent, so the
+    templates name them, and the sorts' inverse permutations place them.  A
+    top cell's orientation is its parent's, times its template's sign and
+    the parity of sorting its row.
+
+    The result keeps its parent -> child map: ``children[k][s, slot]`` is the
+    fine index of a child of coarse k-simplex ``s``.  Slots 0..k are the
+    corner children, each the parent scaled by 1/2 about its vertex at that
+    sorted position; slot 3 of a triangle is its middle child, the parent
+    scaled by -1/2 about its centroid; slots 4..7 of a tetrahedron are its
+    octahedron's.  The children of a labelled boundary face keep its label.
     """
     n = cx.dim
-    cells = _red_children(cx, n, np.arange(cx.num(n))).reshape(-1, n + 1)
+    if n not in _RED:
+        raise MeshError(f"no red refinement template for dimension {n}")
+    if (cx.num(n) << n) << n >= 2 ** 31:
+        raise MeshError("mesh too large: the face lattice holds int32 ids below 2**31")
+    nv = cx.num(0)
+    counts = [cx.num(j) for j in range(n + 1)]
+    local = [_local_faces(cx, j) for j in range(n + 1)]
+    # generated row of interior child c of coarse j-simplex s, of degree k:
+    # start[k][j] + c N_j + s
+    start = [{} for _ in range(n + 1)]
+    sizes = []
+    for k in range(n + 1):
+        total = 0
+        for j in range(k, n + 1):
+            start[k][j] = total
+            total += len(_INTERIOR[j, k]) * counts[j]
+        sizes.append(total)
+    # the kept arrays first, below the temporaries in the heap
     edges = cx.simplices[1]
-    mids = 0.5 * (cx.vertices[edges[:, 0]] + cx.vertices[edges[:, 1]])
-    out = build_complex(n, np.vstack([cx.vertices, mids]), cells, validate=False)
-    if cx.boundary_labels:
-        faces = _red_children(cx, n - 1, cx.index_of(n - 1, list(cx.boundary_labels)))
-        out.boundary_labels = {tuple(row): label for label, children in
-                               zip(cx.boundary_labels.values(), np.sort(faces, axis=2).tolist())
-                               for row in children}
+    vertices = np.empty((nv + counts[1], n))
+    vertices[:nv] = cx.vertices
+    vertices[nv:] = 0.5 * (cx.vertices[edges[:, 0]] + cx.vertices[edges[:, 1]])
+    simplices = [np.empty((m, k + 1), dtype=np.int32) for k, m in enumerate(sizes)]
+    faces = [None] + [np.empty((m, k + 1), dtype=np.int32) for k, m in enumerate(sizes) if k]
+    orientation = [np.ones(m, dtype=np.int8) for m in sizes]
+    children = [np.empty((counts[k], len(_CHILDREN[k])), dtype=np.int32) for k in range(n + 1)]
+    # the parity of each top cell's x+y+z order against its sorted order
+    odd_order = np.zeros(counts[n], dtype=bool)
+    for a, b in combinations(range(n + 1), 2):
+        odd_order ^= local[n][0][:, a] > local[n][0][:, b]
+    labels = {}
+    place = None  # sorted position of each generated row of the degree done last
+    for k in range(n + 1):
+        rows, face_rows, slots, sign, corners = [], [], [], [], 0
+        for j in range(k, n + 1):
+            order, index = local[j]
+            for c, child in enumerate(_INTERIOR[j, k]):
+                rows.append([index[v] if len(v) == 1 else nv + index[v] for v in child])
+                if k:
+                    homes = [_home(child[:t] + child[t + 1:]) for t in range(k + 1)]
+                    face_rows.append(np.stack(
+                        [start[k - 1][len(u) - 1] + c2 * counts[len(u) - 1] + index[u]
+                         for u, c2 in homes], axis=1))
+                if j > k:
+                    continue
+                # the corner children by the sorted position of their vertex,
+                # then the others in template order
+                kept = _kept_vertex(child)
+                if kept is None:
+                    slots.append(np.full(counts[k], k + 1 + len(slots) - corners))
+                else:
+                    slots.append(order[:, kept])
+                    corners += 1
+                if k == n:
+                    sign.append(np.where(odd_order, -_SIGNS[n][c], _SIGNS[n][c])
+                                * cx.orientation[n])
+        srt, src, odd = _sort_rows([np.concatenate(col) for col in zip(*rows)])
+        del rows
+        # the rows are distinct: one sort of their packed keys orders them
+        packing = _packing(srt)
+        perm = (np.argsort(_pack(srt, *packing)) if packing is not None
+                else np.lexsort(srt.T[::-1]))
+        np.take(srt, perm, axis=0, out=simplices[k])
+        del srt
+        below, place = place, np.empty(len(perm), dtype=np.int32)
+        place[perm] = np.arange(len(perm), dtype=np.int32)
+        del perm
+        if k:
+            # dropping sorted position i drops the template position it came from
+            gen = np.take_along_axis(np.concatenate(face_rows), src, axis=1)
+            del face_rows
+            faces[k][place] = below[gen]
+            del gen
+        if k == n:
+            orientation[n][place] = np.where(odd, -1, 1) * np.concatenate(sign)
+        # the children of coarse k-simplex s come first, generated c N_k + s
+        children[k][np.tile(np.arange(counts[k]), len(slots)), np.concatenate(slots)] = \
+            place[:children[k].size]
+        if k == n - 1 and cx.boundary_labels:
+            # a labelled face's children are its first rows, child-major
+            idx = cx.index_of(k, list(cx.boundary_labels))
+            kids = place[np.arange(len(_CHILDREN[k]))[:, None] * counts[k] + idx].T
+            labels = {tuple(row): label for label, rows in
+                      zip(cx.boundary_labels.values(), simplices[k][kids].tolist())
+                      for row in rows}
+    out = SimplicialComplex(n, vertices, simplices, orientation, faces, children)
+    out.boundary_labels = labels
     return out
 
 

@@ -23,7 +23,8 @@ CIRCUMCENTER_COND_MAX = 1e12
 WELL_CENTERED_TOL = 1e-12
 # Points per block of the row-blocked kernels (fields._integrate's quadrature
 # nodes; the simplex vertices of dualmesh.build_dual, DualComplex.hodge_ratios,
-# SimplicialComplex.shape_report and the conformity audit), see row_blocks.
+# SimplicialComplex.shape_report, complex.cell_orientation and the conformity
+# audit), see row_blocks.
 BLOCK_NODES = 1 << 18
 
 

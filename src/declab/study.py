@@ -2,7 +2,9 @@
 
 A study runs a mesh family through a level sequence, collects error norms,
 and attaches per-step dyadic rates rate(i) = log2(e(i-1)/e(i)), mirroring the
-layout used for refinement tables.  Reports can be emitted as CSV, an aligned
+layout used for refinement tables.  Each unmoved level's dual takes the
+circumcenters refinement fixes from the dual of the level before
+(``walk_levels``).  Reports can be emitted as CSV, an aligned
 text table, or a log-log SVG plot with reference slopes 1 and 2.  A memory
 guard refuses a study whose levels would pass an unknown cap on its level-0 mesh.
 """
@@ -111,6 +113,38 @@ def _guarded_walk(spec: FamilySpec, levels: int, cap: int | None):
     yield from meshes
 
 
+def _carried_dual(cx, coarse, keep: bool):
+    """``build_dual`` on one level of a walk: (dual, record for the next level).
+
+    ``coarse`` is the record of the level before, None on level 0 or on a
+    moved mesh; the record comes back only when ``keep``.  The mesh's parent
+    map and the dual's own reference to its record go here, so neither
+    outlives the dual's construction into the level's solve.
+    """
+    dual = build_dual(cx, coarse)
+    cx.children = None
+    record, dual.record = dual.record, None
+    return dual, record if keep else None
+
+
+def walk_levels(spec: FamilySpec, levels: int, cap: int | None = None):
+    """(mesh, dual, prolongations) per level of ``_guarded_walk``: each dual
+    carried from the level before, and the interior prolongations of the
+    hierarchy below the mesh, coarsest first.
+
+    A caller that keeps no reference to a level's dual lets it go before the
+    next level is refined.
+    """
+    prolongations, coarse, record = [], None, None
+    for i, cx in enumerate(_guarded_walk(spec, levels, cap)):
+        if coarse is not None:
+            prolongations.append(generators.interior_prolongation(coarse, cx))
+        coarse = cx
+        dual, record = _carried_dual(cx, record, keep=i + 1 < levels)
+        yield cx, dual, prolongations
+        del dual
+
+
 def run_convergence_study(spec: FamilySpec, problem: str | ProblemBundle,
                           levels: int, config: SolverConfig = SolverConfig(),
                           max_unknowns: int | None = DEFAULT_UNKNOWN_CAP,
@@ -124,18 +158,18 @@ def run_convergence_study(spec: FamilySpec, problem: str | ProblemBundle,
                   "problem": bundle.name, "levels": levels,
                   "tolerance": config.tol, "commit": commit_stamp()},
         columns=list(CONVERGENCE_COLUMNS))
-    prolongations, coarse = [], None
     t0 = time.monotonic()
     try:
-        for i, cx in enumerate(_guarded_walk(spec, levels, max_unknowns)):
-            if coarse is not None:
-                prolongations.append(generators.interior_prolongation(coarse, cx))
-            coarse = cx
-            sol, err = solve_level(cx, bundle, config, prolongations)
+        # no enumerate: its cached result tuple would keep the last level's
+        # dual alive through the next level's refinement and dual
+        for cx, dual, prolongations in walk_levels(spec, levels, max_unknowns):
+            sol, err = solve_level(cx, dual, bundle, config, prolongations)
             seconds = 0.0 if deterministic else time.monotonic() - t0
-            row = {"level": i, "h": max_h(cx), "err_max": err.max, "err_h1": err.h1,
-                   "err_l2": err.l2, "iters": sol.iterations, "seconds": seconds,
-                   "stability": sol.stability_constant, "energy": sol.energy}
+            row = {"level": len(report.rows), "h": max_h(cx), "err_max": err.max,
+                   "err_h1": err.h1, "err_l2": err.l2, "iters": sol.iterations,
+                   "seconds": seconds, "stability": sol.stability_constant,
+                   "energy": sol.energy}
+            del cx, dual  # the next level's refinement and dual need neither
             _append_row(report, row)
             t0 = time.monotonic()
     except MemoryGuardError:
@@ -146,9 +180,9 @@ def run_convergence_study(spec: FamilySpec, problem: str | ProblemBundle,
     return report
 
 
-def solve_level(cx, bundle: ProblemBundle, config: SolverConfig, prolongations: list):
-    """(solve report, error report) on one level; its dual and problem die on return."""
-    prob = make_problem(cx, build_dual(cx), bundle)
+def solve_level(cx, dual, bundle: ProblemBundle, config: SolverConfig, prolongations: list):
+    """(solve report, error report) on one level; its problem dies on return."""
+    prob = make_problem(cx, dual, bundle)
     sol = solve(prob, config, prolongations)
     return sol, error_report(prob, sol.solution, bundle)
 
@@ -193,11 +227,14 @@ def run_consistency_study(spec: FamilySpec, problem: str | ProblemBundle, k: int
                   "degree": degree, "jitter": jitter, "seed": seed,
                   "interior_l2": interior_l2, "commit": commit_stamp()},
         columns=columns)
+    record = None
     try:
         for i, cx in enumerate(_guarded_walk(spec, levels, max_unknowns)):
             if jitter:
+                # a moved mesh carries nothing: every center is solved
+                cx.children = None
                 cx = generators.jitter_interior(cx, amplitude=jitter, seed=seed + i)
-            dual = build_dual(cx)
+            dual, record = _carried_dual(cx, record, keep=not jitter and i + 1 < levels)
             rec = consistency_probe(fld, cx, dual, degree=degree,
                                     interior_l2=interior_l2)
             row = {"level": i, "h": max_h(cx), "err_max": rec.err_max,

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from declab import geometry
-from declab.complex import _audit_conformity, build_complex
+from declab.complex import _audit_conformity, _busy_balls, build_complex, cell_orientation
 from declab.errors import DegenerateSimplexError, MeshError, NonConformingError, ids
-from declab.generators import FamilySpec, generate, refine
+from declab.generators import FamilySpec, generate, jitter_interior, refine
 from strategies import jittered_wheels
 
 
@@ -239,6 +239,59 @@ def test_conformity_audit_memory_is_bounded_by_the_block(monkeypatch):
             tracemalloc.stop()
 
     assert peak(3 * 64) < 0.5 * peak(1 << 62)
+
+
+def test_degenerate_cell_is_named_alike_at_every_block_size(monkeypatch):
+    # cells 1 and 2 are flat; blocks of 3 nodes hold one triangle
+    verts = np.array([(0, 0), (1, 0), (0, 1), (2, 0), (3, 0), (0, 2), (0, 3)], dtype=float)
+    cells = np.array([(0, 1, 2), (1, 3, 4), (2, 5, 6)])
+    for block_nodes in (3, 6, 1 << 62):
+        monkeypatch.setattr(geometry, "BLOCK_NODES", block_nodes)
+        with pytest.raises(DegenerateSimplexError) as info:
+            cell_orientation(verts, cells)
+        assert str(info.value) == "degenerate cell (1, 3, 4): signed volume 0.000e+00"
+
+
+def test_cell_orientation_memory_is_bounded_by_the_block(monkeypatch):
+    # cube level 3: 24,576 tetrahedra.  At one block the (N, 4, 3) corners,
+    # edges and the volume and diameter temporaries set the peak; blocks of
+    # 1,024 tetrahedra leave mostly the (N,) signs
+    cx = generate(FamilySpec("cube_kuhn", 3))
+    cells = np.array(cx.simplices[3])
+
+    def peak(block_nodes):
+        monkeypatch.setattr(geometry, "BLOCK_NODES", block_nodes)
+        tracemalloc.start()
+        try:
+            signs = cell_orientation(cx.vertices, cells)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            assert np.array_equal(signs, cx.orientation[3])
+
+    assert peak(4 * 1024) < 0.3 * peak(1 << 62)
+
+
+@pytest.mark.parametrize("cx", [
+    generate(FamilySpec("corner", 5)),
+    *[jitter_interior(generate(FamilySpec("pentagon_wheel", 3, n_gon=g)), 0.14, seed=s)
+      for g, s in ((6, 1), (7, 2), (8, 3))]], ids=["corner", "wheel6", "wheel7", "wheel8"])
+def test_busy_balls_are_the_ones_query_ball_point_counts(cx):
+    # every ball of every degree, around the cells' centroids at the audit's
+    # radii, then at radii through a vertex: a tie at the radius counts in
+    from scipy.spatial import cKDTree
+    tree = cKDTree(cx.vertices)
+    for k in range(1, 3):
+        coords = cx.coords_of(k, slice(None))
+        centroid = coords.mean(axis=1)
+        radius = np.sqrt(((coords - centroid[:, None, :]) ** 2).sum(-1)).max(axis=1)
+        through = np.linalg.norm(cx.vertices[(np.arange(cx.num(k)) * 7) % cx.num(0)]
+                                 - centroid, axis=1)
+        for radii in (radius + 1e-9, radius, through):
+            for count in (k + 2, k + 3):
+                want = np.flatnonzero(
+                    tree.query_ball_point(centroid, radii, return_length=True) >= count)
+                assert np.array_equal(_busy_balls(tree, centroid, radii, count), want)
 
 
 def test_vertex_index_out_of_range():

@@ -1,16 +1,18 @@
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
 import pytest
 
-from declab import dualmesh, geometry
+from declab import dualmesh, geometry, meshio
 from declab.complex import build_complex
 from declab.dualmesh import DualComplex, build_dual
 from declab.errors import DegenerateSimplexError, InvertedCellError, WellCenteredError
-from declab.generators import FamilySpec, generate, jitter_interior
+from declab.generators import FamilySpec, generate, jitter_interior, refine
+from declab.study import walk_levels
 from strategies import jittered_wheels
 
 
@@ -361,11 +363,23 @@ def exact_coordinates(cx, k):
     2 G a = diag(G) for the edge Gram matrix G, so its barycentric coordinates
     are 1 - sum a and a_1..a_k: by Cramer's rule, integers over 2 det G > 0.
     """
-    ratios = [x.as_integer_ratio() for x in cx.vertices.ravel().tolist()]
+    ints, _ = integer_vertices(cx.vertices)
+    return exact_barycentric(ints[cx.simplices[k]])
+
+
+def integer_vertices(vertices):
+    """(ints, scale): the float coordinates as Python integers over one power of two."""
+    ratios = [x.as_integer_ratio() for x in vertices.ravel().tolist()]
     scale = max(d for _, d in ratios)
     ints = np.array([n * (scale // d) for n, d in ratios], dtype=object)
-    v = ints.reshape(cx.vertices.shape)[cx.simplices[k]]
-    e = [[v[:, a + 1, d] - v[:, 0, d] for d in range(cx.dim)] for a in range(k)]
+    return ints.reshape(vertices.shape), scale
+
+
+def exact_barycentric(v):
+    """``exact_coordinates`` of the simplices with integer vertices ``v``, (m, k+1, n)."""
+    _, kp1, n = v.shape
+    k = kp1 - 1
+    e = [[v[:, a + 1, d] - v[:, 0, d] for d in range(n)] for a in range(k)]
     g = [[sum(x * y for x, y in zip(e[a], e[b])) for b in range(k)] for a in range(k)]
     den = 2 * _det(g)
     nums = [_det([[g[a][a] if b == i else g[a][b] for b in range(k)] for a in range(k)])
@@ -498,3 +512,150 @@ def test_well_centeredness_equals_the_barycentric_reference(cx):
             build_dual(cx)
     else:
         build_dual(cx)
+
+
+def center_bound(coords, centers, lam):
+    """A first-order bound, per simplex and coordinate, on the rounding error of
+    ``geometry.circumcenter``'s centers c^ = v_0 + sum_i a^_i e^_i: the
+    offsets' own error, at most ``rounding_bound``'s d_i, times the edge,
+    then the rounding of each edge, of the k-term sum and of the addition of
+    v_0, together at most gamma_{k+2} (sum_i |a^_i| |e_i| + |c^|)."""
+    u = np.finfo(float).eps / 2
+    k = coords.shape[1] - 1
+    gamma = (k + 2) * u / (1 - (k + 2) * u)
+    e = np.abs(geometry.edge_matrix(coords))
+    d = rounding_bound(coords, lam)[:, 1:]
+    return (np.einsum("mk,mkd->md", d, e)
+            + gamma * (np.einsum("mk,mkd->md", np.abs(lam[:, 1:]), e) + np.abs(centers)))
+
+
+def exact_centers(v):
+    """(numerators (m, n), denominators (m,)): the exact circumcenters of the
+    simplices with integer vertices ``v``."""
+    nums, den = exact_barycentric(v)
+    return sum(num[:, None] * v[:, i] for i, num in enumerate(nums)), den
+
+
+def jittered_wheel_file(tmp_path, n_gon=7, level=1, seed=4):
+    path = tmp_path / "jittered.decmesh"
+    meshio.save(jitter_interior(generate(FamilySpec("pentagon_wheel", level, n_gon=n_gon)),
+                                0.14, seed=seed), path)
+    return FamilySpec("from_file", path=str(path))
+
+
+CARRIED_FAMILIES = [FamilySpec("pentagon_wheel"), FamilySpec("corner"),
+                    *[FamilySpec("square", pattern=p) for p in (1, 2, 3)],
+                    FamilySpec("cube_kuhn")]
+
+
+def carried_cases():
+    """(id, mesh maker): the families at levels 0 and 1, a jittered wheel
+    file, and weak meshes jittered by 3e-13, whose coordinates within the
+    weak band but far above rounding give the carried signs their content."""
+    cases = [(f"{s.family}{s.pattern}-{level}", lambda tmp, s=s, level=level:
+              generate(replace(s, level=level)))
+             for s in CARRIED_FAMILIES for level in (0, 1)]
+    cases += [("jittered_file", lambda tmp: generate(jittered_wheel_file(tmp)))]
+    cases += [(f"weak_{s.family}{s.pattern}-{s.level}", lambda tmp, s=s:
+               jitter_interior(generate(s), 3e-13, seed=1))
+              for s in (FamilySpec("cube_kuhn", 0), FamilySpec("cube_kuhn", 1),
+                        *[FamilySpec("square", 1, pattern=p) for p in (1, 2, 3)])]
+    return [pytest.param(make, id=name) for name, make in cases]
+
+
+@pytest.mark.parametrize("make", carried_cases())
+def test_carried_centers_are_the_solved_ones(make, tmp_path):
+    """A carried center is its parent's, scaled: for a corner child
+    (v + c^_P) / 2, for a triangle's middle child (m_0 + m_1 + m_2 - c^_P) / 2
+    over its float vertices m_i.  Against the exact center of the child on
+    the exact midpoints, which is the scaled exact parent center, it is off
+    by half the parent center's rounding plus the rounding of those sums;
+    the solved center is off the exact center of the float child by its own
+    rounding; and the two exact centers are as far apart as rounding the
+    midpoints moved them, computed exactly.  The three together bound the gap.
+
+    A carried coordinate sign is the parent's float sign: it must be the
+    exact sign on the exact midpoints wherever that is farther from 0 than
+    the parent's rounding, and a carried row minimum must have the exact
+    minimum's class wherever that is as far from the thresholds +-tol."""
+    u = np.finfo(float).eps / 2
+    tol = geometry.WELL_CENTERED_TOL
+    cx = make(tmp_path)
+    coarse = build_dual(cx)
+    fine = refine(cx)
+    carried, solved = build_dual(fine, coarse.record), build_dual(fine)
+    ints, scale = integer_vertices(fine.vertices)
+    # the fine vertices on the exact midpoints, in units of 1 / (2 scale)
+    edges = cx.simplices[1]
+    exact = np.concatenate([2 * ints[:cx.num(0)], ints[edges[:, 0]] + ints[edges[:, 1]]])
+    for k in range(1, cx.dim + 1):
+        kids = fine.children[k][:, :{1: 0, 2: 4, 3: 4}[k]]
+        others = np.setdiff1d(np.arange(fine.num(k)), kids)
+        # edges are midpoints either way, and the rest is solved alike
+        assert np.array_equal(carried.circumcenters[k][others], solved.circumcenters[k][others])
+        if k == 1:
+            continue
+        parents = cx.coords_of(k, slice(None))
+        c_p, lam_p = coarse.circumcenters[k], geometry.circumcenter(parents, check=False)[1]
+        parent_bound = center_bound(parents, c_p, lam_p)
+        sign_bound = rounding_bound(parents, lam_p).max(axis=1)
+        for slot in range(kids.shape[1]):
+            r = kids[:, slot]
+            coords = fine.coords_of(k, r)
+            got, want = carried.circumcenters[k][r], solved.circumcenters[k][r]
+            if slot <= k:
+                own = u * np.abs(coords[:, 0] + c_p)
+            else:
+                gamma = 3 * u / (1 - 3 * u)
+                own = gamma * np.abs(coords).sum(axis=1) + u * np.abs(coords.sum(axis=1) - c_p)
+            num_s, den_s = exact_centers(exact[fine.simplices[k][r]])
+            num_f, den_f = exact_centers(ints[fine.simplices[k][r]])
+            moved = np.abs(((num_s * den_f[:, None] - 2 * num_f * den_s[:, None])
+                            / (2 * scale * den_s * den_f)[:, None]).astype(float))
+            lam = geometry.circumcenter(coords, check=False)[1]
+            bound = ((parent_bound + own) / 2 + moved * (1 + 2 * u)
+                     + center_bound(coords, want, lam))
+            assert np.all(np.abs(got - want) <= bound), (k, slot)
+
+            nums, den = exact_barycentric(exact[fine.simplices[k][r]])
+            lam_s = np.stack([(num / den).astype(float) for num in nums], axis=1)
+            clear = np.abs(lam_s) > sign_bound[:, None]
+            assert np.array_equal(carried.record.inside[k][r][clear], (lam_s >= 0)[clear])
+            low = lam_s.min(axis=1)
+            clear = np.minimum(np.abs(low - tol), np.abs(low + tol)) > sign_bound
+            assert np.array_equal(classes(carried.record.lam_min[k][r], tol)[clear],
+                                  classes(low, tol)[clear]), (k, slot)
+
+
+@pytest.mark.parametrize("cx", [
+    jitter_interior(generate(FamilySpec("pentagon_wheel", 3, n_gon=6)), 0.14, seed=9),
+    generate(FamilySpec("cube_kuhn", 1))], ids=["jittered_wheel", "cube"])
+def test_edge_centers_are_float_midpoints(cx):
+    ends = cx.vertices[cx.simplices[1]]
+    dual = build_dual(cx)
+    assert np.array_equal(dual.circumcenters[1], 0.5 * (ends[:, 0] + ends[:, 1]))
+
+
+def assert_support_volumes(cx, dual):
+    """sum over k-simplices of |s| |*s| is C(n, k) |Omega| for every k: each
+    top cell holds its k-faces' support volumes C(n, k) times over."""
+    n = cx.dim
+    domain = dual.hodge_ratios(n)[1].sum()
+    for k in range(n + 1):
+        assert np.dot(*dual.hodge_ratios(k)) == pytest.approx(math.comb(n, k) * domain,
+                                                              rel=1e-12), k
+
+
+@pytest.mark.parametrize("spec", CARRIED_FAMILIES + [None],
+                         ids=["pentagon", "corner", "square1", "square2", "square3", "cube",
+                              "jittered_file"])
+def test_carried_support_volumes_add_up(spec, tmp_path):
+    # levels 1 to 3 take their centers from the level before
+    for cx, dual, _ in walk_levels(spec or jittered_wheel_file(tmp_path), 4):
+        assert_support_volumes(cx, dual)
+
+
+@settings(deadline=None, max_examples=20)
+@given(cx=jittered_wheels)
+def test_support_volumes_add_up_on_jittered_wheels(cx):
+    assert_support_volumes(cx, build_dual(cx))

@@ -276,3 +276,97 @@ def test_family_spec_validation():
         FamilySpec("from_file")
     with pytest.raises(MeshError):
         FamilySpec("pentagon_wheel", n_gon=4)
+
+
+def _assert_same_lattice(got, want):
+    assert np.array_equal(got.vertices, want.vertices)
+    for k in range(want.dim + 1):
+        for a, b in ((got.simplices[k], want.simplices[k]),
+                     (got.orientation[k], want.orientation[k]),
+                     *([(got.faces[k], want.faces[k])] if k else [])):
+            assert a.dtype == b.dtype and np.array_equal(a, b), k
+
+
+def _refined_from(cx):
+    """``refine(cx)`` and ``build_complex`` on its vertices and top cells."""
+    fine = refine(cx)
+    return fine, build_complex(cx.dim, fine.vertices, fine.simplices[cx.dim], validate=False)
+
+
+@pytest.mark.parametrize("spec,levels", [
+    (FamilySpec("cube_kuhn"), 3), (FamilySpec("pentagon_wheel"), 4),
+    (FamilySpec("pentagon_wheel", n_gon=7), 4), (FamilySpec("corner"), 4),
+    *[(FamilySpec("square", pattern=p), 4) for p in (1, 2, 3)]],
+    ids=["cube", "pentagon", "heptagon", "corner", "square1", "square2", "square3"])
+def test_refined_lattice_is_build_complexs(spec, levels):
+    # every array of the lattice refine carries, bit for bit and dtype for
+    # dtype, at every level, against the lattice rebuilt from the fine cells
+    cx = generate(spec)
+    for _ in range(levels):
+        fine, rebuilt = _refined_from(cx)
+        _assert_same_lattice(fine, rebuilt)
+        cx = fine
+
+
+@pytest.mark.parametrize("spec,amplitude,seed", [
+    (FamilySpec("pentagon_wheel", 2, n_gon=6), 0.14, 3),
+    (FamilySpec("pentagon_wheel", 1, n_gon=8), 0.14, 11),
+    (FamilySpec("cube_kuhn", 1), 0.2, 1), (FamilySpec("cube_kuhn", 0), 0.2, 5)],
+    ids=["hexagon2", "octagon1", "cube1", "cube0"])
+def test_refined_jittered_lattice_is_build_complexs(spec, amplitude, seed):
+    # jittered vertices change the x+y+z order that picks each tetrahedron's
+    # diagonal, and the orientation of every child
+    cx = jitter_interior(generate(spec), amplitude, seed=seed)
+    for _ in range(2):
+        fine, rebuilt = _refined_from(cx)
+        _assert_same_lattice(fine, rebuilt)
+        cx = fine
+
+
+def test_refined_labelled_corner_is_build_complexs(tmp_path):
+    path = tmp_path / "corner.decmesh"
+    meshio.save(generate(FamilySpec("corner", 1)), path)
+    cx = meshio.load(path)
+    for _ in range(3):
+        fine, rebuilt = _refined_from(cx)
+        _assert_same_lattice(fine, rebuilt)
+        cx = fine
+    assert cx.boundary_labels == generate(FamilySpec("corner", 4)).boundary_labels
+
+
+def test_refine_builds_no_lattice_and_orients_no_cell(monkeypatch):
+    from declab import complex as cxmod, generators
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called")
+
+    cube, wheel = generate(FamilySpec("cube_kuhn", 1)), generate(FamilySpec("corner", 2))
+    for module in (cxmod, generators):
+        monkeypatch.setattr(module, "build_complex", refuse)
+        monkeypatch.setattr(module, "cell_orientation", refuse)
+    refine(cube), refine(wheel)
+
+
+@pytest.mark.parametrize("spec", [FamilySpec("cube_kuhn", 1), FamilySpec("corner", 2),
+                                  FamilySpec("square", 1, pattern=2)],
+                         ids=lambda s: s.family)
+def test_children_are_their_parents_scaled(spec):
+    # corner child p is the parent scaled by 1/2 about its sorted vertex p,
+    # with that vertex first and the midpoints after it in the parent's
+    # order; a triangle's middle child, slot 3, the parent scaled by -1/2
+    # about its centroid: the midpoints of ab, ac and bc, the images of c, b, a
+    cx = generate(spec)
+    fine = refine(cx)
+    for k in range(cx.dim + 1):
+        kids = fine.children[k]
+        assert kids.shape == (cx.num(k), {0: 1, 1: 2, 2: 4, 3: 8}[k])
+        assert np.array_equal(np.sort(kids.ravel()), np.unique(kids))  # each child once
+        parent = cx.vertices[cx.simplices[k]]
+        for p in range(k + 1):
+            rest = [p] + [q for q in range(k + 1) if q != p]
+            want = 0.5 * (parent[:, [p]] + parent[:, rest])
+            assert np.array_equal(fine.vertices[fine.simplices[k][kids[:, p]]], want), (k, p)
+        if k == 2:
+            want = 0.5 * (parent[:, [0, 0, 1]] + parent[:, [1, 2, 2]])
+            assert np.array_equal(fine.vertices[fine.simplices[2][kids[:, 3]]], want)
+    assert sum(fine.children[k].size for k in range(cx.dim + 1)) < sum(map(len, fine.simplices))
