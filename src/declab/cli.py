@@ -148,7 +148,7 @@ def main(argv=None) -> int:
             print(f"err_max = {err.max:.6e}  err_h1 = {err.h1:.6e}  err_l2 = {err.l2:.6e}")
             if args.out:
                 dump_solution(args.out, rep.solution, args.mesh or args.family,
-                              bundle.name, spec.level)
+                              bundle.name, spec.level, study.commit_stamp())
                 print(f"wrote {args.out}")
             return 0
         # studies

@@ -19,8 +19,9 @@ literal such as ``-1.5e-3``; a vertex id is an ASCII decimal integer that fits
 in int64.  Rejected with a ``MeshError`` that names the section: a count past
 the end of the file, an empty vertex or cell section (``vertices 0``), a line
 of the wrong width, and an entry that is not a number of its kind, such as
-``1.0`` as an id, ``1_0``, non-ASCII digits or a ``#`` comment.  Boundary
-lines are read one by one, as their labels are strings.
+``1.0`` as an id, ``1_0``, non-ASCII digits or a ``#`` comment; the message
+for a bad entry gives its line number in the file, blank lines counted.
+Boundary lines are read one by one, as their labels are strings.
 
 Orientation is normalized on load (cells are reoriented to positive signed
 volume); the writer emits positively oriented cells, each coordinate as its
@@ -29,6 +30,8 @@ A file is input from outside the program, so ``load`` always runs
 ``build_complex``'s conformity audit.
 """
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
@@ -66,8 +69,7 @@ def _format_rows(row: str, table: np.ndarray) -> str:
 
 
 def load(path) -> SimplicialComplex:
-    with open(path) as fh:
-        raw = [ln.strip() for ln in fh if ln.strip()]
+    raw, numbers = _nonblank_lines(path)
     if not raw or raw[0] != FORMAT_HEADER:
         raise MeshError(f"missing '{FORMAT_HEADER}' header")
     pos = 1
@@ -84,20 +86,22 @@ def load(path) -> SimplicialComplex:
         pos += 1
         return int(parts[1])
 
-    def lines(count: int, what: str) -> list[str]:
+    def lines(count: int, what: str) -> tuple[list[str], range | np.ndarray]:
+        """The next ``count`` lines and their line numbers in the file."""
         nonlocal pos
         if pos + count > len(raw):
             raise MeshError(f"{what} count exceeds file length")
         pos += count
-        return raw[pos - count:pos]
+        return raw[pos - count:pos], numbers[pos - count:pos]
 
     dim = expect("dim")
-    verts = _section(lines(expect("vertices"), "vertex"), dim, float, "vertex")
-    cells = _section(lines(expect("cells"), "cell"), dim + 1, np.int64, "cell")
+    verts = _section(*lines(expect("vertices"), "vertex"), dim, float, "vertex")
+    cells = _section(*lines(expect("cells"), "cell"), dim + 1, np.int64, "cell")
     labels: dict[tuple, str] = {}
     if pos < len(raw):
-        rows = [ln.split() for ln in lines(expect("boundary"), "boundary")]
-        ids = _boundary_ids(rows, dim)
+        texts, where = lines(expect("boundary"), "boundary")
+        rows = [ln.split() for ln in texts]
+        ids = _boundary_ids(rows, where, dim)
         for tup, r in zip(np.sort(ids, axis=1).tolist(), rows):
             labels[tuple(tup)] = r[dim] if len(r) > dim else "default"
     cx = build_complex(dim, verts, cells)
@@ -111,8 +115,23 @@ def load(path) -> SimplicialComplex:
     return cx
 
 
-def _section(lines: list[str], width: int, dtype: type, what: str) -> np.ndarray:
-    """A vertex or cell section as one (lines, width) array of ``dtype``."""
+def _nonblank_lines(path) -> tuple[list[str], range | np.ndarray]:
+    """The file's non-blank lines, stripped, and the line number of each in
+    the file, for error messages.  The numbers live through the whole load, so
+    they are a range when no line is blank (as in every file ``save`` writes)
+    and an array otherwise, never a Python int per line."""
+    with open(path) as fh:
+        lines = [ln.strip() for ln in fh]
+    if all(lines):
+        return lines, range(1, len(lines) + 1)
+    numbers = np.flatnonzero(np.fromiter(map(bool, lines), dtype=bool, count=len(lines))) + 1
+    return [ln for ln in lines if ln], numbers
+
+
+def _section(lines: list[str], numbers: range | np.ndarray, width: int, dtype: type,
+             what: str) -> np.ndarray:
+    """A vertex or cell section as one (lines, width) array of ``dtype``;
+    ``numbers`` holds each line's number in the file."""
     if not lines:
         raise MeshError(f"no {what} lines: a mesh needs at least one {what}")
     try:
@@ -121,21 +140,29 @@ def _section(lines: list[str], width: int, dtype: type, what: str) -> np.ndarray
         # a ragged section is a width error, whatever loadtxt calls it
         if {len(ln.split()) for ln in lines} != {width}:
             raise MeshError(f"every {what} line must have {width} entries") from exc
-        raise MeshError(f"bad {what} line: {exc}") from exc
+        # loadtxt counts rows of ``lines`` from 0; name the file's line instead
+        message = re.sub(r"\bat row (\d+)", lambda m: f"on line {numbers[int(m[1])]}", str(exc))
+        raise MeshError(f"bad {what} line: {message}") from exc
     if table.shape[1] != width:
         raise MeshError(f"every {what} line must have {width} entries")
     return table
 
 
-def _boundary_ids(rows: list[list[str]], dim: int) -> np.ndarray:
-    """The ``dim`` vertex ids that open each boundary line, as a (rows, dim) array."""
-    try:
-        table = [[int(x) for x in r[:dim]] for r in rows]
-    except ValueError as exc:
-        raise MeshError(f"bad boundary line: {exc}") from exc
+def _boundary_ids(rows: list[list[str]], numbers: range | np.ndarray,
+                  dim: int) -> np.ndarray:
+    """The ``dim`` vertex ids that open each boundary line, as a (rows, dim)
+    array; ``numbers`` holds each line's number in the file."""
+    table = []
+    for r, number in zip(rows, numbers):
+        try:
+            table.append([int(x) for x in r[:dim]])
+        except ValueError as exc:
+            raise MeshError(f"bad boundary line: {exc} on line {number}") from exc
     if table and set(map(len, table)) != {dim}:
         raise MeshError(f"every boundary line must have {dim} entries")
     try:
         return np.array(table, dtype=np.int64).reshape(-1, dim)
     except OverflowError as exc:
-        raise MeshError(f"bad boundary line: {exc}") from exc
+        bad = next(n for ids, n in zip(table, numbers)
+                   if not all(-2 ** 63 <= v < 2 ** 63 for v in ids))
+        raise MeshError(f"bad boundary line: {exc} on line {bad}") from exc

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .complex import SimplicialComplex
 from .dualmesh import DualComplex
 from .errors import SingularStarError, TagMismatchError, ids
 
@@ -253,6 +254,24 @@ def h1_seminorm(dual: DualComplex, c: Cochain) -> float:
     """|| d c ||_h for primal cochains."""
     if c.side != "primal":
         raise TagMismatchError("h1_seminorm expects a primal cochain")
+    if c.degree == 0:
+        return discrete_l2(dual, Cochain(1, "primal", edge_differences(dual.complex, c.values)))
     d = exterior_derivative(dual, c.degree, side="primal")
     return discrete_l2(dual, d.apply(c))
 
+
+def edge_differences(cx: SimplicialComplex, values: np.ndarray) -> np.ndarray:
+    """d_0 of vertex ``values``: o_e v[e1] - o_e v[e0] per edge e = (e0, e1).
+
+    The two products of the edge's row of ``exterior_derivative(dual, 0)``,
+    taken by two gathers instead of through the incidence matrix.  Their sum
+    rounds once, as the sparse product's does, so the two agree bit for bit
+    (up to the sign of a zero).
+    """
+    edges, o = cx.simplices[1], cx.orientation[1]
+    d = values[edges[:, 1]]
+    d *= o
+    tail = values[edges[:, 0]]
+    tail *= o
+    d -= tail
+    return d

@@ -2,11 +2,14 @@
 
 Variational form: find omega with omega = g on boundary vertices and
 (d omega, d nu)_h = (R_h f, nu)_h for all interior hat cochains nu.  The
-stiffness matrix is the edge-weighted graph Laplacian S = d_0^T star_1 d_0,
-assembled symmetrically entry-by-entry; boundary data enters by elimination.
-The operator is positive semidefinite (f = delta d u for manufactured u), so
-the reduced interior system S_II is SPD and every solve is by preconditioned
-conjugate gradients.
+stiffness matrix is the edge-weighted graph Laplacian S = d_0^T star_1 d_0;
+boundary data enters by elimination.  Only its interior rows are assembled, as
+two blocks straight from the edge list: S_II, exactly symmetric, and S_IB for
+the load.  The full S is never formed.  The operator is positive semidefinite
+(f = delta d u for manufactured u), so the reduced interior system S_II is SPD
+and every solve is by preconditioned conjugate gradients.  The reported energy
+and stability constant take d_0 of the solution by two gathers per edge
+(``operators.edge_differences``), with no incidence matrix.
 
 The preconditioner is a symmetric geometric V-cycle when the caller passes the
 interior prolongations of a nested refinement hierarchy below the mesh
@@ -35,7 +38,7 @@ import scipy.sparse as sp
 from .complex import SimplicialComplex
 from .dualmesh import DualComplex
 from .errors import IterativeSolveError, TrivialProblemError
-from .operators import Cochain, discrete_l2, exterior_derivative, h1_seminorm, inner_product
+from .operators import Cochain, discrete_l2, edge_differences, h1_seminorm, inner_product
 from .problems import ProblemBundle
 
 
@@ -91,30 +94,60 @@ class SolveReport:
 
 
 def stiffness_matrix(cx: SimplicialComplex, dual: DualComplex) -> sp.csr_matrix:
-    """Edge-weight assembly of d_0^T star_1 d_0; exactly symmetric."""
+    """Edge-weight assembly of d_0^T star_1 d_0 over every vertex; exactly symmetric."""
+    return _stiffness_blocks(cx, dual, np.ones(cx.num(0), dtype=bool))[0]
+
+
+def _stiffness_blocks(cx: SimplicialComplex, dual: DualComplex,
+                      free: np.ndarray) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """(S_FF, S_FB): the rows of the stiffness matrix at the ``free`` vertices,
+    cut into the columns of the free and of the other vertices, each block
+    numbered in vertex order.
+
+    Edge (i, j) of weight w = |dual e| / |e| adds w to S_ii and S_jj and -w to
+    S_ij and S_ji.  The diagonal is one ``bincount`` over the i-ends, then the
+    j-ends: the order in which a COO assembly of the four entries sums it, so
+    it rounds alike.  The lexsorted edges with both ends free are the upper
+    triangle of S_FF in CSR order, and the edges with one free end are S_FB.
+    """
     edges = cx.simplices[1]
-    w = dual.volumes[1] / np.linalg.norm(
-        cx.vertices[edges[:, 1]] - cx.vertices[edges[:, 0]], axis=1)
     i, j = edges[:, 0], edges[:, 1]
-    rows = np.concatenate([i, j, i, j])
-    cols = np.concatenate([i, j, j, i])
-    vals = np.concatenate([w, w, -w, -w])
-    nv = cx.num(0)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(nv, nv)).tocsr()
+    w = dual.volumes[1] / np.linalg.norm(cx.vertices[j] - cx.vertices[i], axis=1)
+    diag = np.bincount(np.concatenate([i, j]), np.concatenate([w, w]), minlength=cx.num(0))
+    # position of each vertex among the free vertices, or among the others
+    nf = int(np.count_nonzero(free))
+    pos = np.empty(cx.num(0), dtype=np.int32)
+    pos[free] = np.arange(nf, dtype=np.int32)
+    pos[~free] = np.arange(cx.num(0) - nf, dtype=np.int32)
+    free_i, free_j = free[i], free[j]
+    one = free_i != free_j
+    inner = np.where(free_i[one], i[one], j[one])
+    outer = np.where(free_i[one], j[one], i[one])
+    s_fb = sp.csr_matrix((-w[one], (pos[inner], pos[outer])), shape=(nf, cx.num(0) - nf))
+    both = free_i & free_j
+    indptr = np.zeros(nf + 1, dtype=np.int32)
+    np.cumsum(np.bincount(pos[i[both]], minlength=nf), out=indptr[1:])
+    upper = sp.csr_matrix((-w[both], pos[j[both]], indptr), shape=(nf, nf))
+    diag = diag[free]
+    # the two sums below set the peak: let the edge arrays go first
+    del w, pos, free_i, free_j, one, both
+    # lower triangle plus diagonal, then the upper triangle.  Each entry comes
+    # from one term, so the sums only add zeros, and they drop the entries of
+    # zero-weight edges (on weakly well-centered meshes)
+    lower_diag = upper.T.tocsr() + sp.diags(diag)
+    del diag
+    return lower_diag + upper, s_fb
 
 
 def assemble(problem: DirichletProblem) -> AssembledSystem:
     cx = problem.cx
-    on_boundary = cx.boundary_vertex_mask()
-    interior = np.flatnonzero(~on_boundary)
-    boundary = np.flatnonzero(on_boundary)
-    if len(interior) == 0:
+    free = ~cx.boundary_vertex_mask()
+    if not free.any():
         raise TrivialProblemError("no interior vertices: boundary data determines the solution")
-    s = stiffness_matrix(cx, problem.dual)
-    s_ii = s[interior][:, interior].tocsr()
-    s_ib = s[interior][:, boundary].tocsr()
+    s_ii, s_ib = _stiffness_blocks(cx, problem.dual, free)
+    interior = np.flatnonzero(free)
     b = problem.dual.volumes[0][interior] * problem.rhs.values[interior] \
-        - s_ib @ problem.boundary_values[boundary]
+        - s_ib @ problem.boundary_values[~free]
     return AssembledSystem(s_ii, b, interior)
 
 
@@ -259,8 +292,7 @@ def solve(problem: DirichletProblem, config: SolverConfig = SolverConfig(),
 
 
 def _energy(problem: DirichletProblem, omega: Cochain) -> float:
-    d0 = exterior_derivative(problem.dual, 0, "primal")
-    dw = d0.apply(omega)
+    dw = Cochain(1, "primal", edge_differences(problem.cx, omega.values))
     return 0.5 * inner_product(problem.dual, dw, dw) \
         - inner_product(problem.dual, problem.rhs, omega)
 
@@ -301,7 +333,7 @@ def error_report(problem: DirichletProblem, solution: Cochain,
 
 
 def dump_solution(path, solution: Cochain, mesh_name: str, problem_name: str,
-                  level: int) -> None:
+                  level: int, commit: str) -> None:
     """Text dump 'vertex_index value' with a provenance header line."""
     values = solution.values.tolist()
     # index and value interleaved for one format pass; %r of a Python float
@@ -310,5 +342,6 @@ def dump_solution(path, solution: Cochain, mesh_name: str, problem_name: str,
     entries[::2] = range(len(values))
     entries[1::2] = values
     with open(path, "w") as fh:
-        fh.write(f"solution mesh={mesh_name} problem={problem_name} level={level}\n"
+        fh.write(f"solution mesh={mesh_name} problem={problem_name} level={level} "
+                 f"commit={commit}\n"
                  + "%d %r\n" * len(values) % tuple(entries))

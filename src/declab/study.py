@@ -10,6 +10,7 @@ guard refuses a study whose levels would pass an unknown cap on its level-0 mesh
 """
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import subprocess
@@ -64,6 +65,15 @@ def commit_stamp() -> str:
     except OSError:
         pass
     return "unknown"
+
+
+def _mesh_options(spec: FamilySpec) -> dict:
+    """What shapes a study's meshes beyond the family name, for its header:
+    the family's options, or a mesh file's path and the SHA-256 of its bytes."""
+    if spec.path is not None:
+        with open(spec.path, "rb") as fh:
+            return {"mesh": spec.path, "mesh_sha256": hashlib.sha256(fh.read()).hexdigest()}
+    return {"ngon": spec.n_gon, "pattern": spec.pattern, "alpha": spec.alpha}
 
 
 RATE_COLUMNS = {"err_max": "rate_max", "err_h1": "rate_h1", "err_l2": "rate_l2",
@@ -154,7 +164,7 @@ def run_convergence_study(spec: FamilySpec, problem: str | ProblemBundle,
         raise ValueError(f"levels must be >= 1, got {levels}")
     bundle = get_problem(problem) if isinstance(problem, str) else problem
     report = StudyReport(
-        metadata={"study": "convergence", "family": spec.family,
+        metadata={"study": "convergence", "family": spec.family, **_mesh_options(spec),
                   "problem": bundle.name, "levels": levels,
                   "tolerance": config.tol, "commit": commit_stamp()},
         columns=list(CONVERGENCE_COLUMNS))
@@ -222,7 +232,7 @@ def run_consistency_study(spec: FamilySpec, problem: str | ProblemBundle, k: int
     with_lap = k == 0
     columns = list(CONSISTENCY_COLUMNS) + (LAPLACE_COLUMNS if with_lap else [])
     report = StudyReport(
-        metadata={"study": "consistency", "family": spec.family,
+        metadata={"study": "consistency", "family": spec.family, **_mesh_options(spec),
                   "problem": bundle.name, "k": k, "levels": levels,
                   "degree": degree, "jitter": jitter, "seed": seed,
                   "interior_l2": interior_l2, "commit": commit_stamp()},

@@ -261,3 +261,24 @@ def test_malformed_section_names_the_section(tmp_path, text, message):
     p.write_text(text)
     with pytest.raises(MeshError, match=message):
         meshio.load(p)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("decmesh 1\ndim 2\nvertices 3\n0 0\n\n1 0\n0 zero\n" + CELL,
+     r"bad vertex line: could not convert string 'zero' to float64 on line 7, column 2"),
+    (TRIANGLE + "cells 1\n\n\n0 1.0 2\n",
+     r"bad cell line: could not convert string '1.0' to int64 on line 10, column 2"),
+    (TRIANGLE + "cells 1\n0 1.0 2\n",
+     r"bad cell line: could not convert string '1.0' to int64 on line 8, column 2"),
+    (TRIANGLE + CELL + "boundary 2\n0 1\n\n1 x\n",
+     r"bad boundary line: .* 'x' on line 12$"),
+    (TRIANGLE + CELL + "\nboundary 2\n0 1\n1 99999999999999999999\n",
+     r"bad boundary line: .* on line 12$"),
+], ids=["coordinate", "cell_id", "cell_id_without_blank_lines", "boundary_id",
+        "boundary_id_past_int64"])
+def test_bad_entry_message_names_the_line_of_the_file(tmp_path, text, message):
+    # blank lines before the bad entry count: the number is the file's line
+    p = tmp_path / "bad.decmesh"
+    p.write_text(text)
+    with pytest.raises(MeshError, match=message):
+        meshio.load(p)

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from declab.complex import build_complex
 from declab.dualmesh import build_dual
 from declab.errors import SingularStarError, TagMismatchError
 from declab.generators import FamilySpec, generate
 from declab.operators import (Cochain, codifferential, discrete_l2,
-                              discrete_l2_dual, exterior_derivative,
+                              discrete_l2_dual, edge_differences, exterior_derivative,
                               h1_seminorm, hodge_star,
                               inner_product, laplace, max_norm)
+from strategies import jittered_wheels
 
 
 @pytest.fixture(scope="module")
@@ -270,3 +273,36 @@ def test_operator_application_checks_tags(pentagon2):
         d0.apply(Cochain(1, "primal", np.zeros(cx.num(1))))
     with pytest.raises(TagMismatchError):
         Cochain(0, "sideways", np.zeros(3))
+
+
+def _vertex_values(n, seed):
+    """Normal values, a third of them repeated and a tenth zero, so that some
+    edges see equal or zero ends."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(n)
+    v[rng.random(n) < 1 / 3] = v[0]
+    v[rng.random(n) < 0.1] = 0.0
+    return v
+
+
+def _assert_edge_differences_are_the_sparse_derivative(cx, seed):
+    v = _vertex_values(cx.num(0), seed)
+    want = exterior_derivative(build_dual(cx), 0).apply(Cochain(0, "primal", v)).values
+    assert np.array_equal(edge_differences(cx, v).view(np.int64), want.view(np.int64))
+
+
+@settings(deadline=None, max_examples=25)
+@given(cx=jittered_wheels | st.integers(0, 2).map(
+           lambda level: generate(FamilySpec("cube_kuhn", level))),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_edge_differences_are_the_sparse_derivative(cx, seed):
+    _assert_edge_differences_are_the_sparse_derivative(cx, seed)
+
+
+def test_edge_differences_follow_a_negative_edge_orientation():
+    # on the line the edges are the top cells: sorted ids over decreasing
+    # coordinates give each the orientation -1
+    cx = build_complex(1, [[2.0], [1.0], [0.0], [-1.5]], [(0, 1), (1, 2), (2, 3)])
+    assert list(cx.orientation[1]) == [-1, -1, -1]
+    for seed in range(5):
+        _assert_edge_differences_are_the_sparse_derivative(cx, seed)

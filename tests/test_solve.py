@@ -1,14 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from declab import meshio
 from declab.dualmesh import build_dual
 from declab.errors import IterativeSolveError, TrivialProblemError
 from declab.generators import FamilySpec, generate, jitter_interior
 from declab.operators import Cochain, exterior_derivative, hodge_star, inner_product
 from declab.problems import get_problem, linear
-from declab.solve import (DirichletProblem, assemble, dump_solution,
+from declab.solve import (DirichletProblem, _stiffness_blocks, assemble, dump_solution,
                           error_report, make_problem, pcg, solve, stiffness_matrix)
+from strategies import jittered_wheels
 
 
 @pytest.fixture(scope="module")
@@ -193,9 +199,86 @@ def test_dump_solution_format(tmp_path, pentagon3):
     prob = make_problem(cx, dual, get_problem("trig2d"))
     rep = solve(prob)
     p = tmp_path / "sol.txt"
-    dump_solution(p, rep.solution, "pentagon_wheel", "trig2d", 3)
+    dump_solution(p, rep.solution, "pentagon_wheel", "trig2d", 3, "abc1234")
     lines = p.read_text().strip().split("\n")
-    assert lines[0] == "solution mesh=pentagon_wheel problem=trig2d level=3"
+    assert lines[0] == "solution mesh=pentagon_wheel problem=trig2d level=3 commit=abc1234"
     assert len(lines) == 1 + cx.num(0)
     idx, val = lines[5].split()
     float(val)
+
+
+def coo_stiffness(cx, dual):
+    """The full stiffness matrix as one COO of four entries per edge, then CSR."""
+    edges = cx.simplices[1]
+    w = dual.volumes[1] / np.linalg.norm(
+        cx.vertices[edges[:, 1]] - cx.vertices[edges[:, 0]], axis=1)
+    i, j = edges[:, 0], edges[:, 1]
+    nv = cx.num(0)
+    return sp.coo_matrix((np.concatenate([w, w, -w, -w]),
+                          (np.concatenate([i, j, i, j]), np.concatenate([i, j, j, i]))),
+                         shape=(nv, nv)).tocsr()
+
+
+def assert_same_csr(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.data.view(np.int64), b.data.view(np.int64))
+
+
+def assert_blocks_are_the_full_matrix_cut(cx):
+    """``assemble``'s S_II, S_IB and load against the slices of the full COO
+    sum, bit for bit.  The full matrix keeps the explicit zeros of zero-weight
+    edges, which the block assembly drops from S_II."""
+    dual = build_dual(cx)
+    prob = make_problem(cx, dual, get_problem("trig3d" if cx.dim == 3 else "trig2d"))
+    on_boundary = cx.boundary_vertex_mask()
+    interior, boundary = np.flatnonzero(~on_boundary), np.flatnonzero(on_boundary)
+    full = coo_stiffness(cx, dual)
+    want_ii = full[interior][:, interior].tocsr()
+    want_ib = full[interior][:, boundary].tocsr()
+    want_load = dual.volumes[0][interior] * prob.rhs.values[interior] \
+        - want_ib @ prob.boundary_values[boundary]
+    system = assemble(prob)
+    want_ii.eliminate_zeros()
+    assert_same_csr(system.reduced, want_ii)
+    assert_same_csr(_stiffness_blocks(cx, dual, ~on_boundary)[1], want_ib)
+    assert np.array_equal(system.load.view(np.int64), want_load.view(np.int64))
+    assert np.array_equal(system.interior, interior)
+    full.eliminate_zeros()
+    assert_same_csr(stiffness_matrix(cx, dual), full)
+
+
+@settings(deadline=None, max_examples=25)
+@given(cx=jittered_wheels | st.integers(1, 2).map(
+    lambda level: generate(FamilySpec("cube_kuhn", level))))
+def test_assembled_blocks_are_the_full_matrix_cut(cx):
+    assert_blocks_are_the_full_matrix_cut(cx)
+
+
+@pytest.mark.parametrize("family, level", [("corner", 3), ("cube_kuhn", 2)])
+def test_assembled_blocks_of_a_mesh_file_are_the_full_matrix_cut(tmp_path, family, level):
+    # the corner carries boundary labels; the Kuhn cube has zero-weight edges
+    path = tmp_path / "mesh.decmesh"
+    meshio.save(generate(FamilySpec(family, level)), path)
+    cx = meshio.load(path)
+    assert cx.boundary_labels or family == "cube_kuhn"
+    assert_blocks_are_the_full_matrix_cut(cx)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_assemble_memory_stays_below_a_full_stiffness_coo():
+    # pentagon level 6: 30,880 edges.  A COO of the full S holds four entries
+    # per edge, each an int32 row, an int32 column and a float64 value; the
+    # block assembly never builds one, nor the full S
+    cx = generate(FamilySpec("pentagon_wheel", 6))
+    prob = make_problem(cx, build_dual(cx), get_problem("trig2d"))
+    cx.boundary_vertex_mask()   # cached before tracing
+    assert _traced_peak(lambda: assemble(prob)) < 4 * cx.num(1) * (4 + 4 + 8)

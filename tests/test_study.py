@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import re
@@ -28,6 +29,20 @@ def test_csv_schema_and_row_count(small_report):
     assert lines[0] == ",".join(CONVERGENCE_COLUMNS)
     assert lines[0].startswith("level,h,err_max,rate_max,err_h1,rate_h1,err_l2,rate_l2,iters,seconds")
     assert len(lines) == 1 + 4
+
+
+def test_study_header_names_what_shapes_the_meshes():
+    rep = run_convergence_study(FamilySpec("pentagon_wheel", n_gon=7), "trig2d", 1)
+    header = [ln for ln in to_csv(rep).splitlines() if ln.startswith("#")]
+    for line in ("# ngon=7", "# pattern=1", f"# alpha={generators.DEFAULT_ALPHA}"):
+        assert line in header
+    # a mesh file is named by its path and the SHA-256 of its bytes
+    rep = run_consistency_study(FamilySpec("from_file", path=FIXTURE), "trig2d", 0, 1)
+    with open(FIXTURE, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    assert rep.metadata["mesh"] == FIXTURE
+    assert rep.metadata["mesh_sha256"] == digest
+    assert "ngon" not in rep.metadata
 
 
 def test_deterministic_runs_emit_identical_bytes():
@@ -234,6 +249,7 @@ def test_cli_solve_and_dump(tmp_path, capsys):
     assert rc == 0
     assert "err_max" in capsys.readouterr().out
     assert sol.read_text().startswith("solution mesh=")
+    assert f"commit={study.commit_stamp()}\n" in sol.read_text()
 
 
 def test_cli_convergence_study(tmp_path):
