@@ -86,7 +86,7 @@ def load(path) -> SimplicialComplex:
         pos += 1
         return int(parts[1])
 
-    def lines(count: int, what: str) -> tuple[list[str], range | np.ndarray]:
+    def lines(count: int, what: str) -> tuple[list[str], np.ndarray]:
         """The next ``count`` lines and their line numbers in the file."""
         nonlocal pos
         if pos + count > len(raw):
@@ -115,20 +115,16 @@ def load(path) -> SimplicialComplex:
     return cx
 
 
-def _nonblank_lines(path) -> tuple[list[str], range | np.ndarray]:
+def _nonblank_lines(path) -> tuple[list[str], np.ndarray]:
     """The file's non-blank lines, stripped, and the line number of each in
-    the file, for error messages.  The numbers live through the whole load, so
-    they are a range when no line is blank (as in every file ``save`` writes)
-    and an array otherwise, never a Python int per line."""
+    the file, for error messages."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh]
-    if all(lines):
-        return lines, range(1, len(lines) + 1)
-    numbers = np.flatnonzero(np.fromiter(map(bool, lines), dtype=bool, count=len(lines))) + 1
-    return [ln for ln in lines if ln], numbers
+    kept = np.fromiter(map(bool, lines), dtype=bool, count=len(lines))
+    return [ln for ln in lines if ln], np.flatnonzero(kept) + 1
 
 
-def _section(lines: list[str], numbers: range | np.ndarray, width: int, dtype: type,
+def _section(lines: list[str], numbers: np.ndarray, width: int, dtype: type,
              what: str) -> np.ndarray:
     """A vertex or cell section as one (lines, width) array of ``dtype``;
     ``numbers`` holds each line's number in the file."""
@@ -148,7 +144,7 @@ def _section(lines: list[str], numbers: range | np.ndarray, width: int, dtype: t
     return table
 
 
-def _boundary_ids(rows: list[list[str]], numbers: range | np.ndarray,
+def _boundary_ids(rows: list[list[str]], numbers: np.ndarray,
                   dim: int) -> np.ndarray:
     """The ``dim`` vertex ids that open each boundary line, as a (rows, dim)
     array; ``numbers`` holds each line's number in the file."""

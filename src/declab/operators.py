@@ -251,13 +251,10 @@ def max_norm(c: Cochain) -> float:
 
 
 def h1_seminorm(dual: DualComplex, c: Cochain) -> float:
-    """|| d c ||_h for primal cochains."""
-    if c.side != "primal":
-        raise TagMismatchError("h1_seminorm expects a primal cochain")
-    if c.degree == 0:
-        return discrete_l2(dual, Cochain(1, "primal", edge_differences(dual.complex, c.values)))
-    d = exterior_derivative(dual, c.degree, side="primal")
-    return discrete_l2(dual, d.apply(c))
+    """|| d c ||_h for a primal 0-cochain, d taken by ``edge_differences``."""
+    if c.tag != (0, "primal"):
+        raise TagMismatchError(f"h1_seminorm expects a primal 0-cochain, got {c.tag}")
+    return discrete_l2(dual, Cochain(1, "primal", edge_differences(dual.complex, c.values)))
 
 
 def edge_differences(cx: SimplicialComplex, values: np.ndarray) -> np.ndarray:

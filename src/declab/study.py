@@ -69,11 +69,18 @@ def commit_stamp() -> str:
 
 def _mesh_options(spec: FamilySpec) -> dict:
     """What shapes a study's meshes beyond the family name, for its header:
-    the family's options, or a mesh file's path and the SHA-256 of its bytes."""
+    the one option the family reads, or a mesh file's path and the SHA-256 of
+    its bytes."""
     if spec.path is not None:
         with open(spec.path, "rb") as fh:
-            return {"mesh": spec.path, "mesh_sha256": hashlib.sha256(fh.read()).hexdigest()}
-    return {"ngon": spec.n_gon, "pattern": spec.pattern, "alpha": spec.alpha}
+            return {"mesh": spec.path, "mesh_sha256": hashlib.file_digest(fh, "sha256").hexdigest()}
+    if spec.family == "pentagon_wheel":
+        return {"ngon": spec.n_gon}
+    if spec.family == "square":
+        return {"pattern": spec.pattern}
+    if spec.family == "corner":
+        return {"alpha": spec.alpha}
+    return {}
 
 
 RATE_COLUMNS = {"err_max": "rate_max", "err_h1": "rate_h1", "err_l2": "rate_l2",

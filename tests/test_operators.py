@@ -175,6 +175,14 @@ def test_h1_seminorm_is_norm_of_derivative(pentagon2, rng):
     assert h1_seminorm(dual, c) == pytest.approx(discrete_l2(dual, d0.apply(c)))
 
 
+@pytest.mark.parametrize("degree, side", [(1, "primal"), (0, "dual")])
+def test_h1_seminorm_takes_only_primal_0_cochains(pentagon2, degree, side):
+    cx, dual = pentagon2
+    size = cx.num(degree) if side == "primal" else cx.num(cx.dim - degree)
+    with pytest.raises(TagMismatchError):
+        h1_seminorm(dual, Cochain(degree, side, np.ones(size)))
+
+
 def test_max_norm(pentagon2):
     cx, _ = pentagon2
     vals = np.zeros(cx.num(0))

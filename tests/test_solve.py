@@ -277,8 +277,21 @@ def _traced_peak(fn):
 def test_assemble_memory_stays_below_a_full_stiffness_coo():
     # pentagon level 6: 30,880 edges.  A COO of the full S holds four entries
     # per edge, each an int32 row, an int32 column and a float64 value; the
-    # block assembly never builds one, nor the full S
+    # block assembly never builds one, nor the full S.  Its peak sits close
+    # under that bound (about 0.96 of it with numpy 2.4 and scipy 1.17, the
+    # edge-sized temporaries of the sparse sums), so a failure of the first
+    # assert alone may be a change in how scipy allocates; the second, against
+    # the full COO cut into blocks, has a margin of about two
     cx = generate(FamilySpec("pentagon_wheel", 6))
-    prob = make_problem(cx, build_dual(cx), get_problem("trig2d"))
-    cx.boundary_vertex_mask()   # cached before tracing
-    assert _traced_peak(lambda: assemble(prob)) < 4 * cx.num(1) * (4 + 4 + 8)
+    dual = build_dual(cx)
+    prob = make_problem(cx, dual, get_problem("trig2d"))
+    on_boundary = cx.boundary_vertex_mask()   # cached before tracing
+    interior, boundary = np.flatnonzero(~on_boundary), np.flatnonzero(on_boundary)
+
+    def full_then_cut():
+        full = coo_stiffness(cx, dual)
+        return full[interior][:, interior], full[interior][:, boundary]
+
+    peak = _traced_peak(lambda: assemble(prob))
+    assert peak < 4 * cx.num(1) * (4 + 4 + 8)
+    assert peak < 0.75 * _traced_peak(full_then_cut)

@@ -32,10 +32,16 @@ def test_csv_schema_and_row_count(small_report):
 
 
 def test_study_header_names_what_shapes_the_meshes():
+    # each family's header names the one option its meshes are built from
     rep = run_convergence_study(FamilySpec("pentagon_wheel", n_gon=7), "trig2d", 1)
     header = [ln for ln in to_csv(rep).splitlines() if ln.startswith("#")]
-    for line in ("# ngon=7", "# pattern=1", f"# alpha={generators.DEFAULT_ALPHA}"):
-        assert line in header
+    assert "# ngon=7" in header
+    assert not any(ln.startswith(("# pattern=", "# alpha=")) for ln in header)
+    rep = run_convergence_study(FamilySpec("corner"), "corner", 1)
+    assert rep.metadata["alpha"] == generators.DEFAULT_ALPHA
+    assert "ngon" not in rep.metadata and "pattern" not in rep.metadata
+    rep = run_convergence_study(FamilySpec("cube_kuhn"), "trig3d", 1)
+    assert not {"ngon", "pattern", "alpha"} & set(rep.metadata)
     # a mesh file is named by its path and the SHA-256 of its bytes
     rep = run_consistency_study(FamilySpec("from_file", path=FIXTURE), "trig2d", 0, 1)
     with open(FIXTURE, "rb") as fh:
