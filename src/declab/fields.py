@@ -10,10 +10,10 @@ the test suite.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable
 
 import numpy as np
 
@@ -49,11 +49,6 @@ class FormField:
 
 def scalar_field(dim: int, fn: Callable) -> FormField:
     return FormField(0, dim, lambda p: np.asarray(fn(p), dtype=float).reshape(len(p), 1))
-
-
-def volume_field(dim: int, fn: Callable) -> FormField:
-    """fn(points) * dx_1 ^ ... ^ dx_n."""
-    return FormField(dim, dim, lambda p: np.asarray(fn(p), dtype=float).reshape(len(p), 1))
 
 
 def _perm_sign(perm) -> int:
@@ -94,69 +89,102 @@ def hodge_field(field: FormField) -> FormField:
 # -- deRham maps -----------------------------------------------------------------
 
 
-def _integrate(field: FormField, tables, index: np.ndarray, degree: int) -> np.ndarray:
-    """Integrate a k-form over m simplices whose corner j of row r is the point
+def _integrate(fields: Sequence[FormField], tables, index: np.ndarray,
+               degree: int) -> np.ndarray:
+    """Integrate k-forms over m simplices whose corner j of row r is the point
     ``tables[j][index[r, j]]``: k+1 point tables of shape (*, n), index (m, k+1).
+    Returns (len(fields), m), one row per field; the fields share the degree k.
 
     The orientation is the corner order; a 0-simplex is a point evaluation
     (one node of weight 1, and the 0x0 minor is 1).  Simplices go in
     ``geometry.row_blocks`` of max(1, BLOCK_NODES // Q) for a rule of Q nodes,
-    and each block gathers its own (b, k+1, n) corners from the tables, so the
-    corners, the mapped nodes, the field values and the field's temporaries
-    cover at most max(BLOCK_NODES, Q) nodes at a time, whatever m is; only the
-    (m,) result grows with m.  The weighted sum over a row's nodes is an
-    einsum on that row alone, not a BLAS matrix-vector product, whose rounding
-    of a row depends on where it falls in the kernel's groups and thread
-    split; so the result depends neither on the block size nor on the BLAS
-    thread count.
+    and each block gathers its own (b, k+1, n) corners from the tables, maps
+    the nodes and takes the frame's minors once for all fields; only the field
+    values and the weighted sums are taken per field.  So the corners, the
+    mapped nodes, one field's values and its temporaries cover at most
+    max(BLOCK_NODES, Q) nodes at a time, whatever m is; only the result grows
+    with m.  The weighted sum over a row's nodes is an einsum on that row
+    alone, not a BLAS matrix-vector product, whose rounding of a row depends
+    on where it falls in the kernel's groups and thread split; so the result
+    depends neither on the block size, nor on the BLAS thread count, nor on
+    which other fields share the pass.
     """
-    k = field.degree
+    k = fields[0].degree
     rule = simplex_rule(k, degree)
     m, n = len(index), tables[0].shape[1]
-    integ = np.zeros(m)
+    integ = np.zeros((len(fields), m))
     for rows in geometry.row_blocks(m, len(rule.weights)):
-        block = np.stack([table[i] for table, i in zip(tables, index[rows].T)], axis=1)
+        # np.take gathers rows several times faster than fancy indexing does
+        block = np.stack([np.take(table, i, axis=0)
+                          for table, i in zip(tables, index[rows].T)], axis=1)
         pts = rule.physical_points(block)          # (b, Q, n)
-        vals = field(pts.reshape(-1, n)).reshape(*pts.shape[:2], -1)
         frame = geometry.edge_matrix(block)
-        out = integ[rows]
-        for c, rho in enumerate(index_tuples(n, k)):
-            out += (np.einsum("bq,q->b", vals[:, :, c], rule.weights)
-                    * geometry.det(frame[:, :, rho]))
+        minors = [geometry.det(frame[:, :, rho]) for rho in index_tuples(n, k)]
+        for field, out in zip(fields, integ[:, rows]):
+            vals = field(pts.reshape(-1, n)).reshape(*pts.shape[:2], -1)
+            for c, minor in enumerate(minors):
+                out += np.einsum("bq,q->b", vals[:, :, c], rule.weights) * minor
+            del vals   # so the next field's values do not coexist with these
     integ /= math.factorial(k)
     return integ
 
 
-def derham_primal(field: FormField, cx: SimplicialComplex, degree: int = 4) -> Cochain:
-    """Integrate a k-form over every oriented primal k-simplex."""
-    k = field.degree
-    if field.dim != cx.dim:
-        raise ValueError(f"field lives in R^{field.dim}, complex in R^{cx.dim}")
+def _check_fields(fields: Sequence[FormField], n: int) -> int:
+    """The common degree of a nonempty list of fields in R^n."""
+    if not fields:
+        raise ValueError("no field to integrate")
+    for f in fields:
+        if f.dim != n:
+            raise ValueError(f"field lives in R^{f.dim}, complex in R^{n}")
+    if len({f.degree for f in fields}) > 1:
+        raise ValueError("fields integrated in one pass must share their degree")
+    return fields[0].degree
+
+
+def derham_primal(fields: Sequence[FormField], cx: SimplicialComplex,
+                  degree: int = 4) -> list[Cochain]:
+    """Integrate k-forms of one degree over every oriented primal k-simplex.
+
+    The fields share one pass over the simplices; the cochains come back in
+    order, each equal bit for bit to the one a pass of its field alone gives.
+    """
+    k = _check_fields(fields, cx.dim)
     if k > cx.dim:
         raise ValueError("field degree exceeds complex dimension")
-    integ = _integrate(field, [cx.vertices] * (k + 1), cx.simplices[k], degree)
+    integ = _integrate(fields, [cx.vertices] * (k + 1), cx.simplices[k], degree)
     integ *= cx.orientation[k]
-    return Cochain(k, "primal", integ)
+    return [Cochain(k, "primal", values) for values in integ]
 
 
-def derham_dual(field: FormField, dual: DualComplex, degree: int = 4) -> Cochain:
-    """Integrate an (n-k)-form over every dual cell, fragment by fragment.
+def derham_dual(fields: Sequence[FormField], dual: DualComplex,
+                degree: int = 4) -> list[Cochain]:
+    """Integrate (n-k)-forms of one degree over every dual cell, fragment by fragment.
 
-    Fragments enter with their chain orientation coefficients, so the result
-    is the integral over the coherently oriented dual cell.
+    Fragments enter with their chain orientation coefficients, so each result
+    is the integral over the coherently oriented dual cell.  The fields share
+    one pass over the fragments, as in ``derham_primal``.
     """
     cx = dual.complex
     n = cx.dim
-    if field.dim != n:
-        raise ValueError(f"field lives in R^{field.dim}, complex in R^{n}")
-    k = n - field.degree
+    k = n - _check_fields(fields, n)
     if not 0 <= k <= n:
         raise ValueError("field degree exceeds complex dimension")
     chain, sign = dual.flags(k)
-    integ = _integrate(field, dual.circumcenters[k:], chain, degree)
+    integ = _integrate(fields, dual.circumcenters[k:], chain, degree)
     integ *= sign
-    return Cochain(field.degree, "dual",
-                   np.bincount(chain[:, 0], weights=integ, minlength=cx.num(k)))
+    return [Cochain(n - k, "dual",
+                    np.bincount(chain[:, 0], weights=values, minlength=cx.num(k)))
+            for values in integ]
+
+
+def derham_images(fields: Sequence[FormField], cx: SimplicialComplex, dual: DualComplex,
+                  degree: int = 6) -> list[tuple[Cochain, Cochain]]:
+    """(R_h w, R_h(star w)) for each field w of one degree: the two deRham
+    images that the commutator star_h R_h - R_h star compares.  The primal
+    simplices and the dual fragments are each mapped once for all fields."""
+    primal = derham_primal(fields, cx, degree)
+    starred = derham_dual([hodge_field(w) for w in fields], dual, degree)
+    return list(zip(primal, starred))
 
 
 # -- consistency probes ----------------------------------------------------------------
@@ -168,25 +196,22 @@ class ConsistencyRecord:
     err_max: float            # primal-side expression, max norm
     err_l2_primal_side: float  # primal-side expression, dual discrete L2 norm
     err_max_dual_side: float  # dual-side expression, max norm
-    err_l2_dual_side: float   # dual-side expression, discrete L2 norm
 
 
-def consistency_probe(field: FormField, cx: SimplicialComplex, dual: DualComplex,
-                      degree: int = 6, interior_l2: bool = False) -> ConsistencyRecord:
-    """Measure star_h R_h - R_h star on a field and on its star.
+def consistency_probe(images: tuple[Cochain, Cochain], cx: SimplicialComplex,
+                      dual: DualComplex, interior_l2: bool = False) -> ConsistencyRecord:
+    """Measure star_h R_h - R_h star on a field w and on its star, from the
+    field's ``derham_images`` pair (R_h w, R_h(star w)).
 
     The primal-side expression star_h(R_h w) - R_h(star w) is a dual cochain;
     the dual-side expression star_h(R_h(star w)) - R_h(star star w) is primal.
-    Max norms run over all cells; with ``interior_l2`` the L2 norms skip cells
+    Max norms run over all cells; with ``interior_l2`` the L2 norm skips cells
     whose base simplex touches the domain boundary (their truncated duals
     carry a slowly decaying layer that masks the sharp interior rate).
     """
-    k = field.degree
-    n = cx.dim
-    star_w = hodge_field(field)
-    primal = derham_primal(field, cx, degree)
+    primal, rhs = images
+    k, n = primal.degree, cx.dim
     sh = hodge_star(dual, k, side="primal")
-    rhs = derham_dual(star_w, dual, degree)
     prim_expr = Cochain(n - k, "dual", sh.apply(primal).values - rhs.values)
 
     # star star w = (-1)^(k(n-k)) w bit for bit (hodge_field is a signed
@@ -200,16 +225,12 @@ def consistency_probe(field: FormField, cx: SimplicialComplex, dual: DualComplex
         dvol, pvol = dual.hodge_ratios(k)
         l2_prim = float(np.sqrt(np.sum(
             (pvol[keep] / dvol[keep]) * prim_expr.values[keep] ** 2)))
-        l2_dual = float(np.sqrt(np.sum(
-            (dvol[keep] / pvol[keep]) * dual_expr.values[keep] ** 2)))
     else:
         l2_prim = discrete_l2(dual, prim_expr)
-        l2_dual = discrete_l2(dual, dual_expr)
     return ConsistencyRecord(
         err_max=max_norm(prim_expr),
         err_l2_primal_side=l2_prim,
         err_max_dual_side=max_norm(dual_expr),
-        err_l2_dual_side=l2_dual,
     )
 
 
@@ -223,32 +244,29 @@ class LaplaceConsistencyRecord:
 
 
 def laplace_consistency_probe(bundle, cx: SimplicialComplex, dual: DualComplex,
+                              images: list[tuple[Cochain, Cochain]],
                               degree: int = 6) -> LaplaceConsistencyRecord:
     """Evaluate Delta_h R_h u - R_h Delta u and its exact two-term decomposition.
 
+    ``images`` are ``derham_images([bundle.u, bundle.f], ...)``, which a study
+    shares with the consistency probe of u; the probe maps du itself.
     Restricted to interior vertices: boundary dual cells are truncated, so the
     dual Stokes step behind the decomposition only holds away from them.  A
     mesh without interior vertices raises ``TrivialProblemError``.
     """
-    n = cx.dim
     interior = cx.interior_vertex_indices()
     if not len(interior):
         raise TrivialProblemError("no interior vertices: the Laplace probe has nothing to measure")
-    ru = derham_primal(bundle.u, cx, degree)
-    rf = derham_primal(bundle.f, cx, degree)  # f = delta d u, the continuous image
+    # f = delta d u, the continuous image; d star d u = -star f
+    (ru, _), (rf, r_star_f) = images
     lap = laplace(dual, 0)
     total = lap.apply(ru).values - rf.values
 
     inv_v = 1.0 / dual.volumes[0]
-    star_du = hodge_field(bundle.du)
-    v = hodge_star(dual, 1, "primal").apply(derham_primal(bundle.du, cx, degree)).values \
-        - derham_dual(star_du, dual, degree).values
+    [(r_du, r_star_du)] = derham_images([bundle.du], cx, dual, degree)
+    v = hodge_star(dual, 1, "primal").apply(r_du).values - r_star_du.values
     term1 = inv_v * (cx.boundary_matrix(1) @ v)
-
-    d_star_du = volume_field(n, lambda p: -bundle.f(p)[:, 0])
-    t2_lhs = inv_v * derham_dual(d_star_du, dual, degree).values
-    t2_rhs = -rf.values
-    term2 = t2_lhs - t2_rhs
+    term2 = rf.values - inv_v * r_star_f.values
 
     def mx(x):
         return float(np.max(np.abs(x[interior])))

@@ -21,7 +21,8 @@ the end of the file, an empty vertex or cell section (``vertices 0``), a line
 of the wrong width, and an entry that is not a number of its kind, such as
 ``1.0`` as an id, ``1_0``, non-ASCII digits or a ``#`` comment; the message
 for a bad entry gives its line number in the file, blank lines counted.
-Boundary lines are read one by one, as their labels are strings.
+Boundary lines are read one by one, as their labels are strings, and their
+vertex ids are held to the same rule.
 
 Orientation is normalized on load (cells are reoriented to positive signed
 volume); the writer emits positively oriented cells, each coordinate as its
@@ -144,16 +145,21 @@ def _section(lines: list[str], numbers: np.ndarray, width: int, dtype: type,
     return table
 
 
+# a vertex id as the vertex and cell sections accept it: ASCII decimal digits
+_VERTEX_ID = re.compile(r"[+-]?[0-9]+")
+
+
 def _boundary_ids(rows: list[list[str]], numbers: np.ndarray,
                   dim: int) -> np.ndarray:
     """The ``dim`` vertex ids that open each boundary line, as a (rows, dim)
     array; ``numbers`` holds each line's number in the file."""
     table = []
     for r, number in zip(rows, numbers):
-        try:
-            table.append([int(x) for x in r[:dim]])
-        except ValueError as exc:
-            raise MeshError(f"bad boundary line: {exc} on line {number}") from exc
+        for x in r[:dim]:
+            if not _VERTEX_ID.fullmatch(x):
+                raise MeshError("bad boundary line: a vertex id is ASCII decimal digits, "
+                                f"not {x!r} on line {number}")
+        table.append([int(x) for x in r[:dim]])
     if table and set(map(len, table)) != {dim}:
         raise MeshError(f"every boundary line must have {dim} entries")
     try:

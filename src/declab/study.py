@@ -22,7 +22,8 @@ import numpy as np
 from . import generators
 from .dualmesh import build_dual
 from .errors import MemoryGuardError
-from .fields import consistency_probe, hodge_field, laplace_consistency_probe
+from .fields import (consistency_probe, derham_images, hodge_field,
+                     laplace_consistency_probe)
 from .generators import FamilySpec
 from .problems import ProblemBundle, get_problem
 from .solve import SolverConfig, error_report, make_problem, solve
@@ -252,13 +253,15 @@ def run_consistency_study(spec: FamilySpec, problem: str | ProblemBundle, k: int
                 cx.children = None
                 cx = generators.jitter_interior(cx, amplitude=jitter, seed=seed + i)
             dual, record = _carried_dual(cx, record, keep=not jitter and i + 1 < levels)
-            rec = consistency_probe(fld, cx, dual, degree=degree,
-                                    interior_l2=interior_l2)
+            # a level without interior vertices leaves the Laplace cells empty;
+            # else f rides along on u's passes over the vertices and fragments
+            lap_here = with_lap and len(cx.interior_vertex_indices())
+            images = derham_images([fld, bundle.f] if lap_here else [fld], cx, dual, degree)
+            rec = consistency_probe(images[0], cx, dual, interior_l2=interior_l2)
             row = {"level": i, "h": max_h(cx), "err_max": rec.err_max,
                    "err_l2": rec.err_l2_primal_side, "err_dual": rec.err_max_dual_side}
-            # a level without interior vertices leaves the Laplace cells empty
-            if with_lap and len(cx.interior_vertex_indices()):
-                lap = laplace_consistency_probe(bundle, cx, dual, degree=degree)
+            if lap_here:
+                lap = laplace_consistency_probe(bundle, cx, dual, images, degree=degree)
                 row.update({"lap_total": lap.total_max, "term1": lap.term1_max,
                             "term2": lap.term2_max, "identity_gap": lap.identity_gap})
             _append_row(report, row)

@@ -14,7 +14,7 @@ import scipy.sparse.linalg as spla
 
 from declab.dualmesh import build_dual
 from declab.errors import SingularStarError
-from declab.fields import laplace_consistency_probe
+from declab.fields import derham_images, laplace_consistency_probe
 from declab.generators import FamilySpec, generate
 from declab.operators import (Cochain, codifferential, discrete_l2,
                               discrete_l2_dual, exterior_derivative, hodge_star,
@@ -349,7 +349,8 @@ def test_criterion_12_two_term_decomposition_identity():
     for lev in (2, 3, 4):
         cx = generate(FamilySpec("pentagon_wheel", level=lev))
         dual = build_dual(cx)
-        rec = laplace_consistency_probe(bundle, cx, dual, degree=6)
+        images = derham_images([bundle.u, bundle.f], cx, dual, 6)
+        rec = laplace_consistency_probe(bundle, cx, dual, images, degree=6)
         worst = max(worst, rec.identity_gap)
     assert worst <= 1e-8
     report(12, f"0-form consistency decomposition holds as a cochain identity "

@@ -11,13 +11,14 @@ from declab import dualmesh, geometry
 from declab.complex import SimplicialComplex
 from declab.dualmesh import build_dual
 from declab.errors import TrivialProblemError, WellCenteredError
-from declab.fields import (FormField, consistency_probe, derham_dual, derham_primal,
-                           hodge_field, laplace_consistency_probe, volume_field)
+from declab.fields import (FormField, consistency_probe, derham_dual, derham_images,
+                           derham_primal, hodge_field, laplace_consistency_probe)
 from declab.generators import FamilySpec, generate, jitter_interior
-from declab.operators import Cochain, discrete_l2, exterior_derivative
+from declab.operators import Cochain, discrete_l2, exterior_derivative, hodge_star
 from declab.problems import get_problem
 from declab.quadrature import simplex_rule
 from declab.solve import stiffness_matrix
+from forms import volume_field
 from strategies import jittered_wheels
 from whitney import _barycentric_gradients, whitney_mass_matrix
 
@@ -60,7 +61,7 @@ def test_double_hodge_field_sign(rng):
 def test_derham_dx_over_edges_exact(pentagon2d):
     cx, _ = pentagon2d
     dx = FormField(1, 2, lambda p: np.stack([np.ones(len(p)), np.zeros(len(p))], axis=1))
-    r = derham_primal(dx, cx, degree=2)
+    [r] = derham_primal([dx], cx, degree=2)
     e = cx.simplices[1]
     assert np.allclose(r.values, cx.vertices[e[:, 1], 0] - cx.vertices[e[:, 0], 0],
                        atol=1e-14)
@@ -70,8 +71,8 @@ def test_derham_commutes_with_derivative(pentagon2d):
     cx, dual = pentagon2d
     b = get_problem("trig2d")
     d0 = exterior_derivative(dual, 0, "primal")
-    lhs = d0.apply(derham_primal(b.u, cx, degree=6)).values
-    rhs = derham_primal(b.du, cx, degree=6).values
+    lhs = d0.apply(derham_primal([b.u], cx, degree=6)[0]).values
+    rhs = derham_primal([b.du], cx, degree=6)[0].values
     assert np.max(np.abs(lhs - rhs)) <= 1e-8
 
 
@@ -79,7 +80,7 @@ def test_constant_volume_form_integrates_to_signed_area(pentagon2d):
     cx, _ = pentagon2d
     c = 3.25
     f = volume_field(2, lambda p: np.full(len(p), c))
-    r = derham_primal(f, cx, degree=2)
+    [r] = derham_primal([f], cx, degree=2)
     vols = geometry.unsigned_volume(cx.coords_of(2, slice(None)))
     assert np.allclose(r.values, c * vols, rtol=1e-13)
 
@@ -88,7 +89,7 @@ def test_dual_derham_constant_gives_dual_volumes(pentagon2d):
     cx, dual = pentagon2d
     c = -1.5
     f = volume_field(2, lambda p: np.full(len(p), c))
-    r = derham_dual(f, dual, degree=2)
+    [r] = derham_dual([f], dual, degree=2)
     assert np.allclose(r.values, c * dual.volumes[0], rtol=1e-12)
 
 
@@ -97,15 +98,15 @@ def test_dual_derham_totals_match_primal_quadrature(pentagon2d):
     # must equal direct quadrature over all primal triangles
     cx, dual = pentagon2d
     f = volume_field(2, lambda p: p[:, 0] ** 2 * p[:, 1] + 0.5 * p[:, 1] ** 3)
-    total_dual = derham_dual(f, dual, degree=6).values.sum()
-    total_primal = derham_primal(f, cx, degree=6).values.sum()
+    total_dual = derham_dual([f], dual, degree=6)[0].values.sum()
+    total_primal = derham_primal([f], cx, degree=6)[0].values.sum()
     assert total_dual == pytest.approx(total_primal, rel=1e-12)
 
 
 def test_dual_derham_line_mesh_antiderivative(line_mesh):
     cx, dual = line_mesh
     f = volume_field(1, lambda p: p[:, 0] ** 2)
-    r = derham_dual(f, dual, degree=4)
+    [r] = derham_dual([f], dual, degree=4)
     # dual of the middle vertex is [0.5, 1.5]: integral = (1.5^3 - 0.5^3)/3
     assert r.values[1] == pytest.approx((1.5 ** 3 - 0.5 ** 3) / 3.0, rel=1e-13)
 
@@ -115,7 +116,7 @@ def test_derham_constant_2form_on_cube_triangles_matches_minor_expansion():
     cx = generate(FamilySpec("cube_kuhn", level=0))
     coef = np.array([0.7, -1.3, 2.1])  # dx^dy, dx^dz, dy^dz
     f = FormField(2, 3, lambda p: np.repeat(coef[None, :], len(p), 0))
-    r = derham_primal(f, cx, degree=1)
+    [r] = derham_primal([f], cx, degree=1)
     coords = cx.coords_of(2, slice(None))
     e1, e2 = coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0]
     expect = np.zeros(cx.num(2))
@@ -132,10 +133,51 @@ def _plane_waves(n, k):
         [np.cos((c + 1) * (p @ freqs) + c) for c in range(math.comb(n, k))], axis=1))
 
 
+def _shifted_waves(n, k):
+    """A second k-form on R^n, of other frequencies than ``_plane_waves``."""
+    freqs = np.arange(2.0, n + 2)
+    return FormField(k, n, lambda p: np.stack(
+        [np.sin((c + 2) * (p @ freqs) - c) for c in range(math.comb(n, k))], axis=1))
+
+
+@settings(deadline=None, max_examples=20)
+@given(cx=jittered_wheels | st.integers(0, 1).map(
+           lambda level: generate(FamilySpec("cube_kuhn", level))))
+def test_one_pass_over_several_fields_is_each_field_alone(cx):
+    # the corners, the mapped nodes and the minors are shared; each field's
+    # values and sums are its own, so every cochain is the single pass's
+    n = cx.dim
+    dual = build_dual(cx)
+    for k in range(n + 1):
+        fields = [_plane_waves(n, k), _shifted_waves(n, k), _plane_waves(n, k)]
+        for derham, mesh in ((derham_primal, cx), (derham_dual, dual)):
+            together = derham(fields, mesh, 6)
+            assert len(together) == len(fields)
+            for field, cochain in zip(fields, together):
+                [alone] = derham([field], mesh, 6)
+                assert (cochain.degree, cochain.side) == (alone.degree, alone.side)
+                assert np.array_equal(cochain.values, alone.values), (derham, k)
+        images = derham_images(fields[:2], cx, dual, 6)
+        for field, (primal, starred) in zip(fields, images):
+            assert np.array_equal(primal.values, derham_primal([field], cx, 6)[0].values)
+            assert np.array_equal(starred.values,
+                                  derham_dual([hodge_field(field)], dual, 6)[0].values)
+
+
+def test_one_pass_refuses_fields_of_mixed_degree(pentagon2d):
+    cx, dual = pentagon2d
+    with pytest.raises(ValueError, match="share their degree"):
+        derham_primal([_plane_waves(2, 0), _plane_waves(2, 1)], cx)
+    with pytest.raises(ValueError, match="no field"):
+        derham_dual([], dual)
+    with pytest.raises(ValueError, match="lives in R\\^3"):
+        derham_primal([_plane_waves(2, 0), _plane_waves(3, 0)], cx)
+
+
 def _derham_cochains(cx, dual):
     n = cx.dim
-    return ([derham_primal(_plane_waves(n, k), cx, 6).values for k in range(n + 1)]
-            + [derham_dual(_plane_waves(n, n - k), dual, 6).values for k in range(n + 1)])
+    return ([derham_primal([_plane_waves(n, k)], cx, 6)[0].values for k in range(n + 1)]
+            + [derham_dual([_plane_waves(n, n - k)], dual, 6)[0].values for k in range(n + 1)])
 
 
 @settings(deadline=None, max_examples=30)
@@ -143,9 +185,10 @@ def _derham_cochains(cx, dual):
            lambda level: generate(FamilySpec("cube_kuhn", level))),
        block_nodes=st.integers(1, 60).map(lambda i: 2 * i + 1).filter(lambda b: b % 5))
 def test_blocked_quadrature_equals_one_block(cx, block_nodes):
-    # the degree-6 rules have 1, 4, 16 and 125 nodes, and an odd block size
+    # the degree-6 rules have 1, 4, 12 and 125 nodes, and an odd block size
     # that is no multiple of 5 divides none but the first: ragged blocks, and
-    # a partial last block wherever the block step does not divide the count
+    # a partial last block wherever the block step does not divide the count;
+    # sizes below 12 give the triangles one row per block
     dual = build_dual(cx)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "BLOCK_NODES", 1 << 62)
@@ -200,14 +243,15 @@ def _traced_peak(fn):
 
 
 def test_dual_derham_memory_is_bounded_by_the_block():
-    # jittered hexagon level 6: 147,456 vertex-dual fragments of 16 nodes each;
-    # the points of all 2.4M nodes at once would take 38 MB alone
+    # jittered hexagon level 6: 147,456 vertex-dual fragments of 12 nodes each;
+    # the points of all 1.77M nodes at once would take 28 MB and their values
+    # 14 MB more
     cx = jitter_interior(generate(FamilySpec("pentagon_wheel", 6, n_gon=6)),
                          amplitude=0.14, seed=106)
     dual = build_dual(cx)
     assert len(dual.flags(0)[0]) == 147456   # built and cached before tracing
     f = volume_field(2, lambda p: np.sin(p[:, 0]) * np.cos(p[:, 1]))
-    assert _traced_peak(lambda: derham_dual(f, dual, 6)) < 40e6
+    assert _traced_peak(lambda: derham_dual([f], dual, 6)) < 40e6
 
 
 @pytest.mark.parametrize("family, level", [("pentagon_wheel", 5), ("cube_kuhn", 2)])
@@ -224,9 +268,9 @@ def test_derham_memory_stays_below_the_corner_stack(monkeypatch, family, level):
     chain, _ = dual.flags(0)   # built and cached before tracing
     f = _plane_waves(n, n)
     monkeypatch.setattr(geometry, "BLOCK_NODES", 4096)
-    assert _traced_peak(lambda: derham_dual(f, dual, 6)) < chain.size * n * 8
+    assert _traced_peak(lambda: derham_dual([f], dual, 6)) < chain.size * n * 8
     monkeypatch.setattr(geometry, "BLOCK_NODES", 1024)
-    assert _traced_peak(lambda: derham_primal(f, cx, 6)) < cx.simplices[n].size * n * 8
+    assert _traced_peak(lambda: derham_primal([f], cx, 6)) < cx.simplices[n].size * n * 8
 
 
 # -- Whitney forms ------------------------------------------------------------
@@ -248,7 +292,7 @@ def test_whitney_constant_cochain_reproduces_constants(rng):
         for k in range(n + 1):
             coef = rng.standard_normal(math.comb(n, k))
             alpha = FormField(k, n, lambda p, c=coef: np.repeat(c[None, :], len(p), 0))
-            c = derham_primal(alpha, cx, degree=1).values
+            c = derham_primal([alpha], cx, degree=1)[0].values
             g = whitney_mass_matrix(cx, k)
             assert c @ (g @ c) == pytest.approx(coef @ coef * area, rel=1e-12), (n, k)
 
@@ -328,7 +372,7 @@ def test_probe_vanishes_on_constant_coefficient_forms(pentagon2d):
     cx, dual = pentagon2d
     const1 = FormField(1, 2, lambda p: np.stack(
         [np.full(len(p), 2.0), np.full(len(p), -0.7)], axis=1))
-    rec = consistency_probe(const1, cx, dual, degree=4)
+    rec = consistency_probe(derham_images([const1], cx, dual, 4)[0], cx, dual)
     assert rec.err_max <= 1e-13
     assert rec.err_max_dual_side <= 1e-13
 
@@ -339,7 +383,7 @@ def test_probe_max_rate_for_functions():
     for level in (2, 3, 4):
         cx = generate(FamilySpec("pentagon_wheel", level=level))
         dual = build_dual(cx)
-        errs.append(consistency_probe(b.u, cx, dual, degree=6).err_max)
+        errs.append(consistency_probe(derham_images([b.u], cx, dual)[0], cx, dual).err_max)
     rate = math.log2(errs[-2] / errs[-1])
     assert rate == pytest.approx(3.0, abs=0.25)
 
@@ -349,22 +393,28 @@ def test_dual_side_is_starred_primal_side(pentagon2d):
     # their L2 norms agree even though their max norms scale differently
     cx, dual = pentagon2d
     b = get_problem("trig2d")
-    rec = consistency_probe(b.du, cx, dual, degree=6)
-    assert rec.err_l2_primal_side == pytest.approx(rec.err_l2_dual_side, rel=1e-9)
+    [(w, star_w)] = derham_images([b.du], cx, dual)
+    rec = consistency_probe((w, star_w), cx, dual)
+    # the dual-side expression star_h R_h(star w) - R_h(star star w), k = 1, n = 2
+    dual_expr = Cochain(1, "primal", hodge_star(dual, 1, side="dual").apply(star_w).values
+                        + w.values)
+    assert rec.err_l2_primal_side == pytest.approx(discrete_l2(dual, dual_expr), rel=1e-9)
 
 
 def test_laplace_probe_identity_gap(pentagon2d):
     b = get_problem("trig2d")
     cx, dual = pentagon2d
-    rec = laplace_consistency_probe(b, cx, dual, degree=6)
+    rec = laplace_consistency_probe(b, cx, dual, derham_images([b.u, b.f], cx, dual))
     assert rec.identity_gap <= 1e-8
     assert rec.total_max > 0
 
 
 def test_laplace_probe_refuses_a_mesh_without_interior_vertices():
     cx = generate(FamilySpec("square", level=0, pattern=1))
+    b, dual = get_problem("trig2d"), build_dual(cx)
+    images = derham_images([b.u, b.f], cx, dual)
     with pytest.raises(TrivialProblemError, match="no interior vertices"):
-        laplace_consistency_probe(get_problem("trig2d"), cx, build_dual(cx))
+        laplace_consistency_probe(b, cx, dual, images)
 
 
 def test_missing_analytic_field_errors():

@@ -282,3 +282,21 @@ def test_bad_entry_message_names_the_line_of_the_file(tmp_path, text, message):
     p.write_text(text)
     with pytest.raises(MeshError, match=message):
         meshio.load(p)
+
+
+@pytest.mark.parametrize("entry", ["\u0661", "0_1", "1_0"],
+                         ids=["arabic_indic_digit", "underscore", "underscore_past_the_ids"])
+def test_boundary_id_must_be_an_ascii_decimal(tmp_path, entry):
+    # int() reads these as 1, 1 and 10; the vertex and cell sections refuse
+    # them, and so does the boundary section, naming the file's line
+    p = tmp_path / "bad.decmesh"
+    p.write_text(TRIANGLE + CELL + f"boundary 2\n1 2\n0 {entry} gamma\n", encoding="utf-8")
+    with pytest.raises(MeshError, match=rf"bad boundary line: .* '{entry}' on line 11$"):
+        meshio.load(p)
+
+
+def test_boundary_ids_may_carry_a_sign(tmp_path):
+    # as loadtxt reads the cell section's ids
+    p = tmp_path / "m.decmesh"
+    p.write_text(TRIANGLE + CELL + "boundary 1\n+0 +1 gamma\n")
+    assert meshio.load(p).boundary_labels == {(0, 1): "gamma"}

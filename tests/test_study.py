@@ -2,13 +2,17 @@ import hashlib
 import math
 import os
 import re
+from dataclasses import replace
 
 import pytest
 
 from declab import cli, generators, meshio, study
 from declab.cli import main
+from declab.dualmesh import build_dual
 from declab.errors import MemoryGuardError, WellCenteredError
+from declab.fields import consistency_probe, derham_images, laplace_consistency_probe
 from declab.generators import FamilySpec
+from declab.problems import get_problem
 from declab.solve import SolverConfig
 from declab.study import (CONVERGENCE_COLUMNS, StudyAborted, emit, fit_rate,
                           run_consistency_study, run_convergence_study, to_csv,
@@ -209,6 +213,25 @@ def test_consistency_study_columns_and_lap_block():
                                  degree=4)
     assert "lap_total" not in rep1.rows[-1]
     assert rep1.metadata["k"] == 1
+
+
+def test_consistency_study_rows_are_the_probes_alone():
+    # a k = 0 level shares u's deRham passes with f; the probes fed by passes
+    # of each field alone make the same numbers bit for bit
+    spec, bundle = FamilySpec("pentagon_wheel", n_gon=6), get_problem("trig2d")
+    rep = run_consistency_study(spec, bundle, 0, 3, jitter=0.14, seed=5)
+    for i, row in enumerate(rep.rows):
+        cx = generators.jitter_interior(generators.generate(replace(spec, level=i)),
+                                        amplitude=0.14, seed=5 + i)
+        dual = build_dual(cx)
+        [u_images] = derham_images([bundle.u], cx, dual)
+        [f_images] = derham_images([bundle.f], cx, dual)
+        rec = consistency_probe(u_images, cx, dual, interior_l2=True)
+        lap = laplace_consistency_probe(bundle, cx, dual, [u_images, f_images])
+        assert (row["err_max"], row["err_l2"], row["err_dual"]) == (
+            rec.err_max, rec.err_l2_primal_side, rec.err_max_dual_side)
+        assert (row["lap_total"], row["term1"], row["term2"], row["identity_gap"]) == (
+            lap.total_max, lap.term1_max, lap.term2_max, lap.identity_gap)
 
 
 def test_other_wheel_sizes_converge_at_second_order():
