@@ -123,7 +123,8 @@ class SimplicialComplex:
     def coords_of(self, k: int, idx) -> np.ndarray:
         """Vertex coordinates of the k-simplices ``idx`` (rows, a slice or a
         mask), shape (m, k+1, n)."""
-        return self.vertices[self.simplices[k][idx]]
+        # take gathers whole rows several times faster than the fancy index
+        return np.take(self.vertices, self.simplices[k][idx], axis=0)
 
     def index_of(self, k: int, rows) -> np.ndarray:
         rows = np.sort(np.atleast_2d(np.asarray(rows, dtype=np.int64)), axis=1)

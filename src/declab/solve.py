@@ -11,20 +11,22 @@ and every solve is by preconditioned conjugate gradients.  The reported energy
 and stability constant take d_0 of the solution by two gathers per edge
 (``operators.edge_differences``), with no incidence matrix.
 
-The preconditioner is a symmetric geometric V-cycle when the caller passes the
-interior prolongations of a nested refinement hierarchy below the mesh
-(``generators.interior_prolongation``), as convergence studies and the CLI's
-``solve`` do.  Each coarse operator is the Galerkin product P^T A P of the one
-above it, formed once per solve from the finest S_II: the interpolation nests
-the P1 spaces, so the product is the coarse level's own S_II, and the coarse
-levels need a mesh for P but no dual and no assembly.  The cycle smooths with
-damped Jacobi and solves the coarsest level (1 to 3 unknowns for the generated
-families) by its dense inverse, so the iteration count stays flat under
-refinement instead of doubling per level.  A solve with no coarser level (level
-0 of a family or a mesh file), or whose coarsest level has ``DENSE_CUTOFF``
-unknowns or more, is preconditioned by Jacobi, the diagonal of S_II.  No
-reduction goes through BLAS, so the solution does not depend on the BLAS
-thread count.
+Every solve is preconditioned by a symmetric V-cycle.  Its geometric levels
+are the interior prolongations of a nested refinement hierarchy below the mesh
+(``generators.interior_prolongation``), which convergence studies and the
+CLI's ``solve`` pass.  Each coarse operator is the Galerkin product P^T A P of
+the one above it, formed once per solve from the finest S_II: the
+interpolation nests the P1 spaces, so the product is the coarse level's own
+S_II, and the coarse levels need a mesh for P but no dual and no assembly.
+While the coarsest operator still has ``DENSE_CUTOFF`` unknowns or more (level
+0 of a mesh file, or any level of a file whose level 0 is that large),
+algebraic levels go below it: smoothed aggregation of that operator's own
+graph (``_aggregation_prolongation``).  The cycle smooths with damped Jacobi
+and solves the coarsest level (1 to 3 unknowns for the generated families) by
+its dense inverse, so the iteration count stays flat under refinement.  A
+solve with no coarser level and fewer than ``DENSE_CUTOFF`` unknowns is
+preconditioned by the dense inverse alone.  No reduction goes through BLAS, so
+the solution does not depend on the BLAS thread count.
 """
 from __future__ import annotations
 
@@ -61,11 +63,14 @@ def make_problem(cx: SimplicialComplex, dual: DualComplex,
 
 # damped-Jacobi smoothing of the V-cycle: sweeps before and after the coarse
 # correction, and the damping, which keeps omega * rho(D^-1 S) below 2 for the
-# weighted graph Laplacians here (rho <= 2)
+# weighted graph Laplacians here (rho <= 2) and for the aggregation levels'
+# Galerkin products (rho <= 1.6 on the corner and cube files); it also damps
+# the step that smooths an aggregation prolongation
 SWEEPS = 2
 JACOBI_DAMPING = 0.6
-# a coarsest level with this many unknowns is too large for the V-cycle's dense inverse
-DENSE_CUTOFF = 500
+# a coarsest level with this many unknowns is too large for the V-cycle's dense
+# inverse (Gauss-Jordan, O(n^3): 0.03 s at 199 unknowns, 0.74 s at 499 on a 2-vCPU VM)
+DENSE_CUTOFF = 200
 
 
 @dataclass(frozen=True)
@@ -152,8 +157,8 @@ def assemble(problem: DirichletProblem) -> AssembledSystem:
 
 
 def pcg(a: sp.csr_matrix, b: np.ndarray, tol: float, max_iterations: int,
-        precondition: Callable[[np.ndarray], np.ndarray] | None = None):
-    """Preconditioned conjugate gradients; Jacobi when ``precondition`` is None.
+        precondition: Callable[[np.ndarray], np.ndarray]):
+    """Preconditioned conjugate gradients.
 
     ``precondition(r)`` applies an SPD approximation of ``a``'s inverse.  Dot
     products and norms go through ``_dot``, so the iterates do not depend on
@@ -167,9 +172,6 @@ def pcg(a: sp.csr_matrix, b: np.ndarray, tol: float, max_iterations: int,
     norm_b = math.sqrt(_dot(b, b))
     if norm_b == 0.0:
         return x, 0, 0.0, [0.0]
-    if precondition is None:
-        minv = 1.0 / a.diagonal()
-        precondition = lambda r: minv * r
     r = b.copy()
     z = precondition(r)
     p = z.copy()
@@ -205,29 +207,75 @@ def _dot(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def v_cycle(a: sp.csr_matrix, prolongations: Sequence[sp.csr_matrix]
-            ) -> Callable[[np.ndarray], np.ndarray] | None:
+            ) -> Callable[[np.ndarray], np.ndarray]:
     """A symmetric V(2, 2)-cycle on a nested hierarchy, as a CG preconditioner.
 
     ``prolongations`` maps each coarser level's interior unknowns to the next
-    finer level's, coarsest first, the last one into ``a``'s.  Each coarse
-    operator is the Galerkin product ``p^T a_fine p``, formed here once.
-    Leading prolongations from a level without interior vertices are skipped.
-    The cycle smooths with damped Jacobi on every level above the coarsest and
-    solves the coarsest exactly; equal pre- and post-sweeps of a symmetric
-    smoother keep the preconditioner SPD.  Returns None when no coarser level
-    is left or the coarsest has ``DENSE_CUTOFF`` unknowns or more, too many for
-    its dense inverse.
+    finer level's, coarsest first, the last one into ``a``'s.  Leading
+    prolongations from a level without interior vertices are skipped.  While
+    the coarsest operator has ``DENSE_CUTOFF`` unknowns or more, an algebraic
+    level by smoothed aggregation goes below it.  Each coarse operator is the
+    Galerkin product ``p^T a_fine p``, formed here once.  The cycle smooths
+    with damped Jacobi on every level above the coarsest and solves the
+    coarsest exactly; equal pre- and post-sweeps of a symmetric smoother keep
+    the preconditioner SPD.  With no level below ``a``, it is ``a``'s inverse.
     """
     # an interior vertex stays interior under refinement, so empty levels lead
-    ps = [p for p in prolongations if p.shape[1]]
-    if not ps or ps[0].shape[1] >= DENSE_CUTOFF:
-        return None
-    mats = [a]
-    for p in reversed(ps):
+    geometric = [p for p in prolongations if p.shape[1]]
+    mats, ps = [a], []
+    while geometric or mats[-1].shape[0] >= DENSE_CUTOFF:
+        p = geometric.pop() if geometric else _aggregation_prolongation(mats[-1])
+        if p.shape[1] == p.shape[0]:
+            break   # a diagonal operator: no row has a neighbour to aggregate with
+        ps.insert(0, p)
         mats.append((p.T @ mats[-1] @ p).tocsr())
     inv = _spd_inverse(mats.pop().toarray())
     levels = [(m, JACOBI_DAMPING / m.diagonal(), p) for m, p in zip(reversed(mats), ps)]
     return lambda r: _cycle(levels, inv, len(levels) - 1, r)
+
+
+def _aggregation_prolongation(m: sp.csr_matrix) -> sp.csr_matrix:
+    """Smoothed-aggregation prolongation for the SPD operator ``m`` (Vanek,
+    Mandel & Brezina 1996): the piecewise-constant P of ``_aggregates``,
+    smoothed by one damped-Jacobi step."""
+    agg = _aggregates(m)
+    n = len(agg)
+    tentative = sp.csr_matrix((np.ones(n), agg, np.arange(n + 1)), shape=(n, agg.max() + 1))
+    return (tentative - sp.diags(JACOBI_DAMPING / m.diagonal()) @ (m @ tentative)).tocsr()
+
+
+def _aggregates(m: sp.csr_matrix) -> np.ndarray:
+    """The aggregate of each row of ``m``, numbered in the order of their roots.
+
+    Two rows are neighbours when one is in the other's CSR pattern; no
+    strength threshold is needed, as the off-diagonal entries of a
+    well-centered mesh's S_II are nonpositive edge weights.  The roots are a
+    maximal distance-2 independent set, the smallest undecided row index
+    winning within distance 2, built in rounds of two neighbour minima.  Each
+    root's neighbours join its aggregate (a row neighbours at most one root),
+    and every other row, two steps from a root, joins the smallest aggregate
+    among its neighbours.  No loop runs over rows, and the result is the same
+    on every call.
+    """
+    n = m.shape[0]
+
+    def neighbour_min(v):
+        # every row holds its positive diagonal, so no segment is empty
+        return np.minimum.reduceat(v[m.indices], m.indptr[:-1])
+
+    rows = np.arange(n)
+    # a row's key is its index while undecided, -1 once a root, n once covered
+    key = rows.copy()
+    while (undecided := key == rows).any():
+        near = neighbour_min(neighbour_min(key))
+        key[undecided & (near == rows)] = -1
+        key[undecided & (near < 0)] = n
+    roots = key < 0
+    count = int(np.count_nonzero(roots))
+    label = np.full(n, count)
+    label[roots] = np.arange(count)
+    agg = neighbour_min(label)
+    return np.where(agg < count, agg, neighbour_min(agg))
 
 
 def _cycle(levels: list, inv: np.ndarray, j: int, r: np.ndarray) -> np.ndarray:
@@ -272,9 +320,7 @@ def solve(problem: DirichletProblem, config: SolverConfig = SolverConfig(),
     """Solve the Dirichlet problem; trivial (all-boundary) meshes return g itself.
 
     ``prolongations`` is the refinement hierarchy below this mesh, in the form
-    ``v_cycle`` takes.  CG is preconditioned by the V-cycle when there is one
-    and its coarsest level has fewer than ``DENSE_CUTOFF`` unknowns, and by
-    Jacobi otherwise.
+    ``v_cycle`` takes; CG is preconditioned by its V-cycle.
     """
     omega = problem.boundary_values.astype(float).copy()
     try:

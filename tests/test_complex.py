@@ -30,6 +30,18 @@ def test_single_triangle_closure(right_triangle):
     assert cx.orientation[2][0] == 1  # already positively oriented
 
 
+def test_coords_of_equals_the_fancy_index():
+    cx = generate(FamilySpec("pentagon_wheel", level=3))
+    rng = np.random.default_rng(5)
+    for k in range(3):
+        n = cx.num(k)
+        for idx in (rng.integers(0, n, 17), slice(3, n - 2), rng.random(n) < 0.4):
+            want = cx.vertices[cx.simplices[k][idx]]
+            got = cx.coords_of(k, idx)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_two_triangles_sharing_edge():
     cx = build_complex(2, [(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 1, 2), (0, 2, 3)])
     assert (cx.num(0), cx.num(1), cx.num(2)) == (4, 5, 2)

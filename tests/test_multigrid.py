@@ -1,15 +1,19 @@
-"""The geometric V-cycle that preconditions CG across a study's refinement levels."""
+"""The V-cycle that preconditions CG: geometric levels across a study's
+refinement hierarchy, algebraic ones below any level too large for a dense inverse."""
 import importlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 
+from declab import meshio
 from declab.dualmesh import build_dual
 from declab.generators import FamilySpec, generate, interior_prolongation, refine, walk
 from declab.problems import get_problem
-from declab.solve import (SolverConfig, _spd_inverse, assemble, make_problem, solve,
-                          stiffness_matrix, v_cycle)
+from declab.solve import (DENSE_CUTOFF, SolverConfig, _aggregates, _aggregation_prolongation,
+                          _spd_inverse, assemble, make_problem, pcg, solve, stiffness_matrix,
+                          v_cycle)
 from declab.study import run_convergence_study
 from strategies import jittered_wheels
 
@@ -65,35 +69,109 @@ def test_interior_galerkin_identity_on_jittered_wheels(cx):
     assert galerkin_gap(cx) <= 1e-12
 
 
+def assert_same_solution(got, want):
+    gap = np.abs(got.solution.values - want.solution.values).max()
+    assert gap <= 1e-10 * np.abs(want.solution.values).max()
+
+
 def test_multigrid_and_jacobi_solutions_agree():
     prob, prolongations = hierarchy("pentagon_wheel", 6, "trig2d")
-    mg, jacobi = solve(prob, SolverConfig(), prolongations), solve(prob)
-    assert mg.iterations <= 20 < jacobi.iterations
-    gap = np.abs(mg.solution.values - jacobi.solution.values).max()
-    assert gap <= 1e-10 * np.abs(jacobi.solution.values).max()
+    mg = solve(prob, SolverConfig(), prolongations)
+    system = assemble(prob)
+    minv = 1.0 / system.reduced.diagonal()
+    jacobi, iterations, _, _ = pcg(system.reduced, system.load, SolverConfig().tol,
+                                   SolverConfig().max_iterations, lambda r: minv * r)
+    assert mg.iterations <= 20 < iterations
+    gap = np.abs(mg.solution.values[system.interior] - jacobi).max()
+    assert gap <= 1e-10 * np.abs(jacobi).max()
 
 
-def test_solve_without_hierarchy_takes_the_jacobi_path():
-    prob, _ = hierarchy("pentagon_wheel", 5, "trig2d")
-    assert solve(prob).iterations == 139   # the Jacobi-PCG count before the V-cycle
+def test_solve_without_hierarchy_takes_algebraic_levels():
+    # 2,641 unknowns; Jacobi-PCG took 139 iterations
+    prob, prolongations = hierarchy("pentagon_wheel", 5, "trig2d")
+    rep = solve(prob)
+    assert rep.iterations <= 40
+    assert_same_solution(rep, solve(prob, prolongations=prolongations))
+
+
+def test_small_solve_without_hierarchy_is_one_dense_iteration():
+    prob, _ = hierarchy("pentagon_wheel", 3, "trig2d")
+    assert assemble(prob).reduced.shape[0] < DENSE_CUTOFF
+    assert solve(prob).iterations == 1
+
+
+def assert_symmetric_positive(m, n, rng):
+    x, y = rng.standard_normal((2, n))
+    assert abs(x @ m(y) - y @ m(x)) <= 1e-12 * abs(x @ m(y))
+    assert x @ m(x) > 0 and y @ m(y) > 0
 
 
 def test_v_cycle_is_a_symmetric_positive_operator(rng):
     prob, prolongations = hierarchy("pentagon_wheel", 5, "trig2d")
     m = v_cycle(assemble(prob).reduced, prolongations)
-    x, y = rng.standard_normal((2, prolongations[-1].shape[0]))
-    assert abs(x @ m(y) - y @ m(x)) <= 1e-12 * abs(x @ m(y))
-    assert x @ m(x) > 0 and y @ m(y) > 0
+    assert_symmetric_positive(m, prolongations[-1].shape[0], rng)
 
 
-def test_jacobi_when_the_coarsest_level_is_too_large_for_a_dense_inverse(monkeypatch):
+def test_v_cycle_on_algebraic_levels_is_a_symmetric_positive_operator(rng):
+    prob, _ = hierarchy("pentagon_wheel", 5, "trig2d")
+    a = assemble(prob).reduced
+    assert_symmetric_positive(v_cycle(a, ()), a.shape[0], rng)
+
+
+def test_algebraic_levels_below_a_coarsest_level_too_large_for_a_dense_inverse(monkeypatch):
     # as in a study of a mesh file whose level 0 is already large
     prob, prolongations = hierarchy("pentagon_wheel", 5, "trig2d")
     # the package exports the function ``solve``, which shadows the module's name
     monkeypatch.setattr(importlib.import_module("declab.solve"), "DENSE_CUTOFF", 100)
+    geometric = solve(prob, prolongations=prolongations)
     # the coarsest kept level, 3, has 141 unknowns
-    assert solve(prob, prolongations=prolongations[3:]).iterations == 139
+    rep = solve(prob, prolongations=prolongations[3:])
+    assert rep.iterations <= 40
+    assert_same_solution(rep, geometric)
     assert solve(prob, prolongations=prolongations[2:]).iterations <= 20
+
+
+# unsmoothed aggregation takes 52 iterations on corner level 6
+@pytest.mark.parametrize("family,level,problem", [("corner", 5, "corner"), ("corner", 6, "corner"),
+                                                  ("cube_kuhn", 3, "trig3d")])
+def test_a_mesh_file_solves_in_few_iterations(tmp_path, family, level, problem):
+    # the file's level 0 is the family's level: no geometric level below it
+    family_prob, prolongations = hierarchy(family, level, problem)
+    path = tmp_path / "mesh.decmesh"
+    meshio.save(family_prob.cx, path)
+    cx = meshio.load(path)
+    rep = solve(make_problem(cx, build_dual(cx), get_problem(problem)))
+    assert rep.iterations <= 40
+    assert_same_solution(rep, solve(family_prob, prolongations=prolongations))
+
+
+def test_aggregation_is_a_partition_of_neighbourhoods():
+    prob, _ = hierarchy("cube_kuhn", 3, "trig3d")
+    m = assemble(prob).reduced
+    agg = _aggregates(m)
+    count = agg.max() + 1
+    assert agg.min() == 0 and count < m.shape[0] / 4
+    # each row is in one aggregate, and none is empty
+    assert agg.shape == (m.shape[0],) and np.bincount(agg).min() > 0
+    # each row shares its aggregate with a neighbour
+    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    off = rows != m.indices
+    assert np.all(np.bincount(rows[off], agg[rows[off]] == agg[m.indices[off]]) > 0)
+
+
+def test_aggregation_prolongation_is_deterministic():
+    prob, _ = hierarchy("corner", 5, "corner")
+    m = assemble(prob).reduced
+    p, q = _aggregation_prolongation(m), _aggregation_prolongation(m)
+    assert np.array_equal(p.indptr, q.indptr) and np.array_equal(p.indices, q.indices)
+    assert np.array_equal(p.data.view(np.int64), q.data.view(np.int64))
+
+
+def test_a_diagonal_operator_is_left_to_its_dense_inverse():
+    # no row has a neighbour, so aggregation cannot coarsen it
+    a = sp.diags(np.arange(1.0, DENSE_CUTOFF + 1)).tocsr()
+    b = np.ones(a.shape[0])
+    assert pcg(a, b, 1e-12, 10, v_cycle(a, ()))[1] == 1
 
 
 def test_spd_inverse_is_exact_and_symmetric(rng):

@@ -161,8 +161,9 @@ def test_pcg_failure_carries_history(pentagon3):
     cx, dual = pentagon3
     prob = make_problem(cx, dual, get_problem("trig2d"))
     system = assemble(prob)
+    minv = 1.0 / system.reduced.diagonal()
     with pytest.raises(IterativeSolveError) as info:
-        pcg(system.reduced, system.load, 1e-14, 3)
+        pcg(system.reduced, system.load, 1e-14, 3, lambda r: minv * r)
     assert len(info.value.history) == 4
 
 
@@ -170,8 +171,9 @@ def test_pcg_breakdown_fails_fast():
     # symmetric, but a zero diagonal entry breaks the Jacobi preconditioner
     a = sp.csr_matrix(np.array([[2.0, -1.0, 0.0], [-1.0, 0.0, -1.0], [0.0, -1.0, 2.0]]))
     with np.errstate(divide="ignore", invalid="ignore"):
+        minv = 1.0 / a.diagonal()
         with pytest.raises(IterativeSolveError, match="broke down") as info:
-            pcg(a, np.array([1.0, 0.0, 1.0]), 1e-10, 100_000)
+            pcg(a, np.array([1.0, 0.0, 1.0]), 1e-10, 100_000, lambda r: minv * r)
     assert len(info.value.history) <= 5
 
 
