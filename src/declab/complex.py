@@ -16,8 +16,9 @@ needs: ``_pack`` forms its int64 keys from int64 columns, and
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, product
 
 import numpy as np
 import scipy.sparse as sp
@@ -227,8 +228,10 @@ def build_complex(dim: int, vertex_coords, top_cells, validate: bool = True) -> 
 
     Cells are reoriented so each carries positive ambient signed volume.
     ``validate`` runs the conformity audit (degenerate cells are always
-    rejected): duplicate vertex coordinates and vertices lying inside a
-    non-incident cell both raise ``NonConformingError``.
+    rejected), in numpy alone: two vertices within ``1e-9 h`` of each other
+    and a vertex lying inside a non-incident cell both raise
+    ``NonConformingError``.  The message names the smallest coincident pair
+    (i, j), i < j, or else the first such cell in cell order.
     """
     # a copy: the complex freezes its vertices and must not freeze the caller's
     vertices = np.array(vertex_coords, dtype=float, order="C", ndmin=2)
@@ -304,71 +307,201 @@ def _audit_conformity(cx: SimplicialComplex) -> None:
     """Raise ``NonConformingError`` on coincident vertices or a vertex inside a
     cell it is not a vertex of.
 
-    Both passes run in blocks of cells (``geometry.row_blocks``), so the
-    gathered corners and the ball queries' candidate lists stay bounded.  The
-    tolerance is a maximum, which does not depend on the blocks, and the
-    blocks go in cell order, so the first offending pair, and with it the
-    message, is the same at every block size.
+    Vertices i < j coincide when their squared distance is at most ``tol**2``,
+    with ``tol = 1e-9 h``.  Each cell's ball, about its centroid and through
+    its farthest vertex, grown by ``tol``, goes through ``_ball_members``.  It
+    holds every vertex inside the cell and every vertex within ``tol`` of one
+    of the cell's own, so one pass finds both faults; two vertices of one cell
+    are an edge, and the edges are checked for a length of ``tol`` or less on
+    their own.  Every pass runs in blocks, so the gathers stay bounded.  All
+    blocks are scanned before anything is raised: the smallest coincident pair
+    (i, j) is named first, otherwise the first containment in cell order, and
+    the message is the same at every block size.
     """
-    from scipy.spatial import cKDTree
-
     verts = cx.vertices
     n = cx.dim
     cells = cx.simplices[n]
-    blocks = list(geometry.row_blocks(len(cells), n + 1))
-    h = max(float(geometry.diameter(cx.coords_of(n, rows)).max()) for rows in blocks)
-    tol = 1e-9 * max(h, 1e-300)
+    edges = cx.simplices[1]
 
-    tree = cKDTree(verts)
-    pairs = tree.query_pairs(tol, output_type="ndarray")
-    if len(pairs):
-        i, j = pairs[0]
+    # h is the longest edge, and the same squares find an edge within tol
+    length2 = np.empty(len(edges))
+    for rows in geometry.row_blocks(len(edges), 2):
+        length2[rows] = _squared_norms(np.take(verts, edges[rows, 1], axis=0)
+                                       - np.take(verts, edges[rows, 0], axis=0))
+    h = math.sqrt(float(length2.max()))
+    tol = 1e-9 * max(h, 1e-300)
+    short = np.flatnonzero(length2 <= tol * tol)
+    del length2
+    # edges are lexsorted, so the first short one is the smallest such pair
+    coincide = tuple(int(v) for v in edges[short[0]]) if len(short) else None
+
+    centers = np.empty((len(cells), n))
+    reach = np.empty(len(cells))
+    for rows in geometry.row_blocks(len(cells), n + 1):
+        _centroid_ball(cx.coords_of(n, rows), centers[rows], reach[rows])
+    reach += tol
+
+    inside_first = None
+    for rows, ball, point in _ball_members(verts, centers, reach):
+        # a cell's own n+1 vertices lie in its ball (tol is far above the
+        # rounding of the distances), so only a ball holding more can hold a
+        # foreign vertex
+        count = np.bincount(ball - rows.start, minlength=rows.stop - rows.start)
+        busy = np.repeat(count > n + 1, count)
+        ball, point = ball[busy], point[busy]
+        own = cells[ball]
+        foreign = (own != point[:, None]).all(axis=1)
+        ball, point, own = ball[foreign], point[foreign], own[foreign]
+        if not len(ball):
+            continue
+        corners = np.take(verts, own, axis=0)
+        near = _squared_norms(corners - verts[point][:, None, :]) <= tol * tol
+        if near.any():
+            k, i = np.nonzero(near)
+            lo, hi = np.minimum(own[k, i], point[k]), np.maximum(own[k, i], point[k])
+            first = np.lexsort((hi, lo))[0]
+            pair = (int(lo[first]), int(hi[first]))
+            coincide = pair if coincide is None else min(coincide, pair)
+        if inside_first is None:
+            lam = geometry.barycentric_coordinates(verts[point], corners)
+            inside = lam.min(axis=1) > -1e-9
+            if inside.any():
+                i = int(np.argmax(inside))
+                inside_first = (int(point[i]), int(ball[i]))
+    if coincide is not None:
+        i, j = coincide
         raise NonConformingError(
             f"vertices {i} and {j} coincide within tolerance; cells meeting there "
             "cannot intersect in a common face")
-
-    for rows in blocks:
-        block = cells[rows]
-        coords = verts[block]
-        centroid = coords.mean(axis=1)
-        radius = np.sqrt(((coords - centroid[:, None, :]) ** 2).sum(-1)).max(axis=1)
-        # a cell's own n+1 vertices lie in its ball (tol is far above the
-        # distances' rounding), so only a ball holding more can hold a foreign
-        # vertex; finding those first keeps the other cells out of the Python lists
-        reach = radius + tol
-        busy = _busy_balls(tree, centroid, reach, n + 2)
-        if not len(busy):
-            continue
-        cand = tree.query_ball_point(centroid[busy], reach[busy], return_sorted=True)
-        lens = np.fromiter(map(len, cand), dtype=np.int64, count=len(cand))
-        cell_ids = np.repeat(busy, lens)
-        vert_ids = np.fromiter(chain.from_iterable(cand), dtype=np.int64, count=lens.sum())
-        del cand  # the Python lists go before the per-candidate gathers
-        foreign = ~(block[cell_ids] == vert_ids[:, None]).any(axis=1)
-        cell_ids, vert_ids = cell_ids[foreign], vert_ids[foreign]
-        if not len(cell_ids):
-            continue
-        lam = geometry.barycentric_coordinates(verts[vert_ids], coords[cell_ids])
-        inside = lam.min(axis=1) > -1e-9
-        if inside.any():
-            i = int(np.argmax(inside))
-            raise NonConformingError(
-                f"vertex {vert_ids[i]} lies inside cell {ids(block[cell_ids[i]])}: "
-                "non-conforming intersection")
+    if inside_first is not None:
+        v, t = inside_first
+        raise NonConformingError(
+            f"vertex {v} lies inside cell {ids(cells[t])}: non-conforming intersection")
 
 
-def _busy_balls(tree, centers: np.ndarray, radii: np.ndarray, count: int) -> np.ndarray:
-    """Indices of the balls holding at least ``count`` of the tree's points.
+def _centroid_ball(coords: np.ndarray, center: np.ndarray, radius: np.ndarray) -> None:
+    """Centroids and radii of the balls about them through the farthest
+    vertex, of simplices ``coords`` (m, k+1, n), written into the arrays given."""
+    np.add(coords[:, 0], coords[:, 1], out=center)
+    for i in range(2, coords.shape[1]):
+        center += coords[:, i]
+    center /= coords.shape[1]
+    radius[:] = 0.0
+    for i in range(coords.shape[1]):
+        np.maximum(radius, _squared_norms(coords[:, i] - center), out=radius)
+    np.sqrt(radius, out=radius)
 
-    As ``query_ball_point`` counts them: the squared distance of the
-    ``count``-th nearest point, summed as the tree sums it, is at most the
-    rounded squared radius, so a point at the radius counts in.  The k-nearest
-    query returns the correctly rounded square roots, which settle every ball
-    but those whose distance rounds to the radius itself.
+
+def _squared_norms(d: np.ndarray) -> np.ndarray:
+    """sum(d**2, axis=-1), one coordinate after another: a reduction over so
+    short an axis is several times slower."""
+    out = d[..., 0] ** 2
+    for j in range(1, d.shape[-1]):
+        out += d[..., j] ** 2
+    return out
+
+
+def _ball_members(points: np.ndarray, centers: np.ndarray, radii: np.ndarray):
+    """The points in each ball: every (ball, point) pair with sum((p - c)**2) <= r**2.
+
+    Yields ``(rows, ball, point)`` for consecutive slices ``rows`` of the
+    balls, in order, with the pairs of those balls sorted by ball, then by
+    point.  Radii must be positive.
+
+    The bucket ("cell") method for fixed-radius near neighbours (Bentley,
+    Stanat & Williams, IPL 6, 1977).  The balls fall into size classes, one per
+    factor of 2 in radius, and each class buckets the points on a grid whose
+    side is the class's largest radius, so a ball's points lie in the 3**n
+    buckets around its centre.  A graded mesh's balls then scan buckets of
+    about their own size, and the work stays near-linear in the balls and
+    points.  Bucket rows are packed into int64 keys (``_packing``), where three
+    buckets in a line along the last axis are three consecutive keys; where
+    keys would overflow, each bucket is looked up by ``_row_lookup``.  The
+    slices hold about ``geometry.BLOCK_NODES // 3**n`` candidate pairs each, or
+    one ball, so the transient memory stays bounded.
     """
-    dist, near = tree.query(centers, k=count, distance_upper_bound=radii.max() * (1 + 1e-12))
-    busy = dist[:, -1] < radii
-    tie = np.flatnonzero(dist[:, -1] == radii)
-    busy[tie] = (((tree.data[near[tie, -1]] - centers[tie]) ** 2).sum(axis=1)
-                 <= radii[tie] * radii[tie])
-    return np.flatnonzero(busy)
+    m, n = centers.shape
+    offsets = np.array(list(product((-1, 0, 1), repeat=n)))
+    exponent = np.frexp(radii)[1]
+    classes = np.unique(exponent)
+    origin = np.minimum(points.min(axis=0), centers.min(axis=0))
+    extent = float((np.maximum(points.max(axis=0), centers.max(axis=0)) - origin).max())
+
+    grids, orders = [], []
+    for e in classes:
+        # wider than the largest radius by more than the rounding of the
+        # distances and of the bucket coordinates (a few units in the last
+        # place of the radius and of the extent), so that a point in a ball is
+        # never two buckets from its centre; and at most 2**50 buckets across,
+        # so the coordinates stay exact in int64
+        side = float(radii[exponent == e].max()) * (1 + 2.0 ** -40) + extent * 2.0 ** -50
+        # every bucket a ball scans has coordinates in -1 .. extent / side + 1
+        top = int(extent / side) + 1
+        packing = _packing(np.array([[-1] * n, [top] * n]))
+        buckets, inv = _unique_rows(np.floor((points - origin) / side).astype(np.int64))
+        # bucket b holds the points first[b]:first[b + 1] of the class's order
+        first = np.zeros(len(buckets) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(inv, minlength=len(buckets)), out=first[1:])
+        orders.append(np.argsort(inv, kind="stable"))
+        # the buckets as packed keys, or as rows where keys would overflow
+        grids.append((side, packing, first, buckets if packing is None else _pack(buckets, *packing)))
+    # every class's point order in one array, class c's from c * len(points)
+    perm = np.concatenate(orders)
+    del orders, buckets, inv
+
+    def ranges(c, ctr):
+        """Start and stop in ``perm`` of the points in the buckets around each centre."""
+        side, packing, first, buckets = grids[c]
+        home = np.floor((ctr - origin) / side).astype(np.int64)
+        first = first + c * len(points)
+        if packing is None:
+            bucket = _row_lookup(buckets, (home[:, None, :] + offsets).reshape(-1, n))
+            bucket = bucket.reshape(len(ctr), -1)
+            hit = bucket >= 0
+            return np.where(hit, first[bucket], 0), np.where(hit, first[bucket + 1], 0)
+        # a packed key is linear in the row, so the offsets add on, and a
+        # line's buckets are the keys from its -1 to its +1 offset.  The
+        # searches go in key order: numpy's binary search starts from its
+        # last result
+        key = _pack(home, *packing)
+        by_key = np.argsort(key)
+        key = key[by_key]
+        start = np.empty((len(ctr), len(offsets) // 3), dtype=np.int64)
+        stop = np.empty_like(start)
+        for j, line in enumerate(_pack(offsets[offsets[:, -1] == 0], 0, packing[1])):
+            start[by_key, j] = first[np.searchsorted(buckets, key + (line - 1))]
+            stop[by_key, j] = first[np.searchsorted(buckets, key + (line + 1), side="right")]
+        return start, stop
+
+    limit = max(1, geometry.BLOCK_NODES // len(offsets))
+    for chunk in geometry.row_blocks(m, n * len(offsets)):
+        cls = np.searchsorted(classes, exponent[chunk])
+        ctr = centers[chunk]
+        parts = [(cls == c, *ranges(c, ctr[cls == c])) for c in np.unique(cls)]
+        # a class looked up by rows has 3**n ranges a ball, one by keys 3**(n-1)
+        width = max(a.shape[1] for _, a, _ in parts)
+        start = np.zeros((len(cls), width), dtype=np.int64)
+        stop = np.zeros_like(start)
+        for sel, lo, hi in parts:
+            start[sel, :lo.shape[1]], stop[sel, :hi.shape[1]] = lo, hi
+        del parts
+        size = stop - start
+        del stop
+        count = size.sum(axis=1)
+        # slices of the chunk holding about `limit` candidates each
+        cuts = np.flatnonzero(np.diff((np.cumsum(count) - count) // limit)) + 1
+        for a, b in zip([0, *cuts], [*cuts, len(count)]):
+            lens = size[a:b].ravel()
+            # the candidates' positions in perm, range after range
+            at = np.repeat(start[a:b].ravel() - (np.cumsum(lens) - lens), lens)
+            at += np.arange(len(at))
+            point = perm[at]
+            del at
+            d2 = _squared_norms(np.take(points, point, axis=0)
+                                - np.repeat(ctr[a:b], count[a:b], axis=0))
+            keep = d2 <= np.repeat(radii[chunk][a:b] ** 2, count[a:b])
+            del d2
+            ball = np.repeat(np.arange(a, b), count[a:b])[keep]
+            point = point[keep]
+            order = np.argsort(ball * len(points) + point)
+            yield slice(chunk.start + a, chunk.start + b), ball[order] + chunk.start, point[order]

@@ -23,7 +23,9 @@ While the coarsest operator still has ``DENSE_CUTOFF`` unknowns or more (level
 algebraic levels go below it: smoothed aggregation of that operator's own
 graph (``_aggregation_prolongation``).  The cycle smooths with damped Jacobi
 and solves the coarsest level (1 to 3 unknowns for the generated families) by
-its dense inverse, so the iteration count stays flat under refinement.  A
+its dense inverse (a diagonal one too large for that, which cannot be
+aggregated, by dividing by its diagonal), so the iteration count stays flat
+under refinement.  A
 solve with no coarser level and fewer than ``DENSE_CUTOFF`` unknowns is
 preconditioned by the dense inverse alone.  No reduction goes through BLAS, so
 the solution does not depend on the BLAS thread count.
@@ -217,19 +219,24 @@ def v_cycle(a: sp.csr_matrix, prolongations: Sequence[sp.csr_matrix]
     level by smoothed aggregation goes below it.  Each coarse operator is the
     Galerkin product ``p^T a_fine p``, formed here once.  The cycle smooths
     with damped Jacobi on every level above the coarsest and solves the
-    coarsest exactly; equal pre- and post-sweeps of a symmetric smoother keep
-    the preconditioner SPD.  With no level below ``a``, it is ``a``'s inverse.
+    coarsest exactly, by its dense inverse or, when it is diagonal and so
+    cannot be aggregated, by dividing by its diagonal.  Equal pre- and
+    post-sweeps of a symmetric smoother keep the preconditioner SPD.  With no
+    level below ``a``, it is ``a``'s inverse.
     """
     # an interior vertex stays interior under refinement, so empty levels lead
     geometric = [p for p in prolongations if p.shape[1]]
     mats, ps = [a], []
+    diagonal = False
     while geometric or mats[-1].shape[0] >= DENSE_CUTOFF:
         p = geometric.pop() if geometric else _aggregation_prolongation(mats[-1])
-        if p.shape[1] == p.shape[0]:
-            break   # a diagonal operator: no row has a neighbour to aggregate with
+        # a diagonal operator: no row has a neighbour to aggregate with
+        if diagonal := p.shape[1] == p.shape[0]:
+            break
         ps.insert(0, p)
         mats.append((p.T @ mats[-1] @ p).tocsr())
-    inv = _spd_inverse(mats.pop().toarray())
+    coarsest = mats.pop()
+    inv = coarsest.diagonal() if diagonal else _spd_inverse(coarsest.toarray())
     levels = [(m, JACOBI_DAMPING / m.diagonal(), p) for m, p in zip(reversed(mats), ps)]
     return lambda r: _cycle(levels, inv, len(levels) - 1, r)
 
@@ -280,13 +287,14 @@ def _aggregates(m: sp.csr_matrix) -> np.ndarray:
 
 def _cycle(levels: list, inv: np.ndarray, j: int, r: np.ndarray) -> np.ndarray:
     """The V-cycle from level ``j`` down; ``levels[j]`` is (operator, damped inverse
-    diagonal, prolongation from level j - 1) and ``inv`` inverts the coarsest.
+    diagonal, prolongation from level j - 1).  ``inv`` solves the coarsest:
+    a matrix is its dense inverse, a vector the diagonal of a diagonal operator.
 
     A module function, not a closure over itself: a self-referencing closure
     would keep every operator of a solve alive until the cyclic collector runs.
     """
     if j < 0:
-        return (inv * r).sum(axis=1)
+        return r / inv if inv.ndim == 1 else (inv * r).sum(axis=1)
     m, wdinv, p = levels[j]
     x = wdinv * r
     for _ in range(SWEEPS - 1):

@@ -5,11 +5,12 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from declab import complex as complex_module
 from declab import geometry
-from declab.complex import _audit_conformity, _busy_balls, build_complex, cell_orientation
+from declab.complex import _audit_conformity, _ball_members, build_complex, cell_orientation
 from declab.errors import DegenerateSimplexError, MeshError, NonConformingError, ids
 from declab.generators import FamilySpec, generate, jitter_interior, refine
 from strategies import jittered_wheels
@@ -217,7 +218,17 @@ def _overlay(level):
      "vertices 0 and 3 coincide within tolerance; cells meeting there "
      "cannot intersect in a common face"),
     _overlay(3),
-], ids=["vertex_in_cell", "coincident_vertices", "first_of_three_in_cell_order"])
+    # pairs (1, 3) and (2, 6), each across two cells
+    ([(0, 0), (1, 0), (0, 1), (1 + 1e-12, 0), (2, 0), (2, 1), (0, 1 + 1e-12), (0, 2), (-1, 2)],
+     [(6, 7, 8), (3, 4, 5), (0, 1, 2)],
+     "vertices 1 and 3 coincide within tolerance; cells meeting there "
+     "cannot intersect in a common face"),
+    # an edge of 1e-11 against tol = 1e-9 passes the degeneracy test
+    ([(0, 0), (1, 0), (1, 1e-11)], [(0, 1, 2)],
+     "vertices 1 and 2 coincide within tolerance; cells meeting there "
+     "cannot intersect in a common face"),
+], ids=["vertex_in_cell", "coincident_vertices", "first_of_three_in_cell_order",
+        "smaller_of_two_coincident_pairs", "coincident_ends_of_an_edge"])
 def test_conformity_message_is_alike_at_every_block_size(monkeypatch, verts, cells, message):
     # blocks of 3 nodes hold one triangle, of 64 nodes 21 triangles
     for block_nodes in (3, 64, 1 << 62):
@@ -236,10 +247,9 @@ def test_conforming_mesh_passes_at_every_block_size(monkeypatch):
 
 def test_conformity_audit_memory_is_bounded_by_the_block(monkeypatch):
     # corner level 5: 4,096 triangles.  At one block the (M, 3, 2) corners,
-    # their offsets from the centroids and the diameters' temporaries set the
-    # peak; blocks of 64 triangles leave mostly the tree
+    # the edges' gathered ends and the candidate pairs set the peak; blocks of
+    # 64 triangles leave mostly the balls' centres and the buckets
     cx = generate(FamilySpec("corner", 5))
-    import scipy.spatial  # noqa: F401  (imported before tracing)
 
     def peak(block_nodes):
         monkeypatch.setattr(geometry, "BLOCK_NODES", block_nodes)
@@ -284,26 +294,131 @@ def test_cell_orientation_memory_is_bounded_by_the_block(monkeypatch):
     assert peak(4 * 1024) < 0.3 * peak(1 << 62)
 
 
+def graded_mesh():
+    """A Delaunay triangulation of 16 points on each of 19 rings of radius
+    0.7**k about the origin, and the origin: its cells shrink toward the
+    centre, their diameters spanning more than 256x."""
+    from scipy.spatial import Delaunay
+    k = np.arange(19)[:, None]
+    angle = 2 * np.pi * (np.arange(16) + 0.5 * (k % 2)) / 16
+    rings = np.stack([0.7 ** k * np.cos(angle), 0.7 ** k * np.sin(angle)], axis=-1)
+    points = np.concatenate([[(0.0, 0.0)], rings.reshape(-1, 2)])
+    return build_complex(2, points, Delaunay(points).simplices)
+
+
+GRADED = graded_mesh()
+
+
+def centroid_balls(cx, k):
+    """Centroids of the k-simplices and the distances to their farthest vertices."""
+    coords = cx.coords_of(k, slice(None))
+    centroid = coords.mean(axis=1)
+    return centroid, np.sqrt(((coords - centroid[:, None, :]) ** 2).sum(-1)).max(axis=1)
+
+
+def brute_force_members(points, centers, radii):
+    """Oracle: every (ball, point) pair with sum((p - c)**2) <= r**2, by all distances."""
+    balls, members = [], []
+    for start in range(0, len(centers), 1024):
+        rows = slice(start, start + 1024)
+        d2 = sum((points[:, j] - centers[rows, j, None]) ** 2 for j in range(points.shape[1]))
+        ball, point = np.nonzero(d2 <= radii[rows, None] ** 2)
+        balls.append(ball + start)
+        members.append(point)
+    return np.concatenate(balls), np.concatenate(members)
+
+
+def kernel_pairs(points, centers, radii):
+    """``_ball_members``' pairs joined over its slices, which must cover the balls in order."""
+    got = list(_ball_members(points, centers, radii))
+    stops = [rows.stop for rows, _, _ in got]
+    assert [rows.start for rows, _, _ in got] == [0, *stops[:-1]] and stops[-1] == len(centers)
+    return np.concatenate([b for _, b, _ in got]), np.concatenate([p for _, _, p in got])
+
+
+def assert_same_pairs(got, want):
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_graded_mesh_spans_256x_and_8_size_classes():
+    diam = geometry.diameter(GRADED.coords_of(2, slice(None)))
+    assert diam.max() >= 256 * diam.min()
+    _, radius = centroid_balls(GRADED, 2)
+    assert len(np.unique(np.frexp(radius)[1])) >= 8
+
+
 @pytest.mark.parametrize("cx", [
     generate(FamilySpec("corner", 5)),
     *[jitter_interior(generate(FamilySpec("pentagon_wheel", 3, n_gon=g)), 0.14, seed=s)
-      for g, s in ((6, 1), (7, 2), (8, 3))]], ids=["corner", "wheel6", "wheel7", "wheel8"])
-def test_busy_balls_are_the_ones_query_ball_point_counts(cx):
-    # every ball of every degree, around the cells' centroids at the audit's
-    # radii, then at radii through a vertex: a tie at the radius counts in
-    from scipy.spatial import cKDTree
-    tree = cKDTree(cx.vertices)
-    for k in range(1, 3):
-        coords = cx.coords_of(k, slice(None))
-        centroid = coords.mean(axis=1)
-        radius = np.sqrt(((coords - centroid[:, None, :]) ** 2).sum(-1)).max(axis=1)
+      for g, s in ((6, 1), (7, 2), (8, 3))],
+    generate(FamilySpec("cube_kuhn", 2)),
+    GRADED], ids=["corner", "wheel6", "wheel7", "wheel8", "cube", "graded"])
+def test_ball_members_are_the_brute_force_pairs(cx):
+    # every ball of every degree, around the simplices' centroids: at the
+    # audit's radius, the bare radius and a radius through a vertex, where a
+    # tie at the radius counts in
+    ties = 0
+    for k in range(1, cx.dim + 1):
+        centroid, radius = centroid_balls(cx, k)
         through = np.linalg.norm(cx.vertices[(np.arange(cx.num(k)) * 7) % cx.num(0)]
                                  - centroid, axis=1)
         for radii in (radius + 1e-9, radius, through):
-            for count in (k + 2, k + 3):
-                want = np.flatnonzero(
-                    tree.query_ball_point(centroid, radii, return_length=True) >= count)
-                assert np.array_equal(_busy_balls(tree, centroid, radii, count), want)
+            assert_same_pairs(kernel_pairs(cx.vertices, centroid, radii),
+                              brute_force_members(cx.vertices, centroid, radii))
+        ball, point = brute_force_members(cx.vertices, centroid, through)
+        d2 = sum((cx.vertices[point, j] - centroid[ball, j]) ** 2 for j in range(cx.dim))
+        ties += int(np.count_nonzero(d2 == through[ball] ** 2))
+    assert ties > 0
+
+
+def test_ball_members_come_in_blocks_of_bounded_candidates(monkeypatch):
+    # blocks of 9 * 9 nodes hold about 9 candidate pairs, a few balls each
+    cx = generate(FamilySpec("corner", 3))
+    centroid, radius = centroid_balls(cx, 2)
+    monkeypatch.setattr(geometry, "BLOCK_NODES", 81)
+    got = list(_ball_members(cx.vertices, centroid, radius + 1e-9))
+    assert len(got) > cx.num(2) // 9
+    assert all(len(ball) <= 3 * 9 for _, ball, _ in got)
+    assert_same_pairs(kernel_pairs(cx.vertices, centroid, radius + 1e-9),
+                      brute_force_members(cx.vertices, centroid, radius + 1e-9))
+
+
+def test_ball_members_over_an_extent_too_wide_for_packed_keys(monkeypatch, rng):
+    # small balls over 1e12: their buckets would need keys of 2**80, so they
+    # are looked up by rows; the large balls' class keeps packed keys
+    points = np.concatenate([rng.uniform(0, 1e12, (300, 2)), rng.uniform(0, 3, (300, 2))])
+    centers = points[::3] + rng.uniform(-1, 1, (200, 2))
+    radii = np.where(np.arange(200) % 2, rng.uniform(0.5, 2, 200), rng.uniform(1e11, 3e11, 200))
+    lookups = []
+    row_lookup = complex_module._row_lookup
+    monkeypatch.setattr(complex_module, "_row_lookup",
+                        lambda table, rows: lookups.append(len(rows)) or row_lookup(table, rows))
+    assert_same_pairs(kernel_pairs(points, centers, radii),
+                      brute_force_members(points, centers, radii))
+    assert lookups
+
+
+@settings(max_examples=30, deadline=None)
+@given(cx=st.one_of(jittered_wheels, st.just(GRADED)), data=st.data())
+def test_an_overlay_is_named_by_the_first_cell_it_lands_in(cx, data):
+    cells = cx.simplices[2]
+    build_complex(2, cx.vertices, cells)
+    chosen = data.draw(st.lists(st.integers(0, len(cells) - 1), min_size=3, max_size=3,
+                                unique=True), label="cells")
+    weights = np.array(data.draw(st.lists(st.floats(0.2, 1.0), min_size=9, max_size=9),
+                                 label="weights")).reshape(3, 3)
+    weights /= weights.sum(axis=1, keepdims=True)
+    corners = np.einsum("ck,ckd->cd", weights, cx.coords_of(2, chosen))
+    edge = corners[1:] - corners[0]
+    area = abs(edge[0, 0] * edge[1, 1] - edge[0, 1] * edge[1, 0])
+    assume(area > 1e-6 * geometry.diameter(corners[None])[0] ** 2)
+    nv = cx.num(0)
+    first = int(np.argmin(chosen))
+    with pytest.raises(NonConformingError) as info:
+        build_complex(2, np.concatenate([cx.vertices, corners]),
+                      np.concatenate([cells, [(nv, nv + 1, nv + 2)]]))
+    assert str(info.value) == (f"vertex {nv + first} lies inside cell "
+                               f"{ids(cells[chosen[first]])}: non-conforming intersection")
 
 
 def test_vertex_index_out_of_range():

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -128,6 +130,22 @@ def test_roundtrip_1d(tmp_path):
     back = meshio.load(p)
     assert np.array_equal(back.vertices, cx.vertices)
     assert np.array_equal(back.simplices[1], cx.simplices[1])
+
+
+def test_solving_on_a_mesh_file_imports_no_scipy_spatial():
+    # a fresh interpreter, as a user's dec-lab process is: scipy.sparse is the
+    # only scipy package the conformity audit and the solve need
+    script = ("import sys\n"
+              "from declab import cli\n"
+              "assert cli.main(['solve', '--mesh', sys.argv[1], '--problem', 'trig2d']) == 0\n"
+              "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.run([sys.executable, "-c", script, FIXTURE], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 def test_shipped_fixture_matches_generator():

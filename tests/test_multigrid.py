@@ -1,6 +1,7 @@
 """The V-cycle that preconditions CG: geometric levels across a study's
 refinement hierarchy, algebraic ones below any level too large for a dense inverse."""
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,11 +168,26 @@ def test_aggregation_prolongation_is_deterministic():
     assert np.array_equal(p.data.view(np.int64), q.data.view(np.int64))
 
 
-def test_a_diagonal_operator_is_left_to_its_dense_inverse():
+def test_a_diagonal_operator_is_solved_by_its_diagonal():
     # no row has a neighbour, so aggregation cannot coarsen it
     a = sp.diags(np.arange(1.0, DENSE_CUTOFF + 1)).tocsr()
     b = np.ones(a.shape[0])
     assert pcg(a, b, 1e-12, 10, v_cycle(a, ()))[1] == 1
+
+
+def test_a_large_diagonal_operator_takes_no_dense_inverse(rng):
+    # a dense inverse of 3,000 rows would hold two 72 MB matrices
+    d = rng.uniform(1.0, 2.0, 3000)
+    r = rng.standard_normal(3000)
+    a = sp.diags(d).tocsr()
+    tracemalloc.start()
+    try:
+        z = v_cycle(a, ())(r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(z, r / d)
+    assert peak < 1 << 20
 
 
 def test_spd_inverse_is_exact_and_symmetric(rng):
