@@ -107,8 +107,6 @@ class SimplicialComplex:
         # coarse k-simplex s (generators.refine), None otherwise; a user done
         # with it may let it go
         self.children = children
-        self._boundary: dict[int, sp.csr_matrix] = {}
-        self._cofaces: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._boundary_masks: list[np.ndarray] | None = None
         self.boundary_labels: dict[tuple, str] = {}
         # read-only, so a complex on moved vertices can share the lattice
@@ -133,17 +131,13 @@ class SimplicialComplex:
 
     def cofaces(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """CSR-style (indptr, coface_indices) of (k+1)-cofaces per k-simplex."""
-        if k not in self._cofaces:
-            if k >= self.dim:
-                raise ValueError("no cofaces above top dimension")
-            f = self.faces[k + 1]  # (N_{k+1}, k+2)
-            src = f.ravel()
-            cof = np.repeat(np.arange(len(f), dtype=np.int64), f.shape[1])
-            order = np.argsort(src, kind="stable")
-            src, cof = src[order], cof[order]
-            indptr = np.searchsorted(src, np.arange(self.num(k) + 1))
-            self._cofaces[k] = (indptr, cof)
-        return self._cofaces[k]
+        if k >= self.dim:
+            raise ValueError("no cofaces above top dimension")
+        f = self.faces[k + 1]  # (N_{k+1}, k+2)
+        src = f.ravel()
+        cof = np.repeat(np.arange(len(f), dtype=np.int64), f.shape[1])
+        order = np.argsort(src, kind="stable")
+        return np.searchsorted(src[order], np.arange(self.num(k) + 1)), cof[order]
 
     # -- boundary operator --------------------------------------------------
 
@@ -151,16 +145,13 @@ class SimplicialComplex:
         """Signed incidence C_k -> C_{k-1}: entry (face, cell) in {-1, 0, +1}."""
         if not 1 <= k <= self.dim:
             raise ValueError(f"boundary_matrix defined for 1 <= k <= {self.dim}, got {k}")
-        if k not in self._boundary:
-            nk, kp1 = self.simplices[k].shape
-            cells = np.repeat(np.arange(nk, dtype=np.int64), kp1)
-            fidx = self.faces[k].ravel()
-            alt = np.tile(np.array([(-1) ** i for i in range(kp1)], dtype=np.int64), nk)
-            vals = alt * np.repeat(self.orientation[k], kp1) * self.orientation[k - 1][fidx]
-            mat = sp.coo_matrix((vals, (fidx, cells)),
-                                shape=(self.num(k - 1), nk), dtype=np.int64)
-            self._boundary[k] = mat.tocsr()
-        return self._boundary[k]
+        nk, kp1 = self.simplices[k].shape
+        cells = np.repeat(np.arange(nk, dtype=np.int64), kp1)
+        fidx = self.faces[k].ravel()
+        alt = np.tile(np.array([(-1) ** i for i in range(kp1)], dtype=np.int64), nk)
+        vals = alt * np.repeat(self.orientation[k], kp1) * self.orientation[k - 1][fidx]
+        return sp.coo_matrix((vals, (fidx, cells)),
+                             shape=(self.num(k - 1), nk), dtype=np.int64).tocsr()
 
     # -- boundary of the underlying polytope ----------------------------------
 
@@ -326,8 +317,8 @@ def _audit_conformity(cx: SimplicialComplex) -> None:
     # h is the longest edge, and the same squares find an edge within tol
     length2 = np.empty(len(edges))
     for rows in geometry.row_blocks(len(edges), 2):
-        length2[rows] = _squared_norms(np.take(verts, edges[rows, 1], axis=0)
-                                       - np.take(verts, edges[rows, 0], axis=0))
+        length2[rows] = geometry.squared_norms(np.take(verts, edges[rows, 1], axis=0)
+                                               - np.take(verts, edges[rows, 0], axis=0))
     h = math.sqrt(float(length2.max()))
     tol = 1e-9 * max(h, 1e-300)
     short = np.flatnonzero(length2 <= tol * tol)
@@ -355,7 +346,7 @@ def _audit_conformity(cx: SimplicialComplex) -> None:
         if not len(ball):
             continue
         corners = np.take(verts, own, axis=0)
-        near = _squared_norms(corners - verts[point][:, None, :]) <= tol * tol
+        near = geometry.squared_norms(corners - verts[point][:, None, :]) <= tol * tol
         if near.any():
             k, i = np.nonzero(near)
             lo, hi = np.minimum(own[k, i], point[k]), np.maximum(own[k, i], point[k])
@@ -388,17 +379,8 @@ def _centroid_ball(coords: np.ndarray, center: np.ndarray, radius: np.ndarray) -
     center /= coords.shape[1]
     radius[:] = 0.0
     for i in range(coords.shape[1]):
-        np.maximum(radius, _squared_norms(coords[:, i] - center), out=radius)
+        np.maximum(radius, geometry.squared_norms(coords[:, i] - center), out=radius)
     np.sqrt(radius, out=radius)
-
-
-def _squared_norms(d: np.ndarray) -> np.ndarray:
-    """sum(d**2, axis=-1), one coordinate after another: a reduction over so
-    short an axis is several times slower."""
-    out = d[..., 0] ** 2
-    for j in range(1, d.shape[-1]):
-        out += d[..., j] ** 2
-    return out
 
 
 def _ball_members(points: np.ndarray, centers: np.ndarray, radii: np.ndarray):
@@ -497,8 +479,8 @@ def _ball_members(points: np.ndarray, centers: np.ndarray, radii: np.ndarray):
             at += np.arange(len(at))
             point = perm[at]
             del at
-            d2 = _squared_norms(np.take(points, point, axis=0)
-                                - np.repeat(ctr[a:b], count[a:b], axis=0))
+            d2 = geometry.squared_norms(np.take(points, point, axis=0)
+                                        - np.repeat(ctr[a:b], count[a:b], axis=0))
             keep = d2 <= np.repeat(radii[chunk][a:b] ** 2, count[a:b])
             del d2
             ball = np.repeat(np.arange(a, b), count[a:b])[keep]

@@ -64,7 +64,6 @@ from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import geometry
 from .complex import SimplicialComplex
@@ -98,20 +97,6 @@ class DualComplex:
                 arr.setflags(write=False)
             self._flags[k] = arrays
         return self._flags[k]
-
-    def dual_boundary_matrix(self, k: int) -> sp.csr_matrix:
-        """Boundary of dual cells: C_{n-k}(dual) -> C_{n-k-1}(dual).
-
-        Maps the dual of each k-simplex onto the duals of its (k+1)-cofaces,
-        each coface reoriented so its induced orientation on the base agrees
-        with the base's own, times the parity factor (-1)^(k+1) that makes the
-        dual-cell boundary compatible with integration by parts.
-        """
-        n = self.complex.dim
-        if not 0 <= k <= n - 1:
-            raise ValueError(f"dual boundary defined for 0 <= k <= {n - 1}, got {k}")
-        sign = -1 if (k + 1) % 2 else 1
-        return (sign * self.complex.boundary_matrix(k + 1).T).tocsr()
 
     def hodge_ratios(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(numerator, denominator) = (|dual t|, |t|) per k-simplex."""
@@ -179,8 +164,7 @@ def build_dual(cx: SimplicialComplex, coarse: CenterRecord | None = None) -> Dua
         for rows in geometry.row_blocks(cx.num(k + 1), k + 2):
             pairs = slice(rows.start * (k + 2), rows.stop * (k + 2))
             u = np.repeat(centers[k + 1][rows], k + 2, axis=0) - centers[k][t[pairs]]
-            # np.linalg.norm's sums, column by column, faster
-            norm = np.sqrt(sum(c * c for c in u.T))
+            norm = np.sqrt(geometry.squared_norms(u))
             steps[pairs] = (np.where(inside[k + 1][rows].ravel(), norm, -norm)
                             * np.repeat(volumes[k + 1][rows], k + 2))
         volumes[k] = np.bincount(t, weights=steps, minlength=cx.num(k)) / (n - k)

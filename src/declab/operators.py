@@ -5,6 +5,10 @@ their dual cells.  Diagonal operators keep separate numerator/denominator
 factors so that compositions like the double Hodge star reduce to exact
 signed identities instead of accumulating rounding from reciprocals.
 
+The sparse d, codifferential and Laplacians are the tests' reference; no
+runtime path composes them.  The solver and the Laplace probe take d_0 and
+d_0^T on the edge list (``edge_differences``, ``edge_sums``).
+
 Sign conventions (pinned by the adjointness and worked-example tests):
 
 * primal d_k = transpose of the signed boundary incidence of (k+1)-cells;
@@ -63,8 +67,6 @@ class LinearOperator:
                 raise TagMismatchError(f"operator domain {self.domain}, cochain {x.tag}")
             return Cochain(self.codomain[0], self.codomain[1], self._matvec(x.values))
         return self._matvec(np.asarray(x, dtype=float))
-
-    __call__ = apply
 
     def _matvec(self, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -165,8 +167,7 @@ def exterior_derivative(dual: DualComplex, k: int, side: str = "primal") -> Spar
         raise TagMismatchError(f"side must be primal|dual, got {side!r}")
     if not 0 <= k <= n - 1:
         raise ValueError(f"dual derivative defined for 0 <= k <= {n - 1}")
-    base = n - k - 1  # output cochains indexed by base-dimension simplices
-    mat = dual.dual_boundary_matrix(base).T.tocsr()
+    mat = ((-1) ** (n - k) * cx.boundary_matrix(n - k)).tocsr()
     return SparseOperator(mat, (k, "dual"), (k + 1, "dual"))
 
 
@@ -272,3 +273,13 @@ def edge_differences(cx: SimplicialComplex, values: np.ndarray) -> np.ndarray:
     tail *= o
     d -= tail
     return d
+
+
+def edge_sums(cx: SimplicialComplex, values: np.ndarray) -> np.ndarray:
+    """d_0^T of edge ``values`` g, ``cx.boundary_matrix(1) @ g`` by one ``bincount``
+    over the edge ends: -o_e g[e] at e0 and o_e g[e] at e1.  Each vertex sums its
+    terms in edge order from zero, as the CSR product does, so the two agree bit
+    for bit."""
+    og = cx.orientation[1] * values
+    return np.bincount(cx.simplices[1].ravel(), weights=np.column_stack([-og, og]).ravel(),
+                       minlength=cx.num(0))

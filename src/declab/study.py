@@ -185,8 +185,7 @@ def run_convergence_study(spec: FamilySpec, problem: str | ProblemBundle,
             seconds = 0.0 if deterministic else time.monotonic() - t0
             row = {"level": len(report.rows), "h": max_h(cx), "err_max": err.max,
                    "err_h1": err.h1, "err_l2": err.l2, "iters": sol.iterations,
-                   "seconds": seconds, "stability": sol.stability_constant,
-                   "energy": sol.energy}
+                   "seconds": seconds, "stability": sol.stability_constant}
             del cx, dual  # the next level's refinement and dual need neither
             _append_row(report, row)
             t0 = time.monotonic()

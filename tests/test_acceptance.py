@@ -100,7 +100,7 @@ def test_criterion_02_dual_boundary_sign_pinning(worked_triangle):
     chain, sign = dual.flags(0)
     mine = chain[:, 0] == 0
     assert dict(zip(chain[mine, 1].tolist(), sign[mine].tolist())) == {e01: 1, e02: -1}
-    m = dual.dual_boundary_matrix(0).toarray()
+    m = exterior_derivative(dual, 1, "dual").as_matrix().T.toarray()
     assert m[e01, 0] == 1 and m[e02, 0] == 1
     legacy = -m  # the convention without the extra parity factor
     assert legacy[e01, 0] == -1 and legacy[e02, 0] == -1

@@ -12,6 +12,7 @@ from declab.complex import build_complex
 from declab.dualmesh import DualComplex, build_dual
 from declab.errors import DegenerateSimplexError, InvertedCellError, WellCenteredError
 from declab.generators import FamilySpec, generate, jitter_interior, refine
+from declab.operators import exterior_derivative
 from declab.study import walk_levels
 from strategies import jittered_wheels
 
@@ -60,7 +61,7 @@ def test_dual_boundary_signs_vs_legacy_convention(worked_triangle):
     cx, dual = worked_triangle
     e01 = int(cx.index_of(1, [(0, 1)])[0])
     e02 = int(cx.index_of(1, [(0, 2)])[0])
-    m = dual.dual_boundary_matrix(0).toarray()
+    m = exterior_derivative(dual, 1, "dual").as_matrix().T.toarray()
     legacy = -m  # (-1)^k instead of (-1)^(k+1) at k = 0
     col = m[:, 0]
     assert col[e01] == 1 and col[e02] == 1
@@ -102,7 +103,7 @@ def test_dual_boundary_matches_signed_transpose():
     cx = generate(FamilySpec("pentagon_wheel", level=2))
     dual = build_dual(cx)
     for k in range(cx.dim):
-        got = dual.dual_boundary_matrix(k)
+        got = exterior_derivative(dual, cx.dim - k - 1, "dual").as_matrix().T
         want = ((-1) ** (k + 1)) * cx.boundary_matrix(k + 1).T
         assert (got - want).nnz == 0
 
@@ -111,7 +112,8 @@ def test_dual_boundary_composes_to_zero():
     cx = generate(FamilySpec("cube_kuhn", level=0))
     dual = build_dual(cx)
     for k in range(cx.dim - 1):
-        prod = dual.dual_boundary_matrix(k + 1) @ dual.dual_boundary_matrix(k)
+        prod = (exterior_derivative(dual, cx.dim - k - 2, "dual").as_matrix().T
+                @ exterior_derivative(dual, cx.dim - k - 1, "dual").as_matrix().T)
         assert prod.nnz == 0 or not prod.toarray().any()
 
 
@@ -124,7 +126,7 @@ def test_line_mesh_duals(line_mesh):
     # hand enumeration: the vertex dual [0.5, 1.5] is oriented rightward, so
     # its boundary is (dual point of [1,2]) - (dual point of [0,1]), i.e.
     # (-1) times the difference of incident dual points in edge order
-    col = dual.dual_boundary_matrix(0).toarray()[:, 1]
+    col = exterior_derivative(dual, 0, "dual").as_matrix().T.toarray()[:, 1]
     assert col.tolist() == [-1, 1]
 
 

@@ -14,7 +14,7 @@ from declab.errors import TrivialProblemError, WellCenteredError
 from declab.fields import (FormField, consistency_probe, derham_dual, derham_images,
                            derham_primal, hodge_field, laplace_consistency_probe)
 from declab.generators import FamilySpec, generate, jitter_interior
-from declab.operators import Cochain, discrete_l2, exterior_derivative, hodge_star
+from declab.operators import Cochain, discrete_l2, exterior_derivative, hodge_star, laplace
 from declab.problems import get_problem
 from declab.quadrature import simplex_rule
 from declab.solve import stiffness_matrix
@@ -407,6 +407,27 @@ def test_laplace_probe_identity_gap(pentagon2d):
     rec = laplace_consistency_probe(b, cx, dual, derham_images([b.u, b.f], cx, dual))
     assert rec.identity_gap <= 1e-8
     assert rec.total_max > 0
+
+
+@pytest.mark.parametrize("family, level, problem, jitter", [
+    ("pentagon_wheel", 5, "trig2d", None), ("corner", 5, "trig2d", None),
+    ("cube_kuhn", 3, "trig3d", None), ("hexagon", 4, "trig2d", 0.14)])
+def test_laplace_probe_is_the_sparse_laplacian(family, level, problem, jitter):
+    # with the sparse Delta_h R_h u in place of R_h f, the probe's total is
+    # the gap between its edge kernel and the sparse operator algebra; R_h u
+    # is pointwise, so a low quadrature degree serves
+    if family == "hexagon":
+        cx = jitter_interior(generate(FamilySpec("pentagon_wheel", level, n_gon=6)),
+                             amplitude=jitter, seed=100)
+    else:
+        cx = generate(FamilySpec(family, level))
+    b, dual = get_problem(problem), build_dual(cx)
+    (ru, r_star_u), (_, r_star_f) = derham_images([b.u, b.f], cx, dual, degree=2)
+    want = laplace(dual, 0).apply(ru)
+    rec = laplace_consistency_probe(b, cx, dual, [(ru, r_star_u), (want, r_star_f)],
+                                    degree=2)
+    scale = np.max(np.abs(want.values[cx.interior_vertex_indices()]))
+    assert rec.total_max <= 1e-11 * scale
 
 
 def test_laplace_probe_refuses_a_mesh_without_interior_vertices():

@@ -9,7 +9,8 @@ from declab.dualmesh import build_dual
 from declab.errors import SingularStarError, TagMismatchError
 from declab.generators import FamilySpec, generate
 from declab.operators import (Cochain, codifferential, discrete_l2,
-                              discrete_l2_dual, edge_differences, exterior_derivative,
+                              discrete_l2_dual, edge_differences, edge_sums,
+                              exterior_derivative,
                               h1_seminorm, hodge_star,
                               inner_product, laplace, max_norm)
 from strategies import jittered_wheels
@@ -297,14 +298,30 @@ def _assert_edge_differences_are_the_sparse_derivative(cx, seed):
     v = _vertex_values(cx.num(0), seed)
     want = exterior_derivative(build_dual(cx), 0).apply(Cochain(0, "primal", v)).values
     assert np.array_equal(edge_differences(cx, v).view(np.int64), want.view(np.int64))
+    # and edge_sums is the product by its transpose, the incidence matrix
+    g = _vertex_values(cx.num(1), seed + 1)
+    want = cx.boundary_matrix(1) @ g
+    assert np.array_equal(edge_sums(cx, g).view(np.int64), want.view(np.int64))
+
+
+edge_meshes = jittered_wheels | st.integers(0, 2).map(
+    lambda level: generate(FamilySpec("cube_kuhn", level)))
 
 
 @settings(deadline=None, max_examples=25)
-@given(cx=jittered_wheels | st.integers(0, 2).map(
-           lambda level: generate(FamilySpec("cube_kuhn", level))),
-       seed=st.integers(0, 2 ** 32 - 1))
+@given(cx=edge_meshes, seed=st.integers(0, 2 ** 32 - 1))
 def test_edge_differences_are_the_sparse_derivative(cx, seed):
     _assert_edge_differences_are_the_sparse_derivative(cx, seed)
+
+
+@settings(deadline=None, max_examples=25)
+@given(cx=edge_meshes, seed=st.integers(0, 2 ** 32 - 1))
+def test_edge_sums_are_the_adjoint_of_edge_differences(cx, seed):
+    # integer values keep every product and sum exact, so the pairing is too
+    rng = np.random.default_rng(seed)
+    v = rng.integers(-1000, 1000, cx.num(0)).astype(float)
+    g = rng.integers(-1000, 1000, cx.num(1)).astype(float)
+    assert np.sum(g * edge_differences(cx, v)) == np.sum(v * edge_sums(cx, g))
 
 
 def test_edge_differences_follow_a_negative_edge_orientation():
