@@ -7,8 +7,8 @@ to dual(T), so
 
     |dual t| = 1/(n-k) * sum_{T > t} s(t,T) |c(T) - c(t)| |dual T|,
 
-with |dual T| = 1 for a top cell.  ``build_dual`` runs it top-down, one
-bincount over the incidence pairs of ``faces[k+1]`` per degree.  The side sign
+with |dual T| = 1 for a top cell.  ``build_dual`` runs it top-down, summing
+over the incidence pairs of ``faces[k+1]`` per degree.  The side sign
 s(t,T) is +1 when c(T) lies on the side of t's plane that holds the vertex of
 T opposite t, else -1: the sign of c(T)'s barycentric coordinate at that
 vertex, which ``geometry.circumcenter`` returns with c(T).  On (weakly)
@@ -20,13 +20,13 @@ Both kernels of ``build_dual`` work in ``geometry.row_blocks``, blocks of
 max(1, geometry.BLOCK_NODES // w) simplices, w points per row: the
 circumcenter solve over blocks of k-simplices (w = k+1 vertices), written into
 preallocated (N_k, n) centers and (N_k, k+1) coordinates, and the step lengths
-over blocks of (k+1)-cofaces (w = k+2 faces), written into one preallocated
-array of every incidence pair.  Every quantity is per row, and the one
-bincount per degree still sums the whole array in the same order, so the
-block size changes no bit of the result; it bounds the temporaries, which
-whole arrays would size by the number of incidence pairs.  Of the
-coordinates only their signs (bool) and each row's minimum outlive a block:
-the side signs read the first, the well-centeredness gate the second.
+over blocks of (k+1)-cofaces (w = k+2 faces), which ``np.add.at`` adds into
+the (N_k,) volumes.  Every quantity is per row, and the blocks run in order,
+so every volume sums its terms in pair order from zero, as one bincount over
+all pairs would: the block size changes no bit of the result, and no array
+holds one entry per incidence pair.  Of the coordinates only their signs
+(bool) and each row's minimum outlive a block: the side signs read the first,
+the well-centeredness gate the second.
 
 Not every center is solved.  An edge's is its midpoint, with coordinates
 [1/2, 1/2].  On a mesh refined from one whose dual is at hand, red refinement
@@ -46,8 +46,9 @@ t = t_k < t_{k+1} < ... < t_n through the top cells, one elementary fragment
 per flag: the ordered circumcenter chain [c(t_k), ..., c(t_n)].  Consecutive
 chain edges are mutually orthogonal, so every fragment is an orthoscheme.
 Fragments are only needed to integrate forms over dual cells, so
-``DualComplex.flags(k)`` builds them for one k on its first call and caches
-them.  A fragment is its chain and one sign, the chain coefficient of the
+``fragments(cx, k, cells)`` builds those of one k through one range of top
+cells, and ``fields.derham_dual`` asks for them block by block and keeps
+none.  A fragment is its chain and one sign, the chain coefficient of the
 fragment in the oriented dual cell: orientation[n][top] * orientation[k][base]
 * the parity of the top cell's vertex order "base vertices, then the vertex
 each step t_j < t_{j+1} adds".  On a well-centered mesh each chain edge
@@ -61,6 +62,7 @@ through existing flags, no mirroring.
 from __future__ import annotations
 
 from functools import reduce
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -82,21 +84,7 @@ class DualComplex:
         for arr in (*circumcenters, *volumes, *(record.inside[2:] + record.lam_min[2:]
                                                 if record else ())):
             arr.setflags(write=False)
-        self._flags: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._primal_volumes: dict[int, np.ndarray] = {}
-
-    def flags(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The fragments of the k-simplex duals: chain (M, n-k+1) int32, sign
-        (M,) int8 of +-1.
-
-        Built for this k alone on the first call, then cached.
-        """
-        if k not in self._flags:
-            arrays = _fragments(self.complex, k)
-            for arr in arrays:
-                arr.setflags(write=False)
-            self._flags[k] = arrays
-        return self._flags[k]
 
     def hodge_ratios(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(numerator, denominator) = (|dual t|, |t|) per k-simplex."""
@@ -152,36 +140,40 @@ def build_dual(cx: SimplicialComplex, coarse: CenterRecord | None = None) -> Dua
     # |dual t| = 1/(n-k) * sum over cofaces T of s(t,T) |c(T) - c(t)| |dual T|
     volumes: list[np.ndarray] = [None] * n + [np.ones(cx.num(n))]  # type: ignore[list-item]
     for k in range(n - 1, -1, -1):
-        if lam_min[k + 1].min() < -geometry.WELL_CENTERED_TOL:
+        # an edge's coordinates are [1/2, 1/2]: it passes the gate, and every
+        # side sign of a vertex is +1
+        if k > 0 and lam_min[k + 1].min() < -geometry.WELL_CENTERED_TOL:
             i = int(np.argmin(lam_min[k + 1]))
             raise WellCenteredError(
                 f"complex is not well-centered: circumcenter of {k + 1}-simplex "
                 f"{ids(cx.simplices[k + 1][i])} lies outside it")
-        # pair T*(k+2) + i joins T to its face t = faces[k+1][T, i], which drops
+        # pair (T, i) joins T to its face t = faces[k+1][T, i], which drops
         # vertex i of T; s(t,T) is the sign of lam[T, i], 0 counting as +1
-        t = cx.faces[k + 1].ravel()
-        steps = np.empty(len(t))
+        volumes[k] = np.zeros(cx.num(k))
         for rows in geometry.row_blocks(cx.num(k + 1), k + 2):
-            pairs = slice(rows.start * (k + 2), rows.stop * (k + 2))
-            u = np.repeat(centers[k + 1][rows], k + 2, axis=0) - centers[k][t[pairs]]
-            norm = np.sqrt(geometry.squared_norms(u))
-            steps[pairs] = (np.where(inside[k + 1][rows].ravel(), norm, -norm)
-                            * np.repeat(volumes[k + 1][rows], k + 2))
-        volumes[k] = np.bincount(t, weights=steps, minlength=cx.num(k)) / (n - k)
+            t = cx.faces[k + 1][rows].ravel()
+            step = np.sqrt(geometry.squared_norms(
+                np.repeat(centers[k + 1][rows], k + 2, axis=0) - centers[k][t]))
+            if k > 0:
+                step = np.where(inside[k + 1][rows].ravel(), step, -step)
+            step *= np.repeat(volumes[k + 1][rows], k + 2)
+            np.add.at(volumes[k], t, step)
+        volumes[k] /= n - k
     # edges and vertices carry nothing: their centers are midpoints and vertices
     record = CenterRecord(*([None, None] + x[2:] for x in (centers, inside, lam_min)))
     return DualComplex(cx, centers, volumes, record)
 
 
 def _circumcenters(cx: SimplicialComplex, k: int, coarse: CenterRecord | None):
-    """(centers, coordinate signs, row minima) of the k-simplices, k >= 1.
+    """(centers, coordinate signs, row minima) of the k-simplices, k >= 1;
+    the edges' signs and minima are None, as they are all True and 1/2.
 
     Only lam's signs (a NaN counts as negative) and row minima outlive a
     block, and every temporary dies on return, before the step lengths.
     """
     n = cx.dim
     m = cx.num(k)
-    centers, inside, lam_min = np.empty((m, n)), np.empty((m, k + 1), dtype=bool), np.empty(m)
+    centers = np.empty((m, n))
     if k == 1:
         # an edge's center is its midpoint, rounded once as refine places the
         # fine vertices, and lam = [0.5, 0.5]: nothing to solve, and nothing
@@ -190,8 +182,8 @@ def _circumcenters(cx: SimplicialComplex, k: int, coarse: CenterRecord | None):
         for rows in geometry.row_blocks(m, 2):
             ends = cx.coords_of(1, rows)
             centers[rows] = 0.5 * (ends[:, 0] + ends[:, 1])
-        inside[:], lam_min[:] = True, 0.5
-        return centers, inside, lam_min
+        return centers, None, None
+    inside, lam_min = np.empty((m, k + 1), dtype=bool), np.empty(m)
     todo = None  # the rows to solve, all when None
     if coarse is not None and k in _CARRIED:
         kids = cx.children[k][:, :len(_CARRIED[k])]
@@ -220,24 +212,29 @@ def _circumcenters(cx: SimplicialComplex, k: int, coarse: CenterRecord | None):
     return centers, inside, lam_min
 
 
-def _fragments(cx: SimplicialComplex, k: int):
-    """Every flag t_k < ... < t_n of the k-simplex duals: (chain, sign).
+def fragments(cx: SimplicialComplex, k: int, cells: slice = slice(None)):
+    """The fragments of the k-simplex duals through the top cells ``cells``:
+    chain (M, n-k+1) int32, the flag t_k < ... < t_n, and sign (M,) int8 of
+    +-1, its coefficient in the oriented dual of t_k.
 
-    One walk down from the top cells: drop[:, c] is the position, among the
-    sorted vertices of chain[:, c+1], of the vertex its face chain[:, c] drops.
+    Each top cell has (n+1)!/(k+1)! flags, and they come top cell by top
+    cell, so consecutive ranges of top cells give consecutive runs of the
+    whole table.  One walk down from the top cells, each step t_{j-1} < t_j
+    dropping each position i = 0..j of t_j's sorted vertices in turn.
     """
     n = cx.dim
-    chain = np.arange(cx.num(n), dtype=np.int32)[:, None]
-    drop = np.empty((cx.num(n), 0), dtype=np.int8)
+    top = np.arange(cx.num(n), dtype=np.int32)[cells]
+    chain = top[:, None]
     for j in range(n, k, -1):
         f = cx.faces[j][chain[:, 0]]           # (m, j+1) faces of the bottom simplex
         chain = np.hstack([f.reshape(-1, 1), np.repeat(chain, j + 1, axis=0)])
-        drop = np.hstack([np.tile(np.arange(j + 1, dtype=np.int8), len(f))[:, None],
-                          np.repeat(drop, j + 1, axis=0)])
-    # moving the vertex dropped at position i of t_j to the back takes j - i
-    # swaps; every count here is at most n(n+1)/2, so int8 holds it
-    swaps = (np.arange(k + 1, n + 1, dtype=np.int8) - drop).sum(axis=1, dtype=np.int8)
-    sign = 1 - 2 * (swaps % 2)
+    # every top cell repeats one pattern of dropped positions, the last
+    # step's fastest; moving the vertex at position i of t_j to the back
+    # takes j - i swaps
+    steps = range(n, k, -1)
+    parity = np.array([1 - 2 * (sum(j - i for j, i in zip(steps, drops)) % 2)
+                       for drops in product(*(range(j + 1) for j in steps))], dtype=np.int8)
+    sign = np.tile(parity, len(top))
     sign *= cx.orientation[n][chain[:, -1]]
     sign *= cx.orientation[k][chain[:, 0]]
     return chain, sign

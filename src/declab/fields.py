@@ -21,7 +21,7 @@ import numpy as np
 
 from . import geometry
 from .complex import SimplicialComplex
-from .dualmesh import DualComplex
+from .dualmesh import DualComplex, fragments
 from .errors import TrivialProblemError
 from .operators import (Cochain, discrete_l2, edge_differences, edge_sums, hodge_star,
                         max_norm)
@@ -110,7 +110,8 @@ def _integrate(fields: Sequence[FormField], tables, index: np.ndarray,
     alone, not a BLAS matrix-vector product, whose rounding of a row depends
     on where it falls in the kernel's groups and thread split; so the result
     depends neither on the block size, nor on the BLAS thread count, nor on
-    which other fields share the pass.
+    which other fields share the pass.  ``derham_dual`` hands it the
+    fragments of one block of top cells at a time, which fit one block here.
     """
     k = fields[0].degree
     rule = simplex_rule(k, degree)
@@ -166,18 +167,30 @@ def derham_dual(fields: Sequence[FormField], dual: DualComplex,
     Fragments enter with their chain orientation coefficients, so each result
     is the integral over the coherently oriented dual cell.  The fields share
     one pass over the fragments, as in ``derham_primal``.
+
+    The top cells go in ``geometry.row_blocks`` of max(1, BLOCK_NODES // (F Q))
+    for F = (n+1)!/(k+1)! fragments per top cell and a rule of Q nodes: each
+    block builds its own fragments (``dualmesh.fragments``), integrates them
+    and adds the signed integrals into the cochains with ``np.add.at``.  The
+    blocks run in order, so each cell sums its fragments in table order from
+    zero, as one bincount over the whole table would; no fragment table and
+    no per-fragment value outlives its block.
     """
     cx = dual.complex
     n = cx.dim
     k = n - _check_fields(fields, n)
     if not 0 <= k <= n:
         raise ValueError("field degree exceeds complex dimension")
-    chain, sign = dual.flags(k)
-    integ = _integrate(fields, dual.circumcenters[k:], chain, degree)
-    integ *= sign
-    return [Cochain(n - k, "dual",
-                    np.bincount(chain[:, 0], weights=values, minlength=cx.num(k)))
-            for values in integ]
+    width = (math.factorial(n + 1) // math.factorial(k + 1)
+             * len(simplex_rule(n - k, degree).weights))
+    out = [np.zeros(cx.num(k)) for _ in fields]
+    for cells in geometry.row_blocks(cx.num(n), width):
+        chain, sign = fragments(cx, k, cells)
+        integ = _integrate(fields, dual.circumcenters[k:], chain, degree)
+        integ *= sign
+        for values, block in zip(out, integ):
+            np.add.at(values, chain[:, 0], block)
+    return [Cochain(n - k, "dual", values) for values in out]
 
 
 def derham_images(fields: Sequence[FormField], cx: SimplicialComplex, dual: DualComplex,

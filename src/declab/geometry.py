@@ -22,10 +22,11 @@ CIRCUMCENTER_COND_MAX = 1e12
 # is on its simplex's boundary (weakly well-centered); below -tol it is outside.
 WELL_CENTERED_TOL = 1e-12
 # Points per block of the row-blocked kernels (fields._integrate's quadrature
-# nodes; the simplex vertices of dualmesh.build_dual, DualComplex.hodge_ratios,
-# SimplicialComplex.shape_report, complex.cell_orientation and the conformity
-# audit), see row_blocks.
-BLOCK_NODES = 1 << 18
+# nodes and fields.derham_dual's fragment nodes; the simplex vertices of
+# dualmesh.build_dual, DualComplex.hodge_ratios, SimplicialComplex.shape_report,
+# complex.cell_orientation and the conformity audit), see row_blocks.  A field
+# evaluation holds about ten float64 temporaries per node, 0.5 MB each here.
+BLOCK_NODES = 1 << 16
 
 
 def row_blocks(m: int, width: int):

@@ -12,7 +12,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from declab.dualmesh import build_dual
+from declab.dualmesh import build_dual, fragments
 from declab.errors import SingularStarError
 from declab.fields import derham_images, laplace_consistency_probe
 from declab.generators import FamilySpec, generate
@@ -97,7 +97,7 @@ def test_criterion_02_dual_boundary_sign_pinning(worked_triangle):
     cx, dual = worked_triangle
     e01 = int(cx.index_of(1, [(0, 1)])[0])
     e02 = int(cx.index_of(1, [(0, 2)])[0])
-    chain, sign = dual.flags(0)
+    chain, sign = fragments(cx, 0)
     mine = chain[:, 0] == 0
     assert dict(zip(chain[mine, 1].tolist(), sign[mine].tolist())) == {e01: 1, e02: -1}
     m = exterior_derivative(dual, 1, "dual").as_matrix().T.toarray()

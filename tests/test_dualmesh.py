@@ -7,9 +7,9 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from declab import dualmesh, geometry, meshio
+from declab import geometry, meshio
 from declab.complex import build_complex
-from declab.dualmesh import DualComplex, build_dual
+from declab.dualmesh import DualComplex, build_dual, fragments
 from declab.errors import DegenerateSimplexError, InvertedCellError, WellCenteredError
 from declab.generators import FamilySpec, generate, jitter_interior, refine
 from declab.operators import exterior_derivative
@@ -24,10 +24,10 @@ def shoelace(poly):
 
 
 def fragment_volumes(dual, k):
-    """Oracle: the volume of each fragment of ``dual.flags(k)``.  Its chain
+    """Oracle: the volume of each fragment of ``fragments(dual.complex, k)``.  Its chain
     edges are mutually orthogonal, so the orthoscheme's volume is the product
     of their lengths, read off ``dual.circumcenters``, over (n-k)!."""
-    chain, _ = dual.flags(k)
+    chain, _ = fragments(dual.complex, k)
     vol = np.ones(len(chain))
     for j in range(chain.shape[1] - 1):
         step = (dual.circumcenters[k + j + 1][chain[:, j + 1]]
@@ -38,7 +38,7 @@ def fragment_volumes(dual, k):
 
 def fragments_of(dual, k, index):
     """(chain, sign, volume) of the fragments of the dual of k-simplex ``index``."""
-    chain, sign = dual.flags(k)
+    chain, sign = fragments(dual.complex, k)
     vol = fragment_volumes(dual, k)
     mine = chain[:, 0] == index
     return chain[mine], sign[mine], vol[mine]
@@ -165,7 +165,7 @@ def test_fragment_edges_orthogonal_to_base_plane():
         dual = build_dual(cx)
         n = cx.dim
         for k in range(1, n):
-            chain, _ = dual.flags(k)
+            chain, _ = fragments(dual.complex, k)
             base = cx.coords_of(k, chain[:, 0])
             t = base[:, 1:, :] - base[:, :1, :]
             u = dual.circumcenters[k + 1][chain[:, 1]] - dual.circumcenters[k][chain[:, 0]]
@@ -236,6 +236,23 @@ def test_build_dual_memory_is_bounded_by_the_block(monkeypatch):
     assert peak(4 * 1024) < 0.6 * peak(1 << 62)
 
 
+@pytest.mark.parametrize("family, level", [("pentagon_wheel", 6), ("cube_kuhn", 3)])
+def test_build_dual_keeps_no_array_per_incidence_pair(monkeypatch, family, level):
+    # the step lengths are summed block by block: what build_dual allocates
+    # beyond the dual it returns stays below one float64 per incidence pair
+    # of faces[n-1], the most numerous pairs (0.49 MB and 1.2 MB here)
+    cx = generate(FamilySpec(family, level))
+    monkeypatch.setattr(geometry, "BLOCK_NODES", 4096)
+    tracemalloc.start()
+    try:
+        dual = build_dual(cx)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept > sum(v.nbytes for v in dual.volumes)
+    assert peak - kept < cx.faces[cx.dim - 1].size * 8
+
+
 def test_hodge_ratios_memory_is_bounded_by_the_block(monkeypatch):
     # cube level 3: at one block the primal volumes of k = 1, 2, 3 form
     # (N_k, k+1, 3) coordinates, edge and Gram arrays 7 to 22 times the
@@ -257,23 +274,21 @@ def test_hodge_ratios_memory_is_bounded_by_the_block(monkeypatch):
         assert peak(4 * 1024, k) < 0.3 * peak(1 << 62, k), k
 
 
-def test_flags_built_once_and_only_for_the_asked_degree(monkeypatch):
-    built = []
-    real = dualmesh._fragments
-
-    def spy(cx, k):
-        built.append(k)
-        return real(cx, k)
-
-    monkeypatch.setattr(dualmesh, "_fragments", spy)
-    cx = generate(FamilySpec("pentagon_wheel", level=1))
-    dual = build_dual(cx)
-    assert built == []                      # volumes need no fragments
-    first = dual.flags(1)
-    again = dual.flags(1)
-    assert all(a is b for a, b in zip(first, again))
-    assert built == [1]
-    assert not first[0].flags.writeable
+def test_fragment_ranges_make_the_whole_table():
+    # consecutive ranges of top cells give consecutive runs of the whole
+    # table, the order in which derham_dual sums them
+    for cx in (generate(FamilySpec("pentagon_wheel", level=1)),
+               generate(FamilySpec("cube_kuhn", level=0))):
+        n = cx.dim
+        for k in range(n + 1):
+            chain, sign = fragments(cx, k)
+            per_cell = math.factorial(n + 1) // math.factorial(k + 1)
+            assert chain.shape == (cx.num(n) * per_cell, n - k + 1)
+            assert chain.dtype == np.int32 and sign.dtype == np.int8
+            for step in (1, 2, 5):
+                parts = [fragments(cx, k, slice(i, i + step)) for i in range(0, cx.num(n), step)]
+                assert np.array_equal(np.concatenate([c for c, _ in parts]), chain)
+                assert np.array_equal(np.concatenate([s for _, s in parts]), sign)
 
 
 cubes = st.integers(0, 2).map(lambda level: generate(FamilySpec("cube_kuhn", level)))
@@ -289,7 +304,7 @@ def test_pyramid_volumes_equal_flag_sums(cx):
     """The face-coface recursion against its unrolled form, the flag sum."""
     dual = build_dual(cx)
     for k in range(cx.dim + 1):
-        chain, _ = dual.flags(k)
+        chain, _ = fragments(dual.complex, k)
         oracle = np.bincount(chain[:, 0], weights=fragment_volumes(dual, k),
                              minlength=cx.num(k))
         got = dual.volumes[k]
@@ -321,7 +336,7 @@ def test_parity_signs_equal_determinant_signs(strict, weak):
     for cx, everywhere in ((strict, True), (weak, False)):
         dual = build_dual(cx)
         for k in range(cx.dim + 1):
-            chain, sign = dual.flags(k)
+            chain, sign = fragments(dual.complex, k)
             want = determinant_signs(cx, dual.circumcenters, chain, k)
             hit = np.ones(len(chain), dtype=bool) if everywhere else fragment_volumes(dual, k) != 0
             assert np.array_equal(sign[hit], want[hit])

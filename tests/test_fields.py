@@ -201,7 +201,7 @@ def test_blocked_quadrature_equals_one_block(cx, block_nodes):
 
 def _dual_arrays(cx):
     dual = build_dual(cx)
-    frags = [dualmesh._fragments(cx, k) for k in range(cx.dim + 1)]
+    frags = [dualmesh.fragments(cx, k) for k in range(cx.dim + 1)]
     return [*dual.circumcenters, *dual.volumes, *(a for f in frags for a in f),
             *(dual.hodge_ratios(k)[1] for k in range(cx.dim + 1))]
 
@@ -242,33 +242,46 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
+def _fragment_count(cx, k):
+    n = cx.dim
+    return cx.num(n) * math.factorial(n + 1) // math.factorial(k + 1)
+
+
 def test_dual_derham_memory_is_bounded_by_the_block():
     # jittered hexagon level 6: 147,456 vertex-dual fragments of 12 nodes each;
     # the points of all 1.77M nodes at once would take 28 MB and their values
-    # 14 MB more
-    cx = jitter_interior(generate(FamilySpec("pentagon_wheel", 6, n_gon=6)),
-                         amplitude=0.14, seed=106)
-    dual = build_dual(cx)
-    assert len(dual.flags(0)[0]) == 147456   # built and cached before tracing
+    # 14 MB more.  Cube level 3: 589,824 vertex-dual fragments, whose table of
+    # int32 chains and int8 signs alone (10 MB) is over the bound.  The trace
+    # covers the fragments' construction too
+    hexagon = jitter_interior(generate(FamilySpec("pentagon_wheel", 6, n_gon=6)),
+                              amplitude=0.14, seed=106)
+    assert _fragment_count(hexagon, 0) == 147456
     f = volume_field(2, lambda p: np.sin(p[:, 0]) * np.cos(p[:, 1]))
-    assert _traced_peak(lambda: derham_dual([f], dual, 6)) < 40e6
+    dual = build_dual(hexagon)
+    assert _traced_peak(lambda: derham_dual([f], dual, 6)) < 8e6
+    cube = generate(FamilySpec("cube_kuhn", 3))
+    table = _fragment_count(cube, 0) * (4 * 4 + 1)
+    assert table > 8e6
+    dual = build_dual(cube)
+    assert _traced_peak(lambda: derham_dual([_plane_waves(3, 3)], dual, 6)) < 8e6
 
 
 @pytest.mark.parametrize("family, level", [("pentagon_wheel", 5), ("cube_kuhn", 2)])
 def test_derham_memory_stays_below_the_corner_stack(monkeypatch, family, level):
     # pentagon level 5: 30,720 vertex-dual fragments and 5,120 triangles;
-    # cube level 2: 73,728 fragments and 3,072 tetrahedra.  Each block gathers
-    # its own corners, so the peak stays below one (M, k+1, n) stack of every
-    # corner, which alone would reach it.  The top cells' stack is (n+1)!
-    # times smaller than the fragments', so their blocks are smaller too, to
-    # keep a block's temporaries well below it
+    # cube level 2: 73,728 fragments and 3,072 tetrahedra.  Each block builds
+    # its own fragments and gathers their corners, so the peak stays below one
+    # (M, n+1, n) stack of every fragment's corners, which alone would reach
+    # it.  The top cells' stack is (n+1)! times smaller than the fragments',
+    # so their blocks are smaller too, to keep a block's temporaries well
+    # below it
     cx = generate(FamilySpec(family, level))
     dual = build_dual(cx)
     n = cx.dim
-    chain, _ = dual.flags(0)   # built and cached before tracing
     f = _plane_waves(n, n)
     monkeypatch.setattr(geometry, "BLOCK_NODES", 4096)
-    assert _traced_peak(lambda: derham_dual([f], dual, 6)) < chain.size * n * 8
+    corners = _fragment_count(cx, 0) * (n + 1)
+    assert _traced_peak(lambda: derham_dual([f], dual, 6)) < corners * n * 8
     monkeypatch.setattr(geometry, "BLOCK_NODES", 1024)
     assert _traced_peak(lambda: derham_primal([f], cx, 6)) < cx.simplices[n].size * n * 8
 
