@@ -94,6 +94,7 @@ class ShapeReport:
 
 
 class SimplicialComplex:
+    """The face lattice; ``faces[1]``, whatever is given, is the view ``simplices[1][:, ::-1]``."""
     def __init__(self, dim: int, vertices: np.ndarray, simplices: list[np.ndarray],
                  orientation: list[np.ndarray], faces: list[np.ndarray | None],
                  children: list[np.ndarray] | None = None):
@@ -101,8 +102,8 @@ class SimplicialComplex:
         self.vertices = vertices
         self.simplices = simplices      # simplices[k]: (N_k, k+1) int32 sorted rows, lexsorted
         self.orientation = orientation  # orientation[k]: (N_k,) int8 in {-1, +1}
-        self.faces = faces              # faces[k][s, i] = int32 index of the (k-1)-face
-        #                                 obtained by dropping vertex position i
+        # faces[k][s, i] = int32 index of the (k-1)-face dropping vertex position i
+        self.faces = [None, simplices[1][:, ::-1], *faces[2:]]
         # children[k][s, slot]: the k-simplices a red refinement cut from
         # coarse k-simplex s (generators.refine), None otherwise; a user done
         # with it may let it go
@@ -258,7 +259,7 @@ def build_complex(dim: int, vertex_coords, top_cells, validate: bool = True) -> 
             keep = [j for j in range(kp1) if j != i]
             sub[i::kp1] = rows[:, keep]
         simplices[k - 1], inv = _unique_rows(sub)
-        faces[k] = inv.reshape(len(rows), kp1).astype(np.int32)
+        faces[k] = inv.reshape(len(rows), kp1).astype(np.int32) if k > 1 else None
     if len(simplices[0]) != len(vertices):
         raise MeshError("isolated vertices: every vertex must belong to a cell")
 

@@ -73,10 +73,11 @@ from .errors import WellCenteredError, ids
 
 
 class DualComplex:
+    """``volumes[n]``, of the top cells' point duals, is ``np.broadcast_to(1.0, (N_n,))``."""
     def __init__(self, cx: SimplicialComplex, circumcenters, volumes,
                  record: CenterRecord | None = None):
         self.complex = cx
-        self.circumcenters = circumcenters  # circumcenters[k]: (N_k, n)
+        self.circumcenters = circumcenters  # circumcenters[k]: (N_k, n), or None (walk_levels)
         self.volumes = volumes              # volumes[k]: (N_k,) dual volumes
         # for build_dual on the refined mesh; a caller that refines no
         # further may let it go
@@ -138,7 +139,7 @@ def build_dual(cx: SimplicialComplex, coarse: CenterRecord | None = None) -> Dua
         lam_min.append(low)
 
     # |dual t| = 1/(n-k) * sum over cofaces T of s(t,T) |c(T) - c(t)| |dual T|
-    volumes: list[np.ndarray] = [None] * n + [np.ones(cx.num(n))]  # type: ignore[list-item]
+    volumes: list = [None] * n + [np.broadcast_to(1.0, (cx.num(n),))]
     for k in range(n - 1, -1, -1):
         # an edge's coordinates are [1/2, 1/2]: it passes the gate, and every
         # side sign of a vertex is +1

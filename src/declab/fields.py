@@ -181,6 +181,8 @@ def derham_dual(fields: Sequence[FormField], dual: DualComplex,
     k = n - _check_fields(fields, n)
     if not 0 <= k <= n:
         raise ValueError("field degree exceeds complex dimension")
+    if dual.circumcenters is None:
+        raise ValueError("the dual holds no circumcenters: study.walk_levels let them go")
     width = (math.factorial(n + 1) // math.factorial(k + 1)
              * len(simplex_rule(n - k, degree).weights))
     out = [np.zeros(cx.num(k)) for _ in fields]

@@ -253,7 +253,7 @@ def refine(cx: SimplicialComplex) -> SimplicialComplex:
     vertices[:nv] = cx.vertices
     vertices[nv:] = 0.5 * (cx.vertices[edges[:, 0]] + cx.vertices[edges[:, 1]])
     simplices = [np.empty((m, k + 1), dtype=np.int32) for k, m in enumerate(sizes)]
-    faces = [None] + [np.empty((m, k + 1), dtype=np.int32) for k, m in enumerate(sizes) if k]
+    faces = [np.empty((m, k + 1), dtype=np.int32) if k > 1 else None for k, m in enumerate(sizes)]
     orientation = [np.ones(m, dtype=np.int8) for m in sizes]
     children = [np.empty((counts[k], len(_CHILDREN[k])), dtype=np.int32) for k in range(n + 1)]
     # the parity of each top cell's x+y+z order against its sorted order
@@ -268,7 +268,7 @@ def refine(cx: SimplicialComplex) -> SimplicialComplex:
             order, index = local[j]
             for c, child in enumerate(_INTERIOR[j, k]):
                 rows.append([index[v] if len(v) == 1 else nv + index[v] for v in child])
-                if k:
+                if k > 1:
                     homes = [_home(child[:t] + child[t + 1:]) for t in range(k + 1)]
                     face_rows.append(np.stack(
                         [start[k - 1][len(u) - 1] + c2 * counts[len(u) - 1] + index[u]
@@ -297,7 +297,7 @@ def refine(cx: SimplicialComplex) -> SimplicialComplex:
         below, place = place, np.empty(len(perm), dtype=np.int32)
         place[perm] = np.arange(len(perm), dtype=np.int32)
         del perm
-        if k:
+        if k > 1:
             # dropping sorted position i drops the template position it came from
             gen = np.take_along_axis(np.concatenate(face_rows), src, axis=1)
             del face_rows

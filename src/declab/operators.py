@@ -226,14 +226,14 @@ def inner_product(dual: DualComplex, a: Cochain, b: Cochain) -> float:
         raise TagMismatchError(f"inner product needs matching tags, got {a.tag} and {b.tag}")
     num, den = _weights(dual, a)
     prod = a.values * b.values
-    if np.any(den == 0):
-        zero = den == 0
+    zero = den == 0
+    if zero.any():
         if np.any(prod[zero] != 0):
             return float(np.inf)
-        prod = prod[~zero]
-        num = num[~zero]
-        den = den[~zero]
-    return float(np.sum(prod * num / den))
+        prod, num, den = prod[~zero], num[~zero], den[~zero]
+    prod *= num
+    prod /= den
+    return float(np.sum(prod))
 
 
 def discrete_l2(dual: DualComplex, c: Cochain) -> float:

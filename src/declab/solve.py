@@ -217,16 +217,18 @@ def v_cycle(a: sp.csr_matrix, prolongations: Sequence[sp.csr_matrix]
     prolongations from a level without interior vertices are skipped.  While
     the coarsest operator has ``DENSE_CUTOFF`` unknowns or more, an algebraic
     level by smoothed aggregation goes below it.  Each coarse operator is the
-    Galerkin product ``p^T a_fine p``, formed here once.  The cycle smooths
-    with damped Jacobi on every level above the coarsest and solves the
-    coarsest exactly, by its dense inverse or, when it is diagonal and so
-    cannot be aggregated, by dividing by its diagonal.  Equal pre- and
-    post-sweeps of a symmetric smoother keep the preconditioner SPD.  With no
-    level below ``a``, it is ``a``'s inverse.
+    Galerkin product ``p^T a_fine p``, formed here once by the products of
+    ``(p.T @ a_fine @ p).tocsr()``, from the CSR of ``a_fine^T`` where scipy
+    makes a CSC copy: ``a``, the assembled S_II, equals its transpose bit for
+    bit, with sorted indices.  The cycle smooths with damped Jacobi on every
+    level above the coarsest and solves the coarsest exactly, by its dense
+    inverse or, when it is diagonal and so cannot be aggregated, by dividing
+    by its diagonal.  Equal pre- and post-sweeps of a symmetric smoother keep
+    the preconditioner SPD.  With no level below ``a``, it is ``a``'s inverse.
     """
     # an interior vertex stays interior under refinement, so empty levels lead
     geometric = [p for p in prolongations if p.shape[1]]
-    mats, ps = [a], []
+    mats, ps, at = [a], [], a  # at: the CSR of mats[-1]^T
     diagonal = False
     while geometric or mats[-1].shape[0] >= DENSE_CUTOFF:
         p = geometric.pop() if geometric else _aggregation_prolongation(mats[-1])
@@ -234,7 +236,9 @@ def v_cycle(a: sp.csr_matrix, prolongations: Sequence[sp.csr_matrix]
         if diagonal := p.shape[1] == p.shape[0]:
             break
         ps.insert(0, p)
-        mats.append((p.T @ mats[-1] @ p).tocsr())
+        at = p.T.tocsr() @ (at @ p)
+        at.sort_indices()
+        mats.append(at.T.tocsr())
     coarsest = mats.pop()
     inv = coarsest.diagonal() if diagonal else _spd_inverse(coarsest.toarray())
     levels = [(m, JACOBI_DAMPING / m.diagonal(), p) for m, p in zip(reversed(mats), ps)]

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import generators
+from . import generators, geometry
 from .dualmesh import build_dual
 from .errors import MemoryGuardError
 from .fields import (consistency_probe, derham_images, hodge_field,
@@ -110,9 +110,9 @@ def fit_rate(errors, last: int = 4) -> float:
 
 
 def max_h(cx) -> float:
-    edges = cx.simplices[1]
-    return float(np.linalg.norm(
-        cx.vertices[edges[:, 1]] - cx.vertices[edges[:, 0]], axis=1).max())
+    """The longest edge, a block of edges at a time."""
+    return max(float(geometry.diameter(cx.coords_of(1, rows)).max())
+               for rows in geometry.row_blocks(cx.num(1), 2))
 
 
 def _guarded_walk(spec: FamilySpec, levels: int, cap: int | None):
@@ -150,8 +150,9 @@ def walk_levels(spec: FamilySpec, levels: int, cap: int | None = None):
     carried from the level before, and the interior prolongations of the
     hierarchy below the mesh, coarsest first.
 
-    A caller that keeps no reference to a level's dual lets it go before the
-    next level is refined.
+    Each dual lets go of its circumcenters, which a solve does not read (the
+    next level's record keeps those it carries).  A caller that keeps no
+    reference to a level's dual lets it go before the next level is refined.
     """
     prolongations, coarse, record = [], None, None
     for i, cx in enumerate(_guarded_walk(spec, levels, cap)):
@@ -159,6 +160,7 @@ def walk_levels(spec: FamilySpec, levels: int, cap: int | None = None):
             prolongations.append(generators.interior_prolongation(coarse, cx))
         coarse = cx
         dual, record = _carried_dual(cx, record, keep=i + 1 < levels)
+        dual.circumcenters = None
         yield cx, dual, prolongations
         del dual
 

@@ -1,9 +1,17 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from declab.complex import build_complex
 from declab.dualmesh import build_dual
 from declab.generators import FamilySpec, generate
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run and keeps no
+# database, so a failure reproduces from the commit alone
+settings.register_profile("ci", derandomize=True, database=None, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

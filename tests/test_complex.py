@@ -113,6 +113,27 @@ def test_incidence_closure_consistency():
         assert faces.max() < cx.num(k - 1)
 
 
+ALL_FAMILIES = [FamilySpec("pentagon_wheel"), FamilySpec("corner"),
+                *[FamilySpec("square", pattern=p) for p in (1, 2, 3)], FamilySpec("cube_kuhn")]
+
+
+@pytest.mark.parametrize("spec", ALL_FAMILIES,
+                         ids=["pentagon", "corner", "square1", "square2", "square3", "cube"])
+@pytest.mark.parametrize("level", [0, 2])
+def test_edge_faces_are_the_reversed_edge_rows(spec, level):
+    # level 0 comes from build_complex, level 2 from refine; neither stores faces[1]
+    cx = generate(dataclasses.replace(spec, level=level))
+    # the old lattice: dropping position i of each edge, deduplicated
+    edges = cx.simplices[1]
+    sub = np.empty((2 * len(edges), 1), dtype=np.int32)
+    sub[0::2], sub[1::2] = edges[:, 1:], edges[:, :1]
+    vertices, inv = complex_module._unique_rows(sub)
+    assert np.array_equal(vertices, cx.simplices[0])
+    assert np.array_equal(cx.faces[1], inv.reshape(-1, 2))
+    assert cx.faces[1].dtype == np.int32 and not cx.faces[1].flags.writeable
+    assert np.shares_memory(cx.faces[1], edges)
+
+
 def test_shape_report_equilateral():
     s3 = math.sqrt(3)
     cx = build_complex(2, [(0, 0), (1, 0), (0.5, s3 / 2)], [(0, 1, 2)])

@@ -220,6 +220,38 @@ def test_inner_product_over_zero_dual_volumes():
     assert np.isfinite(expected) and expected > 0
 
 
+def reference_inner_product(dual, a, b):
+    """Oracle: the sum (a, b)_h as one expression per entry, over the entries
+    of nonzero weight denominator; inf when a zero one meets a nonzero product."""
+    n = dual.complex.dim
+    dvol, pvol = dual.hodge_ratios(a.degree if a.side == "primal" else n - a.degree)
+    num, den = (dvol, pvol) if a.side == "primal" else (pvol, dvol)
+    prod, keep = a.values * b.values, den != 0
+    if np.any(prod[~keep] != 0):
+        return np.inf
+    return float(np.sum(prod[keep] * num[keep] / den[keep]))
+
+
+@pytest.mark.parametrize("family, level", [("pentagon_wheel", 3), ("cube_kuhn", 1)])
+def test_inner_product_equals_the_one_expression_bit_for_bit(family, level, rng):
+    # the cube's zero dual areas take the branch that drops their entries
+    cx = generate(FamilySpec(family, level))
+    dual = build_dual(cx)
+    for k in range(cx.dim + 1):
+        for side in ("primal", "dual"):
+            base = k if side == "primal" else cx.dim - k
+            x, y = rng.standard_normal((2, cx.num(base)))
+            y[dual.volumes[base] == 0] = 0.0
+            a, b = Cochain(k, side, x), Cochain(k, side, y)
+            got = inner_product(dual, a, b)
+            assert np.float64(got).view(np.int64) == \
+                np.float64(reference_inner_product(dual, a, b)).view(np.int64), (k, side)
+    zero = dual.volumes[1] == 0
+    if zero.any():
+        c = Cochain(cx.dim - 1, "dual", np.ones(cx.num(1)))
+        assert inner_product(dual, c, c) == reference_inner_product(dual, c, c) == np.inf
+
+
 def test_dual_derivative_norm_grows_like_inverse_h():
     norms = []
     for lev in range(1, 5):

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from declab import meshio
+from declab import geometry, meshio
 from declab.dualmesh import build_dual
 from declab.errors import IterativeSolveError, TrivialProblemError
 from declab.generators import FamilySpec, generate, jitter_interior
@@ -14,6 +14,7 @@ from declab.operators import Cochain, exterior_derivative, hodge_star, inner_pro
 from declab.problems import get_problem, linear
 from declab.solve import (DirichletProblem, _stiffness_blocks, assemble, dump_solution,
                           error_report, make_problem, pcg, solve, stiffness_matrix)
+from declab.study import walk_levels
 from strategies import jittered_wheels
 
 
@@ -297,3 +298,57 @@ def test_assemble_memory_stays_below_a_full_stiffness_coo():
     peak = _traced_peak(lambda: assemble(prob))
     assert peak < 4 * cx.num(1) * (4 + 4 + 8)
     assert peak < 0.75 * _traced_peak(full_then_cut)
+
+
+def assert_own_transpose(s):
+    """``s`` equals its transpose bit for bit, and each row's indices rise
+    strictly: ``v_cycle`` takes such a CSR for its own CSC."""
+    rows = np.repeat(np.arange(s.shape[0]), np.diff(s.indptr))
+    assert np.all((np.diff(s.indices) > 0) | (np.diff(rows) > 0))
+    t = s.T.tocsr()
+    assert np.array_equal(s.indptr, t.indptr) and np.array_equal(s.indices, t.indices)
+    assert np.array_equal(s.data.view(np.int64), t.data.view(np.int64))
+
+
+def own_transpose_on_interior(cx, dual):
+    if len(cx.interior_vertex_indices()):
+        problem = get_problem("trig2d" if cx.dim == 2 else "trig3d")
+        assert_own_transpose(assemble(make_problem(cx, dual, problem)).reduced)
+
+
+@pytest.mark.parametrize("spec", [
+    FamilySpec("pentagon_wheel"), FamilySpec("corner"),
+    *[FamilySpec("square", pattern=p) for p in (1, 2, 3)], FamilySpec("cube_kuhn")],
+    ids=["pentagon", "corner", "square1", "square2", "square3", "cube"])
+def test_assembled_interior_block_is_its_own_transpose(spec):
+    # levels 0 to 4, each dual carried from the level before as in a study
+    for cx, dual, _ in walk_levels(spec, 5):
+        own_transpose_on_interior(cx, dual)
+
+
+def test_assembled_interior_block_of_a_mesh_file_is_its_own_transpose(tmp_path):
+    path = tmp_path / "mesh.decmesh"
+    meshio.save(generate(FamilySpec("corner", 4)), path)
+    cx = meshio.load(path)
+    own_transpose_on_interior(cx, build_dual(cx))
+
+
+@settings(deadline=None, max_examples=20)
+@given(cx=jittered_wheels)
+def test_assembled_interior_block_is_its_own_transpose_on_jittered_wheels(cx):
+    own_transpose_on_interior(cx, build_dual(cx))
+
+
+def test_solve_memory_holds_no_copy_of_the_interior_block(monkeypatch):
+    # pentagon level 6: 30,880 edges.  With blocks of 4,096 points, so that
+    # the primal volumes' blocks stay small, make_problem and solve together
+    # peak at about 9.6 float64 per edge (numpy 2.4, scipy 1.17); a V-cycle
+    # setup that copies S_II to CSC, and an inner product with two temporaries
+    # per entry, took it to 11.3
+    monkeypatch.setattr(geometry, "BLOCK_NODES", 4096)
+    levels = list(walk_levels(FamilySpec("pentagon_wheel"), 7))
+    cx, dual, prolongations = levels[-1]
+    del levels
+    bundle = get_problem("trig2d")
+    peak = _traced_peak(lambda: solve(make_problem(cx, dual, bundle), prolongations=prolongations))
+    assert peak < 10.5 * 8 * cx.num(1)

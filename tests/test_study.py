@@ -4,13 +4,15 @@ import os
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from declab import cli, generators, meshio, study
 from declab.cli import main
 from declab.dualmesh import build_dual
 from declab.errors import MemoryGuardError, WellCenteredError
-from declab.fields import consistency_probe, derham_images, laplace_consistency_probe
+from declab.fields import (consistency_probe, derham_dual, derham_images,
+                           laplace_consistency_probe)
 from declab.generators import FamilySpec
 from declab.problems import get_problem
 from declab.solve import SolverConfig
@@ -106,6 +108,21 @@ def test_emit_writes_files(tmp_path, small_report):
         assert p.stat().st_size > 0
     with pytest.raises(ValueError, match="unknown format"):
         emit(small_report, "pdf", tmp_path / "x")
+
+
+@pytest.mark.parametrize("family", ["pentagon_wheel", "cube_kuhn"])
+def test_walk_levels_duals_keep_only_what_a_solve_reads(family):
+    bundle = get_problem("trig2d" if family == "pentagon_wheel" else "trig3d")
+    for cx, dual, _ in study.walk_levels(FamilySpec(family), 3):
+        # the circumcenters are let go, the record carried to the next level
+        # is the walk's, and a top cell's dual volume, 1, is a view of one float
+        assert dual.circumcenters is None and dual.record is None
+        top = dual.volumes[cx.dim]
+        assert top.shape == (cx.num(cx.dim),) and top.strides == (0,) and np.all(top == 1.0)
+        with pytest.raises(ValueError, match="no circumcenters: study.walk_levels let them go"):
+            derham_dual([bundle.u], dual)
+        # the volumes still make a solve
+        assert study.solve_level(cx, dual, bundle, SolverConfig(), [])[0].residual <= 1e-12
 
 
 def test_memory_guard_refuses_large_levels():
