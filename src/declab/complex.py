@@ -41,10 +41,13 @@ def _packing(rows: np.ndarray) -> tuple[int, int] | None:
 
 
 def _pack(rows: np.ndarray, lo: int, base: int) -> np.ndarray:
-    # each column widened to int64 first: int32 rows would wrap in the products
-    keys = rows[:, 0].astype(np.int64) - lo
+    # in place on int64 keys: int32 rows would wrap in the products
+    keys = rows[:, 0].astype(np.int64)
+    keys -= lo
     for j in range(1, rows.shape[1]):
-        keys = keys * base + (rows[:, j].astype(np.int64) - lo)
+        keys *= base
+        keys += rows[:, j]
+        keys -= lo
     return keys
 
 

@@ -19,27 +19,28 @@ any simplex whose smallest coordinate is below ``-geometry.WELL_CENTERED_TOL``.
 Both kernels of ``build_dual`` work in ``geometry.row_blocks``, blocks of
 max(1, geometry.BLOCK_NODES // w) simplices, w points per row: the
 circumcenter solve over blocks of k-simplices (w = k+1 vertices), written into
-preallocated (N_k, n) centers and (N_k, k+1) coordinates, and the step lengths
+preallocated (N_k, n) centers and (N_k, k+1) signs, and the step lengths
 over blocks of (k+1)-cofaces (w = k+2 faces), which ``np.add.at`` adds into
 the (N_k,) volumes.  Every quantity is per row, and the blocks run in order,
 so every volume sums its terms in pair order from zero, as one bincount over
 all pairs would: the block size changes no bit of the result, and no array
 holds one entry per incidence pair.  Of the coordinates only their signs
-(bool) and each row's minimum outlive a block: the side signs read the first,
-the well-centeredness gate the second.
+(bool) outlive a block, for the side signs; the well-centeredness gate keeps
+the smallest coordinate of each degree and the first row holding it.
 
 Not every center is solved.  An edge's is its midpoint, with coordinates
-[1/2, 1/2].  On a mesh refined from one whose dual is at hand, red refinement
-fixes more (Freudenthal 1942; Bey 2000): a corner child is its parent scaled
-by 1/2 about one vertex v, a triangle's middle child its parent scaled by
--1/2 about the centroid g, and scaling keeps the circumcenter and its
-barycentric coordinates, so the child's center is (v + c) / 2 or (3g - c) / 2
-for its parent's center c, and its coordinate signs and row minimum are its
-parent's, in the child's vertex order.  ``DualComplex.record`` holds what the
-next level takes: centers, signs and row minima of the triangles and
-tetrahedra.  Every triangle of a refined 2D mesh is carried; in 3D the eight
-triangles inside each coarse tetrahedron and the four tetrahedra of its
-octahedron are solved, and gated, as before.
+[1/2, 1/2], and no table holds it: ``DualComplex.centers`` takes it from the
+edge's ends wherever it is read.  On a mesh refined from one whose dual is at
+hand, red refinement fixes more (Freudenthal 1942; Bey 2000): a corner child
+is its parent scaled by 1/2 about one vertex v, a triangle's middle child its
+parent scaled by -1/2 about the centroid g, and scaling keeps the circumcenter
+and its barycentric coordinates, so the child's center is (v + c) / 2 or
+(3g - c) / 2 for its parent's center c, and its coordinate signs are its
+parent's, in the child's vertex order: it passes the gate as its parent did.
+``DualComplex.record`` holds what the next level takes: centers and signs of
+the triangles and tetrahedra.  Every triangle of a refined 2D mesh is carried;
+in 3D the eight triangles inside each coarse tetrahedron and the four
+tetrahedra of its octahedron are solved, and gated, as before.
 
 Unrolled, the recursion is a sum over full ascending flags
 t = t_k < t_{k+1} < ... < t_n through the top cells, one elementary fragment
@@ -77,19 +78,26 @@ class DualComplex:
     def __init__(self, cx: SimplicialComplex, circumcenters, volumes,
                  record: CenterRecord | None = None):
         self.complex = cx
-        self.circumcenters = circumcenters  # circumcenters[k]: (N_k, n), or None (walk_levels)
+        # circumcenters[k]: (N_k, n), but None for the edges (``centers``)
+        self.circumcenters = circumcenters  # or None, once walk_levels let it go
         self.volumes = volumes              # volumes[k]: (N_k,) dual volumes
         # for build_dual on the refined mesh; a caller that refines no
         # further may let it go
         self.record = record
-        for arr in (*circumcenters, *volumes, *(record.inside[2:] + record.lam_min[2:]
-                                                if record else ())):
-            arr.setflags(write=False)
+        for arr in (*circumcenters, *volumes, *(record.inside[2:] if record else ())):
+            if arr is not None:
+                arr.setflags(write=False)
         self._primal_volumes: dict[int, np.ndarray] = {}
+
+    def centers(self, k: int, index) -> np.ndarray:
+        """The circumcenters of the k-simplices ``index`` (rows or a slice), (m, n)."""
+        return _centers(self.complex, self.circumcenters, k, index)
 
     def hodge_ratios(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(numerator, denominator) = (|dual t|, |t|) per k-simplex."""
         cx = self.complex
+        if k == 0:  # a vertex has volume 1: a read-only view of one float
+            return self.volumes[0], np.broadcast_to(1.0, (cx.num(0),))
         if k not in self._primal_volumes:
             prim = np.empty(cx.num(k))
             for rows in geometry.row_blocks(cx.num(k), k + 1):
@@ -101,11 +109,22 @@ class DualComplex:
 
 class CenterRecord(NamedTuple):
     """Per degree, what a dual hands to the dual of its refinement: the
-    circumcenters, the signs of their barycentric coordinates (lam >= 0, a
-    NaN counting as negative) and each row's smallest coordinate."""
+    circumcenters and the signs of their barycentric coordinates (lam >= 0, a
+    NaN counting as negative)."""
     centers: list[np.ndarray]
     inside: list[np.ndarray | None]
-    lam_min: list[np.ndarray | None]
+
+
+def _centers(cx: SimplicialComplex, centers: list, k: int, index) -> np.ndarray:
+    """``centers[k][index]``, but an edge's center is its midpoint, taken from
+    its ends as refine places the fine vertices: no edge table is stored."""
+    if k != 1:
+        # np.take gathers rows several times faster than fancy indexing does
+        return centers[k][index] if isinstance(index, slice) else np.take(centers[k], index, axis=0)
+    ends = cx.simplices[1][index]
+    mid = np.take(cx.vertices, ends[:, 0], axis=0)
+    mid += np.take(cx.vertices, ends[:, 1], axis=0)
+    return np.multiply(mid, 0.5, out=mid)
 
 
 # per carried slot of generators.refine's children table: the parent position
@@ -131,60 +150,53 @@ def build_dual(cx: SimplicialComplex, coarse: CenterRecord | None = None) -> Dua
     n = cx.dim
     if coarse is not None and cx.children is None:
         raise ValueError("a coarse record needs the children table of a refined complex")
-    centers, inside, lam_min = [cx.vertices], [None], [None]
-    for k in range(1, n + 1):
+    # lowest[k]: (smallest coordinate, first row holding it) of the solved k-simplices
+    centers, inside, lowest = [cx.vertices, None], [None, None], [None, None]
+    for k in range(2, n + 1):
         center, sign, low = _circumcenters(cx, k, coarse)
         centers.append(center)
         inside.append(sign)
-        lam_min.append(low)
+        lowest.append(low)
 
     # |dual t| = 1/(n-k) * sum over cofaces T of s(t,T) |c(T) - c(t)| |dual T|
     volumes: list = [None] * n + [np.broadcast_to(1.0, (cx.num(n),))]
     for k in range(n - 1, -1, -1):
         # an edge's coordinates are [1/2, 1/2]: it passes the gate, and every
-        # side sign of a vertex is +1
-        if k > 0 and lam_min[k + 1].min() < -geometry.WELL_CENTERED_TOL:
-            i = int(np.argmin(lam_min[k + 1]))
+        # side sign of a vertex is +1.  A carried row has its parent's
+        # coordinates, which passed it
+        if k > 0 and lowest[k + 1][0] < -geometry.WELL_CENTERED_TOL:
             raise WellCenteredError(
                 f"complex is not well-centered: circumcenter of {k + 1}-simplex "
-                f"{ids(cx.simplices[k + 1][i])} lies outside it")
+                f"{ids(cx.simplices[k + 1][lowest[k + 1][1]])} lies outside it")
         # pair (T, i) joins T to its face t = faces[k+1][T, i], which drops
         # vertex i of T; s(t,T) is the sign of lam[T, i], 0 counting as +1
         volumes[k] = np.zeros(cx.num(k))
         for rows in geometry.row_blocks(cx.num(k + 1), k + 2):
             t = cx.faces[k + 1][rows].ravel()
-            step = np.sqrt(geometry.squared_norms(
-                np.repeat(centers[k + 1][rows], k + 2, axis=0) - centers[k][t]))
+            step = np.repeat(_centers(cx, centers, k + 1, rows), k + 2, axis=0)
+            step -= _centers(cx, centers, k, t)
+            step = np.sqrt(geometry.squared_norms(step))
             if k > 0:
                 step = np.where(inside[k + 1][rows].ravel(), step, -step)
             step *= np.repeat(volumes[k + 1][rows], k + 2)
             np.add.at(volumes[k], t, step)
         volumes[k] /= n - k
     # edges and vertices carry nothing: their centers are midpoints and vertices
-    record = CenterRecord(*([None, None] + x[2:] for x in (centers, inside, lam_min)))
+    record = CenterRecord(*([None, None] + x[2:] for x in (centers, inside)))
     return DualComplex(cx, centers, volumes, record)
 
 
 def _circumcenters(cx: SimplicialComplex, k: int, coarse: CenterRecord | None):
-    """(centers, coordinate signs, row minima) of the k-simplices, k >= 1;
-    the edges' signs and minima are None, as they are all True and 1/2.
+    """(centers, coordinate signs, (smallest coordinate, first row holding
+    it) of the solved rows) of the k-simplices, k >= 2.
 
-    Only lam's signs (a NaN counts as negative) and row minima outlive a
-    block, and every temporary dies on return, before the step lengths.
+    Only lam's signs (a NaN counts as negative) and the running smallest
+    coordinate outlive a block, and every temporary dies on return, before
+    the step lengths.
     """
-    n = cx.dim
     m = cx.num(k)
-    centers = np.empty((m, n))
-    if k == 1:
-        # an edge's center is its midpoint, rounded once as refine places the
-        # fine vertices, and lam = [0.5, 0.5]: nothing to solve, and nothing
-        # to check, as an edge without length would flatten its cells, which
-        # build_complex and jitter_interior refuse
-        for rows in geometry.row_blocks(m, 2):
-            ends = cx.coords_of(1, rows)
-            centers[rows] = 0.5 * (ends[:, 0] + ends[:, 1])
-        return centers, None, None
-    inside, lam_min = np.empty((m, k + 1), dtype=bool), np.empty(m)
+    centers = np.empty((m, cx.dim))
+    inside, low = np.empty((m, k + 1), dtype=bool), (np.inf, -1)
     todo = None  # the rows to solve, all when None
     if coarse is not None and k in _CARRIED:
         kids = cx.children[k][:, :len(_CARRIED[k])]
@@ -200,17 +212,19 @@ def _circumcenters(cx: SimplicialComplex, k: int, coarse: CenterRecord | None):
                     pts = cx.coords_of(k, r)
                     centers[r] = 0.5 * (pts[:, 0] + pts[:, 1] + pts[:, 2] - c)
                 inside[r] = coarse.inside[k][rows, order]
-                lam_min[r] = coarse.lam_min[k][rows]
         todo = np.ones(m, dtype=bool)
         todo[kids.ravel()] = False
         todo = np.flatnonzero(todo)
-    for rows in geometry.row_blocks(m if todo is None else len(todo), k + 1):
-        if todo is not None:
-            rows = todo[rows]
+    for block in geometry.row_blocks(m if todo is None else len(todo), k + 1):
+        rows = block if todo is None else todo[block]
         centers[rows], lam = geometry.circumcenter(cx.coords_of(k, rows), check=True)
+        inside[rows] = lam >= 0
         # the minimum column by column, faster than lam.min(axis=1)
-        inside[rows], lam_min[rows] = lam >= 0, reduce(np.minimum, lam.T)
-    return centers, inside, lam_min
+        row_min = reduce(np.minimum, lam.T)
+        first = int(np.argmin(row_min))
+        if row_min[first] < low[0]:
+            low = (row_min[first], block.start + first if todo is None else rows[first])
+    return centers, inside, low
 
 
 def fragments(cx: SimplicialComplex, k: int, cells: slice = slice(None)):

@@ -92,16 +92,16 @@ def hodge_field(field: FormField) -> FormField:
 # -- deRham maps -----------------------------------------------------------------
 
 
-def _integrate(fields: Sequence[FormField], tables, index: np.ndarray,
+def _integrate(fields: Sequence[FormField], corner: Callable, index: np.ndarray,
                degree: int) -> np.ndarray:
     """Integrate k-forms over m simplices whose corner j of row r is the point
-    ``tables[j][index[r, j]]``: k+1 point tables of shape (*, n), index (m, k+1).
+    ``corner(j, index[r, j])`` of R^n (``corner`` takes an array), index (m, k+1).
     Returns (len(fields), m), one row per field; the fields share the degree k.
 
     The orientation is the corner order; a 0-simplex is a point evaluation
     (one node of weight 1, and the 0x0 minor is 1).  Simplices go in
     ``geometry.row_blocks`` of max(1, BLOCK_NODES // Q) for a rule of Q nodes,
-    and each block gathers its own (b, k+1, n) corners from the tables, maps
+    and each block gathers its own (b, k+1, n) corners through ``corner``, maps
     the nodes and takes the frame's minors once for all fields; only the field
     values and the weighted sums are taken per field.  So the corners, the
     mapped nodes, one field's values and its temporaries cover at most
@@ -115,12 +115,10 @@ def _integrate(fields: Sequence[FormField], tables, index: np.ndarray,
     """
     k = fields[0].degree
     rule = simplex_rule(k, degree)
-    m, n = len(index), tables[0].shape[1]
+    m, n = len(index), fields[0].dim
     integ = np.zeros((len(fields), m))
     for rows in geometry.row_blocks(m, len(rule.weights)):
-        # np.take gathers rows several times faster than fancy indexing does
-        block = np.stack([np.take(table, i, axis=0)
-                          for table, i in zip(tables, index[rows].T)], axis=1)
+        block = np.stack([corner(j, i) for j, i in enumerate(index[rows].T)], axis=1)
         pts = rule.physical_points(block)          # (b, Q, n)
         frame = geometry.edge_matrix(block)
         minors = [geometry.det(frame[:, :, rho]) for rho in index_tuples(n, k)]
@@ -155,7 +153,8 @@ def derham_primal(fields: Sequence[FormField], cx: SimplicialComplex,
     k = _check_fields(fields, cx.dim)
     if k > cx.dim:
         raise ValueError("field degree exceeds complex dimension")
-    integ = _integrate(fields, [cx.vertices] * (k + 1), cx.simplices[k], degree)
+    integ = _integrate(fields, lambda j, i: np.take(cx.vertices, i, axis=0),
+                       cx.simplices[k], degree)
     integ *= cx.orientation[k]
     return [Cochain(k, "primal", values) for values in integ]
 
@@ -188,7 +187,7 @@ def derham_dual(fields: Sequence[FormField], dual: DualComplex,
     out = [np.zeros(cx.num(k)) for _ in fields]
     for cells in geometry.row_blocks(cx.num(n), width):
         chain, sign = fragments(cx, k, cells)
-        integ = _integrate(fields, dual.circumcenters[k:], chain, degree)
+        integ = _integrate(fields, lambda j, i: dual.centers(k + j, i), chain, degree)
         integ *= sign
         for values, block in zip(out, integ):
             np.add.at(values, chain[:, 0], block)

@@ -169,23 +169,26 @@ def _template_sign(child: tuple) -> int:
 _SIGNS = {j: np.array([_template_sign(c) for c in _CHILDREN[j]], dtype=np.int8)
           for j in _RED}
 
-# compare-exchange networks sorting rows of 1 to 4 entries
+# compare-exchange networks sorting 1 to 4 entries
 _NETWORKS = {1: [], 2: [(0, 1)], 3: [(0, 1), (1, 2), (0, 1)],
              4: [(0, 1), (2, 3), (0, 2), (1, 3), (1, 2)]}
 
 
-def _sort_rows(rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows given as columns, sorted: (sorted rows, the column each sorted entry
-    came from, the parity of that permutation).  Entries of a row are distinct."""
-    cols = list(rows)
-    src = [np.full(len(cols[0]), i, dtype=np.int8) for i in range(len(cols))]
-    odd = np.zeros(len(cols[0]), dtype=bool)
-    for a, b in _NETWORKS[len(cols)]:
-        swap = cols[a] > cols[b]
-        cols[a], cols[b] = np.minimum(cols[a], cols[b]), np.maximum(cols[a], cols[b])
-        src[a], src[b] = np.where(swap, src[b], src[a]), np.where(swap, src[a], src[b])
-        odd ^= swap
-    return np.stack(cols, axis=1), np.stack(src, axis=1), odd
+def _sort_table(table: np.ndarray, w: int, sign: np.ndarray | None) -> None:
+    """Sort in place the rows that ``table`` holds column-wise: ``table[i]``
+    is vertex i of every row, and ``table[w + i]``, if there, the face that
+    drops it and moves with it.  Each exchange negates ``sign``, when given.
+    Entries of a row are distinct."""
+    swap = np.empty(table.shape[1], dtype=bool)
+    scratch = np.empty(table.shape[1], dtype=table.dtype)
+    for a, b in _NETWORKS[w]:
+        np.greater(table[a], table[b], out=swap)
+        for off in range(0, len(table), w):
+            scratch[:] = table[a + off]
+            np.copyto(table[a + off], table[b + off], where=swap)
+            np.copyto(table[b + off], scratch, where=swap)
+        if sign is not None:
+            np.negative(sign, out=sign, where=swap)
 
 
 def _local_faces(cx: SimplicialComplex, j: int) -> tuple[np.ndarray, dict]:
@@ -201,7 +204,7 @@ def _local_faces(cx: SimplicialComplex, j: int) -> tuple[np.ndarray, dict]:
             # drop the other vertices' sorted positions from the top, largest first
             e = np.arange(len(rows), dtype=np.int32)
             if size <= j:
-                drop = _sort_rows([order[:, p] for p in range(j + 1) if p not in u])[0]
+                drop = np.sort(order[:, [p for p in range(j + 1) if p not in u]], axis=1)
                 for c in range(j - size, -1, -1):
                     e = cx.faces[c + size][e, drop[:, c]]
             index[u] = e
@@ -214,13 +217,15 @@ def refine(cx: SimplicialComplex) -> SimplicialComplex:
     The fine lattice comes from the templates, without ``build_complex``.
     Fine vertex ``v < nv`` is coarse vertex ``v`` and ``nv + e`` the midpoint
     of coarse edge ``e``.  Each fine k-simplex is made once, as an interior
-    child of the coarse simplex holding it; sorting each row, then one
-    packed-key sort of the rows of each degree, gives ``build_complex``'s
-    lexsorted lattice with no deduplication.  A child's faces are children
-    of its parent's faces or interior children of the parent, so the
-    templates name them, and the sorts' inverse permutations place them.  A
-    top cell's orientation is its parent's, times its template's sign and
-    the parity of sorting its row.
+    child of the coarse simplex holding it, and written column by column into
+    one int32 table of its degree, its faces beside its vertices: a child's
+    faces are children of its parent's faces or interior children of the
+    parent, so the templates name them, and the sort of the degree below
+    places them.  A sort network orders each row in place, its faces moving
+    with its vertices; one packed-key sort of the rows then gives
+    ``build_complex``'s lexsorted lattice with no deduplication.  A top
+    cell's orientation is its parent's, times its template's sign and the
+    parity of sorting its row.
 
     The result keeps its parent -> child map: ``children[k][s, slot]`` is the
     fine index of a child of coarse k-simplex ``s``.  Slots 0..k are the
@@ -263,51 +268,52 @@ def refine(cx: SimplicialComplex) -> SimplicialComplex:
     labels = {}
     place = None  # sorted position of each generated row of the degree done last
     for k in range(n + 1):
-        rows, face_rows, slots, sign, corners = [], [], [], [], 0
+        below, w = place, k + 1
+        # table[i, r]: vertex i of generated row r, then, above degree 1, the
+        # sorted position of its face dropping that vertex
+        table = np.empty((2 * w if k > 1 else w, sizes[k]), dtype=np.int32)
+        sign = np.empty(sizes[k], dtype=np.int8) if k == n else None
+        slots, corners = [], 0
         for j in range(k, n + 1):
             order, index = local[j]
             for c, child in enumerate(_INTERIOR[j, k]):
-                rows.append([index[v] if len(v) == 1 else nv + index[v] for v in child])
-                if k > 1:
-                    homes = [_home(child[:t] + child[t + 1:]) for t in range(k + 1)]
-                    face_rows.append(np.stack(
-                        [start[k - 1][len(u) - 1] + c2 * counts[len(u) - 1] + index[u]
-                         for u, c2 in homes], axis=1))
+                rows = slice(start[k][j] + c * counts[j], start[k][j] + (c + 1) * counts[j])
+                for i, v in enumerate(child):
+                    table[i, rows] = index[v] if len(v) == 1 else nv + index[v]
+                for t in range(w if k > 1 else 0):
+                    u, c2 = _home(child[:t] + child[t + 1:])
+                    table[w + t, rows] = below[start[k - 1][len(u) - 1]
+                                               + c2 * counts[len(u) - 1] + index[u]]
                 if j > k:
                     continue
                 # the corner children by the sorted position of their vertex,
                 # then the others in template order
                 kept = _kept_vertex(child)
                 if kept is None:
-                    slots.append(np.full(counts[k], k + 1 + len(slots) - corners))
+                    slots.append(k + 1 + len(slots) - corners)
                 else:
                     slots.append(order[:, kept])
                     corners += 1
                 if k == n:
-                    sign.append(np.where(odd_order, -_SIGNS[n][c], _SIGNS[n][c])
-                                * cx.orientation[n])
-        srt, src, odd = _sort_rows([np.concatenate(col) for col in zip(*rows)])
-        del rows
+                    sign[rows] = np.where(odd_order, -1, 1) * _SIGNS[n][c] * cx.orientation[n]
+        _sort_table(table, w, sign)
         # the rows are distinct: one sort of their packed keys orders them
-        packing = _packing(srt)
-        perm = (np.argsort(_pack(srt, *packing)) if packing is not None
-                else np.lexsort(srt.T[::-1]))
-        np.take(srt, perm, axis=0, out=simplices[k])
-        del srt
-        below, place = place, np.empty(len(perm), dtype=np.int32)
+        packing = _packing(table[:w].T)
+        perm = (np.argsort(_pack(table[:w].T, *packing)) if packing is not None
+                else np.lexsort(table[w - 1::-1]))
+        for i in range(w):
+            simplices[k][:, i] = table[i][perm]
+            if k > 1:
+                faces[k][:, i] = table[w + i][perm]
+        del table
+        if k == n:
+            np.take(sign, perm, out=orientation[n])
+        place = np.empty(len(perm), dtype=np.int32)
         place[perm] = np.arange(len(perm), dtype=np.int32)
         del perm
-        if k > 1:
-            # dropping sorted position i drops the template position it came from
-            gen = np.take_along_axis(np.concatenate(face_rows), src, axis=1)
-            del face_rows
-            faces[k][place] = below[gen]
-            del gen
-        if k == n:
-            orientation[n][place] = np.where(odd, -1, 1) * np.concatenate(sign)
         # the children of coarse k-simplex s come first, generated c N_k + s
-        children[k][np.tile(np.arange(counts[k]), len(slots)), np.concatenate(slots)] = \
-            place[:children[k].size]
+        for c, slot in enumerate(slots):
+            children[k][np.arange(counts[k]), slot] = place[c * counts[k]:(c + 1) * counts[k]]
         if k == n - 1 and cx.boundary_labels:
             # a labelled face's children are its first rows, child-major
             idx = cx.index_of(k, list(cx.boundary_labels))

@@ -105,6 +105,7 @@ def load(path) -> SimplicialComplex:
         ids = _boundary_ids(rows, where, dim)
         for tup, r in zip(np.sort(ids, axis=1).tolist(), rows):
             labels[tuple(tup)] = r[dim] if len(r) > dim else "default"
+    del raw, numbers  # the file's text, let go before the build
     cx = build_complex(dim, verts, cells)
     if labels:
         faces = cx.index_of(dim - 1, list(labels))

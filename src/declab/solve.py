@@ -334,7 +334,7 @@ def solve(problem: DirichletProblem, config: SolverConfig = SolverConfig(),
     ``prolongations`` is the refinement hierarchy below this mesh, in the form
     ``v_cycle`` takes; CG is preconditioned by its V-cycle.
     """
-    omega = problem.boundary_values.astype(float).copy()
+    omega = problem.boundary_values.astype(float)  # a copy: x fills its interior
     try:
         system = assemble(problem)
     except TrivialProblemError:
@@ -364,7 +364,7 @@ def _stability(problem: DirichletProblem, omega: Cochain) -> float:
     h^(-1/2) and hide the boundedness being measured.
     """
     dual = problem.dual
-    g_ext = Cochain(0, "primal", problem.boundary_values.astype(float))
+    g_ext = Cochain(0, "primal", problem.boundary_values)  # read, not copied
     denom = discrete_l2(dual, problem.rhs) + h1_seminorm(dual, g_ext)
     num = discrete_l2(dual, omega)
     if denom == 0.0:

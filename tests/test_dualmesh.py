@@ -10,7 +10,7 @@ import pytest
 from declab import geometry, meshio
 from declab.complex import build_complex
 from declab.dualmesh import DualComplex, build_dual, fragments
-from declab.errors import DegenerateSimplexError, InvertedCellError, WellCenteredError
+from declab.errors import DegenerateSimplexError, InvertedCellError, WellCenteredError, ids
 from declab.generators import FamilySpec, generate, jitter_interior, refine
 from declab.operators import exterior_derivative
 from declab.study import walk_levels
@@ -26,12 +26,11 @@ def shoelace(poly):
 def fragment_volumes(dual, k):
     """Oracle: the volume of each fragment of ``fragments(dual.complex, k)``.  Its chain
     edges are mutually orthogonal, so the orthoscheme's volume is the product
-    of their lengths, read off ``dual.circumcenters``, over (n-k)!."""
+    of their lengths, read off ``dual.centers``, over (n-k)!."""
     chain, _ = fragments(dual.complex, k)
     vol = np.ones(len(chain))
     for j in range(chain.shape[1] - 1):
-        step = (dual.circumcenters[k + j + 1][chain[:, j + 1]]
-                - dual.circumcenters[k + j][chain[:, j]])
+        step = dual.centers(k + j + 1, chain[:, j + 1]) - dual.centers(k + j, chain[:, j])
         vol *= np.linalg.norm(step, axis=1)
     return vol / math.factorial(dual.complex.dim - k)
 
@@ -168,7 +167,7 @@ def test_fragment_edges_orthogonal_to_base_plane():
             chain, _ = fragments(dual.complex, k)
             base = cx.coords_of(k, chain[:, 0])
             t = base[:, 1:, :] - base[:, :1, :]
-            u = dual.circumcenters[k + 1][chain[:, 1]] - dual.circumcenters[k][chain[:, 0]]
+            u = dual.centers(k + 1, chain[:, 1]) - dual.centers(k, chain[:, 0])
             dots = np.abs(np.einsum("mkd,md->mk", t, u))
             scale = np.linalg.norm(u, axis=1)[:, None] * np.linalg.norm(t, axis=2)
             mask = scale > 0
@@ -314,14 +313,15 @@ def test_pyramid_volumes_equal_flag_sums(cx):
 
 def determinant_signs(cx, centers, chain, k):
     """Oracle: sign of det[base frame | circumcenter chain edges] times the
-    base orientation, with det >= 0 counting as +1."""
+    base orientation, with det >= 0 counting as +1; ``centers(j, rows)`` are
+    the circumcenters of j-simplices ``rows``."""
     n = cx.dim
     mat = np.empty((len(chain), n, n))
     if k > 0:
         base = cx.coords_of(k, chain[:, 0])
         mat[:, :k, :] = base[:, 1:, :] - base[:, :1, :]
     for j in range(1, n - k + 1):
-        mat[:, k + j - 1, :] = centers[k + j][chain[:, j]] - centers[k + j - 1][chain[:, j - 1]]
+        mat[:, k + j - 1, :] = centers(k + j, chain[:, j]) - centers(k + j - 1, chain[:, j - 1])
     det = np.linalg.det(mat) * cx.orientation[k][chain[:, 0]]
     return np.where(det >= 0, 1, -1)
 
@@ -337,7 +337,7 @@ def test_parity_signs_equal_determinant_signs(strict, weak):
         dual = build_dual(cx)
         for k in range(cx.dim + 1):
             chain, sign = fragments(dual.complex, k)
-            want = determinant_signs(cx, dual.circumcenters, chain, k)
+            want = determinant_signs(cx, dual.centers, chain, k)
             hit = np.ones(len(chain), dtype=bool) if everywhere else fragment_volumes(dual, k) != 0
             assert np.array_equal(sign[hit], want[hit])
 
@@ -593,8 +593,9 @@ def test_carried_centers_are_the_solved_ones(make, tmp_path):
 
     A carried coordinate sign is the parent's float sign: it must be the
     exact sign on the exact midpoints wherever that is farther from 0 than
-    the parent's rounding, and a carried row minimum must have the exact
-    minimum's class wherever that is as far from the thresholds +-tol."""
+    the parent's rounding.  A carried row is not gated again: its parent's
+    row minimum, which passed the gate, must have the exact minimum's class
+    wherever that is as far from the thresholds +-tol."""
     u = np.finfo(float).eps / 2
     tol = geometry.WELL_CENTERED_TOL
     cx = make(tmp_path)
@@ -609,7 +610,7 @@ def test_carried_centers_are_the_solved_ones(make, tmp_path):
         kids = fine.children[k][:, :{1: 0, 2: 4, 3: 4}[k]]
         others = np.setdiff1d(np.arange(fine.num(k)), kids)
         # edges are midpoints either way, and the rest is solved alike
-        assert np.array_equal(carried.circumcenters[k][others], solved.circumcenters[k][others])
+        assert np.array_equal(carried.centers(k, others), solved.centers(k, others))
         if k == 1:
             continue
         parents = cx.coords_of(k, slice(None))
@@ -640,7 +641,7 @@ def test_carried_centers_are_the_solved_ones(make, tmp_path):
             assert np.array_equal(carried.record.inside[k][r][clear], (lam_s >= 0)[clear])
             low = lam_s.min(axis=1)
             clear = np.minimum(np.abs(low - tol), np.abs(low + tol)) > sign_bound
-            assert np.array_equal(classes(carried.record.lam_min[k][r], tol)[clear],
+            assert np.array_equal(classes(lam_p.min(axis=1), tol)[clear],
                                   classes(low, tol)[clear]), (k, slot)
 
 
@@ -650,7 +651,64 @@ def test_carried_centers_are_the_solved_ones(make, tmp_path):
 def test_edge_centers_are_float_midpoints(cx):
     ends = cx.vertices[cx.simplices[1]]
     dual = build_dual(cx)
-    assert np.array_equal(dual.circumcenters[1], 0.5 * (ends[:, 0] + ends[:, 1]))
+    assert dual.circumcenters[1] is None  # no table: gathered per block
+    assert np.array_equal(dual.centers(1, slice(None)), 0.5 * (ends[:, 0] + ends[:, 1]))
+    rows = np.array([3, 0, 3])
+    assert np.array_equal(dual.centers(1, rows), 0.5 * (ends[rows, 0] + ends[rows, 1]))
+
+
+@pytest.mark.parametrize("spec,refine_bound,dual_bound", [
+    (FamilySpec("cube_kuhn", 3), 2.35, 1.25), (FamilySpec("pentagon_wheel", 5), 2.6, 1.75)],
+    ids=["cube4", "pentagon6"])
+def test_refine_and_build_dual_hold_little_beyond_what_they_return(
+        spec, refine_bound, dual_bound, monkeypatch):
+    # peaks over the bytes of the result, with blocks of 4,096 points so the
+    # blocks' temporaries stay small (numpy 2.4).  refine peaks at 2.06 times
+    # the fine complex on the cube and 2.29 on the pentagon; per-child row
+    # lists, a sort network allocating at each exchange and three copies of
+    # the face rows took it to 2.61 and 2.88.  build_dual peaks at 1.01 and
+    # 1.26 times its dual; a per-row minimum table and a stored edge midpoint
+    # table took it to 1.50 and 2.26
+    monkeypatch.setattr(geometry, "BLOCK_NODES", 4096)
+    cx = generate(spec)
+    record = build_dual(cx).record
+
+    def traced(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            return tracemalloc.get_traced_memory()[1], result
+        finally:
+            tracemalloc.stop()
+
+    def held(*arrays):
+        return sum(a.nbytes for a in arrays)
+
+    refine_peak, fine = traced(lambda: refine(cx))
+    assert refine_peak < refine_bound * held(fine.vertices, *fine.simplices, *fine.faces[2:],
+                                             *fine.orientation, *fine.children)
+    dual_peak, dual = traced(lambda: build_dual(fine, record))
+    # volumes[n] is a view of one float, and centers[0] the vertices
+    assert dual_peak < dual_bound * held(*dual.circumcenters[2:], *dual.volumes[:-1],
+                                         *dual.record.inside[2:])
+
+
+def test_carried_record_refuses_as_a_solved_build(monkeypatch):
+    # a well-centered tetrahedron whose octahedron's tetrahedra are not: they
+    # are solved with or without the coarse record, and the gate names the
+    # first row holding the smallest coordinate, whatever the block size
+    cx = build_complex(3, [[-0.375, 0.125, 0.125], [1.375, -0.25, 0.375],
+                           [0.375, 1.25, -0.125], [0.375, 0.375, 1.125]], [(0, 1, 2, 3)])
+    record = build_dual(cx).record
+    fine = refine(cx)
+    low = geometry.circumcenter(fine.coords_of(3, slice(None)))[1].min(axis=1)
+    assert (low < -geometry.WELL_CENTERED_TOL).sum() > 1
+    want = f"circumcenter of 3-simplex {ids(fine.simplices[3][np.argmin(low)])} lies outside it"
+    for block_nodes in (1, 1 << 16):
+        monkeypatch.setattr(geometry, "BLOCK_NODES", block_nodes)
+        for coarse in (record, None):
+            with pytest.raises(WellCenteredError, match=re.escape(want)):
+                build_dual(fine, coarse)
 
 
 def assert_support_volumes(cx, dual):

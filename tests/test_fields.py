@@ -202,7 +202,8 @@ def test_blocked_quadrature_equals_one_block(cx, block_nodes):
 def _dual_arrays(cx):
     dual = build_dual(cx)
     frags = [dualmesh.fragments(cx, k) for k in range(cx.dim + 1)]
-    return [*dual.circumcenters, *dual.volumes, *(a for f in frags for a in f),
+    return [*(dual.centers(k, slice(None)) for k in range(cx.dim + 1)), *dual.volumes,
+            *(a for f in frags for a in f),
             *(dual.hodge_ratios(k)[1] for k in range(cx.dim + 1))]
 
 

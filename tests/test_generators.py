@@ -9,6 +9,7 @@ from declab.complex import build_complex
 from declab.errors import InvertedCellError, MeshError
 from declab.generators import (DEFAULT_ALPHA, FamilySpec, _label_slit, estimate_unknowns,
                                generate, jitter_interior, prolongation, refine, walk)
+from refine_oracle import refine as refine_by_column_lists
 
 C_PENTAGON = math.sqrt(2 - 2 * math.cos(2 * math.pi / 5))
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "pentagon_level2.decmesh")
@@ -345,6 +346,49 @@ def test_refine_builds_no_lattice_and_orients_no_cell(monkeypatch):
         monkeypatch.setattr(module, "build_complex", refuse)
         monkeypatch.setattr(module, "cell_orientation", refuse)
     refine(cube), refine(wheel)
+
+
+def _file_mesh(tmp_path, spec):
+    path = tmp_path / f"{spec.family}.decmesh"
+    meshio.save(generate(spec), path)
+    return meshio.load(path)
+
+
+@pytest.mark.parametrize("make,levels", [
+    (lambda tmp: generate(FamilySpec("cube_kuhn")), 3),
+    (lambda tmp: generate(FamilySpec("pentagon_wheel")), 4),
+    (lambda tmp: generate(FamilySpec("pentagon_wheel", n_gon=7)), 3),
+    (lambda tmp: generate(FamilySpec("corner")), 4),
+    *[(lambda tmp, p=p: generate(FamilySpec("square", pattern=p)), 3) for p in (1, 2, 3)],
+    (lambda tmp: _file_mesh(tmp, FamilySpec("corner", 1)), 3),
+    (lambda tmp: _file_mesh(tmp, FamilySpec("cube_kuhn")), 2),
+    (lambda tmp: jitter_interior(generate(FamilySpec("cube_kuhn", 1)), 0.2, seed=1), 2)],
+    ids=["cube", "pentagon", "heptagon", "corner", "square1", "square2", "square3",
+         "corner_file", "cube_file", "jittered_cube"])
+def test_refine_equals_the_column_list_refinement(make, levels, tmp_path):
+    # the preallocated tables, the in-place sort and the face columns change
+    # no array of the result: every one equals the old refinement's, dtype
+    # for dtype, children and boundary labels included
+    cx = make(tmp_path)
+    for _ in range(levels):
+        got, want = refine(cx), refine_by_column_lists(cx)
+        _assert_same_lattice(got, want)
+        for a, b in zip(got.children, want.children, strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert got.boundary_labels == want.boundary_labels
+        cx = got
+
+
+def test_refine_lexsorts_rows_whose_keys_would_overflow(monkeypatch):
+    # cube level 5's tetrahedra have no int64 packing; their columns are
+    # lexsorted instead, into the same lattice
+    from declab import generators
+    cx = generate(FamilySpec("cube_kuhn", 1))
+    monkeypatch.setattr(generators, "_packing", lambda rows: None)
+    got, want = refine(cx), refine_by_column_lists(cx)
+    _assert_same_lattice(got, want)
+    for a, b in zip(got.children, want.children, strict=True):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("spec", [FamilySpec("cube_kuhn", 1), FamilySpec("corner", 2),
