@@ -281,12 +281,15 @@ def cell_orientation(vertices: np.ndarray, cells: np.ndarray) -> np.ndarray:
 
     Works in ``geometry.row_blocks`` of cells, in order, so the gathered
     corners stay bounded and the first degenerate cell named is the same at
-    every block size.
+    every block size.  Each block gathers its corners coordinate-major with
+    ``np.take``, one contiguous column per coordinate of each corner, which
+    ``geometry.signed_volume`` and ``geometry.diameter`` read without a copy.
     """
     signs = np.empty(len(cells), dtype=np.int8)
+    columns = np.ascontiguousarray(vertices.T)     # (n, N_0)
     for rows in geometry.row_blocks(len(cells), cells.shape[1]):
         block = cells[rows]
-        coords = vertices[block]
+        coords = np.take(columns, block.T, axis=1).T   # (b, n+1, n), coordinate-major
         svol = geometry.signed_volume(coords)
         scale = geometry.diameter(coords) ** (cells.shape[1] - 1)
         degenerate = np.abs(svol) <= DEGENERATE_REL_TOL * np.maximum(scale, 1e-300)

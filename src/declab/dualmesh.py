@@ -62,6 +62,7 @@ through existing flags, no mirroring.
 """
 from __future__ import annotations
 
+import math
 from functools import reduce
 from itertools import product
 from typing import NamedTuple
@@ -118,10 +119,11 @@ class CenterRecord(NamedTuple):
 def _centers(cx: SimplicialComplex, centers: list, k: int, index) -> np.ndarray:
     """``centers[k][index]``, but an edge's center is its midpoint, taken from
     its ends as refine places the fine vertices: no edge table is stored."""
+    # np.take gathers rows several times faster than fancy indexing does
     if k != 1:
-        # np.take gathers rows several times faster than fancy indexing does
         return centers[k][index] if isinstance(index, slice) else np.take(centers[k], index, axis=0)
-    ends = cx.simplices[1][index]
+    edges = cx.simplices[1]
+    ends = edges[index] if isinstance(index, slice) else np.take(edges, index, axis=0)
     mid = np.take(cx.vertices, ends[:, 0], axis=0)
     mid += np.take(cx.vertices, ends[:, 1], axis=0)
     return np.multiply(mid, 0.5, out=mid)
@@ -235,21 +237,26 @@ def fragments(cx: SimplicialComplex, k: int, cells: slice = slice(None)):
     Each top cell has (n+1)!/(k+1)! flags, and they come top cell by top
     cell, so consecutive ranges of top cells give consecutive runs of the
     whole table.  One walk down from the top cells, each step t_{j-1} < t_j
-    dropping each position i = 0..j of t_j's sorted vertices in turn.
+    dropping each position i = 0..j of t_j's sorted vertices in turn, the
+    last step's fastest: each step's simplices, repeated once per flag below
+    them, fill one column of a preallocated table.  The table is stored
+    column by column, so each column is one contiguous array.
     """
     n = cx.dim
-    top = np.arange(cx.num(n), dtype=np.int32)[cells]
-    chain = top[:, None]
+    top = np.arange(*cells.indices(cx.num(n)), dtype=np.int32)
+    count = math.factorial(n + 1) // math.factorial(k + 1)   # flags per top cell
+    chain = np.empty((n - k + 1, len(top) * count), dtype=np.int32).T
+    simplices = top
     for j in range(n, k, -1):
-        f = cx.faces[j][chain[:, 0]]           # (m, j+1) faces of the bottom simplex
-        chain = np.hstack([f.reshape(-1, 1), np.repeat(chain, j + 1, axis=0)])
-    # every top cell repeats one pattern of dropped positions, the last
-    # step's fastest; moving the vertex at position i of t_j to the back
-    # takes j - i swaps
+        chain[:, j - k] = np.repeat(simplices, count)
+        simplices = cx.faces[j][simplices].ravel()
+        count //= j + 1
+    chain[:, 0] = simplices
+    # every top cell repeats one pattern of dropped positions; moving the
+    # vertex at position i of t_j to the back takes j - i swaps
     steps = range(n, k, -1)
     parity = np.array([1 - 2 * (sum(j - i for j, i in zip(steps, drops)) % 2)
                        for drops in product(*(range(j + 1) for j in steps))], dtype=np.int8)
-    sign = np.tile(parity, len(top))
-    sign *= cx.orientation[n][chain[:, -1]]
-    sign *= cx.orientation[k][chain[:, 0]]
+    sign = (cx.orientation[n][cells][:, None] * parity).ravel()
+    sign *= np.take(cx.orientation[k], simplices)
     return chain, sign

@@ -61,29 +61,40 @@ def _perm_sign(perm) -> int:
 
 
 @lru_cache(maxsize=None)
-def _star_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Component permutation and signs realizing the Euclidean pointwise star."""
+def _star_table(n: int, k: int) -> tuple[tuple[int, float], ...]:
+    """The Euclidean pointwise star on k-forms as a signed column permutation:
+    per column of the starred values, the column of the values it takes and
+    its sign."""
     src = index_tuples(n, k)
     dst = index_tuples(n, n - k)
-    pos = {t: i for i, t in enumerate(dst)}
-    perm = np.empty(len(src), dtype=np.int64)
-    sign = np.empty(len(src), dtype=np.int64)
+    table = [None] * len(dst)
     for i, rho in enumerate(src):
         comp = tuple(sorted(set(range(n)) - set(rho)))
-        perm[i] = pos[comp]
-        sign[i] = _perm_sign(rho + comp)
-    return perm, sign
+        table[dst.index(comp)] = (i, float(_perm_sign(rho + comp)))
+    return tuple(table)
 
 
 def hodge_field(field: FormField) -> FormField:
-    """Pointwise Euclidean Hodge star of a field (exact, algebraic)."""
+    """Pointwise Euclidean Hodge star of a field (exact, algebraic).
+
+    A signed column permutation of the values, one column at a time into a
+    C-ordered array: each column of the starred values is a column of the
+    values times its sign, +-1.0, as the integer sign array of a scatter
+    gave, so -0.0 and a NaN keep their sign bits as they did (``np.negative``
+    would flip a NaN's).  The stars 0 -> n and n -> 0 have one column and
+    sign +1, so they return the values themselves, C-ordered as the scatter
+    left them: ``_integrate``'s einsum rounds a strided operand otherwise.
+    """
     n, k = field.dim, field.degree
-    perm, sign = _star_table(n, k)
+    if k in (0, n):
+        return FormField(n - k, n, lambda points: np.ascontiguousarray(field(points)))
+    table = _star_table(n, k)
 
     def ev(points):
         vals = field(points)
-        out = np.zeros((len(points), len(index_tuples(n, n - k))))
-        out[:, perm] = vals * sign
+        out = np.empty((len(vals), len(table)))
+        for c, (i, sign) in enumerate(table):
+            np.multiply(vals[:, i], sign, out=out[:, c])
         return out
 
     return FormField(n - k, n, ev)
@@ -100,9 +111,12 @@ def _integrate(fields: Sequence[FormField], corner: Callable, index: np.ndarray,
 
     The orientation is the corner order; a 0-simplex is a point evaluation
     (one node of weight 1, and the 0x0 minor is 1).  Simplices go in
-    ``geometry.row_blocks`` of max(1, BLOCK_NODES // Q) for a rule of Q nodes,
-    and each block gathers its own (b, k+1, n) corners through ``corner``, maps
-    the nodes and takes the frame's minors once for all fields; only the field
+    ``geometry.row_blocks`` of max(1, BLOCK_NODES // Q) for a rule of Q nodes.
+    Each block gathers its k+1 corners through ``corner``, one (b, n) array
+    each, and forms from them the frame coordinate-major, (k, n, b), by k
+    subtractions into one array, so every minor's entries are contiguous
+    columns; the corners, stacked once for the node map, go before any field
+    is evaluated.  The minors are taken once for all fields; only the field
     values and the weighted sums are taken per field.  So the corners, the
     mapped nodes, one field's values and its temporaries cover at most
     max(BLOCK_NODES, Q) nodes at a time, whatever m is; only the result grows
@@ -118,10 +132,20 @@ def _integrate(fields: Sequence[FormField], corner: Callable, index: np.ndarray,
     m, n = len(index), fields[0].dim
     integ = np.zeros((len(fields), m))
     for rows in geometry.row_blocks(m, len(rule.weights)):
-        block = np.stack([corner(j, i) for j, i in enumerate(index[rows].T)], axis=1)
-        pts = rule.physical_points(block)          # (b, Q, n)
-        frame = geometry.edge_matrix(block)
-        minors = [geometry.det(frame[:, :, rho]) for rho in index_tuples(n, k)]
+        corners = [corner(j, i) for j, i in enumerate(index[rows].T)]
+        frame = np.empty((k, n, len(corners[0])))
+        for j in range(1, k + 1):
+            np.subtract(corners[j].T, corners[0].T, out=frame[j - 1])
+        # stacked for the node map with each corner's row of n floats copied
+        # as one item, so the copy does not loop over the length-n axis
+        row = np.dtype((np.void, corners[0].itemsize * n))
+        block = np.stack([c.view(row) for c in corners], axis=1).view(corners[0].dtype)
+        pts = rule.physical_points(block)                               # (b, Q, n)
+        del block, corners
+        # minor rho: the frame's columns rho, (b, k, k) with each entry contiguous
+        minors = [geometry.det(np.take(frame, rho, axis=1).transpose(2, 0, 1))
+                  for rho in index_tuples(n, k)]
+        del frame
         for field, out in zip(fields, integ[:, rows]):
             vals = field(pts.reshape(-1, n)).reshape(*pts.shape[:2], -1)
             for c, minor in enumerate(minors):

@@ -331,30 +331,33 @@ def medial_refine(cx: SimplicialComplex) -> SimplicialComplex:
     return refine(cx)
 
 
-def prolongation(coarse: SimplicialComplex) -> sp.csr_matrix:
-    """Linear interpolation of vertex values from ``coarse`` to ``refine(coarse)``.
-
-    A ``(N_0 fine, N_0 coarse)`` matrix, exact: fine vertex ``v < nv`` is coarse
-    vertex ``v`` and fine vertex ``nv + e`` the midpoint of coarse edge ``e``.
-    """
-    nv = coarse.num(0)
-    edges = coarse.simplices[1]
-    ends = [np.concatenate([np.arange(nv), edges[:, j]]) for j in (0, 1)]
-    nf = len(ends[0])
-    rows = np.tile(np.arange(nf), 2)
-    # a fine vertex that is a coarse vertex gets its two halves summed to 1
-    return sp.csr_matrix((np.full(2 * nf, 0.5), (rows, np.concatenate(ends))),
-                         shape=(nf, nv))
-
-
 def interior_prolongation(coarse: SimplicialComplex, fine: SimplicialComplex) -> sp.csr_matrix:
-    """``prolongation`` from the interior vertices of ``coarse`` to those of ``fine``.
+    """Linear interpolation of interior vertex values from ``coarse`` to
+    ``fine = refine(coarse)``, a ``(interior fine, interior coarse)`` CSR matrix.
 
     Boundary values are fixed, so a correction vanishes there and only the
-    interior block of the interpolation acts on it.
+    interior block of the interpolation acts on it.  Fine vertex ``v < nv`` is
+    coarse vertex ``v``, weight 1; fine vertex ``nv + e`` is the midpoint of
+    coarse edge ``e = (a, b)``, weight 1/2 at each of its interior ends.  A
+    midpoint whose ends both lie on the boundary (a chord of the domain) has
+    an empty row.  Built row by row in fine vertex order, with no full
+    interpolation formed; its columns come out sorted, as a < b.
     """
-    p = prolongation(coarse)[fine.interior_vertex_indices()]
-    return p[:, coarse.interior_vertex_indices()]
+    nv = coarse.num(0)
+    interior = coarse.interior_vertex_indices()
+    cols = np.full(nv, -1, dtype=np.int32)     # column of each coarse vertex, -1 on the boundary
+    cols[interior] = np.arange(len(interior), dtype=np.int32)
+    rows = fine.interior_vertex_indices()
+    split = int(np.searchsorted(rows, nv))     # the fine vertices that are coarse vertices
+    own = np.take(cols, rows[:split])
+    ends = np.take(cols, np.take(coarse.simplices[1], rows[split:] - nv, axis=0))
+    own_in, ends_in = own >= 0, ends >= 0
+    indptr = np.zeros(len(rows) + 1, dtype=np.int32)
+    np.cumsum(np.concatenate([own_in, ends_in.sum(axis=1)]), out=indptr[1:])
+    data = np.full(indptr[-1], 0.5)
+    data[:np.count_nonzero(own_in)] = 1.0
+    return sp.csr_matrix((data, np.concatenate([own[own_in], ends[ends_in]]), indptr),
+                         shape=(len(rows), len(interior)))
 
 
 # -- builders -----------------------------------------------------------------
@@ -436,17 +439,20 @@ def jitter_interior(cx: SimplicialComplex, amplitude: float = 0.1,
     out raises ``InvertedCellError``.
     """
     edges = cx.simplices[1]
-    lengths = np.linalg.norm(cx.vertices[edges[:, 1]] - cx.vertices[edges[:, 0]], axis=1)
+    vec = np.take(cx.vertices, edges[:, 1], axis=0)
+    vec -= np.take(cx.vertices, edges[:, 0], axis=0)
+    lengths = np.sqrt(geometry.squared_norms(vec))
+    del vec
     local = np.full(cx.num(0), np.inf)
     np.minimum.at(local, edges[:, 0], lengths)
     np.minimum.at(local, edges[:, 1], lengths)
 
     rng = np.random.default_rng(seed)
     disp = rng.standard_normal(cx.vertices.shape)
-    nrm = np.linalg.norm(disp, axis=1, keepdims=True)
-    disp = disp / np.maximum(nrm, 1e-300)
+    nrm = np.sqrt(geometry.squared_norms(disp))
+    disp /= np.maximum(nrm, 1e-300, out=nrm)[:, None]
     radii = amplitude * local * rng.random(cx.num(0)) ** (1.0 / cx.dim)
-    disp = disp * radii[:, None]
+    disp *= radii[:, None]
     disp[cx.boundary_vertex_mask()] = 0.0
 
     verts = cx.vertices + disp

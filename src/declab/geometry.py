@@ -5,6 +5,18 @@ simplices with k+1 vertices each, embedded in R^n.  Scalars fall out of the
 m=1 case.  Every matrix here is at most 3 x 3, so determinants are closed-form
 expansions (``det``) and linear systems, the circumcenter's among them, are
 solved by Cramer's rule over them (``solve``), elementwise over the batch.
+
+The column rule: an elementwise pass runs over contiguous columns of m
+entries, not over an axis of length n <= 3 of a stacked block, where numpy
+spends its time on loop overhead.  ``signed_volume`` and ``diameter`` read
+``coords`` coordinate-major, as the (n, k+1, m) array ``coords.T``: a caller
+that gathers its corners that way (``complex.cell_orientation``) passes a
+view and nothing is copied; a row-major stack is copied once.  ``det`` runs
+on contiguous columns when its (..., k, k) argument is such a transposed
+view.  The arithmetic is elementwise, so the layout changes no bit; the
+matrix products (``unsigned_volume``'s and the circumcenter's Gram,
+``QuadratureRule.physical_points``) stay on their stacked operands, as BLAS
+rounds them.
 """
 from __future__ import annotations
 
@@ -99,12 +111,15 @@ def unsigned_volume(coords: np.ndarray) -> np.ndarray:
 
 
 def signed_volume(coords: np.ndarray) -> np.ndarray:
-    """Signed n-volume of full-dimensional simplices, det(E) / n!."""
+    """Signed n-volume of full-dimensional simplices, det(E) / n!, coordinate-major
+    by the column rule."""
     coords = np.asarray(coords, dtype=float)
     n = coords.shape[2]
     if coords.shape[1] != n + 1:
         raise ValueError("signed_volume needs n+1 vertices in R^n")
-    return det(edge_matrix(coords)) / math.factorial(n)
+    cols = np.ascontiguousarray(coords.T)          # (n, n+1, m)
+    frame = cols[:, 1:] - cols[:, :1]              # frame[x, i]: coordinate x of edge i
+    return det(frame.T) / math.factorial(n)
 
 
 def squared_norms(d: np.ndarray) -> np.ndarray:
@@ -121,12 +136,13 @@ def diameter(coords: np.ndarray) -> np.ndarray:
 
     A running maximum of the squared lengths over the vertex pairs i < j, then
     one square root: the square root is monotone and correctly rounded, so
-    this is exactly the largest of the lengths.
+    this is exactly the largest of the lengths.  Coordinate-major, by the
+    column rule.
     """
-    coords = np.asarray(coords, dtype=float)
-    sq = np.zeros(len(coords))
-    for i, j in combinations(range(coords.shape[1]), 2):
-        np.maximum(sq, squared_norms(coords[:, i] - coords[:, j]), out=sq)
+    cols = np.ascontiguousarray(np.asarray(coords, dtype=float).T)   # (n, k+1, m)
+    sq = np.zeros(cols.shape[2])
+    for i, j in combinations(range(cols.shape[1]), 2):
+        np.maximum(sq, squared_norms((cols[:, i] - cols[:, j]).T), out=sq)
     return np.sqrt(sq)
 
 

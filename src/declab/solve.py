@@ -42,6 +42,7 @@ import scipy.sparse as sp
 from .complex import SimplicialComplex
 from .dualmesh import DualComplex
 from .errors import IterativeSolveError, TrivialProblemError
+from .geometry import squared_norms
 from .operators import Cochain, discrete_l2, edge_differences, h1_seminorm, inner_product
 from .problems import ProblemBundle
 
@@ -119,7 +120,10 @@ def _stiffness_blocks(cx: SimplicialComplex, dual: DualComplex,
     """
     edges = cx.simplices[1]
     i, j = edges[:, 0], edges[:, 1]
-    w = dual.volumes[1] / np.linalg.norm(cx.vertices[j] - cx.vertices[i], axis=1)
+    vec = np.take(cx.vertices, j, axis=0)
+    vec -= np.take(cx.vertices, i, axis=0)
+    w = dual.volumes[1] / np.sqrt(squared_norms(vec))
+    del vec
     diag = np.bincount(np.concatenate([i, j]), np.concatenate([w, w]), minlength=cx.num(0))
     # position of each vertex among the free vertices, or among the others
     nf = int(np.count_nonzero(free))
@@ -241,7 +245,8 @@ def v_cycle(a: sp.csr_matrix, prolongations: Sequence[sp.csr_matrix]
         mats.append(at.T.tocsr())
     coarsest = mats.pop()
     inv = coarsest.diagonal() if diagonal else _spd_inverse(coarsest.toarray())
-    levels = [(m, JACOBI_DAMPING / m.diagonal(), p) for m, p in zip(reversed(mats), ps)]
+    # p.T is a CSC view of p's arrays, formed here once rather than per visit
+    levels = [(m, JACOBI_DAMPING / m.diagonal(), p, p.T) for m, p in zip(reversed(mats), ps)]
     return lambda r: _cycle(levels, inv, len(levels) - 1, r)
 
 
@@ -291,7 +296,8 @@ def _aggregates(m: sp.csr_matrix) -> np.ndarray:
 
 def _cycle(levels: list, inv: np.ndarray, j: int, r: np.ndarray) -> np.ndarray:
     """The V-cycle from level ``j`` down; ``levels[j]`` is (operator, damped inverse
-    diagonal, prolongation from level j - 1).  ``inv`` solves the coarsest:
+    diagonal, prolongation from level j - 1, its transpose as a CSC view, the
+    restriction).  ``inv`` solves the coarsest:
     a matrix is its dense inverse, a vector the diagonal of a diagonal operator.
 
     A module function, not a closure over itself: a self-referencing closure
@@ -299,11 +305,11 @@ def _cycle(levels: list, inv: np.ndarray, j: int, r: np.ndarray) -> np.ndarray:
     """
     if j < 0:
         return r / inv if inv.ndim == 1 else (inv * r).sum(axis=1)
-    m, wdinv, p = levels[j]
+    m, wdinv, p, pt = levels[j]
     x = wdinv * r
     for _ in range(SWEEPS - 1):
         x += wdinv * (r - m @ x)
-    x += p @ _cycle(levels, inv, j - 1, p.T @ (r - m @ x))
+    x += p @ _cycle(levels, inv, j - 1, pt @ (r - m @ x))
     for _ in range(SWEEPS):
         x += wdinv * (r - m @ x)
     return x

@@ -13,6 +13,7 @@ from declab import geometry
 from declab.complex import _audit_conformity, _ball_members, build_complex, cell_orientation
 from declab.errors import DegenerateSimplexError, MeshError, NonConformingError, ids
 from declab.generators import FamilySpec, generate, jitter_interior, refine
+import kernel_oracles
 from strategies import jittered_wheels
 
 
@@ -282,6 +283,21 @@ def test_conformity_audit_memory_is_bounded_by_the_block(monkeypatch):
             tracemalloc.stop()
 
     assert peak(3 * 64) < 0.5 * peak(1 << 62)
+
+
+@settings(deadline=None, max_examples=20)
+@given(cx=jittered_wheels | st.integers(0, 2).map(
+    lambda level: generate(FamilySpec("cube_kuhn", level))), data=st.data())
+def test_cell_orientation_equals_the_stacked_oracle(cx, data):
+    # corners gathered coordinate-major by np.take give the signs that the
+    # fancy-indexed stack gave, on cells of either orientation
+    cells = np.array(cx.simplices[cx.dim])
+    flip = data.draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+    cells[flip, :2] = cells[flip, 1::-1]
+    signs, degenerate = kernel_oracles.cell_orientation(cx.vertices, cells)
+    assert not degenerate.any()
+    assert np.array_equal(cell_orientation(cx.vertices, cells), signs)
+    assert np.array_equal(signs[flip], -cx.orientation[cx.dim][flip])
 
 
 def test_degenerate_cell_is_named_alike_at_every_block_size(monkeypatch):

@@ -14,6 +14,7 @@ from declab.errors import DegenerateSimplexError, InvertedCellError, WellCentere
 from declab.generators import FamilySpec, generate, jitter_interior, refine
 from declab.operators import exterior_derivative
 from declab.study import walk_levels
+import kernel_oracles
 from strategies import jittered_wheel, jittered_wheels, strictly_well_centered
 
 
@@ -288,6 +289,20 @@ def test_fragment_ranges_make_the_whole_table():
                 parts = [fragments(cx, k, slice(i, i + step)) for i in range(0, cx.num(n), step)]
                 assert np.array_equal(np.concatenate([c for c, _ in parts]), chain)
                 assert np.array_equal(np.concatenate([s for _, s in parts]), sign)
+
+
+def test_fragments_equal_the_hstack_oracle():
+    # each step's column filled in place, stored column by column, against
+    # the chain grown by one hstack per step
+    for cx in (generate(FamilySpec("pentagon_wheel", level=2)),
+               generate(FamilySpec("corner", level=2)),
+               generate(FamilySpec("cube_kuhn", level=1))):
+        for k in range(cx.dim + 1):
+            for cells in (slice(None), slice(3, 17), slice(cx.num(cx.dim) - 1, None)):
+                chain, sign = fragments(cx, k, cells)
+                want_chain, want_sign = kernel_oracles.fragments(cx, k, cells)
+                assert chain.dtype == want_chain.dtype and sign.dtype == want_sign.dtype
+                assert np.array_equal(chain, want_chain) and np.array_equal(sign, want_sign)
 
 
 cubes = st.integers(0, 2).map(lambda level: generate(FamilySpec("cube_kuhn", level)))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from declab import dualmesh, geometry
+from declab import fields as fields_module
 from declab.complex import SimplicialComplex
 from declab.dualmesh import build_dual
 from declab.errors import TrivialProblemError, WellCenteredError
@@ -18,6 +19,7 @@ from declab.operators import Cochain, discrete_l2, exterior_derivative, hodge_st
 from declab.problems import get_problem
 from declab.quadrature import simplex_rule
 from declab.solve import stiffness_matrix
+import kernel_oracles
 from forms import volume_field
 from strategies import jittered_wheels
 from whitney import _barycentric_gradients, whitney_mass_matrix
@@ -162,6 +164,58 @@ def test_one_pass_over_several_fields_is_each_field_alone(cx):
             assert np.array_equal(primal.values, derham_primal([field], cx, 6)[0].values)
             assert np.array_equal(starred.values,
                                   derham_dual([hodge_field(field)], dual, 6)[0].values)
+
+
+def _bits(values):
+    return np.ascontiguousarray(values).view(np.int64)
+
+
+def test_hodge_field_is_the_scatter_oracle_bit_for_bit(rng):
+    # every sign bit survives, of -0.0 and of NaN too: the columns of sign -1
+    # are multiplied by -1.0, as the integer sign array did
+    special = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1.5, -2.25])
+    for n in (1, 2, 3):
+        pts = rng.standard_normal((40, n))
+        for k in range(n + 1):
+            width = math.comb(n, k)
+            vals = rng.standard_normal((40, width))
+            vals[:len(special)] = special[:, None]
+            vals[len(special):2 * len(special)] = special[::-1, None]
+            field = FormField(k, n, lambda p, vals=vals: vals[:len(p)])
+            got, want = hodge_field(field)(pts), kernel_oracles.hodge_field(field)(pts)
+            assert got.shape == want.shape == (40, math.comb(n, n - k)), (n, k)
+            assert np.array_equal(_bits(got), _bits(want)), (n, k)
+
+
+def _assert_derham_maps_equal_the_stacked_oracle(cx):
+    n = cx.dim
+    dual = build_dual(cx)
+    for k in range(n + 1):
+        fields = [_plane_waves(n, k), _shifted_waves(n, k)]
+        got = (derham_primal(fields, cx, 6), derham_dual(fields, dual, 6),
+               derham_images(fields, cx, dual, 6))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fields_module, "_integrate", kernel_oracles.integrate)
+            mp.setattr(fields_module, "hodge_field", kernel_oracles.hodge_field)
+            mp.setattr(fields_module, "fragments", kernel_oracles.fragments)
+            want = (derham_primal(fields, cx, 6), derham_dual(fields, dual, 6),
+                    derham_images(fields, cx, dual, 6))
+        for a, b in zip(got[0] + got[1], want[0] + want[1]):
+            assert np.array_equal(_bits(a.values), _bits(b.values)), k
+        for (a, a_star), (b, b_star) in zip(got[2], want[2]):
+            assert np.array_equal(_bits(a.values), _bits(b.values)), k
+            assert np.array_equal(_bits(a_star.values), _bits(b_star.values)), k
+
+
+@pytest.mark.parametrize("family, level", [("pentagon_wheel", 2), ("cube_kuhn", 1)])
+def test_derham_maps_equal_the_stacked_oracle_bit_for_bit(family, level):
+    _assert_derham_maps_equal_the_stacked_oracle(generate(FamilySpec(family, level)))
+
+
+@settings(deadline=None, max_examples=10)
+@given(cx=jittered_wheels)
+def test_derham_maps_equal_the_stacked_oracle_on_jittered_wheels(cx):
+    _assert_derham_maps_equal_the_stacked_oracle(cx)
 
 
 def test_one_pass_refuses_fields_of_mixed_degree(pentagon2d):

@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,10 @@ from declab import geometry, meshio
 from declab.complex import build_complex
 from declab.errors import InvertedCellError, MeshError
 from declab.generators import (DEFAULT_ALPHA, FamilySpec, _label_slit, estimate_unknowns,
-                               generate, jitter_interior, prolongation, refine, walk)
+                               generate, interior_prolongation, jitter_interior, refine,
+                               walk)
+from kernel_oracles import interior_prolongation as oracle_interior_prolongation
+from kernel_oracles import jittered_vertices, prolongation
 from refine_oracle import refine as refine_by_column_lists
 
 C_PENTAGON = math.sqrt(2 - 2 * math.cos(2 * math.pi / 5))
@@ -215,6 +219,56 @@ def test_jitter_that_inverts_a_cell_fails_fast(seed):
     cx = generate(FamilySpec("pentagon_wheel", level=3, n_gon=6))
     with pytest.raises(InvertedCellError, match="inverted 1 of 384 cells"):
         jitter_interior(cx, amplitude=0.5, seed=seed)
+
+
+@pytest.mark.parametrize("spec, amplitude", [(FamilySpec("pentagon_wheel", 4, n_gon=6), 0.14),
+                                             (FamilySpec("corner", 3), 0.1),
+                                             (FamilySpec("cube_kuhn", 2), 0.1)],
+                         ids=lambda v: getattr(v, "family", v))
+def test_jitter_equals_the_norm_oracle_bit_for_bit(spec, amplitude):
+    # squared_norms over gathered columns sums the squares in the order
+    # np.linalg.norm's reduction does, so no vertex moves by a bit
+    cx = generate(spec)
+    for seed in (0, 100, 2 ** 31):
+        want = jittered_vertices(cx, amplitude, seed)
+        got = jitter_interior(cx, amplitude, seed).vertices
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), seed
+
+
+def _interior_pairs(levels):
+    for family, level in zip(("pentagon_wheel", "corner", "cube_kuhn"), levels):
+        meshes = list(walk(FamilySpec(family), level + 1))
+        yield family, meshes[-2], meshes[-1]
+
+
+def test_interior_prolongation_equals_the_sliced_full_interpolation():
+    # the CSR is built row by row; the oracle slices the full interpolation.
+    # Corner and cube meshes have chords, edges between two boundary vertices
+    # whose midpoint is interior: their rows are empty
+    for family, coarse, fine in _interior_pairs((4, 4, 2)):
+        got = interior_prolongation(coarse, fine)
+        want = oracle_interior_prolongation(coarse, fine)
+        assert got.shape == want.shape and got.has_sorted_indices, family
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (family, name)
+        assert (np.diff(got.indptr) == 0).any() == (family != "pentagon_wheel"), family
+
+
+def test_interior_prolongation_memory_stays_near_its_result():
+    # the full interpolation and its two fancy-index copies peaked at 4.5,
+    # 4.6 and 7.1 times the result's bytes here (pentagon 5 -> 6, corner
+    # 5 -> 6, cube 2 -> 3); built directly, at 2.1 to 2.2 times
+    for family, coarse, fine in _interior_pairs((6, 6, 3)):
+        fine.interior_vertex_indices(), coarse.interior_vertex_indices()  # cached masks
+        tracemalloc.start()
+        try:
+            p = interior_prolongation(coarse, fine)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = p.data.nbytes + p.indices.nbytes + p.indptr.nbytes
+        assert peak < 3 * size, (family, peak / size)
 
 
 def test_refined_file_mesh_keeps_boundary_labels(tmp_path):

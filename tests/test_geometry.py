@@ -13,6 +13,7 @@ from declab.complex import build_complex
 from declab.dualmesh import build_dual
 from declab.errors import DegenerateSimplexError
 from declab.generators import FamilySpec, generate
+import kernel_oracles
 from strategies import jittered_wheels
 from test_dualmesh import exact_coordinates
 
@@ -138,6 +139,23 @@ def test_diameter_is_bit_identical_to_broadcast_formula(cx):
     for k in range(cx.dim + 1):
         coords = cx.coords_of(k, slice(None))
         assert np.array_equal(geometry.diameter(coords), broadcast_diameter(coords))
+
+
+def test_signed_volume_and_diameter_equal_the_stacked_oracle_bit_for_bit(rng):
+    # coordinate-major, by the column rule, whether the caller's stack is
+    # row-major (one copy) or already a coordinate-major view (no copy)
+    for n in (1, 2, 3):
+        for k in range(n + 1):
+            coords = rng.standard_normal((500, k + 1, n)) * rng.uniform(1e-3, 1e3, (500, 1, 1))
+            coords[:5] = 0.0                        # zero volume and diameter
+            coords[5:10, 1:] = coords[5:10, :1]     # repeated vertices
+            view = np.ascontiguousarray(coords.T).T
+            for layout in (coords, view):
+                assert np.array_equal(geometry.diameter(layout).view(np.int64),
+                                      kernel_oracles.diameter(coords).view(np.int64)), (n, k)
+                if k == n:
+                    assert np.array_equal(geometry.signed_volume(layout).view(np.int64),
+                                          kernel_oracles.signed_volume(coords).view(np.int64))
 
 
 def test_barycentric_coordinates_roundtrip(rng):

@@ -204,7 +204,7 @@ def galerkin_v_cycle(a, prolongations):
         mats.append((p.T @ mats[-1] @ p).tocsr())
     coarsest = mats.pop()
     inv = coarsest.diagonal() if diagonal else _spd_inverse(coarsest.toarray())
-    levels = [(m, JACOBI_DAMPING / m.diagonal(), p) for m, p in zip(reversed(mats), ps)]
+    levels = [(m, JACOBI_DAMPING / m.diagonal(), p, p.T) for m, p in zip(reversed(mats), ps)]
     return lambda r: _cycle(levels, inv, len(levels) - 1, r)
 
 
