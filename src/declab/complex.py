@@ -125,9 +125,14 @@ class SimplicialComplex:
 
     def coords_of(self, k: int, idx) -> np.ndarray:
         """Vertex coordinates of the k-simplices ``idx`` (rows, a slice or a
-        mask), shape (m, k+1, n)."""
+        mask), shape (m, k+1, n).
+
+        Gathered vertex-major, as a view of a (k+1, m, n) array: each
+        ``coords[:, i]`` is one contiguous (m, n) block, so the kernels'
+        passes over vertex i, and ``geometry.edge_matrix``, run over
+        contiguous memory (``geometry``'s column rule)."""
         # take gathers whole rows several times faster than the fancy index
-        return np.take(self.vertices, self.simplices[k][idx], axis=0)
+        return np.take(self.vertices, self.simplices[k][idx].T, axis=0).transpose(1, 0, 2)
 
     def index_of(self, k: int, rows) -> np.ndarray:
         rows = np.sort(np.atleast_2d(np.asarray(rows, dtype=np.int64)), axis=1)

@@ -21,12 +21,15 @@ max(1, geometry.BLOCK_NODES // w) simplices, w points per row: the
 circumcenter solve over blocks of k-simplices (w = k+1 vertices), written into
 preallocated (N_k, n) centers and (N_k, k+1) signs, and the step lengths
 over blocks of (k+1)-cofaces (w = k+2 faces), which ``np.add.at`` adds into
-the (N_k,) volumes.  Every quantity is per row, and the blocks run in order,
-so every volume sums its terms in pair order from zero, as one bincount over
-all pairs would: the block size changes no bit of the result, and no array
-holds one entry per incidence pair.  Of the coordinates only their signs
-(bool) outlive a block, for the side signs; the well-centeredness gate keeps
-the smallest coordinate of each degree and the first row holding it.
+the (N_k,) volumes.  A block's step lengths are formed face-major, one
+contiguous row per face position, with no coface center repeated, and go to
+``np.add.at`` in pair order.  Every quantity is per row, and the blocks run
+in order, so every volume sums its terms in pair order from zero, as one
+bincount over all pairs would: the block size changes no bit of the result,
+and no array holds one entry per incidence pair.  Of the coordinates only
+their signs (bool) outlive a block, for the side signs; the well-centeredness
+gate keeps the smallest coordinate of each degree and the first row holding
+it.
 
 Not every center is solved.  An edge's is its midpoint, with coordinates
 [1/2, 1/2], and no table holds it: ``DualComplex.centers`` takes it from the
@@ -37,10 +40,13 @@ parent scaled by -1/2 about the centroid g, and scaling keeps the circumcenter
 and its barycentric coordinates, so the child's center is (v + c) / 2 or
 (3g - c) / 2 for its parent's center c, and its coordinate signs are its
 parent's, in the child's vertex order: it passes the gate as its parent did.
+A corner tetrahedron's inner face, the face dropping its vertex v, is the
+coarse face opposite v scaled alike, so it is carried too.
 ``DualComplex.record`` holds what the next level takes: centers and signs of
-the triangles and tetrahedra.  Every triangle of a refined 2D mesh is carried;
-in 3D the eight triangles inside each coarse tetrahedron and the four
-tetrahedra of its octahedron are solved, and gated, as before.
+the triangles and tetrahedra, and in 3D the tetrahedra's faces.  Every
+triangle of a refined 2D mesh is carried; in 3D the four triangles inside
+each coarse tetrahedron that are no corner child's face, and the four
+tetrahedra of its octahedron, are solved, and gated, as before.
 
 Unrolled, the recursion is a sum over full ascending flags
 t = t_k < t_{k+1} < ... < t_n through the top cells, one elementary fragment
@@ -114,6 +120,8 @@ class CenterRecord(NamedTuple):
     NaN counting as negative)."""
     centers: list[np.ndarray]
     inside: list[np.ndarray | None]
+    # of a tetrahedral mesh, faces[3]: the face opposite each corner child's vertex
+    faces: np.ndarray | None = None
 
 
 def _centers(cx: SimplicialComplex, centers: list, k: int, index) -> np.ndarray:
@@ -126,6 +134,30 @@ def _centers(cx: SimplicialComplex, centers: list, k: int, index) -> np.ndarray:
     ends = edges[index] if isinstance(index, slice) else np.take(edges, index, axis=0)
     mid = np.take(cx.vertices, ends[:, 0], axis=0)
     mid += np.take(cx.vertices, ends[:, 1], axis=0)
+    return np.multiply(mid, 0.5, out=mid)
+
+
+def _pair_centers(cx: SimplicialComplex, centers: list, k: int, rows: slice):
+    """(c(T), c(t), t) of the (k+1)-simplices T of ``rows`` and their
+    k-faces t: (M, n), (k+2, M, n) and (M, k+2), [i] the face dropping
+    vertex i, but for an edge T its vertices in order.  A vertex gets the
+    terms of its edges in edge order either way.
+
+    Below k = 2 the centers are vertices and midpoints, taken from the
+    vertices of T, gathered once: an edge's midpoint is v_a + v_b halved, as
+    ``_centers`` forms it."""
+    if k >= 2:
+        t = cx.faces[k + 1][rows]
+        return centers[k + 1][rows], np.take(centers[k], t.T, axis=0), t
+    pts = cx.coords_of(k + 1, rows).transpose(1, 0, 2)
+    if k == 0:
+        return _midpoint(pts[0], pts[1]), pts, cx.simplices[1][rows]
+    mids = [_midpoint(pts[1], pts[2]), _midpoint(pts[0], pts[2]), _midpoint(pts[0], pts[1])]
+    return centers[2][rows], np.stack(mids), cx.faces[2][rows]
+
+
+def _midpoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    mid = a + b
     return np.multiply(mid, 0.5, out=mid)
 
 
@@ -174,17 +206,18 @@ def build_dual(cx: SimplicialComplex, coarse: CenterRecord | None = None) -> Dua
         # vertex i of T; s(t,T) is the sign of lam[T, i], 0 counting as +1
         volumes[k] = np.zeros(cx.num(k))
         for rows in geometry.row_blocks(cx.num(k + 1), k + 2):
-            t = cx.faces[k + 1][rows].ravel()
-            step = np.repeat(_centers(cx, centers, k + 1, rows), k + 2, axis=0)
-            step -= _centers(cx, centers, k, t)
-            step = np.sqrt(geometry.squared_norms(step))
+            # step[i]: the pairs (T, i) of the block, one contiguous row per i
+            c_top, c_faces, t = _pair_centers(cx, centers, k, rows)
+            step = np.sqrt(geometry.squared_norms(c_top - c_faces))
+            del c_top, c_faces
             if k > 0:
-                step = np.where(inside[k + 1][rows].ravel(), step, -step)
-            step *= np.repeat(volumes[k + 1][rows], k + 2)
-            np.add.at(volumes[k], t, step)
+                np.negative(step, out=step, where=~inside[k + 1][rows].T)
+            step *= volumes[k + 1][rows]
+            np.add.at(volumes[k], t.ravel(), step.T.ravel())
         volumes[k] /= n - k
     # edges and vertices carry nothing: their centers are midpoints and vertices
-    record = CenterRecord(*([None, None] + x[2:] for x in (centers, inside)))
+    record = CenterRecord(*([None, None] + x[2:] for x in (centers, inside)),
+                          cx.faces[3] if n == 3 else None)
     return DualComplex(cx, centers, volumes, record)
 
 
@@ -201,32 +234,79 @@ def _circumcenters(cx: SimplicialComplex, k: int, coarse: CenterRecord | None):
     inside, low = np.empty((m, k + 1), dtype=bool), (np.inf, -1)
     todo = None  # the rows to solve, all when None
     if coarse is not None and k in _CARRIED:
-        kids = cx.children[k][:, :len(_CARRIED[k])]
-        for rows in geometry.row_blocks(len(kids), k + 1):
-            c = coarse.centers[k][rows]
-            for slot, order in enumerate(_CARRIED[k]):
-                r = kids[rows, slot]
-                if slot <= k:
-                    # the corner's vertex comes first: it is a coarse vertex,
-                    # numbered below every midpoint
-                    centers[r] = 0.5 * (cx.vertices[cx.simplices[k][r, 0]] + c)
-                else:
-                    pts = cx.coords_of(k, r)
-                    centers[r] = 0.5 * (pts[:, 0] + pts[:, 1] + pts[:, 2] - c)
-                inside[r] = coarse.inside[k][rows, order]
         todo = np.ones(m, dtype=bool)
-        todo[kids.ravel()] = False
+        for r, center, sign in _carried(cx, k, coarse):
+            _put_rows(centers, r, center)
+            _put_rows(inside, r, sign)
+            todo[r] = False
         todo = np.flatnonzero(todo)
     for block in geometry.row_blocks(m if todo is None else len(todo), k + 1):
         rows = block if todo is None else todo[block]
-        centers[rows], lam = geometry.circumcenter(cx.coords_of(k, rows), check=True)
-        inside[rows] = lam >= 0
+        center, lam = geometry.circumcenter(cx.coords_of(k, rows), check=True)
+        if todo is None:
+            centers[rows], inside[rows] = center, lam >= 0
+        else:
+            _put_rows(centers, rows, center)
+            _put_rows(inside, rows, lam >= 0)
         # the minimum column by column, faster than lam.min(axis=1)
         row_min = reduce(np.minimum, lam.T)
         first = int(np.argmin(row_min))
         if row_min[first] < low[0]:
             low = (row_min[first], block.start + first if todo is None else rows[first])
     return centers, inside, low
+
+
+def _carried(cx: SimplicialComplex, k: int, coarse: CenterRecord):
+    """(rows, centers, coordinate signs) of the carried k-simplices, by
+    blocks of parents and one child slot at a time: the children in
+    ``_CARRIED``'s slots and, of the triangles of a refined tetrahedral mesh,
+    each corner tetrahedron's inner face.
+
+    The corner tetrahedron at vertex p of T is T scaled by 1/2 about v_p, so
+    its face dropping p is the face F of T opposite p, scaled alike: its
+    center is (v_p + c(F)) / 2, and its vertices are the midpoints of the
+    edges (x, p) for the vertices x of F in order (an edge (x, p) with
+    x < p sorts before (p, y)), so its coordinate signs are F's.
+    """
+    kids = cx.children[k]
+    for rows in geometry.row_blocks(len(kids), k + 1):
+        c = coarse.centers[k][rows]
+        for slot, order in enumerate(_CARRIED[k]):
+            r = kids[rows, slot]
+            if slot <= k:
+                # the corner's vertex comes first: it is a coarse vertex,
+                # numbered below every midpoint
+                center = _apex(cx, k, r) + c
+            else:
+                pts = cx.coords_of(k, r)
+                center = pts[:, 0] + pts[:, 1] + pts[:, 2] - c
+            center *= 0.5
+            yield r, center, np.take(coarse.inside[k][rows], order, axis=1)
+    if k != 2 or coarse.faces is None:
+        return
+    tets = cx.children[3]
+    for rows in geometry.row_blocks(len(tets), 4):
+        for p in range(4):
+            corner = tets[rows, p]
+            opposite = coarse.faces[rows, p]
+            center = _apex(cx, 3, corner) + np.take(coarse.centers[2], opposite, axis=0)
+            center *= 0.5
+            yield (np.take(cx.faces[3], corner, axis=0)[:, 0], center,
+                   np.take(coarse.inside[2], opposite, axis=0))
+
+
+def _put_rows(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """``table[rows] = values`` for a C-ordered table, each row moved as one
+    item: several times faster than the fancy assignment, which loops over
+    the short rows."""
+    row = np.dtype((np.void, table.itemsize * table.shape[1]))
+    np.put(table.view(row).ravel(), rows,
+           np.ascontiguousarray(values, dtype=table.dtype).view(row).ravel())
+
+
+def _apex(cx: SimplicialComplex, k: int, rows) -> np.ndarray:
+    """The coordinates of the first vertex of the k-simplices ``rows``, (m, n)."""
+    return np.take(cx.vertices, np.take(cx.simplices[k], rows, axis=0)[:, 0], axis=0)
 
 
 def fragments(cx: SimplicialComplex, k: int, cells: slice = slice(None)):

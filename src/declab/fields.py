@@ -82,12 +82,11 @@ def hodge_field(field: FormField) -> FormField:
     values times its sign, +-1.0, as the integer sign array of a scatter
     gave, so -0.0 and a NaN keep their sign bits as they did (``np.negative``
     would flip a NaN's).  The stars 0 -> n and n -> 0 have one column and
-    sign +1, so they return the values themselves, C-ordered as the scatter
-    left them: ``_integrate``'s einsum rounds a strided operand otherwise.
+    sign +1, so they return the values themselves.
     """
     n, k = field.dim, field.degree
     if k in (0, n):
-        return FormField(n - k, n, lambda points: np.ascontiguousarray(field(points)))
+        return FormField(n - k, n, field)
     table = _star_table(n, k)
 
     def ev(points):
@@ -124,8 +123,10 @@ def _integrate(fields: Sequence[FormField], corner: Callable, index: np.ndarray,
     alone, not a BLAS matrix-vector product, whose rounding of a row depends
     on where it falls in the kernel's groups and thread split; so the result
     depends neither on the block size, nor on the BLAS thread count, nor on
-    which other fields share the pass.  ``derham_dual`` hands it the
-    fragments of one block of top cells at a time, which fit one block here.
+    which other fields share the pass, nor on the memory layout in which a
+    field returns its values, which are read C-ordered (no copy when they
+    are).  ``derham_dual`` hands it the fragments of one block of top cells
+    at a time, which fit one block here.
     """
     k = fields[0].degree
     rule = simplex_rule(k, degree)
@@ -147,7 +148,8 @@ def _integrate(fields: Sequence[FormField], corner: Callable, index: np.ndarray,
                   for rho in index_tuples(n, k)]
         del frame
         for field, out in zip(fields, integ[:, rows]):
-            vals = field(pts.reshape(-1, n)).reshape(*pts.shape[:2], -1)
+            # C-ordered: the einsum rounds a strided (b, Q) operand differently
+            vals = np.ascontiguousarray(field(pts.reshape(-1, n))).reshape(*pts.shape[:2], -1)
             for c, minor in enumerate(minors):
                 out += np.einsum("bq,q->b", vals[:, :, c], rule.weights) * minor
             del vals   # so the next field's values do not coexist with these

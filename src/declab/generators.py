@@ -178,17 +178,28 @@ def _sort_table(table: np.ndarray, w: int, sign: np.ndarray | None) -> None:
     """Sort in place the rows that ``table`` holds column-wise: ``table[i]``
     is vertex i of every row, and ``table[w + i]``, if there, the face that
     drops it and moves with it.  Each exchange negates ``sign``, when given.
-    Entries of a row are distinct."""
-    swap = np.empty(table.shape[1], dtype=bool)
-    scratch = np.empty(table.shape[1], dtype=table.dtype)
+    Entries of a row are distinct.
+
+    An exchange takes the minimum and maximum of two vertex columns and
+    swaps the face columns beside them by xor under an all-ones mask: no
+    pass branches on the data, as a masked copy does."""
+    n = table.shape[1]
+    swap, odd = np.empty(n, dtype=bool), np.zeros(n, dtype=bool)
+    mask, scratch = np.empty(n, dtype=table.dtype), np.empty(n, dtype=table.dtype)
     for a, b in _NETWORKS[w]:
         np.greater(table[a], table[b], out=swap)
-        for off in range(0, len(table), w):
-            scratch[:] = table[a + off]
-            np.copyto(table[a + off], table[b + off], where=swap)
-            np.copyto(table[b + off], scratch, where=swap)
-        if sign is not None:
-            np.negative(sign, out=sign, where=swap)
+        odd ^= swap
+        np.minimum(table[a], table[b], out=scratch)
+        np.maximum(table[a], table[b], out=table[b])
+        table[a] = scratch
+        np.negative(swap, out=mask, dtype=mask.dtype)  # -1, all bits set, where they swap
+        for off in range(w, len(table), w):
+            np.bitwise_xor(table[a + off], table[b + off], out=scratch)
+            scratch &= mask
+            table[a + off] ^= scratch
+            table[b + off] ^= scratch
+    if sign is not None:
+        np.negative(sign, out=sign, where=odd)
 
 
 def _local_faces(cx: SimplicialComplex, j: int) -> tuple[np.ndarray, dict]:
@@ -197,18 +208,27 @@ def _local_faces(cx: SimplicialComplex, j: int) -> tuple[np.ndarray, dict]:
     positions in that order of the face's vertices (a vertex's index is its id)."""
     rows = cx.simplices[j]
     # the stable sort breaks ties by id, so this is one order of all vertices
-    order = np.argsort(cx.vertices.sum(axis=1)[rows], axis=1, kind="stable")
+    order = np.argsort(np.take(cx.vertices.sum(axis=1), rows), axis=1, kind="stable")
+    cols = np.ascontiguousarray(order.T)
     index = {}
     for size in range(1, j + 2):
         for u in combinations(range(j + 1), size):
             # drop the other vertices' sorted positions from the top, largest first
             e = np.arange(len(rows), dtype=np.int32)
             if size <= j:
-                drop = np.sort(order[:, [p for p in range(j + 1) if p not in u]], axis=1)
+                drop = _sorted_columns([cols[p] for p in range(j + 1) if p not in u])
                 for c in range(j - size, -1, -1):
-                    e = cx.faces[c + size][e, drop[:, c]]
+                    e = cx.faces[c + size][e, drop[c]]
             index[u] = e
     return order, index
+
+
+def _sorted_columns(cols: list[np.ndarray]) -> list[np.ndarray]:
+    """The rows that ``cols`` holds column-wise, sorted by ``_NETWORKS``."""
+    cols = list(cols)
+    for a, b in _NETWORKS[len(cols)]:
+        cols[a], cols[b] = np.minimum(cols[a], cols[b]), np.maximum(cols[a], cols[b])
+    return cols
 
 
 def refine(cx: SimplicialComplex) -> SimplicialComplex:

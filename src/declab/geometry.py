@@ -4,23 +4,42 @@ All functions accept batched input: ``coords`` has shape (m, k+1, n) for m
 simplices with k+1 vertices each, embedded in R^n.  Scalars fall out of the
 m=1 case.  Every matrix here is at most 3 x 3, so determinants are closed-form
 expansions (``det``) and linear systems, the circumcenter's among them, are
-solved by Cramer's rule over them (``solve``), elementwise over the batch.
+solved by Cramer's rule over them (``_cramer``; ``solve`` on a stack),
+elementwise over the batch.
 
 The column rule: an elementwise pass runs over contiguous columns of m
 entries, not over an axis of length n <= 3 of a stacked block, where numpy
 spends its time on loop overhead.  ``signed_volume`` and ``diameter`` read
 ``coords`` coordinate-major, as the (n, k+1, m) array ``coords.T``: a caller
 that gathers its corners that way (``complex.cell_orientation``) passes a
-view and nothing is copied; a row-major stack is copied once.  ``det`` runs
-on contiguous columns when its (..., k, k) argument is such a transposed
-view.  The arithmetic is elementwise, so the layout changes no bit; the
-matrix products (``unsigned_volume``'s and the circumcenter's Gram,
-``QuadratureRule.physical_points``) stay on their stacked operands, as BLAS
-rounds them.
+view and nothing is copied; a row-major stack is copied once.
+``SimplicialComplex.coords_of`` gathers vertex-major, a view of a (k+1, m, n)
+array, so ``edge_matrix`` subtracts contiguous blocks.  ``det`` runs on
+contiguous columns when its (..., k, k) argument is such a transposed view.
+The arithmetic is elementwise, so the layout changes no bit.
+
+The Gram operand rule: a Gram E E^T is BLAS's product of the stack e and a
+C-ordered copy of its transpose, ``e @ np.ascontiguousarray(e.transpose(0,
+2, 1))`` (``_gram``).  Written ``e @ e.transpose(0, 2, 1)`` it is one buffer
+times its own transpose, which numpy hands to a slow special-case path; the
+copy takes the general product, which rounds alike.  It is never written
+elementwise or as an einsum: BLAS fuses its multiply-adds, which round
+differently.  The other matrix products (the einsums of the circumcenter,
+``QuadratureRule.physical_points``) are kept as they are, for the same reason.
+
+The entry-major rule: the passes over a stack of k x k matrices (the
+determinant, the circumcenter's relative determinant check, Cramer's rule
+and the coordinates' sum) run on the (k, k, m) copy ``_gram`` returns, whose
+entry (i, j) is one contiguous column, by ``det``'s closed forms on entries
+(``_det``, ``_cramer``).  Cramer's rule reads the replaced column from the
+right-hand side, so no matrix is copied or changed.  Sums and products of
+k <= 3 terms go left to right, as numpy's reduction over so short an axis
+does.
 """
 from __future__ import annotations
 
 import math
+from functools import reduce
 from itertools import combinations
 
 import numpy as np
@@ -57,41 +76,64 @@ def det(a: np.ndarray) -> np.ndarray:
     is at most gamma_{k(k+1)/2-1} times the permanent of |a|, and it is exact
     on small integers.  LU (LAPACK) above 3.
     """
-    k = a.shape[-1]
-    if k == 0:
+    if a.shape[-1] == 0:
         return np.ones(a.shape[:-2])
+    return _det(np.moveaxis(a, (-2, -1), (0, 1)))
+
+
+def _det(a) -> np.ndarray:
+    """``det`` of the k x k matrix, k >= 1, whose entry (i, j) is the array
+    a[i][j]: a (k, k, ...) array or nested lists of arrays of one shape."""
+    k = len(a)
     if k == 1:
-        return a[..., 0, 0].copy()
+        return a[0][0].copy()
     if k == 2:
-        return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
     if k == 3:
-        return (a[..., 0, 0] * (a[..., 1, 1] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 1])
-                - a[..., 0, 1] * (a[..., 1, 0] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 0])
-                + a[..., 0, 2] * (a[..., 1, 0] * a[..., 2, 1] - a[..., 1, 1] * a[..., 2, 0]))
+        return (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
+                - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
+                + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
+    a = np.moveaxis(np.asarray(a), (0, 1), (-2, -1))
     return np.linalg.det(a)
+
+
+def _cramer(a, b, den, out: np.ndarray) -> None:
+    """The solution of a x = b by Cramer's rule on entries, into ``out``
+    (k, ...): x[i] = det(a with column i replaced by b) / den, for arrays
+    a[i][j] and b[i] of one shape and den = det(a)."""
+    k = len(a)
+    for i in range(k):
+        np.divide(_det([[b[r] if c == i else a[r][c] for c in range(k)] for r in range(k)]),
+                  den, out=out[i])
 
 
 def solve(a: np.ndarray, b: np.ndarray, den: np.ndarray) -> np.ndarray:
     """x with a x = b by Cramer's rule: a (..., k, k), b (..., k, r), den = det(a).
 
-    x[..., i, j] = det(a with column i replaced by b[..., j]) / den.  Each
-    column of ``a`` is swapped out in place and put back, so ``a`` must be
-    writable and comes back unchanged, and no second stack of matrices is
-    formed.
+    x[..., i, j] = det(a with column i replaced by b[..., j]) / den, by
+    ``_cramer`` on each column of b.
     """
     x = np.empty(b.shape)
-    for i in range(a.shape[-1]):
-        col = a[..., :, i].copy()
-        for j in range(b.shape[-1]):
-            a[..., :, i] = b[..., :, j]
-            x[..., i, j] = det(a) / den
-        a[..., :, i] = col
+    entries = np.moveaxis(a, (-2, -1), (0, 1))
+    for j in range(b.shape[-1]):
+        _cramer(entries, np.moveaxis(b[..., j], -1, 0), den, np.moveaxis(x[..., j], -1, 0))
     return x
 
 
 def edge_matrix(coords: np.ndarray) -> np.ndarray:
     """Edge vectors v_i - v_0, shape (m, k, n)."""
     return coords[:, 1:, :] - coords[:, :1, :]
+
+
+def _gram(e: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """``scale`` times the Gram E E^T of each matrix of the stack e (m, k, n),
+    entry-major: (k, k, m), [i, j] the column of entry (i, j).  A power of two
+    for ``scale`` changes no rounding."""
+    m, k, _ = e.shape
+    out = np.empty((k, k, m))
+    np.multiply((e @ np.ascontiguousarray(e.transpose(0, 2, 1))).transpose(1, 2, 0),
+                scale, out=out)
+    return out
 
 
 def unsigned_volume(coords: np.ndarray) -> np.ndarray:
@@ -107,7 +149,7 @@ def unsigned_volume(coords: np.ndarray) -> np.ndarray:
     e = edge_matrix(coords)
     if k == n:
         return np.abs(det(e)) / math.factorial(k)
-    return np.sqrt(np.maximum(det(e @ np.transpose(e, (0, 2, 1))), 0.0)) / math.factorial(k)
+    return np.sqrt(np.maximum(_det(_gram(e)), 0.0)) / math.factorial(k)
 
 
 def signed_volume(coords: np.ndarray) -> np.ndarray:
@@ -162,14 +204,14 @@ def circumcenter(coords: np.ndarray, check: bool = True) -> tuple[np.ndarray, np
     if k == 0:
         return coords[:, 0, :].copy(), np.ones((m, 1))
     e = edge_matrix(coords)
-    gram = 2.0 * (e @ np.transpose(e, (0, 2, 1)))
-    rhs = np.einsum("mkd,mkd->mk", e, e)
-    den = det(gram)
+    gram = _gram(e, 2.0)
+    rhs = np.ascontiguousarray(np.einsum("mkd,mkd->mk", e, e).T)
+    den = _det(gram)
     if check:
         # det(G) / prod diag(G) is 1 for orthogonal edges and 0 for collinear
         # ones, whatever the edge lengths; a zero-length edge gives 0/0
         with np.errstate(divide="ignore", invalid="ignore"):
-            rel_det = den / np.prod(np.diagonal(gram, axis1=1, axis2=2), axis=1)
+            rel_det = den / reduce(np.multiply, [gram[i, i] for i in range(k)])
         bad = ~(rel_det * CIRCUMCENTER_COND_MAX > 1.0)
         if bad.any():
             i = int(np.argmax(bad))
@@ -178,10 +220,12 @@ def circumcenter(coords: np.ndarray, check: bool = True) -> tuple[np.ndarray, np
                 f"near-degenerate simplex {coords[i].tolist()}: equidistance system "
                 f"relative Gram determinant {rel_det[i]:.3e}"
             )
-    alpha = solve(gram, rhs[..., None], den)[..., 0]
+    lam = np.empty((kp1, m))  # entry-major: lam.T is the (m, k+1) result
+    _cramer(gram, rhs, den, lam[1:])
     del gram, rhs, den  # freed before the centers are formed, for a lower peak
-    lam = np.concatenate([1.0 - alpha.sum(axis=1, keepdims=True), alpha], axis=1)
-    return coords[:, 0, :] + np.einsum("mk,mkd->md", alpha, e), lam
+    np.subtract(1.0, lam[1:].sum(axis=0), out=lam[0])
+    alpha = np.ascontiguousarray(lam[1:].T)
+    return coords[:, 0, :] + np.einsum("mk,mkd->md", alpha, e), lam.T
 
 
 def barycentric_coordinates(points: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -193,11 +237,12 @@ def barycentric_coordinates(points: np.ndarray, coords: np.ndarray) -> np.ndarra
     points = np.asarray(points, dtype=float)
     coords = np.asarray(coords, dtype=float)
     e = edge_matrix(coords)
-    gram = e @ np.transpose(e, (0, 2, 1))
-    rhs = np.einsum("mkd,md->mk", e, points - coords[:, 0, :])
-    lam = solve(gram, rhs[..., None], det(gram))[..., 0]
-    lam0 = 1.0 - lam.sum(axis=1, keepdims=True)
-    return np.concatenate([lam0, lam], axis=1)
+    gram = _gram(e)
+    rhs = np.ascontiguousarray(np.einsum("mkd,md->mk", e, points - coords[:, 0, :]).T)
+    lam = np.empty((len(rhs) + 1, len(coords)))
+    _cramer(gram, rhs, _det(gram), lam[1:])
+    np.subtract(1.0, lam[1:].sum(axis=0), out=lam[0])
+    return lam.T
 
 
 def inradius(coords: np.ndarray) -> np.ndarray:

@@ -7,7 +7,11 @@ as zeros plus a scatter of the values times an integer sign array, the
 fragment table grown by one ``hstack`` per step, and the jitter, orientation
 and diameter expressions that reduce over an axis of length n.  From before
 the interior prolongation was built directly: the full interpolation, then
-its interior rows and columns."""
+its interior rows and columns.  From before the dual's kernels took numpy's
+fast paths: the circumcenter and the unsigned volume on the stacked
+(m, k, k) Gram of ``e @ e.transpose``, with the determinant, Cramer's rule
+(one column swapped out at a time) and the coordinates' row sum over its
+short axes."""
 import math
 from itertools import combinations, product
 
@@ -16,6 +20,7 @@ import scipy.sparse as sp
 
 from declab import geometry
 from declab.complex import DEGENERATE_REL_TOL
+from declab.errors import DegenerateSimplexError
 from declab.fields import FormField, _perm_sign, index_tuples
 from declab.quadrature import simplex_rule
 
@@ -136,3 +141,66 @@ def interior_prolongation(coarse, fine):
     interior rows, then its interior columns, by two fancy-index copies."""
     p = prolongation(coarse)[fine.interior_vertex_indices()]
     return p[:, coarse.interior_vertex_indices()]
+
+
+def det(a):
+    """``geometry.det`` on the stacked (..., k, k) entries."""
+    k = a.shape[-1]
+    if k == 0:
+        return np.ones(a.shape[:-2])
+    if k == 1:
+        return a[..., 0, 0].copy()
+    if k == 2:
+        return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    if k == 3:
+        return (a[..., 0, 0] * (a[..., 1, 1] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 1])
+                - a[..., 0, 1] * (a[..., 1, 0] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 0])
+                + a[..., 0, 2] * (a[..., 1, 0] * a[..., 2, 1] - a[..., 1, 1] * a[..., 2, 0]))
+    return np.linalg.det(a)
+
+
+def solve(a, b, den):
+    """Cramer's rule, each column of ``a`` swapped out in place and put back."""
+    x = np.empty(b.shape)
+    for i in range(a.shape[-1]):
+        col = a[..., :, i].copy()
+        for j in range(b.shape[-1]):
+            a[..., :, i] = b[..., :, j]
+            x[..., i, j] = det(a) / den
+        a[..., :, i] = col
+    return x
+
+
+def unsigned_volume(coords):
+    """``geometry.unsigned_volume`` with the Gram of ``e @ np.transpose(e)``."""
+    coords = np.asarray(coords, dtype=float)
+    m, kp1, n = coords.shape
+    k = kp1 - 1
+    if k == 0:
+        return np.ones(m)
+    e = coords[:, 1:, :] - coords[:, :1, :]
+    if k == n:
+        return np.abs(det(e)) / math.factorial(k)
+    return np.sqrt(np.maximum(det(e @ np.transpose(e, (0, 2, 1))), 0.0)) / math.factorial(k)
+
+
+def circumcenter(coords, check=True):
+    """``geometry.circumcenter`` on the stacked (m, k, k) Gram."""
+    coords = np.asarray(coords, dtype=float)
+    m, kp1, n = coords.shape
+    k = kp1 - 1
+    if k == 0:
+        return coords[:, 0, :].copy(), np.ones((m, 1))
+    e = coords[:, 1:, :] - coords[:, :1, :]
+    gram = 2.0 * (e @ np.transpose(e, (0, 2, 1)))
+    rhs = np.einsum("mkd,mkd->mk", e, e)
+    den = det(gram)
+    if check:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel_det = den / np.prod(np.diagonal(gram, axis1=1, axis2=2), axis=1)
+        bad = ~(rel_det * geometry.CIRCUMCENTER_COND_MAX > 1.0)
+        if bad.any():
+            raise DegenerateSimplexError("near-degenerate simplex")
+    alpha = solve(gram, rhs[..., None], den)[..., 0]
+    lam = np.concatenate([1.0 - alpha.sum(axis=1, keepdims=True), alpha], axis=1)
+    return coords[:, 0, :] + np.einsum("mk,mkd->md", alpha, e), lam

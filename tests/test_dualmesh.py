@@ -2,7 +2,7 @@ import math
 import re
 import tracemalloc
 from dataclasses import replace
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -13,9 +13,11 @@ from declab.dualmesh import DualComplex, build_dual, fragments
 from declab.errors import DegenerateSimplexError, InvertedCellError, WellCenteredError, ids
 from declab.generators import FamilySpec, generate, jitter_interior, refine
 from declab.operators import exterior_derivative
+from declab.solve import stiffness_matrix
 from declab.study import walk_levels
 import kernel_oracles
 from strategies import jittered_wheel, jittered_wheels, strictly_well_centered
+from whitney import whitney_mass_matrix
 
 
 def shoelace(poly):
@@ -599,8 +601,10 @@ def carried_cases():
 def test_carried_centers_are_the_solved_ones(make, tmp_path):
     """A carried center is its parent's, scaled: for a corner child
     (v + c^_P) / 2, for a triangle's middle child (m_0 + m_1 + m_2 - c^_P) / 2
-    over its float vertices m_i.  Against the exact center of the child on
-    the exact midpoints, which is the scaled exact parent center, it is off
+    over its float vertices m_i, and for the inner face of a corner
+    tetrahedron at v, whose parent is the coarse face opposite v,
+    (v + c^_P) / 2.  Against the exact center of the child on the exact
+    midpoints, which is the scaled exact parent center, it is off
     by half the parent center's rounding plus the rounding of those sums;
     the solved center is off the exact center of the float child by its own
     rounding; and the two exact centers are as far apart as rounding the
@@ -622,8 +626,18 @@ def test_carried_centers_are_the_solved_ones(make, tmp_path):
     edges = cx.simplices[1]
     exact = np.concatenate([2 * ints[:cx.num(0)], ints[edges[:, 0]] + ints[edges[:, 1]]])
     for k in range(1, cx.dim + 1):
+        # (fine rows, their coarse parents, the apex of a corner child or None)
         kids = fine.children[k][:, :{1: 0, 2: 4, 3: 4}[k]]
-        others = np.setdiff1d(np.arange(fine.num(k)), kids)
+        groups = [(kids[:, slot], np.arange(cx.num(k)),
+                   fine.vertices[fine.simplices[k][kids[:, slot], 0]] if slot <= k else None)
+                  for slot in range(kids.shape[1])]
+        if k == 2 and cx.dim == 3:
+            # each corner tetrahedron's inner face is the coarse face opposite
+            # its vertex, scaled by 1/2 about that vertex
+            corners = fine.children[3][:, :4]
+            groups += [(fine.faces[3][corners[:, p], 0], cx.faces[3][:, p],
+                        fine.vertices[fine.simplices[3][corners[:, p], 0]]) for p in range(4)]
+        others = np.setdiff1d(np.arange(fine.num(k)), [r for g in groups for r in g[0]])
         # edges are midpoints either way, and the rest is solved alike
         assert np.array_equal(carried.centers(k, others), solved.centers(k, others))
         if k == 1:
@@ -632,32 +646,32 @@ def test_carried_centers_are_the_solved_ones(make, tmp_path):
         c_p, lam_p = coarse.circumcenters[k], geometry.circumcenter(parents, check=False)[1]
         parent_bound = center_bound(parents, c_p, lam_p)
         sign_bound = rounding_bound(parents, lam_p).max(axis=1)
-        for slot in range(kids.shape[1]):
-            r = kids[:, slot]
+        for group, (r, parent, apex) in enumerate(groups):
             coords = fine.coords_of(k, r)
             got, want = carried.circumcenters[k][r], solved.circumcenters[k][r]
-            if slot <= k:
-                own = u * np.abs(coords[:, 0] + c_p)
+            if apex is not None:
+                own = u * np.abs(apex + c_p[parent])
             else:
                 gamma = 3 * u / (1 - 3 * u)
-                own = gamma * np.abs(coords).sum(axis=1) + u * np.abs(coords.sum(axis=1) - c_p)
+                own = (gamma * np.abs(coords).sum(axis=1)
+                       + u * np.abs(coords.sum(axis=1) - c_p[parent]))
             num_s, den_s = exact_centers(exact[fine.simplices[k][r]])
             num_f, den_f = exact_centers(ints[fine.simplices[k][r]])
             moved = np.abs(((num_s * den_f[:, None] - 2 * num_f * den_s[:, None])
                             / (2 * scale * den_s * den_f)[:, None]).astype(float))
             lam = geometry.circumcenter(coords, check=False)[1]
-            bound = ((parent_bound + own) / 2 + moved * (1 + 2 * u)
+            bound = ((parent_bound[parent] + own) / 2 + moved * (1 + 2 * u)
                      + center_bound(coords, want, lam))
-            assert np.all(np.abs(got - want) <= bound), (k, slot)
+            assert np.all(np.abs(got - want) <= bound), (k, group)
 
             nums, den = exact_barycentric(exact[fine.simplices[k][r]])
             lam_s = np.stack([(num / den).astype(float) for num in nums], axis=1)
-            clear = np.abs(lam_s) > sign_bound[:, None]
+            clear = np.abs(lam_s) > sign_bound[parent][:, None]
             assert np.array_equal(carried.record.inside[k][r][clear], (lam_s >= 0)[clear])
             low = lam_s.min(axis=1)
-            clear = np.minimum(np.abs(low - tol), np.abs(low + tol)) > sign_bound
-            assert np.array_equal(classes(lam_p.min(axis=1), tol)[clear],
-                                  classes(low, tol)[clear]), (k, slot)
+            clear = np.minimum(np.abs(low - tol), np.abs(low + tol)) > sign_bound[parent]
+            assert np.array_equal(classes(lam_p.min(axis=1)[parent], tol)[clear],
+                                  classes(low, tol)[clear]), (k, group)
 
 
 @pytest.mark.parametrize("cx", [
@@ -760,3 +774,99 @@ def test_an_off_centered_jittered_wheel_is_filtered_out():
     assert not strictly_well_centered(cx)
     with pytest.raises(WellCenteredError, match=r"circumcenter of 2-simplex \(0, 28, 29\) lies"):
         build_dual(cx)
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_carried_rows_are_the_solved_ones_on_the_kuhn_cube(level):
+    # Kuhn coordinates are dyadic, and so is every scaled center: carried and
+    # solved agree bit for bit, the corner tetrahedra's inner faces among them
+    cx = generate(FamilySpec("cube_kuhn", level))
+    fine = refine(cx)
+    carried, solved = build_dual(fine, build_dual(cx).record), build_dual(fine)
+    inner = fine.faces[3][fine.children[3][:, :4], 0]
+    assert len(np.unique(inner)) == 4 * cx.num(3)
+    assert np.array_equal(carried.circumcenters[2][inner], solved.circumcenters[2][inner])
+    assert np.array_equal(carried.record.inside[2][inner], solved.record.inside[2][inner])
+    for k in (2, 3):
+        assert np.array_equal(carried.circumcenters[k], solved.circumcenters[k])
+        assert np.array_equal(carried.record.inside[k], solved.record.inside[k])
+    for k in range(4):
+        assert np.array_equal(carried.volumes[k], solved.volumes[k])
+
+
+def bipyramid(m: int, h: float):
+    """m tetrahedra around the axis edge (0, 1) from (0, 0, h) to (0, 0, -h),
+    each on two neighbouring corners of the unit regular m-gon in z = 0."""
+    ang = 2 * np.pi * np.arange(m) / m
+    verts = np.vstack([[0.0, 0.0, h], [0.0, 0.0, -h],
+                       np.stack([np.cos(ang), np.sin(ang), np.zeros(m)], axis=1)])
+    return build_complex(3, verts, [(0, 1, 2 + j, 2 + (j + 1) % m) for j in range(m)])
+
+
+def acute_tetrahedra(rng, count):
+    """``count`` random strictly well-centered tetrahedra, (count, 4, 3): a
+    regular tetrahedron's corners moved by up to about a fifth of its edge,
+    kept when every face's circumcenter and the cell's lie strictly inside."""
+    regular = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float)
+    out = []
+    while len(out) < count:
+        tet = regular + 0.4 * rng.uniform(-1, 1, (4, 3))
+        lam = [geometry.circumcenter(tet[None, list(face)], check=False)[1]
+               for k in (2, 3) for face in combinations(range(4), k + 1)]
+        if min(float(x.min()) for x in lam) > 1e-3:
+            out.append(tet)
+    return np.array(out)
+
+
+def lapack_center(v):
+    """The circumcenter of the simplex with vertices v (k+1, n), by LAPACK."""
+    e = v[1:] - v[0]
+    return v[0] + np.linalg.solve(2 * e @ e.T, (e * e).sum(axis=1)) @ e
+
+
+def assert_dual_is_no_p1(cx, dual):
+    """The identities of a well-centered dual, and a stiffness that is not P1's."""
+    assert_support_volumes(cx, dual)
+    for k in (1, 2):
+        assert not (cx.boundary_matrix(k) @ cx.boundary_matrix(k + 1)).toarray().any()
+        assert not (exterior_derivative(dual, k, "dual").as_matrix()
+                    @ exterior_derivative(dual, k - 1, "dual").as_matrix()).toarray().any()
+    d0 = cx.boundary_matrix(1).T
+    p1 = (d0.T @ whitney_mass_matrix(cx, 1) @ d0).toarray()
+    assert np.abs(stiffness_matrix(cx, dual).toarray() - p1).max() > 1e-6 * np.abs(p1).max()
+
+
+@pytest.mark.parametrize("m", [4, 5, 6])
+def test_bipyramid_star_1_is_the_circumcentric_polygon(m):
+    # the m tetrahedron centers lie in z = 0, on the bisectors of the rim
+    # edges, equidistant from the poles and the rim: at radius
+    # rho = (1 - h^2) / (2 cos(pi / m)).  They and the axial triangles'
+    # centers bound the axis edge's dual, a regular m-gon of that radius
+    h = 0.7
+    cx = bipyramid(m, h)
+    assert cx.shape_report().well_centered == "strict"
+    dual = build_dual(cx)
+    rho = (1 - h * h) / (2 * math.cos(math.pi / m))
+    [axis] = cx.index_of(1, [(0, 1)])
+    num, den = dual.hodge_ratios(1)
+    assert num[axis] / den[axis] == pytest.approx(
+        m / 2 * rho ** 2 * math.sin(2 * math.pi / m) / (2 * h), rel=1e-14)
+    assert_dual_is_no_p1(cx, dual)
+
+
+def test_acute_tetrahedron_star_1_is_the_circumcentric_quadrilateral(rng):
+    # a single cell's edge dual is two right triangles c(e) c(t) c(T), one per
+    # face t holding the edge, with every center solved by LAPACK
+    for tet in acute_tetrahedra(rng, 20):
+        cx = build_complex(3, tet, [(0, 1, 2, 3)])
+        assert cx.shape_report().well_centered == "strict"
+        dual = build_dual(cx)
+        top = lapack_center(tet)
+        num, den = dual.hodge_ratios(1)
+        for e, (a, b) in enumerate(cx.simplices[1].tolist()):
+            mid = lapack_center(tet[[a, b]])
+            area = sum(np.linalg.norm(np.cross(lapack_center(tet[[a, b, x]]) - mid, top - mid)) / 2
+                       for x in set(range(4)) - {a, b})
+            assert num[e] / den[e] == pytest.approx(area / np.linalg.norm(tet[b] - tet[a]),
+                                                    rel=1e-12)
+        assert_dual_is_no_p1(cx, dual)

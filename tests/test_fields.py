@@ -218,6 +218,28 @@ def test_derham_maps_equal_the_stacked_oracle_on_jittered_wheels(cx):
     _assert_derham_maps_equal_the_stacked_oracle(cx)
 
 
+def _assert_derham_maps_ignore_the_layout_of_values(cx):
+    du = get_problem("trig2d").du
+    f_ordered = FormField(1, 2, lambda p: np.asfortranarray(du(p)))
+    assert f_ordered(np.zeros((4, 2))).flags.f_contiguous
+    dual = build_dual(cx)
+    for derham, mesh in ((derham_primal, cx), (derham_dual, dual)):
+        [want], [got] = derham([du], mesh), derham([f_ordered], mesh)
+        assert np.array_equal(_bits(got.values), _bits(want.values)), derham
+
+
+def test_derham_maps_ignore_the_layout_of_values(pentagon2d):
+    # an evaluator may return F-ordered values: the weighted sums read them
+    # C-ordered, so the cochains keep every bit
+    _assert_derham_maps_ignore_the_layout_of_values(pentagon2d[0])
+
+
+@settings(deadline=None, max_examples=10)
+@given(cx=jittered_wheels)
+def test_derham_maps_ignore_the_layout_of_values_on_jittered_wheels(cx):
+    _assert_derham_maps_ignore_the_layout_of_values(cx)
+
+
 def test_one_pass_refuses_fields_of_mixed_degree(pentagon2d):
     cx, dual = pentagon2d
     with pytest.raises(ValueError, match="share their degree"):

@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -12,10 +12,10 @@ from declab import geometry
 from declab.complex import build_complex
 from declab.dualmesh import build_dual
 from declab.errors import DegenerateSimplexError
-from declab.generators import FamilySpec, generate
+from declab.generators import FamilySpec, generate, jitter_interior
 import kernel_oracles
 from strategies import jittered_wheels
-from test_dualmesh import exact_coordinates
+from test_dualmesh import acute_tetrahedra, exact_coordinates
 
 
 def brute_force_circumcenter(coords):
@@ -311,3 +311,55 @@ def test_structured_meshes_keep_lapack_signs_and_zeros(spec):
 @given(cx=jittered_wheels)
 def test_jittered_wheels_keep_lapack_signs_and_zeros(cx):
     assert_exact_bits_as_with_lapack(cx)
+
+
+def assert_dual_kernels_equal_the_stacked_oracle(coords):
+    """Centers, coordinates and volumes equal the stacked kernels' bit for bit,
+    from a row-major stack and from a vertex-major view (``coords_of``'s)."""
+    want_c, want_l = kernel_oracles.circumcenter(coords)
+    want_v = kernel_oracles.unsigned_volume(coords)
+    for layout in (np.ascontiguousarray(coords), np.ascontiguousarray(coords.transpose(1, 0, 2))
+                   .transpose(1, 0, 2)):
+        got_c, got_l = geometry.circumcenter(layout)
+        assert np.array_equal(_bits(got_c), _bits(want_c))
+        assert np.array_equal(_bits(got_l), _bits(want_l))
+        assert np.array_equal(_bits(geometry.unsigned_volume(layout)), _bits(want_v))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def _jittered_cube(level):
+    return jitter_interior(generate(FamilySpec("cube_kuhn", level)), 0.1, seed=level)
+
+
+@pytest.mark.parametrize("make", [
+    *[lambda s=s: generate(s) for s in (
+        FamilySpec("pentagon_wheel", 2), FamilySpec("corner", 2),
+        *[FamilySpec("square", 2, pattern=p) for p in (1, 2, 3)],
+        *[FamilySpec("cube_kuhn", level) for level in range(4)])],
+    *[lambda level=level: _jittered_cube(level) for level in (1, 2, 3)]],
+    ids=["pentagon", "corner", "square1", "square2", "square3",
+         *[f"cube{level}" for level in range(4)],
+         *[f"jittered_cube{level}" for level in (1, 2, 3)]])
+def test_dual_kernels_equal_the_stacked_oracle(make):
+    # the Gram from a C-ordered transpose and the entry-major passes keep
+    # every bit of the stacked kernels, on every degree the dual solves
+    cx = make()
+    for k in range(1, cx.dim + 1):
+        assert_dual_kernels_equal_the_stacked_oracle(cx.coords_of(k, slice(None)))
+
+
+@settings(deadline=None, max_examples=10)
+@given(cx=jittered_wheels)
+def test_dual_kernels_equal_the_stacked_oracle_on_jittered_wheels(cx):
+    for k in (1, 2):
+        assert_dual_kernels_equal_the_stacked_oracle(cx.coords_of(k, slice(None)))
+
+
+def test_dual_kernels_equal_the_stacked_oracle_on_acute_tetrahedra(rng):
+    tets = acute_tetrahedra(rng, 200)
+    for k in (1, 2, 3):
+        for face in combinations(range(4), k + 1):
+            assert_dual_kernels_equal_the_stacked_oracle(tets[:, list(face)])
