@@ -7,10 +7,23 @@
 Exit code 0 only when every requested level completed; aborted studies still
 emit the partial report when --out is given.  Errors print one line, or, with
 --debug, propagate with their traceback.
+
+The command line owns its process, so ``main`` first fixes glibc's heap
+policy for it (``_keep_freed_pages``): allocations up to 32 MiB come from the
+heap, and up to 64 MiB of freed heap stays mapped.  Under glibc's dynamic
+thresholds each row block's few MB of freed temporaries went back to the
+kernel, and the next block faulted them in again as zeroed pages: the three
+jittered hexagon consistency studies (k = 0, 1, 2; 8 levels), run in one
+process, took 84,000-87,000 minor faults and 0.16-0.20 s of system time,
+against about 6,100 and 0.015 s with the fixed thresholds.  The cost is that
+resident memory no longer falls between levels, up to the 64 MiB trim
+threshold; measured peaks did not move.  No output changes, and
+``import declab`` sets nothing.
 """
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 
 from . import generators, meshio, study
@@ -18,6 +31,25 @@ from .generators import FamilySpec
 from .problems import PROBLEMS, get_problem
 from .solve import SolverConfig, dump_solution
 from .study import StudyAborted, emit, render, run_consistency_study, run_convergence_study
+
+
+# mallopt parameters of glibc's malloc.h
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_pages() -> None:
+    """Serve blocks up to 32 MiB from the heap and keep up to 64 MiB of it
+    mapped when freed.  Does nothing where the C library has no ``mallopt``
+    (macOS, Windows); musl's returns 0 and changes nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 def _add_family_args(p: argparse.ArgumentParser, with_level: bool = True):
@@ -66,6 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--mu", type=float, default=0.625, help="corner exponent")
     sv.add_argument("--tol", type=float, default=1e-12)
     sv.add_argument("--max-iterations", type=int, default=100_000)
+    sv.add_argument("--max-unknowns", type=int, default=study.DEFAULT_UNKNOWN_CAP)
     sv.add_argument("--out", help="solution dump path")
 
     st = sub.add_parser("study", help="convergence / consistency studies")
@@ -114,6 +147,7 @@ def _emit_or_print(report, args) -> None:
 
 
 def main(argv=None) -> int:
+    _keep_freed_pages()
     args = build_parser().parse_args(argv)
     try:
         if args.command == "mesh":
@@ -138,7 +172,8 @@ def main(argv=None) -> int:
             # the coarser levels give the V-cycle its prolongations and the
             # dual its carried circumcenters, as in the study
             config = SolverConfig(tol=args.tol, max_iterations=args.max_iterations)
-            for cx, dual, prolongations in study.walk_levels(spec, spec.level + 1):
+            for cx, dual, prolongations in study.walk_levels(spec, spec.level + 1,
+                                                             args.max_unknowns):
                 if len(prolongations) == spec.level:
                     rep, err = study.solve_level(cx, dual, bundle, config, prolongations)
                 del dual

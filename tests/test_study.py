@@ -1,13 +1,16 @@
 import hashlib
 import math
 import os
+import platform
 import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from declab import cli, generators, meshio, study
+from declab import cli, generators, geometry, meshio, study
 from declab.cli import main
 from declab.dualmesh import build_dual
 from declab.errors import MemoryGuardError, WellCenteredError
@@ -16,11 +19,12 @@ from declab.fields import (consistency_probe, derham_dual, derham_images,
 from declab.generators import FamilySpec
 from declab.problems import get_problem
 from declab.solve import SolverConfig
-from declab.study import (CONVERGENCE_COLUMNS, StudyAborted, emit, fit_rate,
+from declab.study import (CONVERGENCE_COLUMNS, StudyAborted, emit, fit_rate, render,
                           run_consistency_study, run_convergence_study, to_csv,
                           to_svg_loglog, to_text_table)
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "pentagon_level2.decmesh")
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +59,23 @@ def test_study_header_names_what_shapes_the_meshes():
     assert rep.metadata["mesh"] == FIXTURE
     assert rep.metadata["mesh_sha256"] == digest
     assert "ngon" not in rep.metadata
+
+
+@pytest.mark.parametrize("run", [
+    lambda: run_convergence_study(FamilySpec("pentagon_wheel"), "trig2d", 6,
+                                  deterministic=True),
+    *[lambda k=k: run_consistency_study(FamilySpec("pentagon_wheel", n_gon=6), "trig2d", k, 5,
+                                        jitter=0.14, seed=100) for k in (0, 1, 2)],
+], ids=["pentagon", "jittered_k0", "jittered_k1", "jittered_k2"])
+def test_study_csvs_do_not_depend_on_the_block_size(monkeypatch, run):
+    # 2^12 nodes split the finer levels' refinement, dual and deRham passes
+    # into many blocks; 2^16 is the default
+    monkeypatch.setenv("DECLAB_COMMIT", "blocks")
+    csvs = []
+    for block_nodes in (1 << 12, 1 << 16):
+        monkeypatch.setattr(geometry, "BLOCK_NODES", block_nodes)
+        csvs.append(render(run(), "csv"))
+    assert csvs[0] == csvs[1]
 
 
 def test_deterministic_runs_emit_identical_bytes():
@@ -369,6 +390,67 @@ def test_cli_svg_without_out_prints_svg(capsys):
                "--format", "svg_loglog"])
     assert rc == 0
     assert capsys.readouterr().out.startswith("<svg")
+
+
+def test_cli_solve_refuses_above_max_unknowns(monkeypatch, capsys):
+    # levels 0-3 of the wheel have 1, 6, 31 and 141 unknowns: the guard reads
+    # them off level 0 and refuses level 2 before anything is refined
+    refined, duals = [], []
+    monkeypatch.setattr(generators, "refine", refined.append)
+    monkeypatch.setattr(study, "build_dual", duals.append)
+    assert main(["solve", "--family", "pentagon_wheel", "--level", "3",
+                 "--problem", "trig2d", "--max-unknowns", "10"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and refined == [] and duals == []
+    assert err == ("error: level 2 of pentagon_wheel has ~31 unknowns, above the cap 10; "
+                   "raise max_unknowns to proceed\n")
+
+
+def _python(*args: str, cwd=None) -> str:
+    """Standard output of a fresh ``python args`` on this checkout's ``src``."""
+    env = dict(os.environ, DECLAB_COMMIT="allocator", PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+def test_outputs_do_not_depend_on_the_allocator_policy(tmp_path):
+    # cli.main keeps freed heap pages mapped, so np.empty hands out reused
+    # blocks instead of fresh zero pages: a read before a write would differ
+    library = ("import sys\n"
+               "from declab.generators import FamilySpec\n"
+               "from declab.study import emit, run_consistency_study\n"
+               "emit(run_consistency_study(FamilySpec('pentagon_wheel', n_gon=6), 'trig2d', 0, 8,\n"
+               "                           jitter=0.14, seed=100), 'csv', sys.argv[1])\n"
+               "assert 'declab.cli' not in sys.modules\n")
+    _python("-c", library, "library.csv", cwd=tmp_path)
+    _python("-m", "declab.cli", "study", "consistency", "--family", "pentagon_wheel",
+            "--ngon", "6", "--field", "trig2d", "--levels", "8", "--jitter", "0.14",
+            "--seed", "100", "--k", "0", "--out", "cli.csv", cwd=tmp_path)
+    assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the allocator policy sets glibc's mallopt thresholds")
+def test_cli_keeps_freed_heap_pages_mapped():
+    # one freed 2 MiB block lifts glibc's dynamic thresholds to about 2 and 4 MiB,
+    # so four freed 1.5 MiB blocks are trimmed and faulted in again each round
+    loop = ("import contextlib, io, resource, sys\n"
+            "import numpy as np\n"
+            "from declab import cli\n"
+            "if sys.argv[1] == 'policy':\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        cli.main(['mesh', 'report', '--family', 'pentagon_wheel'])\n"
+            "np.ones(1 << 18)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for _ in range(50):\n"
+            "    blocks = [np.ones(196_608) for _ in range(4)]\n"
+            "    del blocks\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+    faults = {arm: int(_python("-c", loop, arm)) for arm in ("default", "policy")}
+    assert faults["policy"] * 10 <= faults["default"], faults
 
 
 def test_cli_errors_exit_nonzero(tmp_path, capsys):
