@@ -81,6 +81,12 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--debug", action="store_true",
                         help="raise errors with their traceback instead of a one-line message")
+    guard = argparse.ArgumentParser(add_help=False)
+    guard.add_argument("--max-unknowns", type=int, default=study.DEFAULT_UNKNOWN_CAP,
+                       help="refuse, before refining, any level with more interior vertices")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", help="report path (defaults to stdout)")
+    output.add_argument("--format", choices=["csv", "svg_loglog", "text_table"], default="csv")
     sub = ap.add_subparsers(dest="command", required=True)
 
     mesh = sub.add_parser("mesh", help="generate, refine, or audit meshes")
@@ -91,20 +97,19 @@ def build_parser() -> argparse.ArgumentParser:
         if action != "report":
             mp.add_argument("--out", required=True, help="output mesh file")
 
-    sv = sub.add_parser("solve", parents=[common], help="solve one Dirichlet problem")
+    sv = sub.add_parser("solve", parents=[common, guard], help="solve one Dirichlet problem")
     _add_family_args(sv)
     sv.add_argument("--problem", required=True,
                     choices=list(PROBLEMS))
     sv.add_argument("--mu", type=float, default=0.625, help="corner exponent")
     sv.add_argument("--tol", type=float, default=1e-12)
     sv.add_argument("--max-iterations", type=int, default=100_000)
-    sv.add_argument("--max-unknowns", type=int, default=study.DEFAULT_UNKNOWN_CAP)
     sv.add_argument("--out", help="solution dump path")
 
     st = sub.add_parser("study", help="convergence / consistency studies")
     ssub = st.add_subparsers(dest="kind", required=True)
 
-    conv = ssub.add_parser("convergence", parents=[common])
+    conv = ssub.add_parser("convergence", parents=[common, guard, output])
     _add_family_args(conv, with_level=False)
     conv.add_argument("--problem", required=True,
                       choices=list(PROBLEMS))
@@ -112,14 +117,10 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--levels", type=int, default=None,
                       help="defaults to 9 in 2D, 5 in 3D")
     conv.add_argument("--tol", type=float, default=1e-12)
-    conv.add_argument("--max-unknowns", type=int, default=study.DEFAULT_UNKNOWN_CAP)
     conv.add_argument("--deterministic", action="store_true",
                       help="write zero wall times for byte-identical reruns")
-    conv.add_argument("--out", help="report path (defaults to stdout)")
-    conv.add_argument("--format", choices=["csv", "svg_loglog", "text_table"],
-                      default="csv")
 
-    cons = ssub.add_parser("consistency", parents=[common])
+    cons = ssub.add_parser("consistency", parents=[common, guard, output])
     _add_family_args(cons, with_level=False)
     cons.add_argument("--field", required=True,
                       choices=list(PROBLEMS))
@@ -131,10 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     cons.add_argument("--seed", type=int, default=0)
     cons.add_argument("--full-l2", action="store_true",
                       help="include boundary cells in the L2 norms")
-    cons.add_argument("--max-unknowns", type=int, default=study.DEFAULT_UNKNOWN_CAP)
-    cons.add_argument("--out", help="report path (defaults to stdout)")
-    cons.add_argument("--format", choices=["csv", "svg_loglog", "text_table"],
-                      default="csv")
     return ap
 
 

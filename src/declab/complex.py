@@ -327,10 +327,7 @@ def _audit_conformity(cx: SimplicialComplex) -> None:
     edges = cx.simplices[1]
 
     # h is the longest edge, and the same squares find an edge within tol
-    length2 = np.empty(len(edges))
-    for rows in geometry.row_blocks(len(edges), 2):
-        length2[rows] = geometry.squared_norms(np.take(verts, edges[rows, 1], axis=0)
-                                               - np.take(verts, edges[rows, 0], axis=0))
+    length2 = geometry.squared_lengths(verts, edges)
     h = math.sqrt(float(length2.max()))
     tol = 1e-9 * max(h, 1e-300)
     short = np.flatnonzero(length2 <= tol * tol)

@@ -97,8 +97,19 @@ class DualComplex:
         self._primal_volumes: dict[int, np.ndarray] = {}
 
     def centers(self, k: int, index) -> np.ndarray:
-        """The circumcenters of the k-simplices ``index`` (rows or a slice), (m, n)."""
-        return _centers(self.complex, self.circumcenters, k, index)
+        """The circumcenters of the k-simplices ``index`` (rows or a slice), (m, n).
+
+        An edge's center is its midpoint, taken from its ends as refine places
+        the fine vertices: no edge table is stored."""
+        # np.take gathers rows several times faster than fancy indexing does
+        if k != 1:
+            return (self.circumcenters[k][index] if isinstance(index, slice)
+                    else np.take(self.circumcenters[k], index, axis=0))
+        cx, edges = self.complex, self.complex.simplices[1]
+        ends = edges[index] if isinstance(index, slice) else np.take(edges, index, axis=0)
+        mid = np.take(cx.vertices, ends[:, 0], axis=0)
+        mid += np.take(cx.vertices, ends[:, 1], axis=0)
+        return np.multiply(mid, 0.5, out=mid)
 
     def hodge_ratios(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(numerator, denominator) = (|dual t|, |t|) per k-simplex."""
@@ -124,19 +135,6 @@ class CenterRecord(NamedTuple):
     faces: np.ndarray | None = None
 
 
-def _centers(cx: SimplicialComplex, centers: list, k: int, index) -> np.ndarray:
-    """``centers[k][index]``, but an edge's center is its midpoint, taken from
-    its ends as refine places the fine vertices: no edge table is stored."""
-    # np.take gathers rows several times faster than fancy indexing does
-    if k != 1:
-        return centers[k][index] if isinstance(index, slice) else np.take(centers[k], index, axis=0)
-    edges = cx.simplices[1]
-    ends = edges[index] if isinstance(index, slice) else np.take(edges, index, axis=0)
-    mid = np.take(cx.vertices, ends[:, 0], axis=0)
-    mid += np.take(cx.vertices, ends[:, 1], axis=0)
-    return np.multiply(mid, 0.5, out=mid)
-
-
 def _pair_centers(cx: SimplicialComplex, centers: list, k: int, rows: slice):
     """(c(T), c(t), t) of the (k+1)-simplices T of ``rows`` and their
     k-faces t: (M, n), (k+2, M, n) and (M, k+2), [i] the face dropping
@@ -145,7 +143,7 @@ def _pair_centers(cx: SimplicialComplex, centers: list, k: int, rows: slice):
 
     Below k = 2 the centers are vertices and midpoints, taken from the
     vertices of T, gathered once: an edge's midpoint is v_a + v_b halved, as
-    ``_centers`` forms it."""
+    ``DualComplex.centers`` forms it."""
     if k >= 2:
         t = cx.faces[k + 1][rows]
         return centers[k + 1][rows], np.take(centers[k], t.T, axis=0), t

@@ -28,8 +28,7 @@ parent -> child map from which ``dualmesh.build_dual`` carries circumcenters.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 import numpy as np
@@ -82,18 +81,6 @@ def generate(spec: FamilySpec) -> SimplicialComplex:
     for _ in range(spec.level):
         cx = refine(cx)
     return cx
-
-
-def walk(spec: FamilySpec, levels: int) -> Iterator[SimplicialComplex]:
-    """The meshes of levels 0 to ``levels - 1``: ``generate`` at level 0, then ``refine``.
-
-    Each mesh is refined from the one before it, so ``interior_prolongation``
-    maps between consecutive meshes.
-    """
-    cx = None
-    for _ in range(levels):
-        cx = generate(replace(spec, level=0)) if cx is None else refine(cx)
-        yield cx
 
 
 # Red refinement by edge midpoints (Freudenthal, Ann. Math. 43, 1942; Bey,
@@ -459,10 +446,7 @@ def jitter_interior(cx: SimplicialComplex, amplitude: float = 0.1,
     out raises ``InvertedCellError``.
     """
     edges = cx.simplices[1]
-    vec = np.take(cx.vertices, edges[:, 1], axis=0)
-    vec -= np.take(cx.vertices, edges[:, 0], axis=0)
-    lengths = np.sqrt(geometry.squared_norms(vec))
-    del vec
+    lengths = np.sqrt(geometry.squared_lengths(cx.vertices, edges))
     local = np.full(cx.num(0), np.inf)
     np.minimum.at(local, edges[:, 0], lengths)
     np.minimum.at(local, edges[:, 1], lengths)

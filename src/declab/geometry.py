@@ -4,8 +4,7 @@ All functions accept batched input: ``coords`` has shape (m, k+1, n) for m
 simplices with k+1 vertices each, embedded in R^n.  Scalars fall out of the
 m=1 case.  Every matrix here is at most 3 x 3, so determinants are closed-form
 expansions (``det``) and linear systems, the circumcenter's among them, are
-solved by Cramer's rule over them (``_cramer``; ``solve`` on a stack),
-elementwise over the batch.
+solved by Cramer's rule over them (``_cramer``), elementwise over the batch.
 
 The column rule: an elementwise pass runs over contiguous columns of m
 entries, not over an axis of length n <= 3 of a stacked block, where numpy
@@ -55,7 +54,8 @@ WELL_CENTERED_TOL = 1e-12
 # Points per block of the row-blocked kernels (fields._integrate's quadrature
 # nodes and fields.derham_dual's fragment nodes; the simplex vertices of
 # dualmesh.build_dual, DualComplex.hodge_ratios, SimplicialComplex.shape_report,
-# complex.cell_orientation and the conformity audit), see row_blocks.  A field
+# complex.cell_orientation and the conformity audit; the edge ends of
+# squared_lengths), see row_blocks.  A field
 # evaluation holds about ten float64 temporaries per node, 0.5 MB each here.
 BLOCK_NODES = 1 << 16
 
@@ -105,19 +105,6 @@ def _cramer(a, b, den, out: np.ndarray) -> None:
     for i in range(k):
         np.divide(_det([[b[r] if c == i else a[r][c] for c in range(k)] for r in range(k)]),
                   den, out=out[i])
-
-
-def solve(a: np.ndarray, b: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """x with a x = b by Cramer's rule: a (..., k, k), b (..., k, r), den = det(a).
-
-    x[..., i, j] = det(a with column i replaced by b[..., j]) / den, by
-    ``_cramer`` on each column of b.
-    """
-    x = np.empty(b.shape)
-    entries = np.moveaxis(a, (-2, -1), (0, 1))
-    for j in range(b.shape[-1]):
-        _cramer(entries, np.moveaxis(b[..., j], -1, 0), den, np.moveaxis(x[..., j], -1, 0))
-    return x
 
 
 def edge_matrix(coords: np.ndarray) -> np.ndarray:
@@ -170,6 +157,19 @@ def squared_norms(d: np.ndarray) -> np.ndarray:
     out = d[..., 0] ** 2
     for j in range(1, d.shape[-1]):
         out += d[..., j] ** 2
+    return out
+
+
+def squared_lengths(vertices: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """|v_j - v_i|^2 per edge (i, j) of ``edges`` (m, 2): ``squared_norms`` of
+    the ends gathered with ``np.take``, in ``row_blocks``, so no (m, n)
+    difference is formed.  Its square root is the edge's length, and
+    ``diameter``'s of the edge bit for bit."""
+    out = np.empty(len(edges))
+    for rows in row_blocks(len(edges), 2):
+        d = np.take(vertices, edges[rows, 1], axis=0)
+        d -= np.take(vertices, edges[rows, 0], axis=0)
+        out[rows] = squared_norms(d)
     return out
 
 

@@ -55,11 +55,13 @@ def _check_compose(left_domain: Tag, right_codomain: Tag):
 
 
 class LinearOperator:
-    """Common behavior: tag checking, application, composition."""
+    """A tagged sparse operator: tag checking, application, composition."""
 
-    domain: Tag
-    codomain: Tag
-    shape: tuple[int, int]
+    def __init__(self, mat: sp.spmatrix, domain: Tag, codomain: Tag):
+        self.mat = mat.tocsr()
+        self.domain = domain
+        self.codomain = codomain
+        self.shape = self.mat.shape
 
     def apply(self, x):
         if isinstance(x, Cochain):
@@ -69,10 +71,10 @@ class LinearOperator:
         return self._matvec(np.asarray(x, dtype=float))
 
     def _matvec(self, v: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self.mat @ v
 
     def as_matrix(self) -> sp.csr_matrix:
-        raise NotImplementedError
+        return self.mat
 
     def __matmul__(self, other: "LinearOperator") -> "LinearOperator":
         _check_compose(self.domain, other.codomain)
@@ -80,12 +82,12 @@ class LinearOperator:
             return DiagonalOperator(self.num * other.num, self.den * other.den,
                                     other.domain, self.codomain)
         mat = (self.as_matrix() @ other.as_matrix()).tocsr()
-        return SparseOperator(mat, other.domain, self.codomain)
+        return LinearOperator(mat, other.domain, self.codomain)
 
     def __add__(self, other: "LinearOperator") -> "LinearOperator":
         if self.domain != other.domain or self.codomain != other.codomain:
             raise TagMismatchError("operator sum needs matching tags")
-        return SparseOperator((self.as_matrix() + other.as_matrix()).tocsr(),
+        return LinearOperator((self.as_matrix() + other.as_matrix()).tocsr(),
                               self.domain, self.codomain)
 
 
@@ -105,20 +107,6 @@ class DiagonalOperator(LinearOperator):
 
     def as_matrix(self) -> sp.csr_matrix:
         return sp.diags(self.diagonal()).tocsr()
-
-
-class SparseOperator(LinearOperator):
-    def __init__(self, mat: sp.spmatrix, domain: Tag, codomain: Tag):
-        self.mat = mat.tocsr()
-        self.domain = domain
-        self.codomain = codomain
-        self.shape = self.mat.shape
-
-    def _matvec(self, v):
-        return self.mat @ v
-
-    def as_matrix(self) -> sp.csr_matrix:
-        return self.mat
 
 
 # -- constructors --------------------------------------------------------------
@@ -150,7 +138,7 @@ def hodge_star(dual: DualComplex, k: int, side: str = "primal") -> DiagonalOpera
     return DiagonalOperator(sign * pvol, dvol, (k, "dual"), (n - k, "primal"))
 
 
-def exterior_derivative(dual: DualComplex, k: int, side: str = "primal") -> SparseOperator:
+def exterior_derivative(dual: DualComplex, k: int, side: str = "primal") -> LinearOperator:
     """Discrete exterior derivative C^k -> C^(k+1) on either side.
 
     The dual-side matrix is the transpose of the dual-cell boundary operator,
@@ -162,13 +150,13 @@ def exterior_derivative(dual: DualComplex, k: int, side: str = "primal") -> Spar
         if not 0 <= k <= n - 1:
             raise ValueError(f"primal derivative defined for 0 <= k <= {n - 1}")
         mat = cx.boundary_matrix(k + 1).T.tocsr()
-        return SparseOperator(mat, (k, "primal"), (k + 1, "primal"))
+        return LinearOperator(mat, (k, "primal"), (k + 1, "primal"))
     if side != "dual":
         raise TagMismatchError(f"side must be primal|dual, got {side!r}")
     if not 0 <= k <= n - 1:
         raise ValueError(f"dual derivative defined for 0 <= k <= {n - 1}")
     mat = ((-1) ** (n - k) * cx.boundary_matrix(n - k)).tocsr()
-    return SparseOperator(mat, (k, "dual"), (k + 1, "dual"))
+    return LinearOperator(mat, (k, "dual"), (k + 1, "dual"))
 
 
 def codifferential(dual: DualComplex, k: int) -> LinearOperator:
@@ -183,16 +171,16 @@ def codifferential(dual: DualComplex, k: int) -> LinearOperator:
         raise ValueError(f"degree out of range: {k}")
     if k == 0:
         mat = sp.csr_matrix((0, dual.complex.num(0)))
-        return SparseOperator(mat, (0, "primal"), (-1, "primal"))
+        return LinearOperator(mat, (0, "primal"), (-1, "primal"))
     sign = -1 if (n * (k - 1) + 1) % 2 else 1
     comp = hodge_star(dual, n - k + 1, side="dual") \
         @ exterior_derivative(dual, n - k, side="dual") \
         @ hodge_star(dual, k, side="primal")
     mat = (sign * comp.as_matrix()).tocsr()
-    return SparseOperator(mat, (k, "primal"), (k - 1, "primal"))
+    return LinearOperator(mat, (k, "primal"), (k - 1, "primal"))
 
 
-def laplace(dual: DualComplex, k: int) -> SparseOperator:
+def laplace(dual: DualComplex, k: int) -> LinearOperator:
     """Hodge-Laplace operator on primal k-cochains: delta d + d delta."""
     n = dual.complex.dim
     if not 0 <= k <= n:

@@ -42,7 +42,7 @@ import scipy.sparse as sp
 from .complex import SimplicialComplex
 from .dualmesh import DualComplex
 from .errors import IterativeSolveError, TrivialProblemError
-from .geometry import squared_norms
+from .geometry import squared_lengths
 from .operators import Cochain, discrete_l2, edge_differences, h1_seminorm, inner_product
 from .problems import ProblemBundle
 
@@ -120,10 +120,7 @@ def _stiffness_blocks(cx: SimplicialComplex, dual: DualComplex,
     """
     edges = cx.simplices[1]
     i, j = edges[:, 0], edges[:, 1]
-    vec = np.take(cx.vertices, j, axis=0)
-    vec -= np.take(cx.vertices, i, axis=0)
-    w = dual.volumes[1] / np.sqrt(squared_norms(vec))
-    del vec
+    w = dual.volumes[1] / np.sqrt(squared_lengths(cx.vertices, edges))
     diag = np.bincount(np.concatenate([i, j]), np.concatenate([w, w]), minlength=cx.num(0))
     # position of each vertex among the free vertices, or among the others
     nf = int(np.count_nonzero(free))

@@ -15,7 +15,7 @@ import math
 import os
 import subprocess
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -45,12 +45,11 @@ class StudyReport:
 
 
 class StudyAborted(RuntimeError):
-    """A level failed; carries the partial report."""
+    """A level failed; carries the partial report, and the failure as ``__cause__``."""
 
-    def __init__(self, message: str, report: StudyReport, cause: Exception):
+    def __init__(self, message: str, report: StudyReport):
         super().__init__(message)
         self.report = report
-        self.cause = cause
 
 
 def commit_stamp() -> str:
@@ -110,25 +109,30 @@ def fit_rate(errors, last: int = 4) -> float:
 
 
 def max_h(cx) -> float:
-    """The longest edge, a block of edges at a time."""
-    return max(float(geometry.diameter(cx.coords_of(1, rows)).max())
-               for rows in geometry.row_blocks(cx.num(1), 2))
+    """The longest edge: the square root of the largest squared edge length,
+    which is the largest length bit for bit, as the square root is monotone
+    and correctly rounded."""
+    return math.sqrt(float(geometry.squared_lengths(cx.vertices, cx.simplices[1]).max()))
 
 
 def _guarded_walk(spec: FamilySpec, levels: int, cap: int | None):
-    """``generators.walk``, refused on its level-0 mesh, before any refinement,
-    dual or solve, when the interior count of any of its levels would pass ``cap``."""
-    meshes = generators.walk(spec, levels)
-    first = next(meshes)
+    """The meshes of levels 0 to ``levels - 1``: the family's level-0 mesh,
+    then each one refined from the one before, so ``interior_prolongation``
+    maps between consecutive meshes.  Refused on the level-0 mesh, before
+    any refinement, dual or solve, when the interior count of any level
+    would pass ``cap``."""
+    cx = generators.generate(replace(spec, level=0))
     if cap is not None:
         for i in range(levels):
-            est = generators.estimate_unknowns(first, i)
+            est = generators.estimate_unknowns(cx, i)
             if est > cap:
                 raise MemoryGuardError(
                     f"level {i} of {spec.family} has ~{est} unknowns, above the cap {cap}; "
-                    "raise max_unknowns to proceed")
-    yield first
-    yield from meshes
+                    "raise max_unknowns (--max-unknowns) to proceed")
+    for i in range(levels):
+        if i:
+            cx = generators.refine(cx)
+        yield cx
 
 
 def _carried_dual(cx, coarse, keep: bool):
@@ -195,7 +199,7 @@ def run_convergence_study(spec: FamilySpec, problem: str | ProblemBundle,
         raise
     except Exception as exc:
         # every finished level has appended its row, so the row count is the failed level
-        raise StudyAborted(f"level {len(report.rows)} failed: {exc}", report, exc) from exc
+        raise StudyAborted(f"level {len(report.rows)} failed: {exc}", report) from exc
     return report
 
 
@@ -270,7 +274,7 @@ def run_consistency_study(spec: FamilySpec, problem: str | ProblemBundle, k: int
         raise
     except Exception as exc:
         # every finished level has appended its row, so the row count is the failed level
-        raise StudyAborted(f"level {len(report.rows)} failed: {exc}", report, exc) from exc
+        raise StudyAborted(f"level {len(report.rows)} failed: {exc}", report) from exc
     return report
 
 

@@ -11,7 +11,13 @@ its interior rows and columns.  From before the dual's kernels took numpy's
 fast paths: the circumcenter and the unsigned volume on the stacked
 (m, k, k) Gram of ``e @ e.transpose``, with the determinant, Cramer's rule
 (one column swapped out at a time) and the coordinates' row sum over its
-short axes."""
+short axes.
+
+Beside them, kernels that ``declab`` no longer holds: ``cramer_solve``,
+Cramer's rule on a stack by ``geometry._cramer``, which the Whitney basis
+and the geometry tests use, and ``cotan_stiffness``, the 2D P1 stiffness
+assembled per triangle by the cotangent formula, which the DEC stiffness
+must equal."""
 import math
 from itertools import combinations, product
 
@@ -169,6 +175,39 @@ def solve(a, b, den):
             x[..., i, j] = det(a) / den
         a[..., :, i] = col
     return x
+
+
+def cramer_solve(a, b, den):
+    """x with a x = b by Cramer's rule: a (..., k, k), b (..., k, r), den = det(a).
+
+    x[..., i, j] = det(a with column i replaced by b[..., j]) / den, by
+    ``geometry._cramer`` on each column of b.
+    """
+    x = np.empty(b.shape)
+    entries = np.moveaxis(a, (-2, -1), (0, 1))
+    for j in range(b.shape[-1]):
+        geometry._cramer(entries, np.moveaxis(b[..., j], -1, 0), den,
+                         np.moveaxis(x[..., j], -1, 0))
+    return x
+
+
+def cotan_stiffness(cx):
+    """The P1 stiffness of a triangle mesh, assembled per triangle: the edge
+    opposite vertex k gets weight cot(angle at k) / 2."""
+    tri = cx.simplices[2]
+    x = cx.vertices
+    nv = cx.num(0)
+    rows, cols, vals = [], [], []
+    for a, b, c in tri:
+        for i, j, k in ((a, b, c), (b, c, a), (c, a, b)):
+            u = x[i] - x[k]
+            v = x[j] - x[k]
+            cross = abs(u[0] * v[1] - u[1] * v[0])
+            w = 0.5 * (u @ v) / cross
+            rows += [i, j, i, j]
+            cols += [j, i, i, j]
+            vals += [-w, -w, w, w]
+    return sp.coo_matrix((vals, (rows, cols)), shape=(nv, nv)).tocsr()
 
 
 def unsigned_volume(coords):

@@ -22,6 +22,7 @@ from declab.operators import (Cochain, codifferential, discrete_l2,
 from declab.problems import get_problem, linear
 from declab.solve import error_report, make_problem, solve, stiffness_matrix
 from declab.study import fit_rate, run_consistency_study, run_convergence_study
+from kernel_oracles import cotan_stiffness
 from whitney import whitney_mass_matrix
 
 # frozen reference errors for the canonical wheel and cube runs,
@@ -165,21 +166,6 @@ def test_criterion_04_adjointness():
     report(4, f"adjointness (d a, b)_h = (a, delta b)_h holds to 1e-12 on "
               f"pentagon level 3 (all degrees) and cube level 1 (worst "
               f"relative gap {worst:.2e}); singular-star degrees refuse")
-
-
-def cotan_stiffness(cx):
-    tri = cx.simplices[2]
-    x = cx.vertices
-    rows, cols, vals = [], [], []
-    for a, b, c in tri:
-        for i, j, k in ((a, b, c), (b, c, a), (c, a, b)):
-            u = x[i] - x[k]
-            v = x[j] - x[k]
-            w = 0.5 * (u @ v) / abs(u[0] * v[1] - u[1] * v[0])
-            rows += [i, j, i, j]
-            cols += [j, i, i, j]
-            vals += [-w, -w, w, w]
-    return sp.coo_matrix((vals, (rows, cols)), shape=(cx.num(0),) * 2).tocsr()
 
 
 def test_criterion_05_cotan_oracle_and_linear_reproduction():

@@ -9,8 +9,8 @@ from declab import geometry, meshio
 from declab.complex import build_complex
 from declab.errors import InvertedCellError, MeshError
 from declab.generators import (DEFAULT_ALPHA, FamilySpec, _label_slit, estimate_unknowns,
-                               generate, interior_prolongation, jitter_interior, refine,
-                               walk)
+                               generate, interior_prolongation, jitter_interior, refine)
+from declab.study import _guarded_walk
 from kernel_oracles import interior_prolongation as oracle_interior_prolongation
 from kernel_oracles import jittered_vertices, prolongation
 from refine_oracle import refine as refine_by_column_lists
@@ -162,7 +162,7 @@ def test_corner_strictly_well_centered_for_other_angles():
 
 
 def _assert_estimates_match_walk(spec, levels):
-    meshes = list(walk(spec, levels))
+    meshes = list(_guarded_walk(spec, levels, None))
     for level, cx in enumerate(meshes):
         assert estimate_unknowns(meshes[0], level) == len(cx.interior_vertex_indices()), \
             (spec, level)
@@ -237,7 +237,7 @@ def test_jitter_equals_the_norm_oracle_bit_for_bit(spec, amplitude):
 
 def _interior_pairs(levels):
     for family, level in zip(("pentagon_wheel", "corner", "cube_kuhn"), levels):
-        meshes = list(walk(FamilySpec(family), level + 1))
+        meshes = list(_guarded_walk(FamilySpec(family), level + 1, None))
         yield family, meshes[-2], meshes[-1]
 
 

@@ -10,12 +10,12 @@ from hypothesis import given, settings
 
 from declab import meshio
 from declab.dualmesh import build_dual
-from declab.generators import FamilySpec, generate, interior_prolongation, refine, walk
+from declab.generators import FamilySpec, generate, interior_prolongation, refine
 from declab.problems import get_problem
 from declab.solve import (DENSE_CUTOFF, JACOBI_DAMPING, SolverConfig, _aggregates,
                           _aggregation_prolongation, _cycle, _spd_inverse, assemble,
                           make_problem, pcg, solve, stiffness_matrix, v_cycle)
-from declab.study import run_convergence_study
+from declab.study import _guarded_walk, run_convergence_study
 from strategies import jittered_wheels
 
 
@@ -27,7 +27,7 @@ def interior_block(cx):
 
 def hierarchy(family, level, problem):
     """The problem at ``level`` and the interior prolongations below it, as a study passes them."""
-    meshes = list(walk(FamilySpec(family), level + 1))
+    meshes = list(_guarded_walk(FamilySpec(family), level + 1, None))
     prolongations = [interior_prolongation(c, f) for c, f in zip(meshes, meshes[1:])]
     cx = meshes[-1]
     return make_problem(cx, build_dual(cx), get_problem(problem)), prolongations

@@ -1,7 +1,12 @@
-"""Every function the traced benchmark wraps must still exist under its probed name."""
+"""The package's surface: every function the traced benchmark wraps must still
+exist under its probed name, and every export must have a caller in the package."""
 import importlib
 import importlib.util
+import io
+import tokenize
 from pathlib import Path
+
+import declab
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -38,3 +43,18 @@ def test_lattice_and_node_map_layers_stay_probed():
             ("declab.generators", "jitter_interior"),
             ("declab.quadrature:QuadratureRule", "physical_points"),
             ("declab.geometry", "circumcenter")} <= probed
+
+
+def test_every_export_has_a_caller_in_the_package():
+    # a name counts where a module other than __init__.py reads it: in code,
+    # not in a string or comment, and not as the name of its def or class
+    used = set()
+    for path in Path(declab.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        after_def = False
+        for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline):
+            if tok.type == tokenize.NAME and not after_def:
+                used.add(tok.string)
+            after_def = tok.type == tokenize.NAME and tok.string in ("def", "class")
+    assert sorted(set(declab.__all__) - used) == []

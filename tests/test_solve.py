@@ -15,6 +15,7 @@ from declab.problems import get_problem, linear
 from declab.solve import (DirichletProblem, _stiffness_blocks, assemble, dump_solution,
                           error_report, make_problem, pcg, solve, stiffness_matrix)
 from declab.study import walk_levels
+from kernel_oracles import cotan_stiffness
 from strategies import jittered_wheels
 
 
@@ -24,35 +25,35 @@ def pentagon3():
     return cx, build_dual(cx)
 
 
-def cotan_stiffness(cx):
-    """Independent oracle: cotangent-weight stiffness assembled per triangle."""
-    tri = cx.simplices[2]
-    x = cx.vertices
-    nv = cx.num(0)
-    rows, cols, vals = [], [], []
-    for a, b, c in tri:
-        for i, j, k in ((a, b, c), (b, c, a), (c, a, b)):
-            u = x[i] - x[k]
-            v = x[j] - x[k]
-            cross = abs(u[0] * v[1] - u[1] * v[0])
-            w = 0.5 * (u @ v) / cross
-            rows += [i, j, i, j]
-            cols += [j, i, i, j]
-            vals += [-w, -w, w, w]
-    return sp.coo_matrix((vals, (rows, cols)), shape=(nv, nv)).tocsr()
+def assert_rows_equal_the_p1_stiffness(cx):
+    """Every row of the DEC stiffness within 1e-14 max|K| of the cotangent P1
+    stiffness K: on a 2D mesh the two are one matrix."""
+    oracle = cotan_stiffness(cx)
+    gap = abs(stiffness_matrix(cx, build_dual(cx)) - oracle).max(axis=1).toarray().ravel()
+    scale = abs(oracle).max()
+    bad = np.flatnonzero(gap > 1e-14 * scale)
+    assert not len(bad), (bad[:5].tolist(), gap.max() / scale)
 
 
 def test_stiffness_equals_cotan_oracle():
-    for fam, lev in (("pentagon_wheel", 2), ("corner", 2)):
-        cx = generate(FamilySpec(fam, level=lev))
-        dual = build_dual(cx)
-        s = stiffness_matrix(cx, dual)
-        oracle = cotan_stiffness(cx)
-        assert abs(s - oracle).max() <= 1e-10
-    cx = jitter_interior(generate(FamilySpec("pentagon_wheel", level=3)),
-                         amplitude=0.05, seed=3)
-    dual = build_dual(cx)
-    assert abs(stiffness_matrix(cx, dual) - cotan_stiffness(cx)).max() <= 1e-10
+    for fam in ("pentagon_wheel", "corner"):
+        for lev in range(4):
+            assert_rows_equal_the_p1_stiffness(generate(FamilySpec(fam, level=lev)))
+    assert_rows_equal_the_p1_stiffness(jitter_interior(
+        generate(FamilySpec("pentagon_wheel", level=3)), amplitude=0.05, seed=3))
+
+
+@pytest.mark.parametrize("level", range(4))
+@pytest.mark.parametrize("pattern", [1, 2, 3])
+def test_stiffness_rows_equal_the_p1_stiffness_on_square_patterns(pattern, level):
+    # weakly well-centered: the hypotenuses' dual edges, and their weights, vanish
+    assert_rows_equal_the_p1_stiffness(generate(FamilySpec("square", level, pattern=pattern)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(cx=jittered_wheels)
+def test_stiffness_rows_equal_the_p1_stiffness_on_jittered_wheels(cx):
+    assert_rows_equal_the_p1_stiffness(cx)
 
 
 def test_stiffness_is_exactly_symmetric_and_matches_operator_composition(pentagon3):

@@ -33,6 +33,23 @@ def small_report():
                                  deterministic=True)
 
 
+@pytest.mark.parametrize("spec", [FamilySpec("pentagon_wheel"), FamilySpec("corner"),
+                                  *[FamilySpec("square", pattern=p) for p in (1, 2, 3)],
+                                  FamilySpec("cube_kuhn")],
+                         ids=lambda s: f"{s.family}{s.pattern if s.family == 'square' else ''}")
+def test_max_h_is_the_shape_reports_h_bit_for_bit(spec):
+    # max_h takes the square root of the largest squared edge length; the
+    # report's h is the largest simplex diameter, by geometry.diameter
+    for cx in study._guarded_walk(spec, 4, None):
+        assert study.max_h(cx) == cx.shape_report().h, cx.num(0)
+
+
+def test_max_h_is_the_shape_reports_h_bit_for_bit_on_a_jittered_hexagon():
+    cx = generators.jitter_interior(
+        generators.generate(FamilySpec("pentagon_wheel", 4, n_gon=6)), 0.14, seed=100)
+    assert study.max_h(cx) == cx.shape_report().h
+
+
 def test_csv_schema_and_row_count(small_report):
     text = to_csv(small_report)
     lines = [ln for ln in text.strip().split("\n") if not ln.startswith("#")]
@@ -403,7 +420,7 @@ def test_cli_solve_refuses_above_max_unknowns(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == "" and refined == [] and duals == []
     assert err == ("error: level 2 of pentagon_wheel has ~31 unknowns, above the cap 10; "
-                   "raise max_unknowns to proceed\n")
+                   "raise max_unknowns (--max-unknowns) to proceed\n")
 
 
 def _python(*args: str, cwd=None) -> str:
@@ -509,7 +526,7 @@ def test_cli_aborted_study_writes_partial_report(tmp_path, capsys):
     out.unlink()
     with pytest.raises(StudyAborted) as info:
         main(argv + ["--debug"])
-    assert isinstance(info.value.cause, WellCenteredError)
+    assert isinstance(info.value.__cause__, WellCenteredError)
     assert out.read_text().splitlines()[-1].startswith("1,")
 
 

@@ -12,13 +12,14 @@ import scipy.sparse as sp
 from declab import geometry
 from declab.complex import SimplicialComplex
 from declab.fields import index_tuples
+from kernel_oracles import cramer_solve
 
 
 def _barycentric_gradients(cx: SimplicialComplex) -> np.ndarray:
     """Gradients of the n+1 barycentric hat functions per top cell: (m, n+1, n)."""
     e = geometry.edge_matrix(cx.coords_of(cx.dim, slice(None)))
     # rows of inv(E)^T are grad lam_i, with inv(E) the solution X of E X = I
-    inv = geometry.solve(e, np.broadcast_to(np.eye(cx.dim), e.shape), geometry.det(e))
+    inv = cramer_solve(e, np.broadcast_to(np.eye(cx.dim), e.shape), geometry.det(e))
     grads = np.transpose(inv, (0, 2, 1))
     g0 = -grads.sum(axis=1, keepdims=True)
     return np.concatenate([g0, grads], axis=1)
