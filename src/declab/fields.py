@@ -158,7 +158,7 @@ def _integrate(fields: Sequence[FormField], corner: Callable, index: np.ndarray,
 
 
 def _check_fields(fields: Sequence[FormField], n: int) -> int:
-    """The common degree of a nonempty list of fields in R^n."""
+    """The common degree, 0 to n, of a nonempty list of fields in R^n."""
     if not fields:
         raise ValueError("no field to integrate")
     for f in fields:
@@ -166,6 +166,8 @@ def _check_fields(fields: Sequence[FormField], n: int) -> int:
             raise ValueError(f"field lives in R^{f.dim}, complex in R^{n}")
     if len({f.degree for f in fields}) > 1:
         raise ValueError("fields integrated in one pass must share their degree")
+    if not 0 <= fields[0].degree <= n:
+        raise ValueError("field degree exceeds complex dimension")
     return fields[0].degree
 
 
@@ -177,8 +179,6 @@ def derham_primal(fields: Sequence[FormField], cx: SimplicialComplex,
     order, each equal bit for bit to the one a pass of its field alone gives.
     """
     k = _check_fields(fields, cx.dim)
-    if k > cx.dim:
-        raise ValueError("field degree exceeds complex dimension")
     integ = _integrate(fields, lambda j, i: np.take(cx.vertices, i, axis=0),
                        cx.simplices[k], degree)
     integ *= cx.orientation[k]
@@ -204,8 +204,6 @@ def derham_dual(fields: Sequence[FormField], dual: DualComplex,
     cx = dual.complex
     n = cx.dim
     k = n - _check_fields(fields, n)
-    if not 0 <= k <= n:
-        raise ValueError("field degree exceeds complex dimension")
     if dual.circumcenters is None:
         raise ValueError("the dual holds no circumcenters: study.walk_levels let them go")
     width = (math.factorial(n + 1) // math.factorial(k + 1)

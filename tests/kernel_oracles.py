@@ -15,9 +15,15 @@ short axes.
 
 Beside them, kernels that ``declab`` no longer holds: ``cramer_solve``,
 Cramer's rule on a stack by ``geometry._cramer``, which the Whitney basis
-and the geometry tests use, and ``cotan_stiffness``, the 2D P1 stiffness
+and the geometry tests use; ``cotan_stiffness``, the 2D P1 stiffness
 assembled per triangle by the cotangent formula, which the DEC stiffness
-must equal."""
+must equal; and ``lapack_circumcenter``, the circumcenters by LAPACK's
+solve, the one independent circumcenter oracle of the geometry and dual
+tests.  ``bits`` is the int64 view that every bit-for-bit comparison takes.
+
+These oracles judge kernels.  Whole outputs are judged by
+``output_manifest.py``: its manifest is the one list of files that CI
+requires to stay byte-identical."""
 import math
 from itertools import combinations, product
 
@@ -243,3 +249,23 @@ def circumcenter(coords, check=True):
     alpha = solve(gram, rhs[..., None], den)[..., 0]
     lam = np.concatenate([1.0 - alpha.sum(axis=1, keepdims=True), alpha], axis=1)
     return coords[:, 0, :] + np.einsum("mk,mkd->md", alpha, e), lam
+
+
+def lapack_circumcenter(coords, check=True):
+    """Circumcenters by LAPACK's solve of 2 E E^T a = diag(E E^T), in the
+    signature of ``geometry.circumcenter``."""
+    coords = np.asarray(coords, dtype=float)
+    m, kp1, _ = coords.shape
+    if kp1 == 1:
+        return coords[:, 0, :].copy(), np.ones((m, 1))
+    e = geometry.edge_matrix(coords)
+    gram = 2.0 * (e @ np.transpose(e, (0, 2, 1)))
+    rhs = np.einsum("mkd,mkd->mk", e, e)
+    alpha = np.linalg.solve(gram, rhs[..., None])[..., 0]
+    lam = np.concatenate([1.0 - alpha.sum(axis=1, keepdims=True), alpha], axis=1)
+    return coords[:, 0, :] + np.einsum("mk,mkd->md", alpha, e), lam
+
+
+def bits(a):
+    """The float64 entries of ``a`` as int64, to compare bit for bit."""
+    return np.ascontiguousarray(a).view(np.int64)

@@ -13,6 +13,16 @@ convergence CSVs; the jittered hexagon consistency CSVs (k = 0, 1, 2; 8
 levels; seed 100); the Kuhn cube's k = 0 consistency CSV (4 levels); the
 pentagon level-7, cube level-4 and corner level-6 file ``solve`` dumps; and
 the corner level-6 and level-7 mesh files.
+
+This set is the one list of outputs that must not move: CI diffs its
+manifest at 1 and 2 BLAS threads and under ``MALLOC_PERTURB_``.  Some members
+are the only run of their path:
+
+- the corner level-6 file has 8,001 unknowns on level 0, so its solve is the
+  only one that runs on algebraic levels alone;
+- the Kuhn cube's k = 0 study is the only one through 3D dual fragments;
+  k = 1 is refused there, as the cube's dual edges have no volume;
+- the cube level-4 dump is the only 3D ``solve`` dump.
 """
 from __future__ import annotations
 

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -15,6 +14,7 @@ from declab.errors import DegenerateSimplexError, MeshError, NonConformingError,
 from declab.generators import FamilySpec, generate, jitter_interior, refine
 import kernel_oracles
 from strategies import jittered_wheels
+from tracing import traced
 
 
 def brute_force_faces(cells, k):
@@ -220,6 +220,16 @@ def test_duplicate_coordinates_rejected():
         build_complex(2, verts, [(0, 1, 2), (3, 1, 2)])
 
 
+@pytest.mark.parametrize("verts, cells, message", [
+    ([(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 1, 2)], "vertex coordinates must be 2-dimensional"),
+    ([(0, 0), (1, 0), (0, 1)], [(0, 1)], "top cells need 3 vertices"),
+    ([(0, 0), (1, 0), (0, 1), (5, 5)], [(0, 1, 2)], "isolated vertices"),
+], ids=["coordinate_width", "cell_width", "isolated_vertex"])
+def test_malformed_input_rejected(verts, cells, message):
+    with pytest.raises(MeshError, match=message):
+        build_complex(2, verts, cells)
+
+
 def _overlay(level):
     """A corner mesh with one extra triangle whose corners are the centroids
     of cells 70, 30 and 50: three foreign vertices inside cells of the mesh,
@@ -275,12 +285,7 @@ def test_conformity_audit_memory_is_bounded_by_the_block(monkeypatch):
 
     def peak(block_nodes):
         monkeypatch.setattr(geometry, "BLOCK_NODES", block_nodes)
-        tracemalloc.start()
-        try:
-            _audit_conformity(cx)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced(lambda: _audit_conformity(cx))[2]
 
     assert peak(3 * 64) < 0.5 * peak(1 << 62)
 
@@ -320,13 +325,9 @@ def test_cell_orientation_memory_is_bounded_by_the_block(monkeypatch):
 
     def peak(block_nodes):
         monkeypatch.setattr(geometry, "BLOCK_NODES", block_nodes)
-        tracemalloc.start()
-        try:
-            signs = cell_orientation(cx.vertices, cells)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-            assert np.array_equal(signs, cx.orientation[3])
+        signs, _, peak = traced(lambda: cell_orientation(cx.vertices, cells))
+        assert np.array_equal(signs, cx.orientation[3])
+        return peak
 
     assert peak(4 * 1024) < 0.3 * peak(1 << 62)
 

@@ -1,6 +1,5 @@
 import math
 import re
-import tracemalloc
 from dataclasses import replace
 from itertools import combinations, permutations
 
@@ -16,7 +15,9 @@ from declab.operators import exterior_derivative
 from declab.solve import stiffness_matrix
 from declab.study import walk_levels
 import kernel_oracles
+from kernel_oracles import lapack_circumcenter
 from strategies import jittered_wheel, jittered_wheels, strictly_well_centered
+from tracing import traced
 from whitney import whitney_mass_matrix
 
 
@@ -228,12 +229,7 @@ def test_build_dual_memory_is_bounded_by_the_block(monkeypatch):
 
     def peak(block_nodes):
         monkeypatch.setattr(geometry, "BLOCK_NODES", block_nodes)
-        tracemalloc.start()
-        try:
-            build_dual(cx)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced(lambda: build_dual(cx))[2]
 
     assert peak(4 * 1024) < 0.6 * peak(1 << 62)
 
@@ -245,12 +241,7 @@ def test_build_dual_keeps_no_array_per_incidence_pair(monkeypatch, family, level
     # of faces[n-1], the most numerous pairs (0.49 MB and 1.2 MB here)
     cx = generate(FamilySpec(family, level))
     monkeypatch.setattr(geometry, "BLOCK_NODES", 4096)
-    tracemalloc.start()
-    try:
-        dual = build_dual(cx)
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    dual, kept, peak = traced(lambda: build_dual(cx))
     assert kept > sum(v.nbytes for v in dual.volumes)
     assert peak - kept < cx.faces[cx.dim - 1].size * 8
 
@@ -265,12 +256,7 @@ def test_hodge_ratios_memory_is_bounded_by_the_block(monkeypatch):
     def peak(block_nodes, k):
         monkeypatch.setattr(geometry, "BLOCK_NODES", block_nodes)
         fresh = DualComplex(cx, dual.circumcenters, dual.volumes)  # nothing cached
-        tracemalloc.start()
-        try:
-            fresh.hodge_ratios(k)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced(lambda: fresh.hodge_ratios(k))[2]
 
     for k in (1, 2, 3):
         assert peak(4 * 1024, k) < 0.3 * peak(1 << 62, k), k
@@ -379,9 +365,10 @@ off_centered = st.one_of(
 
 
 def _det(m):
-    """Determinant of a small matrix of integer arrays, by cofactors along the first row."""
-    if len(m) == 1:
-        return m[0][0]
+    """The exact determinant of a small matrix of integers or integer arrays,
+    by cofactors along the first row."""
+    if not m:
+        return 1
     return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
                for j in range(len(m)))
 
@@ -702,21 +689,13 @@ def test_refine_and_build_dual_hold_little_beyond_what_they_return(
     cx = generate(spec)
     record = build_dual(cx).record
 
-    def traced(fn):
-        tracemalloc.start()
-        try:
-            result = fn()
-            return tracemalloc.get_traced_memory()[1], result
-        finally:
-            tracemalloc.stop()
-
     def held(*arrays):
         return sum(a.nbytes for a in arrays)
 
-    refine_peak, fine = traced(lambda: refine(cx))
+    fine, _, refine_peak = traced(lambda: refine(cx))
     assert refine_peak < refine_bound * held(fine.vertices, *fine.simplices, *fine.faces[2:],
                                              *fine.orientation, *fine.children)
-    dual_peak, dual = traced(lambda: build_dual(fine, record))
+    dual, _, dual_peak = traced(lambda: build_dual(fine, record))
     # volumes[n] is a view of one float, and centers[0] the vertices
     assert dual_peak < dual_bound * held(*dual.circumcenters[2:], *dual.volumes[:-1],
                                          *dual.record.inside[2:])
@@ -818,12 +797,6 @@ def acute_tetrahedra(rng, count):
     return np.array(out)
 
 
-def lapack_center(v):
-    """The circumcenter of the simplex with vertices v (k+1, n), by LAPACK."""
-    e = v[1:] - v[0]
-    return v[0] + np.linalg.solve(2 * e @ e.T, (e * e).sum(axis=1)) @ e
-
-
 def assert_dual_is_no_p1(cx, dual):
     """The identities of a well-centered dual, and a stiffness that is not P1's."""
     assert_support_volumes(cx, dual)
@@ -861,12 +834,13 @@ def test_acute_tetrahedron_star_1_is_the_circumcentric_quadrilateral(rng):
         cx = build_complex(3, tet, [(0, 1, 2, 3)])
         assert cx.shape_report().well_centered == "strict"
         dual = build_dual(cx)
-        top = lapack_center(tet)
+        [top] = lapack_circumcenter(tet[None])[0]
         num, den = dual.hodge_ratios(1)
         for e, (a, b) in enumerate(cx.simplices[1].tolist()):
-            mid = lapack_center(tet[[a, b]])
-            area = sum(np.linalg.norm(np.cross(lapack_center(tet[[a, b, x]]) - mid, top - mid)) / 2
-                       for x in set(range(4)) - {a, b})
+            [mid] = lapack_circumcenter(tet[None, [a, b]])[0]
+            faces = np.stack([tet[[a, b, x]] for x in set(range(4)) - {a, b}])
+            area = sum(np.linalg.norm(np.cross(c - mid, top - mid)) / 2
+                       for c in lapack_circumcenter(faces)[0])
             assert num[e] / den[e] == pytest.approx(area / np.linalg.norm(tet[b] - tet[a]),
                                                     rel=1e-12)
         assert_dual_is_no_p1(cx, dual)

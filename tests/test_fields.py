@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -20,8 +19,10 @@ from declab.problems import get_problem
 from declab.quadrature import simplex_rule
 from declab.solve import stiffness_matrix
 import kernel_oracles
+from kernel_oracles import bits
 from forms import volume_field
 from strategies import jittered_wheels
+from tracing import traced
 from whitney import _barycentric_gradients, whitney_mass_matrix
 
 
@@ -166,10 +167,6 @@ def test_one_pass_over_several_fields_is_each_field_alone(cx):
                                   derham_dual([hodge_field(field)], dual, 6)[0].values)
 
 
-def _bits(values):
-    return np.ascontiguousarray(values).view(np.int64)
-
-
 def test_hodge_field_is_the_scatter_oracle_bit_for_bit(rng):
     # every sign bit survives, of -0.0 and of NaN too: the columns of sign -1
     # are multiplied by -1.0, as the integer sign array did
@@ -184,7 +181,7 @@ def test_hodge_field_is_the_scatter_oracle_bit_for_bit(rng):
             field = FormField(k, n, lambda p, vals=vals: vals[:len(p)])
             got, want = hodge_field(field)(pts), kernel_oracles.hodge_field(field)(pts)
             assert got.shape == want.shape == (40, math.comb(n, n - k)), (n, k)
-            assert np.array_equal(_bits(got), _bits(want)), (n, k)
+            assert np.array_equal(bits(got), bits(want)), (n, k)
 
 
 def _assert_derham_maps_equal_the_stacked_oracle(cx):
@@ -201,10 +198,10 @@ def _assert_derham_maps_equal_the_stacked_oracle(cx):
             want = (derham_primal(fields, cx, 6), derham_dual(fields, dual, 6),
                     derham_images(fields, cx, dual, 6))
         for a, b in zip(got[0] + got[1], want[0] + want[1]):
-            assert np.array_equal(_bits(a.values), _bits(b.values)), k
+            assert np.array_equal(bits(a.values), bits(b.values)), k
         for (a, a_star), (b, b_star) in zip(got[2], want[2]):
-            assert np.array_equal(_bits(a.values), _bits(b.values)), k
-            assert np.array_equal(_bits(a_star.values), _bits(b_star.values)), k
+            assert np.array_equal(bits(a.values), bits(b.values)), k
+            assert np.array_equal(bits(a_star.values), bits(b_star.values)), k
 
 
 @pytest.mark.parametrize("family, level", [("pentagon_wheel", 2), ("cube_kuhn", 1)])
@@ -225,7 +222,7 @@ def _assert_derham_maps_ignore_the_layout_of_values(cx):
     dual = build_dual(cx)
     for derham, mesh in ((derham_primal, cx), (derham_dual, dual)):
         [want], [got] = derham([du], mesh), derham([f_ordered], mesh)
-        assert np.array_equal(_bits(got.values), _bits(want.values)), derham
+        assert np.array_equal(bits(got.values), bits(want.values)), derham
 
 
 def test_derham_maps_ignore_the_layout_of_values(pentagon2d):
@@ -248,6 +245,22 @@ def test_one_pass_refuses_fields_of_mixed_degree(pentagon2d):
         derham_dual([], dual)
     with pytest.raises(ValueError, match="lives in R\\^3"):
         derham_primal([_plane_waves(2, 0), _plane_waves(3, 0)], cx)
+
+
+def test_both_maps_refuse_a_form_above_the_complex_dimension(pentagon2d):
+    cx, dual = pentagon2d
+    three_form = FormField(3, 2, lambda p: np.zeros((len(p), 0)))
+    for derham, mesh in ((derham_primal, cx), (derham_dual, dual)):
+        with pytest.raises(ValueError, match="field degree exceeds complex dimension"):
+            derham([three_form], mesh)
+
+
+def test_field_values_of_the_wrong_shape_are_refused():
+    pts = np.zeros((4, 2))
+    with pytest.raises(ValueError, match=r"field returned \(4, 1\), expected \(4, 2\)"):
+        FormField(1, 2, lambda p: p[:, :1])(pts)
+    # one value per point may come back as a 1-D array
+    assert np.array_equal(FormField(0, 2, lambda p: p[:, 0] + 1)(pts), np.ones((4, 1)))
 
 
 def _derham_cochains(cx, dual):
@@ -310,15 +323,6 @@ def test_blocked_dual_equals_one_block(cx, block_nodes):
     assert blocked_refusal == whole_refusal
 
 
-def _traced_peak(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def _fragment_count(cx, k):
     n = cx.dim
     return cx.num(n) * math.factorial(n + 1) // math.factorial(k + 1)
@@ -335,12 +339,12 @@ def test_dual_derham_memory_is_bounded_by_the_block():
     assert _fragment_count(hexagon, 0) == 147456
     f = volume_field(2, lambda p: np.sin(p[:, 0]) * np.cos(p[:, 1]))
     dual = build_dual(hexagon)
-    assert _traced_peak(lambda: derham_dual([f], dual, 6)) < 8e6
+    assert traced(lambda: derham_dual([f], dual, 6))[2] < 8e6
     cube = generate(FamilySpec("cube_kuhn", 3))
     table = _fragment_count(cube, 0) * (4 * 4 + 1)
     assert table > 8e6
     dual = build_dual(cube)
-    assert _traced_peak(lambda: derham_dual([_plane_waves(3, 3)], dual, 6)) < 8e6
+    assert traced(lambda: derham_dual([_plane_waves(3, 3)], dual, 6))[2] < 8e6
 
 
 @pytest.mark.parametrize("family, level", [("pentagon_wheel", 5), ("cube_kuhn", 2)])
@@ -358,9 +362,9 @@ def test_derham_memory_stays_below_the_corner_stack(monkeypatch, family, level):
     f = _plane_waves(n, n)
     monkeypatch.setattr(geometry, "BLOCK_NODES", 4096)
     corners = _fragment_count(cx, 0) * (n + 1)
-    assert _traced_peak(lambda: derham_dual([f], dual, 6)) < corners * n * 8
+    assert traced(lambda: derham_dual([f], dual, 6))[2] < corners * n * 8
     monkeypatch.setattr(geometry, "BLOCK_NODES", 1024)
-    assert _traced_peak(lambda: derham_primal([f], cx, 6)) < cx.simplices[n].size * n * 8
+    assert traced(lambda: derham_primal([f], cx, 6))[2] < cx.simplices[n].size * n * 8
 
 
 # -- Whitney forms ------------------------------------------------------------

@@ -1,6 +1,5 @@
 import math
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ from declab.study import _guarded_walk
 from kernel_oracles import interior_prolongation as oracle_interior_prolongation
 from kernel_oracles import jittered_vertices, prolongation
 from refine_oracle import refine as refine_by_column_lists
+from tracing import traced
 
 C_PENTAGON = math.sqrt(2 - 2 * math.cos(2 * math.pi / 5))
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "pentagon_level2.decmesh")
@@ -261,12 +261,7 @@ def test_interior_prolongation_memory_stays_near_its_result():
     # 5 -> 6, cube 2 -> 3); built directly, at 2.1 to 2.2 times
     for family, coarse, fine in _interior_pairs((6, 6, 3)):
         fine.interior_vertex_indices(), coarse.interior_vertex_indices()  # cached masks
-        tracemalloc.start()
-        try:
-            p = interior_prolongation(coarse, fine)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        p, _, peak = traced(lambda: interior_prolongation(coarse, fine))
         size = p.data.nbytes + p.indices.nbytes + p.indptr.nbytes
         assert peak < 3 * size, (family, peak / size)
 

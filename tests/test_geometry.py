@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -14,24 +14,9 @@ from declab.dualmesh import build_dual
 from declab.errors import DegenerateSimplexError
 from declab.generators import FamilySpec, generate, jitter_interior
 import kernel_oracles
+from kernel_oracles import bits
 from strategies import jittered_wheels
-from test_dualmesh import acute_tetrahedra, exact_coordinates
-
-
-def brute_force_circumcenter(coords):
-    """Independent oracle: least-squares solve of the raw equidistance system.
-
-    |c - v_i|^2 = |c - v_0|^2 plus the in-plane constraints, solved via lstsq
-    on the stacked linear system in ambient coordinates.
-    """
-    coords = np.asarray(coords, dtype=float)
-    v0 = coords[0]
-    e = coords[1:] - v0
-    # c = v0 + e^T a;  2 e_i . (c - v0) = |e_i|^2
-    a_mat = 2.0 * e @ e.T
-    rhs = np.einsum("kd,kd->k", e, e)
-    alpha, *_ = np.linalg.lstsq(a_mat, rhs, rcond=None)
-    return v0 + alpha @ e
+from test_dualmesh import _det, acute_tetrahedra, exact_coordinates
 
 
 def test_right_triangle_circumcenter_is_hypotenuse_midpoint():
@@ -49,7 +34,7 @@ def test_equilateral_circumcenter():
 
 def test_regular_tetrahedron_corner_circumcenter_matches_least_squares():
     tet = np.array([[(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]], dtype=float)
-    expected = brute_force_circumcenter(tet[0])
+    expected = kernel_oracles.lapack_circumcenter(tet)[0][0]
     assert np.allclose(expected, [0.5, 0.5, 0.5], atol=1e-14)
     c, lam = geometry.circumcenter(tet)
     assert np.allclose(c[0], expected, atol=1e-13)
@@ -126,19 +111,13 @@ def test_inradius_and_diameter():
     assert geometry.inradius(edge)[0] == pytest.approx(1.5)
 
 
-def broadcast_diameter(coords):
-    """Oracle: the largest length in the full pairwise difference array."""
-    diff = coords[:, :, None, :] - coords[:, None, :, :]
-    return np.sqrt((diff ** 2).sum(-1)).max(axis=(1, 2))
-
-
 @settings(deadline=None, max_examples=40)
 @given(cx=jittered_wheels | st.integers(0, 2).map(
     lambda level: generate(FamilySpec("cube_kuhn", level))))
 def test_diameter_is_bit_identical_to_broadcast_formula(cx):
     for k in range(cx.dim + 1):
         coords = cx.coords_of(k, slice(None))
-        assert np.array_equal(geometry.diameter(coords), broadcast_diameter(coords))
+        assert np.array_equal(geometry.diameter(coords), kernel_oracles.diameter(coords))
 
 
 def test_signed_volume_and_diameter_equal_the_stacked_oracle_bit_for_bit(rng):
@@ -165,16 +144,6 @@ def test_barycentric_coordinates_roundtrip(rng):
     pts = np.einsum("mj,mjd->md", lam, tet)
     out = geometry.barycentric_coordinates(pts, tet)
     assert np.allclose(out, lam, atol=1e-10)
-
-
-def leibniz_det(a):
-    """Oracle: the exact determinant of a small integer matrix, a sum over permutations."""
-    k = len(a)
-    total = 0
-    for p in permutations(range(k)):
-        inversions = sum(p[i] > p[j] for i in range(k) for j in range(i + 1, k))
-        total += (-1) ** inversions * math.prod(int(a[i][p[i]]) for i in range(k))
-    return total
 
 
 def stacks(k, elements):
@@ -204,7 +173,7 @@ def test_det_matches_lapack(a):
 @settings(max_examples=200, deadline=None)
 @given(a=st.integers(0, 3).flatmap(lambda k: stacks(k, st.integers(-9, 9).map(float))))
 def test_det_is_exact_on_small_integers(a):
-    assert geometry.det(a).tolist() == [leibniz_det(x) for x in a.tolist()]
+    assert geometry.det(a).tolist() == [_det(x) for x in a.astype(int).tolist()]
 
 
 @settings(max_examples=200, deadline=None)
@@ -229,14 +198,15 @@ def test_solve_is_correctly_rounded_on_small_integers(data, k):
     rounds the exact rational solution correctly."""
     a = data.draw(stacks(k, st.integers(-9, 9).map(float)))
     b = data.draw(arrays(float, (len(a), k, 1), elements=st.integers(-9, 9).map(float)))
-    dets = [leibniz_det(x) for x in a.tolist()]
+    dets = [_det(x) for x in a.astype(int).tolist()]
     keep = np.array(dets) != 0
     a, b = a[keep], b[keep]
     got = kernel_oracles.cramer_solve(a, b, geometry.det(a))
-    for x, mat, rhs, den in zip(got, a.tolist(), b.tolist(), np.array(dets)[keep].tolist()):
+    for x, mat, rhs, den in zip(got, a.astype(int).tolist(), b.astype(int).tolist(),
+                                np.array(dets)[keep].tolist()):
         for i in range(k):
             swapped = [row[:i] + [r[0]] + row[i + 1:] for row, r in zip(mat, rhs)]
-            assert x[i, 0] == float(Fraction(leibniz_det(swapped), den))
+            assert x[i, 0] == float(Fraction(_det(swapped), den))
 
 
 def lapack_signed_volume(coords):
@@ -245,23 +215,9 @@ def lapack_signed_volume(coords):
     return np.linalg.det(geometry.edge_matrix(coords)) / math.factorial(n)
 
 
-def lapack_circumcenter(coords, check=True):
-    """Reference: circumcenters by LAPACK's solve of 2 E E^T a = diag(E E^T)."""
-    coords = np.asarray(coords, dtype=float)
-    m, kp1, _ = coords.shape
-    if kp1 == 1:
-        return coords[:, 0, :].copy(), np.ones((m, 1))
-    e = geometry.edge_matrix(coords)
-    gram = 2.0 * (e @ np.transpose(e, (0, 2, 1)))
-    rhs = np.einsum("mkd,mkd->mk", e, e)
-    alpha = np.linalg.solve(gram, rhs[..., None])[..., 0]
-    lam = np.concatenate([1.0 - alpha.sum(axis=1, keepdims=True), alpha], axis=1)
-    return coords[:, 0, :] + np.einsum("mk,mkd->md", alpha, e), lam
-
-
 def lapack_signs(cx, k):
     """Reference: signs of the circumcenters' barycentric coordinates by LAPACK."""
-    return np.sign(lapack_circumcenter(cx.coords_of(k, slice(None)))[1])
+    return np.sign(kernel_oracles.lapack_circumcenter(cx.coords_of(k, slice(None)))[1])
 
 
 def exact_signs(cx, k):
@@ -282,7 +238,7 @@ def assert_exact_bits_as_with_lapack(cx, signs=lapack_signs):
     got_dual = build_dual(got_cx)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "signed_volume", lapack_signed_volume)
-        mp.setattr(geometry, "circumcenter", lapack_circumcenter)
+        mp.setattr(geometry, "circumcenter", kernel_oracles.lapack_circumcenter)
         want_cx = build_complex(cx.dim, cx.vertices, cells, validate=False)
         want_dual = build_dual(want_cx)
     for k in range(cx.dim + 1):
@@ -321,13 +277,9 @@ def assert_dual_kernels_equal_the_stacked_oracle(coords):
     for layout in (np.ascontiguousarray(coords), np.ascontiguousarray(coords.transpose(1, 0, 2))
                    .transpose(1, 0, 2)):
         got_c, got_l = geometry.circumcenter(layout)
-        assert np.array_equal(_bits(got_c), _bits(want_c))
-        assert np.array_equal(_bits(got_l), _bits(want_l))
-        assert np.array_equal(_bits(geometry.unsigned_volume(layout)), _bits(want_v))
-
-
-def _bits(a):
-    return np.ascontiguousarray(a).view(np.int64)
+        assert np.array_equal(bits(got_c), bits(want_c))
+        assert np.array_equal(bits(got_l), bits(want_l))
+        assert np.array_equal(bits(geometry.unsigned_volume(layout)), bits(want_v))
 
 
 def _jittered_cube(level):

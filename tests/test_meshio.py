@@ -76,6 +76,17 @@ def test_malformed_file_raises_mesh_error(tmp_path, text):
         meshio.load(p)
 
 
+@pytest.mark.parametrize("text, message", [
+    (TRIANGLE, "truncated file: expected 'cells'"),
+    (TRIANGLE + "faces 1\n0 1 2\n", "expected 'cells', got 'faces 1'"),
+], ids=["ends_before_keyword", "wrong_keyword"])
+def test_load_names_the_keyword_it_expected(tmp_path, text, message):
+    p = tmp_path / "bad.decmesh"
+    p.write_text(text)
+    with pytest.raises(MeshError, match=message):
+        meshio.load(p)
+
+
 def test_non_conforming_file_rejected(tmp_path):
     p = tmp_path / "bad.decmesh"
     p.write_text("decmesh 1\ndim 2\nvertices 5\n"

@@ -1,7 +1,6 @@
 """The V-cycle that preconditions CG: geometric levels across a study's
 refinement hierarchy, algebraic ones below any level too large for a dense inverse."""
 import importlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from declab.solve import (DENSE_CUTOFF, JACOBI_DAMPING, SolverConfig, _aggregate
                           make_problem, pcg, solve, stiffness_matrix, v_cycle)
 from declab.study import _guarded_walk, run_convergence_study
 from strategies import jittered_wheels
+from tracing import traced
 
 
 def interior_block(cx):
@@ -180,12 +180,7 @@ def test_a_large_diagonal_operator_takes_no_dense_inverse(rng):
     d = rng.uniform(1.0, 2.0, 3000)
     r = rng.standard_normal(3000)
     a = sp.diags(d).tocsr()
-    tracemalloc.start()
-    try:
-        z = v_cycle(a, ())(r)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    z, _, peak = traced(lambda: v_cycle(a, ())(r))
     assert np.array_equal(z, r / d)
     assert peak < 1 << 20
 
@@ -236,12 +231,7 @@ def test_v_cycle_setup_takes_no_csc_copy_of_the_operator():
     prob, prolongations = hierarchy("pentagon_wheel", 6, "trig2d")
     a = assemble(prob).reduced
     size = a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
-    tracemalloc.start()
-    try:
-        v_cycle(a, prolongations)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced(lambda: v_cycle(a, prolongations))[2]
     assert peak < 1.45 * size
 
 

@@ -159,6 +159,14 @@ def test_inner_product_symmetry_and_mismatch(pentagon2, rng):
         hodge_star(dual, 0, "primal") @ hodge_star(dual, 0, "primal")
 
 
+def test_star_and_sum_refuse_mismatched_tags(pentagon2):
+    _, dual = pentagon2
+    with pytest.raises(TagMismatchError, match=r"side must be primal\|dual, got 'both'"):
+        hodge_star(dual, 1, "both")
+    with pytest.raises(TagMismatchError, match="operator sum needs matching tags"):
+        hodge_star(dual, 0, "primal") + hodge_star(dual, 1, "primal")
+
+
 def test_single_entry_norm(worked_triangle):
     cx, dual = worked_triangle
     area = dual.volumes[0][0]

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -17,6 +15,7 @@ from declab.solve import (DirichletProblem, _stiffness_blocks, assemble, dump_so
 from declab.study import walk_levels
 from kernel_oracles import cotan_stiffness
 from strategies import jittered_wheels
+from tracing import traced
 
 
 @pytest.fixture(scope="module")
@@ -269,15 +268,6 @@ def test_assembled_blocks_of_a_mesh_file_are_the_full_matrix_cut(tmp_path, famil
     assert_blocks_are_the_full_matrix_cut(cx)
 
 
-def _traced_peak(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_assemble_memory_stays_below_a_full_stiffness_coo():
     # pentagon level 6: 30,880 edges.  A COO of the full S holds four entries
     # per edge, each an int32 row, an int32 column and a float64 value; the
@@ -296,9 +286,9 @@ def test_assemble_memory_stays_below_a_full_stiffness_coo():
         full = coo_stiffness(cx, dual)
         return full[interior][:, interior], full[interior][:, boundary]
 
-    peak = _traced_peak(lambda: assemble(prob))
+    peak = traced(lambda: assemble(prob))[2]
     assert peak < 4 * cx.num(1) * (4 + 4 + 8)
-    assert peak < 0.75 * _traced_peak(full_then_cut)
+    assert peak < 0.75 * traced(full_then_cut)[2]
 
 
 def assert_own_transpose(s):
@@ -351,5 +341,5 @@ def test_solve_memory_holds_no_copy_of_the_interior_block(monkeypatch):
     cx, dual, prolongations = levels[-1]
     del levels
     bundle = get_problem("trig2d")
-    peak = _traced_peak(lambda: solve(make_problem(cx, dual, bundle), prolongations=prolongations))
+    peak = traced(lambda: solve(make_problem(cx, dual, bundle), prolongations=prolongations))[2]
     assert peak < 10.5 * 8 * cx.num(1)

@@ -485,6 +485,45 @@ def test_cli_errors_exit_nonzero(tmp_path, capsys):
         assert out == "" and err.startswith("error: levels must be >= 1")
 
 
+def test_consistency_study_refuses_a_degree_out_of_range():
+    for k in (-1, 3):
+        with pytest.raises(ValueError, match="k out of range for dimension 2"):
+            run_consistency_study(FamilySpec("pentagon_wheel"), "trig2d", k, 2)
+
+
+def test_cli_solve_stops_at_max_iterations(capsys):
+    assert main(["solve", "--family", "pentagon_wheel", "--level", "3", "--problem", "trig2d",
+                 "--max-iterations", "1"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: conjugate gradients did not reach tol=1e-12 within 1 iterations")
+
+
+def test_cli_convergence_study_writes_its_tolerance(tmp_path):
+    out = tmp_path / "report.csv"
+    assert main(["study", "convergence", "--family", "pentagon_wheel", "--problem", "trig2d",
+                 "--levels", "2", "--tol", "1e-6", "--out", str(out)]) == 0
+    assert "# tolerance=1e-06\n" in out.read_text()
+
+
+def test_cli_full_l2_exceeds_the_interior_l2_at_every_level(tmp_path):
+    # the boundary dual cells' slowly decaying layer: 1.05 to 154 times the
+    # interior error on these five levels
+    def err_l2(k, *flags):
+        out = tmp_path / f"k{k}{len(flags)}.csv"
+        assert main(["study", "consistency", "--family", "pentagon_wheel", "--ngon", "6",
+                     "--field", "trig2d", "--levels", "5", "--jitter", "0.14", "--seed", "100",
+                     "--k", str(k), "--out", str(out), *flags]) == 0
+        text = out.read_text()
+        assert f"# interior_l2={not flags}\n" in text
+        rows = [ln.split(",") for ln in text.splitlines() if not ln.startswith("#")]
+        column = rows[0].index("err_l2")
+        return np.array([float(row[column]) for row in rows[1:]])
+
+    for k in (0, 1):
+        full, interior = err_l2(k, "--full-l2"), err_l2(k)
+        assert len(full) == 5 and np.all(full > interior), k
+
+
 def test_cli_study_levels_default_to_the_problem_dimension(cube_file, monkeypatch, capsys):
     # a saved cube studies as its family: 5 levels, not the 9 of a 2D study
     asked = []
